@@ -82,10 +82,12 @@ from .metrics import (
     matching_distortion_sequence,
     project_to_faces,
     projection_psnr,
+    psnr_from_errors,
     psnr_transform,
     psnr_triangle_cloud,
     rates,
     refined_interpolated_cloud,
+    triangle_cloud_errors,
 )
 from .octree import (
     baseline_decode_pointcloud,

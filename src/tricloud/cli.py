@@ -17,6 +17,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 
 from .codec import (
+    IntraPayload,
     decode_gof,
     encode_gof,
     read_bitstream_file,
@@ -34,9 +35,10 @@ from .errors import FormatError, TricloudError
 from .metrics import (
     matching_distortion_sequence,
     projection_psnr,
-    psnr_triangle_cloud,
+    psnr_from_errors,
     rates,
     refined_interpolated_cloud,
+    triangle_cloud_errors,
 )
 
 log = logging.getLogger("tricloud")
@@ -138,6 +140,19 @@ def _encode_job(job):
     return encode_gof(gof, params, intra_only)
 
 
+def _rate_report(encoded) -> dict:
+    """{"geometry" | "color" | "total": (bits, Mbps, bits per voxel)} of EncodedGofs."""
+    payloads = [p for enc in encoded for p in enc.frames]
+    counts = [c for enc in encoded for c in enc.refined_voxel_counts()]
+    geom_bits = sum(p.geometry_bits for p in payloads)
+    color_bits = sum(p.color_bits for p in payloads)
+    return {
+        kind: (bits, *rates(bits, len(payloads), counts))
+        for kind, bits in (("geometry", geom_bits), ("color", color_bits),
+                           ("total", geom_bits + color_bits))
+    }
+
+
 def _run_jobs(worker, jobs, n_workers: int):
     if n_workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
@@ -159,27 +174,15 @@ def cmd_encode(args) -> int:
     write_bitstream_file(args.output, encoded)
 
     print("frame  type  geometry_kbit  color_kbit")
-    frame_no = 0
-    geom_bits = color_bits = 0
-    voxel_counts = []
-    for enc in encoded:
-        counts = enc.refined_voxel_counts()
-        for k, payload in enumerate(enc.frames):
-            frame_no += 1
-            kind = "I" if hasattr(payload, "octree_bytes") else "P"
-            print(f"{frame_no:5d}  {kind:>4}  {payload.geometry_bits / 1000:13.3f}"
-                  f"  {payload.color_bits / 1000:10.3f}")
-            geom_bits += payload.geometry_bits
-            color_bits += payload.color_bits
-        voxel_counts.extend(counts)
-    g_mbps, g_bpv = rates(geom_bits, frame_no, voxel_counts)
-    c_mbps, c_bpv = rates(color_bits, frame_no, voxel_counts)
-    t_mbps, t_bpv = rates(geom_bits + color_bits, frame_no, voxel_counts)
+    payloads = [p for enc in encoded for p in enc.frames]
+    for frame_no, payload in enumerate(payloads, 1):
+        kind = "I" if isinstance(payload, IntraPayload) else "P"
+        print(f"{frame_no:5d}  {kind:>4}  {payload.geometry_bits / 1000:13.3f}"
+              f"  {payload.color_bits / 1000:10.3f}")
     size = os.path.getsize(args.output)
-    print(f"geometry: {geom_bits} bits ({g_mbps:.4f} Mbps, {g_bpv:.4f} bpv)")
-    print(f"color:    {color_bits} bits ({c_mbps:.4f} Mbps, {c_bpv:.4f} bpv)")
-    print(f"total:    {geom_bits + color_bits} bits ({t_mbps:.4f} Mbps, "
-          f"{t_bpv:.4f} bpv), container {size} bytes")
+    for kind, (bits, mbps, bpv) in _rate_report(encoded).items():
+        tail = f", container {size} bytes" if kind == "total" else ""
+        print(f"{kind + ':':<9} {bits} bits ({mbps:.4f} Mbps, {bpv:.4f} bpv){tail}")
     return 0
 
 
@@ -246,16 +249,12 @@ def cmd_eval(args) -> int:
         "uinterp": args.uinterp,
     }
 
-    per_frame_traces = None
+    triangle_rows = None
     if "triangle" in wanted:
-        g, y, u, v = psnr_triangle_cloud(originals, recons, args.uinterp)
+        triangle_rows = triangle_cloud_errors(originals, recons, args.uinterp)
+        g, y, u, v = psnr_from_errors(triangle_rows)
         report.update(psnr_g_triangle=g, psnr_y_triangle=y,
                       psnr_u_triangle=u, psnr_v_triangle=v)
-        if args.svg:
-            per_frame_traces = [
-                psnr_triangle_cloud([a], [b], args.uinterp)
-                for a, b in zip(originals, recons)
-            ]
     if "projection" in wanted:
         y, u, v = projection_psnr(originals, recons, depth, args.uinterp)
         report.update(psnr_y_projection=y, psnr_u_projection=u, psnr_v_projection=v)
@@ -275,21 +274,14 @@ def cmd_eval(args) -> int:
     if args.bitstream:
         encoded = read_bitstream_file(args.bitstream)
         params = encoded[0].params
-        geom_bits = sum(e.payload_bits()["geometry"] for e in encoded)
-        color_bits = sum(e.payload_bits()["color"] for e in encoded)
-        counts = [c for e in encoded for c in e.refined_voxel_counts()]
-        n_frames = sum(e.n_frames for e in encoded)
-        g_mbps, g_bpv = rates(geom_bits, n_frames, counts)
-        c_mbps, c_bpv = rates(color_bits, n_frames, counts)
-        t_mbps, t_bpv = rates(geom_bits + color_bits, n_frames, counts)
         report.update(
             step_motion=params.step_motion,
             step_color_intra=params.step_color_intra,
             step_color_inter=params.step_color_inter,
-            rate_mbps_geometry=g_mbps, rate_bpv_geometry=g_bpv,
-            rate_mbps_color=c_mbps, rate_bpv_color=c_bpv,
-            rate_mbps_total=t_mbps, rate_bpv_total=t_bpv,
         )
+        for kind, (_, mbps, bpv) in _rate_report(encoded).items():
+            report[f"rate_mbps_{kind}"] = mbps
+            report[f"rate_bpv_{kind}"] = bpv
 
     for key in _CSV_COLUMNS:
         if key in report:
@@ -304,8 +296,10 @@ def cmd_eval(args) -> int:
         with open(args.json_path, "w", encoding="utf-8") as fp:
             json.dump({k: _json_safe(v) for k, v in report.items()}, fp, indent=2)
             fp.write("\n")
-    if args.svg and per_frame_traces is not None:
+    if args.svg and triangle_rows is not None:
         from .svgplot import write_line_plot
+        per_frame_traces = [psnr_from_errors(triangle_rows[t:t + 1])
+                            for t in range(len(triangle_rows))]
         xs = list(range(1, len(per_frame_traces) + 1))
         write_line_plot(
             args.svg,

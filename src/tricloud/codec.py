@@ -54,18 +54,17 @@ from .errors import (
     RangeError,
     TruncatedStreamError,
 )
-from .geom import refine, voxelize
+from .geom import VoxelizationResult, refine, voxelize
 from .octree import octree_parse, octree_serialize
 from .transform import (
     MIDRISE,
+    RahtPlan,
     dequantize_indices,
     quantize,
     quantize_indices,
     raht_forward,
     raht_inverse,
     raht_plan,
-    serialize_order,
-    transform_weights,
 )
 
 BITSTREAM_MAGIC = b"TCB1"
@@ -155,7 +154,8 @@ class ReferenceState:
 
     vertex_permutation maps canonical (coded) vertex rows to the caller's
     original rows; on the decoder side it is the identity.  faces and
-    quantized_vertices are stored in canonical order.
+    quantized_vertices are stored in canonical order.  Each plan carries the
+    coefficient order its planes are coded in.
     """
 
     params: CodecParams
@@ -166,20 +166,17 @@ class ReferenceState:
     vertex_centers: np.ndarray
     vertex_index_map: np.ndarray
     vertex_counts: np.ndarray
-    vertex_plan: object
-    vertex_order: np.ndarray
+    vertex_plan: RahtPlan
     refined_voxels: VoxelSet
     refined_index_map: np.ndarray
     refined_counts: np.ndarray
-    refined_plan: object
-    refined_order: np.ndarray
+    refined_plan: RahtPlan
 
 
 @dataclass(frozen=True)
 class FrameBuffer:
     """Previous reconstruction: voxel vertex positions and refined-voxel colors."""
 
-    frame_index: int
     vertex_positions: np.ndarray
     refined_colors: np.ndarray
 
@@ -206,17 +203,15 @@ def _decode_planes(payloads, order: np.ndarray, count: int) -> np.ndarray:
 
 
 def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
-                           faces: np.ndarray,
-                           quantized_vertices: np.ndarray) -> ReferenceState:
+                           faces: np.ndarray, quantized_vertices: np.ndarray,
+                           res_v: VoxelizationResult) -> ReferenceState:
     """Everything derivable from the quantized reference vertices + faces.
 
-    quantized_vertices must already be in canonical (spatial scan) order.
+    quantized_vertices must already be in canonical (spatial scan) order, and
+    res_v is their voxelization.
     """
-    res_v = voxelize(quantized_vertices, None, params.depth)
-    vertex_plan = raht_plan(res_v.voxel_set)
     refined = refine(quantized_vertices, faces, params.upsample)
     res_r = voxelize(refined, None, params.depth)
-    refined_plan = raht_plan(res_r.voxel_set)
     return ReferenceState(
         params=params,
         vertex_permutation=vertex_permutation,
@@ -226,13 +221,11 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
         vertex_centers=res_v.centers,
         vertex_index_map=res_v.index_map,
         vertex_counts=np.bincount(res_v.index_map, minlength=len(res_v.voxel_set)),
-        vertex_plan=vertex_plan,
-        vertex_order=serialize_order(transform_weights(vertex_plan)),
+        vertex_plan=raht_plan(res_v.voxel_set),
         refined_voxels=res_r.voxel_set,
         refined_index_map=res_r.index_map,
         refined_counts=np.bincount(res_r.index_map, minlength=len(res_r.voxel_set)),
-        refined_plan=refined_plan,
-        refined_order=serialize_order(transform_weights(refined_plan)),
+        refined_plan=raht_plan(res_r.voxel_set),
     )
 
 
@@ -246,12 +239,15 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
     v_hat = quantize(frame.vertices, step, MIDRISE)
 
     # canonicalize: vertices in spatial scan order so the duplicate-index map
-    # grows in unit/zero steps; faces re-indexed to the new rows
-    perm = np.argsort(voxelize(v_hat, None, params.depth).index_map, kind="stable")
+    # grows in unit/zero steps; faces re-indexed to the new rows.  Permuting
+    # the points changes only the index map of their voxelization.
+    res_v = voxelize(v_hat, None, params.depth)
+    perm = np.argsort(res_v.index_map, kind="stable")
     inverse_perm = np.empty_like(perm)
     inverse_perm[perm] = np.arange(perm.size)
     faces = inverse_perm[frame.faces]
-    state = _build_reference_state(params, perm, faces, v_hat[perm])
+    res_v = VoxelizationResult(res_v.voxel_set, res_v.centers, res_v.index_map[perm])
+    state = _build_reference_state(params, perm, faces, v_hat[perm], res_v)
 
     # colors ride on the refined quantized vertices, averaged per voxel
     colors_v = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
@@ -269,10 +265,9 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
         octree_bytes=deflate(octree_serialize(state.vertex_voxels)),
         index_run_bytes=index_runs_encode(state.vertex_index_map),
         face_bytes=deflate(faces.astype("<u4").tobytes()),
-        color_payloads=_code_planes(symbols, state.refined_order),
+        color_payloads=_code_planes(symbols, state.refined_plan.order),
     )
-    buffer = FrameBuffer(1, state.vertex_centers, recon_colors)
-    return payload, state, buffer
+    return payload, state, FrameBuffer(state.vertex_centers, recon_colors)
 
 
 def decode_reference(payload: IntraPayload, params: CodecParams,
@@ -283,9 +278,7 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
         raise CorruptStreamError(
             f"octree decodes to {len(voxels)} voxels, header says {payload.n_voxels}"
         )
-    index_map = index_runs_decode(payload.index_run_bytes)
-    if index_map.size != n_vertices:
-        raise CorruptStreamError("duplicate-index map length does not match vertex count")
+    index_map = index_runs_decode(payload.index_run_bytes, n_vertices)
     if index_map.size and index_map[-1] != len(voxels) - 1:
         raise CorruptStreamError("duplicate-index map does not cover the voxel list")
 
@@ -295,13 +288,14 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
     faces = np.frombuffer(face_raw, dtype="<u4").reshape(n_faces, 3).astype(np.int64)
 
     v_hat = voxels.centers()[index_map]
-    state = _build_reference_state(params, np.arange(n_vertices), faces, v_hat)
+    res_v = voxelize(v_hat, None, params.depth)
+    if not np.array_equal(res_v.voxel_set.codes, voxels.codes):
+        raise CorruptStreamError("re-voxelized vertices disagree with the octree section")
+    state = _build_reference_state(params, np.arange(n_vertices), faces, v_hat, res_v)
     if len(state.refined_voxels) != payload.n_refined_voxels:
         raise CorruptStreamError("refined voxel count disagrees with the header")
-    if not np.array_equal(state.vertex_voxels.codes, voxels.codes):
-        raise CorruptStreamError("re-voxelized vertices disagree with the octree section")
 
-    symbols = _decode_planes(payload.color_payloads, state.refined_order,
+    symbols = _decode_planes(payload.color_payloads, state.refined_plan.order,
                              len(state.refined_voxels))
     recon_colors = raht_inverse(
         state.refined_plan, dequantize_indices(symbols, params.step_color_intra)
@@ -309,22 +303,7 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
     frame = TriangleCloudFrame(
         v_hat, faces, recon_colors[state.refined_index_map], params.upsample
     )
-    buffer = FrameBuffer(1, state.vertex_centers, recon_colors)
-    return frame, state, buffer
-
-
-def _assert_reference_grouping(frame: TriangleCloudFrame, state: ReferenceState) -> bool:
-    """Debug check: re-voxelizing the reference reproduces the stored groupings."""
-    params = state.params
-    res_v = voxelize(state.quantized_vertices,
-                     frame.vertices[state.vertex_permutation], params.depth)
-    assert np.array_equal(res_v.voxel_set.codes, state.vertex_voxels.codes)
-    assert np.array_equal(res_v.index_map, state.vertex_index_map)
-    refined = refine(state.quantized_vertices, state.faces, params.upsample)
-    res_r = voxelize(refined, None, params.depth)
-    assert np.array_equal(res_r.voxel_set.codes, state.refined_voxels.codes)
-    assert np.array_equal(res_r.index_map, state.refined_index_map)
-    return True
+    return frame, state, FrameBuffer(state.vertex_centers, recon_colors)
 
 
 def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
@@ -338,8 +317,6 @@ def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
         raise ConsistencyError("predicted frame vertex count differs from the reference")
     if frame.n_colors != state.refined_index_map.size:
         raise ConsistencyError("predicted frame color count differs from the reference")
-    if __debug__ and buffer.frame_index == 1:
-        _assert_reference_grouping(frame, state)
 
     scale = float(1 << params.depth)
     positions = _group_means(frame.vertices[state.vertex_permutation],
@@ -362,10 +339,10 @@ def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
     new_colors = buffer.refined_colors + recon_color
 
     payload = PredictedPayload(
-        motion_payloads=_code_planes(motion_symbols, state.vertex_order),
-        color_payloads=_code_planes(color_symbols, state.refined_order),
+        motion_payloads=_code_planes(motion_symbols, state.vertex_plan.order),
+        color_payloads=_code_planes(color_symbols, state.refined_plan.order),
     )
-    return payload, FrameBuffer(buffer.frame_index + 1, new_positions, new_colors)
+    return payload, FrameBuffer(new_positions, new_colors)
 
 
 def decode_predicted(payload: PredictedPayload, state: ReferenceState,
@@ -373,14 +350,14 @@ def decode_predicted(payload: PredictedPayload, state: ReferenceState,
     """Invert :func:`encode_predicted`; returns (frame, FrameBuffer for frame t)."""
     params = state.params
     scale = float(1 << params.depth)
-    motion_symbols = _decode_planes(payload.motion_payloads, state.vertex_order,
+    motion_symbols = _decode_planes(payload.motion_payloads, state.vertex_plan.order,
                                     len(state.vertex_voxels))
     recon_motion = raht_inverse(
         state.vertex_plan, dequantize_indices(motion_symbols, params.step_motion)
     ) / scale
     new_positions = buffer.vertex_positions + recon_motion
 
-    color_symbols = _decode_planes(payload.color_payloads, state.refined_order,
+    color_symbols = _decode_planes(payload.color_payloads, state.refined_plan.order,
                                    len(state.refined_voxels))
     recon_color = raht_inverse(
         state.refined_plan, dequantize_indices(color_symbols, params.step_color_inter)
@@ -393,7 +370,7 @@ def decode_predicted(payload: PredictedPayload, state: ReferenceState,
         new_colors[state.refined_index_map],
         params.upsample,
     )
-    return frame, FrameBuffer(buffer.frame_index + 1, new_positions, new_colors)
+    return frame, FrameBuffer(new_positions, new_colors)
 
 
 def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False) -> EncodedGof:

@@ -43,6 +43,9 @@ BT601_MATRIX = np.array(
 )
 BT601_OFFSET = np.array([0.0, 128.0, 128.0])
 
+# the largest f32 below 1: file vertices must stay inside [0, 1)
+_F32_BELOW_ONE = np.nextafter(np.float32(1), np.float32(0))
+
 
 def expected_color_count(n_faces: int, upsample: int) -> int:
     """Number of refined vertices (= colors) for ``n_faces`` faces at factor U."""
@@ -253,7 +256,9 @@ def write_frame(fp, frame: TriangleCloudFrame, depth: int, include_faces: bool =
     """Write one TCF1 frame record to a binary file object."""
     fp.write(FRAME_MAGIC)
     fp.write(struct.pack("<IIII", depth, frame.upsample, frame.n_vertices, frame.n_faces))
-    fp.write(frame.vertices.astype("<f4").tobytes())
+    vertices = frame.vertices.astype("<f4")
+    vertices[(vertices >= 1.0) & (frame.vertices < 1.0)] = _F32_BELOW_ONE
+    fp.write(vertices.tobytes())
     if include_faces:
         if frame.n_faces and frame.faces.max() >= 1 << 32:
             raise RangeError("face indices exceed u32")

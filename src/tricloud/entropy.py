@@ -226,8 +226,12 @@ def index_runs_encode(index_map) -> bytes:
     return deflate(body)
 
 
-def index_runs_decode(data: bytes) -> np.ndarray:
-    """Invert :func:`index_runs_encode`."""
+def index_runs_decode(data: bytes, length: int | None = None) -> np.ndarray:
+    """Invert :func:`index_runs_encode`.
+
+    With ``length`` given, a run list that does not expand to exactly that
+    many entries raises CorruptStreamError before anything is expanded.
+    """
     body = inflate(data)
     if len(body) < 4:
         raise CorruptStreamError("index-run payload shorter than its header")
@@ -235,16 +239,14 @@ def index_runs_decode(data: bytes) -> np.ndarray:
     if len(body) != 4 + 4 * n_runs:
         raise CorruptStreamError("index-run payload length mismatch")
     runs = np.frombuffer(body, dtype="<u4", offset=4).astype(np.int64)
+    total = int(runs.sum())
+    if length is not None and total != length:
+        raise CorruptStreamError(f"index runs expand to {total} entries, expected {length}")
     if n_runs == 0:
         return np.zeros(0, dtype=np.int64)
-    total = int(runs.sum())
-    steps = np.zeros(total, dtype=np.int64)
-    pos = 0
-    for i, run in enumerate(runs):
-        if i % 2 == 0:
-            steps[pos:pos + run] = 1
-        pos += int(run)
-    iv = np.cumsum(steps) - 1
+    # runs alternate unit steps and zero steps, beginning with a unit run
+    step_values = (np.arange(n_runs) % 2 == 0).astype(np.int64)
+    iv = np.cumsum(np.repeat(step_values, runs)) - 1
     if iv.size == 0 or iv[0] != 0:
         raise MalformedIndexMapError("decoded index map does not start at 0")
     return iv

@@ -113,12 +113,13 @@ def _check_frame_pair(t, a, b) -> None:
         )
 
 
-def psnr_triangle_cloud(ref_frames, recon_frames, interp: int = 1):
-    """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) on refined + interpolated clouds.
+def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarray:
+    """Per-frame normalized MSE rows (G, Y, U, V) on refined + interpolated clouds.
 
     Frames correspond index-wise; both sides are upsampled with the same
     interpolation factor and compared row by row (correspondence is per
     face, so the two sides may order their vertex lists differently).
+    Geometry is normalized per coordinate, colors by 255^2.
     """
     ref_frames = list(ref_frames)
     recon_frames = list(recon_frames)
@@ -128,22 +129,32 @@ def psnr_triangle_cloud(ref_frames, recon_frames, interp: int = 1):
         raise ShapeMismatchError(
             f"{len(ref_frames)} reference frames vs {len(recon_frames)} reconstructed"
         )
-    mse_g = 0.0
-    mse_c = np.zeros(3)
+    rows = np.empty((len(ref_frames), 4))
     for t, (a, b) in enumerate(zip(ref_frames, recon_frames)):
         _check_frame_pair(t, a, b)
         va, ca = refined_interpolated_cloud(a, interp)
         vb, cb = refined_interpolated_cloud(b, interp)
         n = va.shape[0]
-        mse_g += float(np.sum((va - vb) ** 2)) / (3.0 * n)
-        mse_c += np.sum((ca - cb) ** 2, axis=0) / (255.0 ** 2 * n)
-    n_frames = len(ref_frames)
-    return (
-        _psnr(mse_g / n_frames, 1.0),
-        _psnr(mse_c[0] / n_frames, 1.0),
-        _psnr(mse_c[1] / n_frames, 1.0),
-        _psnr(mse_c[2] / n_frames, 1.0),
-    )
+        rows[t, 0] = float(np.sum((va - vb) ** 2)) / (3.0 * n)
+        rows[t, 1:] = np.sum((ca - cb) ** 2, axis=0) / (255.0 ** 2 * n)
+    return rows
+
+
+def psnr_from_errors(rows):
+    """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) of MSE rows from :func:`triangle_cloud_errors`.
+
+    The rows are pooled by their mean, summed in frame order.
+    """
+    total = np.zeros(4)
+    for row in rows:
+        total += row
+    return tuple(_psnr(float(m), 1.0) for m in total / len(rows))
+
+
+def psnr_triangle_cloud(ref_frames, recon_frames, interp: int = 1):
+    """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) on refined + interpolated clouds, pooled
+    over the frames in the MSE domain (see :func:`triangle_cloud_errors`)."""
+    return psnr_from_errors(triangle_cloud_errors(ref_frames, recon_frames, interp))
 
 
 # ---------------------------------------------------------------------------

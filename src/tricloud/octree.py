@@ -28,8 +28,6 @@ from .transform import (
     raht_forward,
     raht_inverse,
     raht_plan,
-    serialize_order,
-    transform_weights,
 )
 
 # child sub-lists per occupancy byte, in increasing child index
@@ -110,10 +108,9 @@ def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):
     plan = raht_plan(voxel_set)
     block = raht_forward(plan, voxel_set.attributes)
     symbols = quantize_indices(block.coefficients, step_color)
-    order = serialize_order(block)
     parts = []
     for k in range(symbols.shape[1]):
-        payload = rlgr_encode(symbols[order, k])
+        payload = rlgr_encode(symbols[plan.order, k])
         parts.append(struct.pack("<I", len(payload)))
         parts.append(payload)
     return geometry, b"".join(parts)
@@ -124,7 +121,6 @@ def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
     """Invert :func:`baseline_encode_pointcloud` (colors up to quantization)."""
     voxel_set = octree_parse(inflate(geometry), depth)
     plan = raht_plan(voxel_set)
-    order = serialize_order(transform_weights(plan))
 
     columns = []
     pos = 0
@@ -142,6 +138,6 @@ def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
 
     symbols = np.empty((len(voxel_set), len(columns)), dtype=np.int64)
     for k, ordered in enumerate(columns):
-        symbols[order, k] = ordered
+        symbols[plan.order, k] = ordered
     attrs = raht_inverse(plan, dequantize_indices(symbols, step_color))
     return voxel_set.with_attributes(attrs)

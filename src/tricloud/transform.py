@@ -9,6 +9,11 @@ survivor covers; they drive both the butterfly angles and the serialization
 order of the coefficients, and the decoder can recompute them from geometry
 alone.  After the top level a single low-pass value remains: sqrt(sum of
 weights) times the weighted mean of the input rows.
+
+:func:`raht_plan` walks the levels once per geometry.  The resulting
+:class:`RahtPlan` carries each level's sibling rows and butterfly gains, the
+final weight of every coefficient row and the coefficient order, so forward
+and inverse passes over any number of frames only gather, combine and scatter.
 """
 
 from __future__ import annotations
@@ -61,24 +66,29 @@ def dequantize_indices(indices, step: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _PlanLevel:
-    """One bit-level of the transform: survivors and their sibling pairings."""
+    """One bit-level of the transform: its sibling pairs and butterfly gains."""
 
-    indices: np.ndarray   # original rows surviving into this level
-    weights: np.ndarray   # covered-voxel counts, aligned with indices
-    flags: np.ndarray     # flags[p]: indices[p] and indices[p+1] are siblings
     left_rows: np.ndarray
     right_rows: np.ndarray
-    left_weights: np.ndarray
-    right_weights: np.ndarray
+    a: np.ndarray   # sqrt(w0 / (w0 + w1)) per pair, as a column
+    b: np.ndarray   # sqrt(w1 / (w0 + w1)) per pair, as a column
 
 
 @dataclass(frozen=True)
 class RahtPlan:
-    """Precomputed pairing schedule for one voxel geometry (reusable across frames)."""
+    """Everything one voxel geometry implies for the transform (reusable across frames).
+
+    levels holds, bottom-up, only the bit-levels that pair siblings, each with
+    its butterfly gains.  weights is the propagated weight of every coefficient
+    row and order the decreasing-weight serialization order; both are
+    read-only.
+    """
 
     depth: int
     n: int
     levels: tuple
+    weights: np.ndarray
+    order: np.ndarray
 
 
 def raht_plan(voxel_set, depth: int | None = None) -> RahtPlan:
@@ -97,34 +107,37 @@ def raht_plan(voxel_set, depth: int | None = None) -> RahtPlan:
         raise ConsistencyError("voxel codes must be strictly increasing")
 
     top = np.int64(1) << (3 * depth)
-    indices = np.arange(n, dtype=np.int64)
+    indices = np.arange(n, dtype=np.int64)  # original rows surviving into the level
+    weights = np.empty(n, dtype=np.int64)
+    weights[0] = n  # the DC row covers the whole set
     levels = []
     for level in range(1, 3 * depth + 1):
-        if level > 1:
-            drop = np.concatenate([[False], levels[-1].flags])
-            indices = indices[~drop]
-        weights = np.diff(indices, append=n)
         lcodes = codes[indices]
-        if indices.size > 1:
-            diff = lcodes[:-1] ^ lcodes[1:]
-            mask = top - (np.int64(1) << level)
-            flags = (diff & mask) == 0
-        else:
-            flags = np.zeros(0, dtype=bool)
-        # adjacent pairs can never chain (at most two survivors share a cell)
-        assert not np.any(flags[:-1] & flags[1:]), "overlapping sibling pairs"
+        # at most two survivors share a cell, so a level's pairs never overlap
+        flags = ((lcodes[:-1] ^ lcodes[1:]) & (top - (np.int64(1) << level))) == 0
+        if not flags.any():
+            continue
+        # a survivor covers every voxel up to the next survivor
+        covered = np.diff(indices, append=n)
+        c0 = covered[:-1][flags]
+        c1 = covered[1:][flags]
+        right_rows = indices[1:][flags]
+        weights[right_rows] = c0 + c1  # a high-pass row is final at its level
+        w0 = c0.astype(np.float64)
+        w1 = c1.astype(np.float64)
         levels.append(
             _PlanLevel(
-                indices=indices,
-                weights=weights,
-                flags=flags,
                 left_rows=indices[:-1][flags],
-                right_rows=indices[1:][flags],
-                left_weights=weights[:-1][flags],
-                right_weights=weights[1:][flags],
+                right_rows=right_rows,
+                a=np.sqrt(w0 / (w0 + w1))[:, None],
+                b=np.sqrt(w1 / (w0 + w1))[:, None],
             )
         )
-    return RahtPlan(depth=int(depth), n=n, levels=tuple(levels))
+        indices = indices[np.concatenate([[True], ~flags])]
+    order = serialize_order(weights)
+    weights.flags.writeable = False
+    order.flags.writeable = False
+    return RahtPlan(depth=int(depth), n=n, levels=tuple(levels), weights=weights, order=order)
 
 
 @dataclass(frozen=True)
@@ -158,25 +171,13 @@ def raht_forward(geometry, attributes) -> CoefficientBlock:
     """
     plan = _as_plan(geometry)
     ta = _as_matrix(attributes, plan.n, "attributes")
-    weights = np.ones(plan.n, dtype=np.int64)
     for level in plan.levels:
-        i0, i1 = level.left_rows, level.right_rows
-        if i0.size == 0:
-            continue
-        w0 = level.left_weights.astype(np.float64)
-        w1 = level.right_weights.astype(np.float64)
-        # the plan's per-level weights and the running update must agree
-        assert np.array_equal(weights[i0], level.left_weights)
-        assert np.array_equal(weights[i1], level.right_weights)
-        a = np.sqrt(w0 / (w0 + w1))[:, None]
-        b = np.sqrt(w1 / (w0 + w1))[:, None]
+        i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
         x0 = ta[i0]
         x1 = ta[i1]
         ta[i0] = a * x0 + b * x1
         ta[i1] = -b * x0 + a * x1
-        weights[i0] += weights[i1]
-        weights[i1] = weights[i0]
-    return CoefficientBlock(coefficients=ta, weights=weights)
+    return CoefficientBlock(coefficients=ta, weights=plan.weights)
 
 
 def raht_inverse(geometry, coefficients) -> np.ndarray:
@@ -186,13 +187,7 @@ def raht_inverse(geometry, coefficients) -> np.ndarray:
         coefficients = coefficients.coefficients
     ta = _as_matrix(coefficients, plan.n, "coefficients")
     for level in reversed(plan.levels):
-        i0, i1 = level.left_rows, level.right_rows
-        if i0.size == 0:
-            continue
-        w0 = level.left_weights.astype(np.float64)
-        w1 = level.right_weights.astype(np.float64)
-        a = np.sqrt(w0 / (w0 + w1))[:, None]
-        b = np.sqrt(w1 / (w0 + w1))[:, None]
+        i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
         x0 = ta[i0]
         x1 = ta[i1]
         ta[i0] = a * x0 - b * x1
@@ -202,15 +197,7 @@ def raht_inverse(geometry, coefficients) -> np.ndarray:
 
 def transform_weights(geometry) -> np.ndarray:
     """Propagated weights only (what a decoder derives from geometry alone)."""
-    plan = _as_plan(geometry)
-    weights = np.ones(plan.n, dtype=np.int64)
-    for level in plan.levels:
-        i0, i1 = level.left_rows, level.right_rows
-        if i0.size == 0:
-            continue
-        weights[i0] += weights[i1]
-        weights[i1] = weights[i0]
-    return weights
+    return _as_plan(geometry).weights
 
 
 def serialize_order(block) -> np.ndarray:

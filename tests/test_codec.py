@@ -1,6 +1,12 @@
 """GOF codec: closed loop, canonical ordering, and the TCB1 container."""
 
+import dataclasses
 import io
+import os
+import struct
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +69,70 @@ def test_encoder_and_decoder_buffers_bit_exact():
         _, d_buf = codec.decode_predicted(payload, d_state, d_buf)
         assert np.array_equal(e_buf.vertex_positions, d_buf.vertex_positions)
         assert np.array_equal(e_buf.refined_colors, d_buf.refined_colors)
+
+
+def test_reference_groupings_match_fresh_voxelization():
+    # both sides' reference state must equal a fresh voxelization of the
+    # canonical quantized vertices and of their refinement
+    gof = _gof(n_frames=1, seed=6)
+    params = _params()
+    ref = gof.reference
+    payload, e_state, _ = codec.encode_reference(ref, params)
+    _, d_state, _ = codec.decode_reference(payload, params, ref.n_vertices, ref.n_faces)
+    for state in (e_state, d_state):
+        res_v = geom.voxelize(state.quantized_vertices, None, params.depth)
+        assert np.array_equal(res_v.voxel_set.codes, state.vertex_voxels.codes)
+        assert np.array_equal(res_v.index_map, state.vertex_index_map)
+        assert np.array_equal(res_v.centers, state.vertex_centers)
+        refined = geom.refine(state.quantized_vertices, state.faces, params.upsample)
+        res_r = geom.voxelize(refined, None, params.depth)
+        assert np.array_equal(res_r.voxel_set.codes, state.refined_voxels.codes)
+        assert np.array_equal(res_r.index_map, state.refined_index_map)
+    assert np.array_equal(e_state.quantized_vertices, d_state.quantized_vertices)
+    assert np.array_equal(e_state.faces, d_state.faces)
+
+
+def test_hostile_index_runs_rejected_before_expansion():
+    # a 16-byte section declaring one unit run of 10,000,000 entries must be
+    # refused against the vertex count before the map is expanded
+    gof = _gof(n_frames=1)
+    params = _params()
+    ref = gof.reference
+    payload, _, _ = codec.encode_reference(ref, params)
+    runs = entropy.deflate(struct.pack("<II", 1, 10_000_000))
+    hostile = dataclasses.replace(payload, index_run_bytes=runs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            codec.decode_reference(hostile, params, ref.n_vertices, ref.n_faces)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def test_encode_does_not_depend_on_debug_mode(tmp_path):
+    # python -O strips asserts and sets __debug__ to False; the coded bytes
+    # must not change
+    script = (
+        "import sys\n"
+        "from tricloud import codec, datagen\n"
+        "from tricloud.core import CodecParams\n"
+        "if sys.flags.optimize < 1: sys.exit(3)\n"
+        "gof = datagen.gen_sequence('sphere', 3, n_faces=60, upsample=2,\n"
+        "                           amplitude=0.03, seed=4)[0]\n"
+        "params = CodecParams(8, 2, 2.0, 4.0, 4.0)\n"
+        "codec.write_bitstream_file(sys.argv[1], [codec.encode_gof(gof, params)])\n"
+    )
+    path = tmp_path / "optimized.tcb"
+    src = os.path.dirname(os.path.dirname(codec.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    subprocess.run([sys.executable, "-O", "-c", script, str(path)], env=env,
+                   check=True, timeout=120)
+    gof = _gof(n_frames=3, seed=4)
+    buf = io.BytesIO()
+    codec.write_bitstream(buf, [codec.encode_gof(gof, CodecParams(8, 2, 2.0, 4.0, 4.0))])
+    assert path.read_bytes() == buf.getvalue()
 
 
 def test_fine_steps_reconstruct_colors_closely():

@@ -153,6 +153,24 @@ def test_frame_file_round_trip():
     assert np.array_equal(back.colors, f.colors)  # integer colors survive
 
 
+def test_vertex_just_below_one_survives_gof_round_trip():
+    # 0.99999999 is inside [0, 1) but its nearest f32 is 1.0; the file must
+    # still hold a coordinate that validate_gof accepts on the way back
+    f = _frame(n_faces=2, upsample=2, seed=3)
+    vertices = np.array(f.vertices)
+    vertices[1] = [0.99999999, 0.5, 0.99999999]
+    f = core.TriangleCloudFrame(vertices, f.faces, f.colors, f.upsample)
+    gof = core.validate_gof(core.GroupOfFrames((f,)))
+    buf = io.BytesIO()
+    core.write_gof(buf, gof, depth=8)
+    buf.seek(0)
+    back, _ = core.read_gof(buf)
+    got = back.reference.vertices
+    assert got.max() < 1.0
+    assert got[1, 0] == np.nextafter(np.float32(1), np.float32(0))
+    assert np.allclose(got, vertices, atol=1e-6)
+
+
 def test_frame_colors_clip_to_bytes():
     v = np.array([[0.1, 0.1, 0.1], [0.2, 0.1, 0.1], [0.1, 0.2, 0.1]])
     colors = np.array([[300.0, -5.0, 127.5], [254.6, 0.4, 1.0]])

@@ -145,6 +145,16 @@ def test_index_runs_corrupt_payloads():
         entropy.index_runs_decode(truncated)
 
 
+def test_index_runs_decode_checks_expected_length():
+    blob = entropy.index_runs_encode(np.array([0, 0, 1, 2, 2]))
+    assert entropy.index_runs_decode(blob, 5).tolist() == [0, 0, 1, 2, 2]
+    for wrong in (0, 4, 6):
+        with pytest.raises(CorruptStreamError):
+            entropy.index_runs_decode(blob, wrong)
+    with pytest.raises(CorruptStreamError):
+        entropy.index_runs_decode(entropy.index_runs_encode(np.zeros(0, dtype=np.int64)), 3)
+
+
 @given(st.integers(0, 2 ** 31), st.integers(1, 500))
 @settings(max_examples=100, deadline=None)
 def test_index_runs_round_trip_random(seed, n):

@@ -104,6 +104,34 @@ def test_psnr_triangle_cloud_translation_hand_value():
     assert (psnr_y, psnr_u, psnr_v) == (math.inf,) * 3
 
 
+def test_triangle_cloud_errors_pool_to_the_sequence_psnr():
+    # per-frame rows give the pooled PSNR and each frame's own PSNR exactly
+    rng = np.random.default_rng(6)
+    refs, recons = [], []
+    for seed in (6, 7, 8):
+        f = _frame(seed=seed, n_faces=3)
+        g = core.TriangleCloudFrame(
+            np.clip(f.vertices + rng.normal(scale=1e-3, size=f.vertices.shape), 0, 0.999),
+            f.faces, np.clip(f.colors + rng.normal(scale=3.0, size=f.colors.shape), 0, 255),
+            f.upsample,
+        )
+        refs.append(f)
+        recons.append(g)
+    rows = metrics.triangle_cloud_errors(refs, recons)
+    assert rows.shape == (3, 4)
+    for row, f, g in zip(rows, refs, recons):
+        va, ca = metrics.refined_interpolated_cloud(f)
+        vb, cb = metrics.refined_interpolated_cloud(g)
+        n = va.shape[0]
+        assert row[0] == pytest.approx(np.sum((va - vb) ** 2) / (3 * n), rel=1e-12)
+        assert row[1:] == pytest.approx(np.sum((ca - cb) ** 2, axis=0) / (255 ** 2 * n),
+                                        rel=1e-12)
+    assert metrics.psnr_from_errors(rows) == metrics.psnr_triangle_cloud(refs, recons)
+    for t in range(3):
+        assert (metrics.psnr_from_errors(rows[t:t + 1])
+                == metrics.psnr_triangle_cloud([refs[t]], [recons[t]]))
+
+
 def test_psnr_triangle_cloud_validation():
     f = _frame(seed=5)
     other = _frame(seed=5, upsample=3)

@@ -170,3 +170,55 @@ def test_weights_sum_invariant(depth, seed):
     assert weights[0] == n
     assert weights.min() >= 1
     assert transform.serialize_order(weights)[0] == 0
+
+
+def _running_walk(codes, depth):
+    """Reference pairing walk: (weights, per-level [(i0, i1, w0, w1)]).
+
+    Survivors sharing all code bits above the level pair up left to right;
+    the running update gives both rows of a pair the combined weight.
+    """
+    weights = np.ones(codes.size, dtype=np.int64)
+    survivors = list(range(codes.size))
+    levels = []
+    for level in range(1, 3 * depth + 1):
+        pairs, kept, p = [], [], 0
+        while p < len(survivors):
+            i0 = survivors[p]
+            kept.append(i0)
+            if p + 1 < len(survivors) and codes[i0] >> level == codes[survivors[p + 1]] >> level:
+                i1 = survivors[p + 1]
+                pairs.append((i0, i1, int(weights[i0]), int(weights[i1])))
+                weights[i0] += weights[i1]
+                weights[i1] = weights[i0]
+                p += 2
+            else:
+                p += 1
+        survivors = kept
+        if pairs:
+            levels.append(pairs)
+    return weights, levels
+
+
+@given(st.integers(1, 5), st.integers(0, 2 ** 31))
+@settings(max_examples=40, deadline=None)
+def test_plan_matches_running_weight_walk(depth, seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, min(60, 8 ** depth) + 1))
+    codes = np.sort(rng.choice(8 ** depth, size=n, replace=False).astype(np.int64))
+    plan = _plan(codes, depth)
+    weights, levels = _running_walk(codes, depth)
+    assert np.array_equal(plan.weights, weights)
+    assert np.array_equal(transform.transform_weights(plan), weights)
+    assert np.array_equal(plan.order, transform.serialize_order(plan.weights))
+    assert not plan.weights.flags.writeable and not plan.order.flags.writeable
+    assert len(plan.levels) == len(levels)
+    for level, pairs in zip(plan.levels, levels):
+        i0, i1, w0, w1 = (np.array(col) for col in zip(*pairs))
+        assert np.array_equal(level.left_rows, i0)
+        assert np.array_equal(level.right_rows, i1)
+        w0 = w0.astype(np.float64)
+        w1 = w1.astype(np.float64)
+        assert np.array_equal(level.a[:, 0], np.sqrt(w0 / (w0 + w1)))
+        assert np.array_equal(level.b[:, 0], np.sqrt(w1 / (w0 + w1)))
+        assert np.abs(level.a ** 2 + level.b ** 2 - 1.0).max() <= 4 * np.finfo(float).eps
