@@ -33,11 +33,11 @@ from .core import (
 from .datagen import SHAPES, gen_sequence
 from .errors import FormatError, TricloudError
 from .metrics import (
+    _render_voxels,
     matching_distortion_sequence,
     projection_psnr,
     psnr_from_errors,
     rates,
-    refined_interpolated_cloud,
     triangle_cloud_errors,
 )
 
@@ -259,15 +259,9 @@ def cmd_eval(args) -> int:
         y, u, v = projection_psnr(originals, recons, depth, args.uinterp)
         report.update(psnr_y_projection=y, psnr_u_projection=u, psnr_v_projection=v)
     if "matching" in wanted:
-        def clouds(frames):
-            from .geom import voxelize
-            out = []
-            for fr in frames:
-                pts, cols = refined_interpolated_cloud(fr, args.uinterp)
-                out.append(voxelize(pts, cols, depth).voxel_set)
-            return out
-        d_g2, d_y2, pg, py = matching_distortion_sequence(clouds(originals),
-                                                          clouds(recons))
+        d_g2, d_y2, pg, py = matching_distortion_sequence(
+            [_render_voxels(fr, depth, args.uinterp) for fr in originals],
+            [_render_voxels(fr, depth, args.uinterp) for fr in recons])
         report.update(d_g2_matching=d_g2, d_y2_matching=d_y2,
                       psnr_g_matching=pg, psnr_y_matching=py)
 

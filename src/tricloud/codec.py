@@ -35,7 +35,6 @@ from .core import (
     GroupOfFrames,
     TriangleCloudFrame,
     VoxelSet,
-    expected_color_count,
     validate_gof,
 )
 from .entropy import (

@@ -25,7 +25,6 @@ from .errors import (
     FormatError,
     ParameterError,
     RangeError,
-    TrailingBytesError,
     TruncatedStreamError,
 )
 

@@ -24,11 +24,40 @@ def _check_depth(depth: int) -> int:
     return depth
 
 
+_FIELD = 20  # bits per coordinate field in a gathered word: one per level up to depth 20
+_FIELD_MASK = (1 << _FIELD) - 1
+
+
+def _morton_tables():
+    """(spread, gather) lookup tables for :func:`morton_encode` / :func:`morton_decode`.
+
+    spread[v] moves bit k of a 10-bit value v to bit 3k.  gather[c] packs the
+    x, y and z bits of a 12-bit code chunk c (4 bits each) into bits 0-3,
+    20-23 and 40-43, so one gather decodes four levels of all three axes.
+    """
+    values = np.arange(1 << 10, dtype=np.int64)
+    spread = np.zeros_like(values)
+    for k in range(10):
+        spread |= ((values >> k) & 1) << (3 * k)
+    chunks = np.arange(1 << 12, dtype=np.int64)
+    gather = np.zeros_like(chunks)
+    for k in range(4):
+        for field, bit in enumerate((2, 1, 0)):  # x, y, z within each triple
+            gather |= ((chunks >> (3 * k + bit)) & 1) << (k + _FIELD * field)
+    spread.flags.writeable = False
+    gather.flags.writeable = False
+    return spread, gather
+
+
+_SPREAD, _GATHER = _morton_tables()
+
+
 def morton_encode(x, y, z, depth: int) -> np.ndarray:
     """Interleave coordinate bits into 3*depth-bit codes; x is most significant.
 
     Bit k of x lands at bit 3k+2 of the code, y at 3k+1, z at 3k.  Accepts
-    scalars or arrays of integers in [0, 2^depth).
+    scalars or arrays of integers in [0, 2^depth).  Each coordinate is spread
+    ten bits at a time through a lookup table.
     """
     depth = _check_depth(depth)
     x = np.asarray(x, dtype=np.int64)
@@ -38,29 +67,29 @@ def morton_encode(x, y, z, depth: int) -> np.ndarray:
     for name, c in (("x", x), ("y", y), ("z", z)):
         if c.size and (c.min() < 0 or c.max() >= limit):
             raise RangeError(f"{name} coordinate out of [0, 2^{depth})")
-    code = np.zeros(np.broadcast(x, y, z).shape, dtype=np.int64)
-    for k in range(depth):
-        code |= ((x >> k) & 1) << (3 * k + 2)
-        code |= ((y >> k) & 1) << (3 * k + 1)
-        code |= ((z >> k) & 1) << (3 * k)
+    code = (_SPREAD[x & 1023] << 2) | (_SPREAD[y & 1023] << 1) | _SPREAD[z & 1023]
+    if depth > 10:
+        code |= ((_SPREAD[x >> 10] << 2) | (_SPREAD[y >> 10] << 1) | _SPREAD[z >> 10]) << 30
     if code.ndim == 0:
         return code[()]
     return code
 
 
 def morton_decode(code, depth: int):
-    """Invert :func:`morton_encode`; returns (x, y, z)."""
+    """Invert :func:`morton_encode`; returns (x, y, z).
+
+    The code is read twelve bits (four levels) at a time through a lookup table.
+    """
     depth = _check_depth(depth)
     code = np.asarray(code, dtype=np.int64)
     if code.size and (code.min() < 0 or code.max() >= np.int64(1) << (3 * depth)):
         raise RangeError(f"code out of [0, 2^{3 * depth})")
-    x = np.zeros_like(code)
-    y = np.zeros_like(code)
-    z = np.zeros_like(code)
-    for k in range(depth):
-        x |= ((code >> (3 * k + 2)) & 1) << k
-        y |= ((code >> (3 * k + 1)) & 1) << k
-        z |= ((code >> (3 * k)) & 1) << k
+    packed = np.zeros_like(code)
+    for chunk in range((depth + 3) // 4):
+        packed |= _GATHER[(code >> (12 * chunk)) & 4095] << (4 * chunk)
+    x = packed & _FIELD_MASK
+    y = (packed >> _FIELD) & _FIELD_MASK
+    z = packed >> (2 * _FIELD)
     if code.ndim == 0:
         return x[()], y[()], z[()]
     return x, y, z

@@ -166,13 +166,35 @@ def _voxel_coords(voxel_set: VoxelSet) -> np.ndarray:
     return np.stack([np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(z)], axis=1)
 
 
+def _face_winners(coords: np.ndarray, depth: int):
+    """Visible voxels of each cube face, in the order of :func:`project_to_faces`.
+
+    Yields (keys, rows) per face: the sorted pixel keys row * 2^J + col that
+    the voxels at `coords` cover, and for each key the row of the voxel
+    nearest that face.  The work depends on the voxel count, not on 4^J.
+    """
+    size = 1 << depth
+    for axis in range(3):
+        pix = coords[:, (axis + 1) % 3] * size + coords[:, (axis + 2) % 3]
+        # voxels are unique, so the composite keys are too: each pixel's
+        # voxels form one run, nearest the -face first, nearest the +face last
+        order = np.argsort(pix * size + coords[:, axis])
+        sorted_pix = pix[order]
+        first = np.flatnonzero(np.diff(sorted_pix, prepend=-1))
+        last = np.flatnonzero(np.diff(sorted_pix, append=size * size))
+        keys = sorted_pix[first]
+        yield keys, order[last]
+        yield keys, order[first]
+
+
 def project_to_faces(voxel_set: VoxelSet, depth: int | None = None) -> np.ndarray:
     """Orthographic YUV renders on the six cube faces.
 
     Returns a (6, 2^J, 2^J, 3) array ordered +x, -x, +y, -y, +z, -z.
     Rows/columns follow the cyclic axis convention: looking along x the
     image is indexed (y, z); along y it is (z, x); along z it is (x, y).
-    The voxel nearest each face wins; empty pixels are neutral gray.
+    The voxel nearest each face wins; empty pixels are neutral gray.  Only
+    the covered pixels are visited; the rest of the image is the gray fill.
     """
     if depth is None:
         depth = voxel_set.depth
@@ -184,22 +206,41 @@ def project_to_faces(voxel_set: VoxelSet, depth: int | None = None) -> np.ndarra
         return images
     if voxel_set.attributes is None or voxel_set.attributes.shape[1] != 3:
         raise ConsistencyError("projection needs a voxel set with 3-component colors")
-    coords = _voxel_coords(voxel_set)
-    colors = voxel_set.attributes
-    for axis in range(3):
-        row = coords[:, (axis + 1) % 3]
-        col = coords[:, (axis + 2) % 3]
-        pix = row * size + col
-        depth_coord = coords[:, axis]
-        # nearest to the +face = max coordinate; sort so the winner is the
-        # first occurrence of each pixel key
-        order_hi = np.lexsort((-depth_coord, pix))
-        order_lo = np.lexsort((depth_coord, pix))
-        for face, order in ((2 * axis, order_hi), (2 * axis + 1, order_lo)):
-            _, first = np.unique(pix[order], return_index=True)
-            winners = order[first]
-            images[face, row[winners], col[winners]] = colors[winners]
+    pixels = images.reshape(6, size * size, 3)
+    for face, (keys, rows) in enumerate(_face_winners(_voxel_coords(voxel_set), depth)):
+        pixels[face, keys] = voxel_set.attributes[rows]
     return images
+
+
+def _projection_sq_error(a: VoxelSet, b: VoxelSet) -> np.ndarray:
+    """Per-channel squared error between the six-face renders of a and b.
+
+    Equals the sum over all 6 * 4^J pixels of (render_a - render_b)^2, but
+    visits only the pixels some voxel covers: a pixel both sets cover adds
+    (c_a - c_b)^2, one covered by a single set adds (c - gray)^2, and gray
+    against gray adds nothing.
+    """
+    err = np.zeros(3)
+    faces_a = _face_winners(_voxel_coords(a), a.depth)
+    faces_b = _face_winners(_voxel_coords(b), b.depth)
+    for (keys_a, rows_a), (keys_b, rows_b) in zip(faces_a, faces_b):
+        colors_a = a.attributes[rows_a]
+        colors_b = b.attributes[rows_b]
+        pos = np.searchsorted(keys_b, keys_a)
+        both = pos < keys_b.size
+        both[both] = keys_b[pos[both]] == keys_a[both]
+        only_b = np.ones(keys_b.size, dtype=bool)
+        only_b[pos[both]] = False
+        err += np.sum((colors_a[both] - colors_b[pos[both]]) ** 2, axis=0)
+        err += np.sum((colors_a[~both] - NEUTRAL_GRAY) ** 2, axis=0)
+        err += np.sum((colors_b[only_b] - NEUTRAL_GRAY) ** 2, axis=0)
+    return err
+
+
+def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
+    """The refined + interpolated render cloud of a frame, voxelized at `depth`."""
+    points, colors = refined_interpolated_cloud(frame, interp)
+    return voxelize(points, colors, depth).voxel_set
 
 
 def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
@@ -207,7 +248,8 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
 
     Each frame is refined + interpolated, voxelized at the given depth, and
     projected; squared pixel error is pooled over the six faces and all
-    frames before the PSNR.
+    frames before the PSNR.  Only pixels a voxel covers are visited, but the
+    mean is over all 6 * 4^J pixels of every frame.
     """
     ref_frames = list(ref_frames)
     recon_frames = list(recon_frames)
@@ -218,17 +260,11 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
             f"{len(ref_frames)} reference frames vs {len(recon_frames)} reconstructed"
         )
     err = np.zeros(3)
-    n_pixels = 0
     for t, (a, b) in enumerate(zip(ref_frames, recon_frames)):
         _check_frame_pair(t, a, b)
-        imgs = []
-        for frame in (a, b):
-            points, colors = refined_interpolated_cloud(frame, interp)
-            res = voxelize(points, colors, depth)
-            imgs.append(project_to_faces(res.voxel_set))
-        err += np.sum((imgs[0] - imgs[1]) ** 2, axis=(0, 1, 2))
-        n_pixels += imgs[0][..., 0].size
-    mse = err / n_pixels
+        err += _projection_sq_error(_render_voxels(a, depth, interp),
+                                    _render_voxels(b, depth, interp))
+    mse = err / (len(ref_frames) * 6 * 4 ** depth)
     return tuple(_psnr(float(m), 255.0 ** 2) for m in mse)
 
 
@@ -238,8 +274,6 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
 
 def _ring_offsets(radius: int) -> np.ndarray:
     """Integer offsets at exactly Chebyshev distance `radius`."""
-    if radius == 0:
-        return np.zeros((1, 3), dtype=np.int64)
     span = np.arange(-radius, radius + 1, dtype=np.int64)
     grid = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
     cheb = np.abs(grid).max(axis=1)
@@ -255,6 +289,11 @@ def _nearest_brute(query: np.ndarray, target: np.ndarray) -> np.ndarray:
 
 def _nearest_grid(query: np.ndarray, target_codes: np.ndarray,
                   target: np.ndarray, depth: int) -> np.ndarray:
+    """Nearest target rows of queries that have no target at distance 0.
+
+    Searches rings of growing Chebyshev radius from 1; exact hits are found
+    by :func:`_nearest` before this runs.
+    """
     from .geom import morton_encode
 
     n = query.shape[0]
@@ -262,7 +301,7 @@ def _nearest_grid(query: np.ndarray, target_codes: np.ndarray,
     best_d2 = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
     best_idx = np.full(n, -1, dtype=np.int64)
     active = np.arange(n)
-    radius = 0
+    radius = 1
     while active.size:
         offsets = _ring_offsets(radius)
         cand = query[active][:, None, :] + offsets[None, :, :]
@@ -298,18 +337,30 @@ def _nearest_grid(query: np.ndarray, target_codes: np.ndarray,
     return best_idx
 
 
-def _nearest(query_set: VoxelSet, target_set: VoxelSet) -> np.ndarray:
-    query = _voxel_coords(query_set)
-    target = _voxel_coords(target_set)
+def _nearest(query_set: VoxelSet, query: np.ndarray,
+             target_set: VoxelSet, target: np.ndarray) -> np.ndarray:
+    """Row of the nearest target voxel for every query voxel.
+
+    query / target are the decoded coordinates of the two sets.  Ties go to
+    the lowest Morton code.
+    """
     if query.shape[0] * target.shape[0] <= _BRUTE_FORCE_PAIRS:
         return _nearest_brute(query, target)
-    return _nearest_grid(query, target_set.codes, target, query_set.depth)
+    # a query whose own code the target holds is its unique match at distance 0
+    target_codes = target_set.codes
+    idx = np.searchsorted(target_codes, query_set.codes)
+    hit = idx < target_codes.size
+    hit[hit] = target_codes[idx[hit]] == query_set.codes[hit]
+    miss = np.flatnonzero(~hit)
+    if miss.size:
+        idx[miss] = _nearest_grid(query[miss], target_codes, target, query_set.depth)
+    return idx
 
 
-def _one_way(src: VoxelSet, dst: VoxelSet):
-    idx = _nearest(src, dst)
+def _one_way(src: VoxelSet, src_xyz: np.ndarray, dst: VoxelSet, dst_xyz: np.ndarray):
+    idx = _nearest(src, src_xyz, dst, dst_xyz)
     sq = 2.0 ** (-2 * src.depth)
-    d2 = np.sum((_voxel_coords(src) - _voxel_coords(dst)[idx]) ** 2, axis=1)
+    d2 = np.sum((src_xyz - dst_xyz[idx]) ** 2, axis=1)
     d_g2 = float(np.mean(d2)) * sq
     d_y2 = float(np.mean((src.attributes[:, 0] - dst.attributes[idx, 0]) ** 2))
     return d_g2, d_y2
@@ -332,8 +383,10 @@ def matching_distortion(source: VoxelSet, target: VoxelSet):
     for vs, name in ((source, "source"), (target, "target")):
         if vs.attributes is None or vs.attributes.shape[1] < 1:
             raise ConsistencyError(f"{name} set has no luminance attribute")
-    fwd_g, fwd_y = _one_way(source, target)
-    bwd_g, bwd_y = _one_way(target, source)
+    source_xyz = _voxel_coords(source)
+    target_xyz = _voxel_coords(target)
+    fwd_g, fwd_y = _one_way(source, source_xyz, target, target_xyz)
+    bwd_g, bwd_y = _one_way(target, target_xyz, source, source_xyz)
     d_g2 = max(fwd_g, bwd_g)
     d_y2 = max(fwd_y, bwd_y)
     return d_g2, d_y2, _psnr(d_g2, 3.0), _psnr(d_y2, 255.0 ** 2)

@@ -145,3 +145,38 @@ def test_decoded_reference_matches_quantized_original(tmp_path):
     b = np.sort(gof_out.reference.vertices, axis=0)
     # columnwise sort is order-free; reference geometry is within half a cell
     assert np.max(np.abs(a - b)) <= 0.5 * 2.0 ** -8 + 1e-6
+
+
+def test_eval_report_is_pinned(tmp_path, capsys):
+    # sphere (--faces 200), U=6, 2 frames, depth 9: the six-decimal report of
+    # every metric must stay as recorded when the metrics are reimplemented;
+    # about 3,800 voxels a frame put matching on its grid path
+    orig = tmp_path / "pin.tcg"
+    bits = tmp_path / "pin.tcb"
+    recon = tmp_path / "pin_recon.tcg"
+    assert _run(["generate", "--shape", "sphere", "--frames", "2", "--faces", "200",
+                 "--upsample", "6", "--seed", "3", "--depth", "9", "-o", str(orig)]) == 0
+    assert _run(["encode", str(orig), "-o", str(bits), "--step-motion", "1",
+                 "--step-color-intra", "4", "--step-color-inter", "4"]) == 0
+    assert _run(["decode", str(bits), "-o", str(recon)]) == 0
+    capsys.readouterr()
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(recon),
+                 "--metrics", "triangle,projection,matching"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "sequence = pin",
+        "n_frames = 2",
+        "depth = 9",
+        "uinterp = 1",
+        "psnr_g_triangle = 67.917781",
+        "psnr_y_triangle = 46.901421",
+        "psnr_u_triangle = 46.812773",
+        "psnr_v_triangle = 47.152252",
+        "psnr_y_projection = 33.988647",
+        "psnr_u_projection = 38.287615",
+        "psnr_v_projection = 37.477665",
+        "d_g2_matching = 0.000002",
+        "d_y2_matching = 1.321940",
+        "psnr_g_matching = 61.807326",
+        "psnr_y_matching = 46.918688",
+    ]

@@ -59,6 +59,80 @@ def test_morton_rejects_out_of_range():
         geom.morton_encode(np.array([-1]), np.array([0]), np.array([0]), 3)
 
 
+def _morton_encode_bit_loop(x, y, z, depth):
+    """Reference encoder: one shift-and-or per bit and axis."""
+    x, y, z = (np.asarray(c, dtype=np.int64) for c in (x, y, z))
+    code = np.zeros(np.broadcast(x, y, z).shape, dtype=np.int64)
+    for k in range(depth):
+        code |= ((x >> k) & 1) << (3 * k + 2)
+        code |= ((y >> k) & 1) << (3 * k + 1)
+        code |= ((z >> k) & 1) << (3 * k)
+    return code
+
+
+def _morton_decode_bit_loop(code, depth):
+    """Reference decoder: one shift-and-or per bit and axis."""
+    code = np.asarray(code, dtype=np.int64)
+    x, y, z = np.zeros_like(code), np.zeros_like(code), np.zeros_like(code)
+    for k in range(depth):
+        x |= ((code >> (3 * k + 2)) & 1) << k
+        y |= ((code >> (3 * k + 1)) & 1) << k
+        z |= ((code >> (3 * k)) & 1) << k
+    return x, y, z
+
+
+@pytest.mark.parametrize("depth", range(1, 21))
+def test_morton_tables_match_bit_loop(depth):
+    rng = np.random.default_rng(100 + depth)
+    top = (1 << depth) - 1
+    x, y, z = rng.integers(0, top + 1, size=(3, 500))
+    # the grid corners and edges: every coordinate at 0 and at 2^J - 1
+    x[:8] = [0, top, 0, 0, top, top, 0, top]
+    y[:8] = [0, 0, top, 0, top, 0, top, top]
+    z[:8] = [0, 0, 0, top, 0, top, top, top]
+    codes = geom.morton_encode(x, y, z, depth)
+    assert np.array_equal(codes, _morton_encode_bit_loop(x, y, z, depth))
+    assert codes[7] == (1 << (3 * depth)) - 1
+    any_codes = rng.integers(0, 1 << (3 * depth), size=500)
+    any_codes[:2] = [0, (1 << (3 * depth)) - 1]
+    for got, want in zip(geom.morton_decode(any_codes, depth),
+                         _morton_decode_bit_loop(any_codes, depth)):
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_morton_tables_scalars_and_broadcasting():
+    code = geom.morton_encode(5, 3, 6, 3)
+    assert isinstance(code, np.int64) and code == 350
+    decoded = geom.morton_decode(350, 3)
+    assert all(isinstance(c, np.int64) for c in decoded) and decoded == (5, 3, 6)
+    depth = 12
+    rng = np.random.default_rng(7)
+    x = rng.integers(0, 1 << depth, size=(4, 1))
+    y = rng.integers(0, 1 << depth, size=(3,))
+    z = 4095
+    codes = geom.morton_encode(x, y, z, depth)
+    assert codes.shape == (4, 3)
+    assert np.array_equal(codes, _morton_encode_bit_loop(x, y, z, depth))
+    for got, want in zip(geom.morton_decode(codes, depth),
+                         np.broadcast_arrays(x, y, z)):
+        assert got.shape == (4, 3) and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("depth", [1, 10, 11, 20])
+def test_morton_tables_keep_range_checks(depth):
+    limit = 1 << depth
+    for bad in (limit, -1):
+        with pytest.raises(RangeError):
+            geom.morton_encode(0, bad, 0, depth)
+        with pytest.raises(RangeError):
+            geom.morton_encode(np.array([0, 1]), np.array([0, 0]), np.array([1, bad]), depth)
+    for bad in (1 << (3 * depth), -1):
+        with pytest.raises(RangeError):
+            geom.morton_decode(bad, depth)
+        with pytest.raises(RangeError):
+            geom.morton_decode(np.array([0, bad]), depth)
+
+
 TRI = np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0], [0.0, 0.9, 0.0]])
 ONE_FACE = np.array([[0, 1, 2]])
 

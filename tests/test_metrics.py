@@ -221,6 +221,62 @@ def test_projection_psnr_detects_color_change():
     assert psnr_u == math.inf and psnr_v == math.inf
 
 
+def _dense_sq_error(a, b):
+    """Per-channel squared error of the two full six-face renders."""
+    return np.sum((metrics.project_to_faces(a) - metrics.project_to_faces(b)) ** 2,
+                  axis=(0, 1, 2))
+
+
+def _voxelized(frame, depth):
+    points, colors = metrics.refined_interpolated_cloud(frame)
+    return geom.voxelize(points, colors, depth).voxel_set
+
+
+def test_projection_psnr_matches_dense_renders():
+    rng = np.random.default_rng(31)
+    for depth in range(2, 6):
+        refs = [_frame(n_faces=4, upsample=3, seed=10 * depth + t, n_vertices=6)
+                for t in range(3)]
+        recons = []
+        for f in refs:
+            # moved vertices leave pixels that only one side covers
+            vertices = np.clip(f.vertices + rng.normal(scale=0.05, size=f.vertices.shape),
+                               0.0, 0.99)
+            colors = np.clip(f.colors + rng.normal(scale=5.0, size=f.colors.shape), 0, 255)
+            recons.append(core.TriangleCloudFrame(vertices, f.faces, colors, f.upsample))
+        err = np.zeros(3)
+        one_sided = 0
+        for f, g in zip(refs, recons):
+            a, b = _voxelized(f, depth), _voxelized(g, depth)
+            err += _dense_sq_error(a, b)
+            covered_a = np.any(metrics.project_to_faces(a) != 128.0, axis=-1)
+            covered_b = np.any(metrics.project_to_faces(b) != 128.0, axis=-1)
+            one_sided += int(np.sum(covered_a != covered_b))
+        assert one_sided > 0
+        mse = err / (len(refs) * 6 * 4 ** depth)
+        want = tuple(-10 * math.log10(m / 255.0 ** 2) for m in mse)
+        got = metrics.projection_psnr(refs, recons, depth=depth)
+        assert got == pytest.approx(want, rel=1e-12)
+        assert metrics.projection_psnr(refs, refs, depth=depth) == (math.inf,) * 3
+
+
+def test_projection_sq_error_matches_dense_renders():
+    rng = np.random.default_rng(32)
+    depth = 3
+    side = 1 << depth
+    coords = np.unique(rng.integers(0, side, size=(40, 3)), axis=0)
+    a = _vset(depth, coords, rng.integers(0, 256, size=coords.shape[0]))
+    a = a.with_attributes(rng.integers(0, 256, size=(len(a), 3)).astype(float))
+    empty = core.VoxelSet(depth, [], np.zeros((0, 3)))
+    # one side's renders are all gray, the other's share no pixel with it
+    far = _vset(depth, [[0, 0, 0]], [77.0])
+    near = _vset(depth, [[1, 1, 1]], [99.0])
+    for x, y in ((a, empty), (empty, a), (empty, empty), (far, near), (a, far), (a, a)):
+        assert metrics._projection_sq_error(x, y) == pytest.approx(
+            _dense_sq_error(x, y), rel=1e-12, abs=0.0)
+    assert np.all(metrics._projection_sq_error(a, a) == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # matching distortion
 # ---------------------------------------------------------------------------
@@ -273,6 +329,31 @@ def test_matching_grid_path_matches_brute_force(monkeypatch):
             m.setattr(metrics, "_BRUTE_FORCE_PAIRS", 0)
             got = metrics.matching_distortion(a, b)
         assert got == want
+
+
+def test_matching_grid_path_above_brute_force_threshold():
+    # large enough that _nearest takes the exact-hit lookup and ring search
+    # without any patching; the brute-force oracle runs in bounded chunks
+    rng = np.random.default_rng(43)
+    depth = 6
+    side = 1 << depth
+    target = np.unique(rng.integers(0, side, size=(2600, 3)), axis=0)
+    hits = target[rng.choice(len(target), size=900, replace=False)]
+    moved = target[rng.choice(len(target), size=1800)]
+    moved = moved + rng.integers(-3, 4, size=moved.shape)
+    query = np.unique(np.clip(np.vstack([hits, moved]), 0, side - 1), axis=0)
+    a = _vset(depth, query, rng.integers(0, 256, size=len(query)).astype(float))
+    b = _vset(depth, target, rng.integers(0, 256, size=len(target)).astype(float))
+    assert len(a) * len(b) > metrics._BRUTE_FORCE_PAIRS
+    xyz_a = metrics._voxel_coords(a)
+    xyz_b = metrics._voxel_coords(b)
+    for q, q_xyz, t, t_xyz in ((a, xyz_a, b, xyz_b), (b, xyz_b, a, xyz_a)):
+        got = metrics._nearest(q, q_xyz, t, t_xyz)
+        want = np.concatenate([metrics._nearest_brute(q_xyz[i:i + 256], t_xyz)
+                               for i in range(0, len(q_xyz), 256)])
+        assert np.array_equal(got, want)
+    d2 = np.sum((xyz_a - xyz_b[metrics._nearest(a, xyz_a, b, xyz_b)]) ** 2, axis=1)
+    assert np.any(d2 == 0) and np.any(d2 > 0)
 
 
 def test_matching_distortion_validation():
