@@ -83,8 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--depth", type=int, default=None,
                    help="voxel grid depth (default: from the input file)")
-    p.add_argument("--upsample", type=int, default=None,
-                   help="refinement factor (default: from the input frames)")
     p.add_argument("--step-motion", type=float, default=1.0,
                    help="motion residual stepsize, voxel units")
     p.add_argument("--step-color-intra", type=float, default=1.0)
@@ -163,11 +161,8 @@ def _run_jobs(worker, jobs, n_workers: int):
 def cmd_encode(args) -> int:
     gofs, file_depth = read_gof_file(args.input)
     depth = args.depth if args.depth is not None else file_depth
-    upsample = args.upsample if args.upsample is not None else gofs[0].reference.upsample
-    params = CodecParams(depth, upsample, args.step_motion,
+    params = CodecParams(depth, gofs[0].reference.upsample, args.step_motion,
                          args.step_color_intra, args.step_color_inter)
-    for gof in gofs:
-        validate_gof(gof)
     log.info("encoding %d GOF(s) at depth %d", len(gofs), depth)
     encoded = _run_jobs(_encode_job, [(g, params, args.intra_only) for g in gofs],
                         args.jobs)

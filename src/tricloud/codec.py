@@ -1,20 +1,23 @@
 """GOF codec: intra coding of a reference frame, closed-loop predictive coding
 of the rest, and the TCB1 bitstream container.
 
-Reference frame: vertices snap to voxel centers (midrise grid quantization)
-and travel as deflated octree occupancy bytes plus a duplicate-index run map;
-faces travel deflated verbatim; colors are voxelized over the refined quantized
-vertices and transform-coded.  Predicted frames then ride entirely on the
-reference geometry: per-voxel means of the current frame are differenced
-against the previous reconstruction, and the residual is transform-coded over
-the *reference* voxel sets, whose pairing plans both sides already have.
+Reference frame: each vertex snaps to the center of the voxel containing it,
+and the geometry travels as deflated octree occupancy bytes plus a
+duplicate-index run map; both sides build the reference state from exactly
+that pair (voxel list, index map).  Faces travel deflated verbatim; colors are
+voxelized over the refined quantized vertices and transform-coded.  Predicted
+frames then ride entirely on the reference geometry: per-voxel means of the
+current frame are differenced against the previous reconstruction, and the
+residual is transform-coded over the *reference* voxel sets, whose pairing
+plans both sides already have.
 Geometry residuals are scaled to voxel units (x 2^J) before quantization so
 step_motion is expressed in voxels; colors stay in native 0..255 units.
 
 Everything the decoder derives (index maps, transform plans, weight order) is
-recomputed from decoded geometry, never transmitted; the encoder reconstructs
-through the exact same code path, which is what makes encoder and decoder
-buffers bit-identical.
+recomputed from decoded geometry, never transmitted.  The encoder reconstructs
+by calling the decoder's step (:func:`_reconstruct`, :meth:`FrameBuffer.advance`)
+on the same integers, which is what makes encoder and decoder buffers
+bit-identical.
 
 The duplicate-index run coder expects the vertex list in spatial scan order
 (nondecreasing voxel index), so the encoder reorders the GOF's vertices once
@@ -53,13 +56,11 @@ from .errors import (
     RangeError,
     TruncatedStreamError,
 )
-from .geom import VoxelizationResult, refine, voxelize
+from .geom import refine, voxelize
 from .octree import octree_parse, octree_serialize
 from .transform import (
-    MIDRISE,
     RahtPlan,
     dequantize_indices,
-    quantize,
     quantize_indices,
     raht_forward,
     raht_inverse,
@@ -179,6 +180,15 @@ class FrameBuffer:
     vertex_positions: np.ndarray
     refined_colors: np.ndarray
 
+    def advance(self, state: ReferenceState, motion_symbols: np.ndarray,
+                color_symbols: np.ndarray) -> FrameBuffer:
+        """The closed-loop step of a predicted frame: add the decoded residuals."""
+        params = state.params
+        motion = _reconstruct(state.vertex_plan, motion_symbols, params.step_motion)
+        colors = _reconstruct(state.refined_plan, color_symbols, params.step_color_inter)
+        return FrameBuffer(self.vertex_positions + motion / float(1 << params.depth),
+                           self.refined_colors + colors)
+
 
 def _group_means(values: np.ndarray, index_map: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Per-group arithmetic means of rows, groups given by index_map."""
@@ -190,25 +200,37 @@ def _group_means(values: np.ndarray, index_map: np.ndarray, counts: np.ndarray) 
     return out
 
 
-def _code_planes(symbols: np.ndarray, order: np.ndarray) -> tuple:
-    return tuple(rlgr_encode(symbols[order, k]) for k in range(symbols.shape[1]))
+def _quantize(plan: RahtPlan, values: np.ndarray, step: float) -> np.ndarray:
+    """Transform rows over the plan's voxels, then quantize to bin indices."""
+    return quantize_indices(raht_forward(plan, values).coefficients, step)
 
 
-def _decode_planes(payloads, order: np.ndarray, count: int) -> np.ndarray:
-    symbols = np.empty((count, len(payloads)), dtype=np.int64)
+def _reconstruct(plan: RahtPlan, symbols: np.ndarray, step: float) -> np.ndarray:
+    """Dequantize bin indices, then inverse-transform them back to voxel rows."""
+    return raht_inverse(plan, dequantize_indices(symbols, step))
+
+
+def _code_planes(symbols: np.ndarray, plan: RahtPlan) -> tuple:
+    return tuple(rlgr_encode(symbols[plan.order, k]) for k in range(symbols.shape[1]))
+
+
+def _decode_planes(payloads, plan: RahtPlan) -> np.ndarray:
+    symbols = np.empty((plan.n, len(payloads)), dtype=np.int64)
     for k, payload in enumerate(payloads):
-        symbols[order, k] = rlgr_decode(payload, count)
+        symbols[plan.order, k] = rlgr_decode(payload, plan.n)
     return symbols
 
 
 def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
-                           faces: np.ndarray, quantized_vertices: np.ndarray,
-                           res_v: VoxelizationResult) -> ReferenceState:
-    """Everything derivable from the quantized reference vertices + faces.
+                           faces: np.ndarray, voxels: VoxelSet,
+                           index_map: np.ndarray) -> ReferenceState:
+    """Everything derivable from the vertex voxels, the index map and the faces.
 
-    quantized_vertices must already be in canonical (spatial scan) order, and
-    res_v is their voxelization.
+    index_map gives, for every vertex in canonical (spatial scan) order, its
+    row in voxels; a quantized vertex is the center of its voxel.
     """
+    centers = voxels.centers()
+    quantized_vertices = centers[index_map]
     refined = refine(quantized_vertices, faces, params.upsample)
     res_r = voxelize(refined, None, params.depth)
     return ReferenceState(
@@ -216,11 +238,11 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
         vertex_permutation=vertex_permutation,
         faces=faces,
         quantized_vertices=quantized_vertices,
-        vertex_voxels=res_v.voxel_set,
-        vertex_centers=res_v.centers,
-        vertex_index_map=res_v.index_map,
-        vertex_counts=np.bincount(res_v.index_map, minlength=len(res_v.voxel_set)),
-        vertex_plan=raht_plan(res_v.voxel_set),
+        vertex_voxels=voxels,
+        vertex_centers=centers,
+        vertex_index_map=index_map,
+        vertex_counts=np.bincount(index_map, minlength=len(voxels)),
+        vertex_plan=raht_plan(voxels),
         refined_voxels=res_r.voxel_set,
         refined_index_map=res_r.index_map,
         refined_counts=np.bincount(res_r.index_map, minlength=len(res_r.voxel_set)),
@@ -234,27 +256,21 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
         raise ParameterError(
             f"frame upsample {frame.upsample} != codec upsample {params.upsample}"
         )
-    step = 2.0 ** -params.depth
-    v_hat = quantize(frame.vertices, step, MIDRISE)
-
     # canonicalize: vertices in spatial scan order so the duplicate-index map
     # grows in unit/zero steps; faces re-indexed to the new rows.  Permuting
     # the points changes only the index map of their voxelization.
-    res_v = voxelize(v_hat, None, params.depth)
+    res_v = voxelize(frame.vertices, None, params.depth)
     perm = np.argsort(res_v.index_map, kind="stable")
     inverse_perm = np.empty_like(perm)
     inverse_perm[perm] = np.arange(perm.size)
     faces = inverse_perm[frame.faces]
-    res_v = VoxelizationResult(res_v.voxel_set, res_v.centers, res_v.index_map[perm])
-    state = _build_reference_state(params, perm, faces, v_hat[perm], res_v)
+    state = _build_reference_state(params, perm, faces, res_v.voxel_set,
+                                   res_v.index_map[perm])
 
     # colors ride on the refined quantized vertices, averaged per voxel
     colors_v = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
-    block = raht_forward(state.refined_plan, colors_v)
-    symbols = quantize_indices(block.coefficients, params.step_color_intra)
-    recon_colors = raht_inverse(
-        state.refined_plan, dequantize_indices(symbols, params.step_color_intra)
-    )
+    symbols = _quantize(state.refined_plan, colors_v, params.step_color_intra)
+    recon_colors = _reconstruct(state.refined_plan, symbols, params.step_color_intra)
 
     if frame.n_vertices >= 1 << 32:
         raise RangeError("face indices exceed u32")
@@ -264,7 +280,7 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
         octree_bytes=deflate(octree_serialize(state.vertex_voxels)),
         index_run_bytes=index_runs_encode(state.vertex_index_map),
         face_bytes=deflate(faces.astype("<u4").tobytes()),
-        color_payloads=_code_planes(symbols, state.refined_plan.order),
+        color_payloads=_code_planes(symbols, state.refined_plan),
     )
     return payload, state, FrameBuffer(state.vertex_centers, recon_colors)
 
@@ -277,30 +293,28 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
         raise CorruptStreamError(
             f"octree decodes to {len(voxels)} voxels, header says {payload.n_voxels}"
         )
+    # runs decode to steps of 0 or 1 from 0, so ending on the last voxel
+    # means every voxel holds a vertex
     index_map = index_runs_decode(payload.index_run_bytes, n_vertices)
-    if index_map.size and index_map[-1] != len(voxels) - 1:
+    if index_map.size == 0 or index_map[-1] != len(voxels) - 1:
         raise CorruptStreamError("duplicate-index map does not cover the voxel list")
 
     face_raw = inflate(payload.face_bytes)
     if len(face_raw) != 12 * n_faces:
         raise CorruptStreamError("face section length does not match face count")
     faces = np.frombuffer(face_raw, dtype="<u4").reshape(n_faces, 3).astype(np.int64)
+    if faces.size and faces.max() >= n_vertices:
+        raise CorruptStreamError("face index out of range of the vertex count")
 
-    v_hat = voxels.centers()[index_map]
-    res_v = voxelize(v_hat, None, params.depth)
-    if not np.array_equal(res_v.voxel_set.codes, voxels.codes):
-        raise CorruptStreamError("re-voxelized vertices disagree with the octree section")
-    state = _build_reference_state(params, np.arange(n_vertices), faces, v_hat, res_v)
+    state = _build_reference_state(params, np.arange(n_vertices), faces, voxels, index_map)
     if len(state.refined_voxels) != payload.n_refined_voxels:
         raise CorruptStreamError("refined voxel count disagrees with the header")
 
-    symbols = _decode_planes(payload.color_payloads, state.refined_plan.order,
-                             len(state.refined_voxels))
-    recon_colors = raht_inverse(
-        state.refined_plan, dequantize_indices(symbols, params.step_color_intra)
-    )
+    symbols = _decode_planes(payload.color_payloads, state.refined_plan)
+    recon_colors = _reconstruct(state.refined_plan, symbols, params.step_color_intra)
     frame = TriangleCloudFrame(
-        v_hat, faces, recon_colors[state.refined_index_map], params.upsample
+        state.quantized_vertices, faces, recon_colors[state.refined_index_map],
+        params.upsample,
     )
     return frame, state, FrameBuffer(state.vertex_centers, recon_colors)
 
@@ -317,59 +331,33 @@ def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
     if frame.n_colors != state.refined_index_map.size:
         raise ConsistencyError("predicted frame color count differs from the reference")
 
-    scale = float(1 << params.depth)
     positions = _group_means(frame.vertices[state.vertex_permutation],
                              state.vertex_index_map, state.vertex_counts)
-    motion_residual = (positions - buffer.vertex_positions) * scale
-    motion_block = raht_forward(state.vertex_plan, motion_residual)
-    motion_symbols = quantize_indices(motion_block.coefficients, params.step_motion)
-    recon_motion = raht_inverse(
-        state.vertex_plan, dequantize_indices(motion_symbols, params.step_motion)
-    ) / scale
-    new_positions = buffer.vertex_positions + recon_motion
-
+    motion_residual = (positions - buffer.vertex_positions) * float(1 << params.depth)
+    motion_symbols = _quantize(state.vertex_plan, motion_residual, params.step_motion)
     colors = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
-    color_residual = colors - buffer.refined_colors
-    color_block = raht_forward(state.refined_plan, color_residual)
-    color_symbols = quantize_indices(color_block.coefficients, params.step_color_inter)
-    recon_color = raht_inverse(
-        state.refined_plan, dequantize_indices(color_symbols, params.step_color_inter)
-    )
-    new_colors = buffer.refined_colors + recon_color
+    color_symbols = _quantize(state.refined_plan, colors - buffer.refined_colors,
+                              params.step_color_inter)
 
     payload = PredictedPayload(
-        motion_payloads=_code_planes(motion_symbols, state.vertex_plan.order),
-        color_payloads=_code_planes(color_symbols, state.refined_plan.order),
+        motion_payloads=_code_planes(motion_symbols, state.vertex_plan),
+        color_payloads=_code_planes(color_symbols, state.refined_plan),
     )
-    return payload, FrameBuffer(new_positions, new_colors)
+    return payload, buffer.advance(state, motion_symbols, color_symbols)
 
 
 def decode_predicted(payload: PredictedPayload, state: ReferenceState,
                      buffer: FrameBuffer):
     """Invert :func:`encode_predicted`; returns (frame, FrameBuffer for frame t)."""
-    params = state.params
-    scale = float(1 << params.depth)
-    motion_symbols = _decode_planes(payload.motion_payloads, state.vertex_plan.order,
-                                    len(state.vertex_voxels))
-    recon_motion = raht_inverse(
-        state.vertex_plan, dequantize_indices(motion_symbols, params.step_motion)
-    ) / scale
-    new_positions = buffer.vertex_positions + recon_motion
-
-    color_symbols = _decode_planes(payload.color_payloads, state.refined_plan.order,
-                                   len(state.refined_voxels))
-    recon_color = raht_inverse(
-        state.refined_plan, dequantize_indices(color_symbols, params.step_color_inter)
-    )
-    new_colors = buffer.refined_colors + recon_color
-
+    buffer = buffer.advance(state, _decode_planes(payload.motion_payloads, state.vertex_plan),
+                            _decode_planes(payload.color_payloads, state.refined_plan))
     frame = TriangleCloudFrame(
-        new_positions[state.vertex_index_map],
+        buffer.vertex_positions[state.vertex_index_map],
         state.faces,
-        new_colors[state.refined_index_map],
-        params.upsample,
+        buffer.refined_colors[state.refined_index_map],
+        state.params.upsample,
     )
-    return frame, FrameBuffer(new_positions, new_colors)
+    return frame, buffer
 
 
 def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False) -> EncodedGof:

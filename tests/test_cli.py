@@ -1,13 +1,14 @@
 """End-to-end CLI runs against temporary files."""
 
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from tricloud import cli, core
+from tricloud import cli, codec, core
 
 
 def _run(argv):
@@ -180,3 +181,12 @@ def test_eval_report_is_pinned(tmp_path, capsys):
         "psnr_g_matching = 61.807326",
         "psnr_y_matching = 46.918688",
     ]
+    # the RLGR plane payloads of every frame, in stream order, and the decoded
+    # file: unlike the deflated sections, neither depends on the zlib build
+    planes = b"".join(plane for enc in codec.read_bitstream_file(bits)
+                      for frame in enc.frames
+                      for plane in getattr(frame, "motion_payloads", ()) + frame.color_payloads)
+    assert hashlib.sha256(planes).hexdigest() == (
+        "3dae95cd95bf8578139094978ff239aac4b77cf933bceec5829c894000c998d8")
+    assert hashlib.sha256(recon.read_bytes()).hexdigest() == (
+        "529e4fb9725cdc54f5ee24dd4174a1a23ca689e3b8484c6cdcf775e0f9ff41ac")

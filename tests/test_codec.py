@@ -111,6 +111,48 @@ def test_hostile_index_runs_rejected_before_expansion():
     assert peak < 8 << 20
 
 
+def test_reference_sections_out_of_range_rejected():
+    # a face index past the vertex count, and an empty index map, must raise a
+    # stream error rather than escape from the geometry kernels
+    gof = _gof(n_frames=1)
+    params = _params()
+    ref = gof.reference
+    payload, state, _ = codec.encode_reference(ref, params)
+    faces = state.faces.copy()
+    faces[-1, 2] = ref.n_vertices
+    bad_faces = dataclasses.replace(
+        payload, face_bytes=entropy.deflate(faces.astype("<u4").tobytes()))
+    with pytest.raises(CorruptStreamError, match="face index"):
+        codec.decode_reference(bad_faces, params, ref.n_vertices, ref.n_faces)
+    no_runs = dataclasses.replace(
+        payload, index_run_bytes=entropy.deflate(struct.pack("<I", 0)))
+    with pytest.raises(CorruptStreamError, match="does not cover"):
+        codec.decode_reference(no_runs, params, 0, ref.n_faces)
+
+
+def test_vertex_coordinates_at_zero_encode():
+    # 0.0 and values far below 2^-J are valid coordinates: they quantize to
+    # the center of the first voxel, 2^-(J+1)
+    frames = []
+    for frame in _gof(n_frames=2, seed=8).frames:
+        vertices = np.array(frame.vertices)
+        vertices[0, 0] = 0.0
+        vertices[1, 1] = 1e-30
+        frames.append(TriangleCloudFrame(vertices, frame.faces, frame.colors, frame.upsample))
+    gof = GroupOfFrames(tuple(frames))
+    params = _params()
+    buf = io.BytesIO()
+    codec.write_bitstream(buf, [codec.encode_gof(gof, params)])
+    buf.seek(0)
+    rec = codec.decode_gof(codec.read_bitstream(buf)[0])
+    assert rec.n_frames == 2
+    perm = codec.encode_reference(gof.reference, params)[1].vertex_permutation
+    vertices = np.asarray(rec.reference.vertices)
+    center = 2.0 ** -(params.depth + 1)
+    assert vertices[np.flatnonzero(perm == 0)[0], 0] == center
+    assert vertices[np.flatnonzero(perm == 1)[0], 1] == center
+
+
 def test_encode_does_not_depend_on_debug_mode(tmp_path):
     # python -O strips asserts and sets __debug__ to False; the coded bytes
     # must not change
