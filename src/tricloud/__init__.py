@@ -70,6 +70,7 @@ from .errors import (
 )
 from .geom import (
     VoxelizationResult,
+    interpolation_lattice,
     morton_decode,
     morton_encode,
     refine,
@@ -87,6 +88,7 @@ from .metrics import (
     psnr_triangle_cloud,
     rates,
     refined_interpolated_cloud,
+    render_cloud,
     triangle_cloud_errors,
 )
 from .octree import (

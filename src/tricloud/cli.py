@@ -33,9 +33,9 @@ from .core import (
 from .datagen import SHAPES, gen_sequence
 from .errors import FormatError, TricloudError
 from .metrics import (
-    _render_voxels,
+    _projection_psnr_of_sets,
+    _render_voxel_pairs,
     matching_distortion_sequence,
-    projection_psnr,
     psnr_from_errors,
     rates,
     triangle_cloud_errors,
@@ -250,13 +250,14 @@ def cmd_eval(args) -> int:
         g, y, u, v = psnr_from_errors(triangle_rows)
         report.update(psnr_g_triangle=g, psnr_y_triangle=y,
                       psnr_u_triangle=u, psnr_v_triangle=v)
+    if "projection" in wanted or "matching" in wanted:
+        # projection and matching share each frame's render voxel sets
+        pairs = _render_voxel_pairs(originals, recons, depth, args.uinterp)
     if "projection" in wanted:
-        y, u, v = projection_psnr(originals, recons, depth, args.uinterp)
+        y, u, v = _projection_psnr_of_sets(pairs, depth)
         report.update(psnr_y_projection=y, psnr_u_projection=u, psnr_v_projection=v)
     if "matching" in wanted:
-        d_g2, d_y2, pg, py = matching_distortion_sequence(
-            [_render_voxels(fr, depth, args.uinterp) for fr in originals],
-            [_render_voxels(fr, depth, args.uinterp) for fr in recons])
+        d_g2, d_y2, pg, py = matching_distortion_sequence(*zip(*pairs))
         report.update(d_g2_matching=d_g2, d_y2_matching=d_y2,
                       psnr_g_matching=pg, psnr_y_matching=py)
 

@@ -156,6 +156,46 @@ def refined_faces(n_faces: int, upsample: int) -> np.ndarray:
     return np.concatenate(triples, axis=0)
 
 
+def interpolation_lattice(upsample: int, interp: int):
+    """Distinct points of :func:`refine_interpolate` over one face's :func:`refined_faces`.
+
+    Interpolating the U^2 refined triangles of a face by the factor I gives
+    U^2 (I+1)(I+2)/2 rows, which land on the (U*I+1)(U*I+2)/2 points (p, q),
+    p + q <= U*I, of one lattice.  Returns (steps, fractions, weights), one
+    row per lattice point in the loop order of :func:`refine` at factor U*I:
+    the three refine steps s1, s2, s3 the point blends as
+    s1 + (s2 - s1) * a + (s3 - s1) * b, the fractions (a, b), and how many of
+    the rows land on the point.  A refined vertex is its own copy (equal
+    steps, fractions 0); any other point takes the blend of the first
+    (local step, triangle) row that lands on it.
+    """
+    upsample, interp = int(upsample), int(interp)
+    if upsample < 1 or interp < 1:
+        raise ParameterError(f"upsample and interpolation factors must be >= 1, "
+                             f"got {upsample} and {interp}")
+    n = upsample * interp
+    vi, vj = np.triu_indices(upsample + 1)
+    vj = vj - vi  # (i, j) of every refine step, in loop order
+    triangles = refined_faces(1, upsample)
+    corners = np.stack([vi, vj], axis=1)[triangles]  # (U^2, 3, 2)
+    ka, kb = np.triu_indices(interp + 1)
+    kb = kb - ka  # local steps of refine_interpolate, in loop order
+    # lattice point (p, q) of every (local step, triangle) row, local steps outer
+    pq = (corners[:, 0] * interp
+          + ka[:, None, None] * (corners[:, 1] - corners[:, 0])
+          + kb[:, None, None] * (corners[:, 2] - corners[:, 0]))
+    # p * (n + 1) + q sorts the lattice points in the loop order of refine
+    keys, first, weights = np.unique((pq[..., 0] * (n + 1) + pq[..., 1]).ravel(),
+                                     return_index=True, return_counts=True)
+    local, tri = np.divmod(first, triangles.shape[0])
+    steps = triangles[tri]
+    fractions = np.stack([ka[local], kb[local]], axis=1) / float(interp)
+    at_vertex = np.searchsorted(keys, vi * interp * (n + 1) + vj * interp)
+    steps[at_vertex] = np.arange(vi.size)[:, None]
+    fractions[at_vertex] = 0.0
+    return steps, fractions, weights
+
+
 def refine_interpolate(vertices_r, colors_r, faces_r, upsample: int):
     """Upsample a refined cloud again, interpolating positions *and* colors.
 

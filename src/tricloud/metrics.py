@@ -12,6 +12,13 @@ Four distortion families:
 
 plus the two rate figures (megabits per second at 30 fps, bits per voxel).
 
+The last three are taken over each frame's render cloud: the refined
+triangles upsampled once more by barycentric blending of positions and
+colors.  Neighboring refined triangles put rows on the same points, so
+:func:`render_cloud` returns each distinct lattice point once with its
+multiplicity, and the metrics weight by it; this equals the expanded cloud of
+:func:`refined_interpolated_cloud`, where shared points repeat.
+
 Geometry PSNRs are normalized per coordinate against the unit bounding cube
 (width 1); color PSNRs against peak 255.  Zero error returns +inf.
 """
@@ -30,10 +37,9 @@ from .errors import (
     ShapeMismatchError,
 )
 from .geom import (
+    interpolation_lattice,
     morton_decode,
     refine,
-    refine_interpolate,
-    refined_faces,
     voxelize,
 )
 
@@ -92,17 +98,38 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
     return _psnr(total / len(refs), 1.0)
 
 
-def refined_interpolated_cloud(frame, interp: int = 1):
-    """(points, colors) of the upsampled render cloud of one frame.
+def render_cloud(frame, interp: int = 1):
+    """(points, colors, weights) of the render cloud of one frame.
 
-    Refines the triangle cloud to its native color resolution, then
-    interpolates positions and colors per face by the extra factor.
+    The triangle cloud is refined to its native color resolution, then each
+    refined triangle is interpolated by the extra factor.  Every distinct
+    point (see :func:`geom.interpolation_lattice`) comes once, weighted by
+    the number of refined triangles that put it in the cloud.
     """
     if int(interp) < 1:
         raise ParameterError(f"interpolation factor must be >= 1, got {interp}")
+    steps, fractions, weights = interpolation_lattice(frame.upsample, interp)
     v_r = refine(frame.vertices, frame.faces, frame.upsample)
-    f_r = refined_faces(frame.n_faces, frame.upsample)
-    return refine_interpolate(v_r, frame.colors, f_r, int(interp))
+    if frame.n_colors != v_r.shape[0]:
+        raise ConsistencyError(f"{frame.n_colors} colors for {v_r.shape[0]} refined vertices")
+    n_steps = (frame.upsample + 1) * (frame.upsample + 2) // 2  # rows of refine per face
+    joined = np.concatenate([v_r, frame.colors], axis=1).reshape(n_steps, frame.n_faces, 6)
+    c1, c2, c3 = (joined[steps[:, k]] for k in range(3))
+    a = fractions[:, 0, None, None]
+    b = fractions[:, 1, None, None]
+    out = (c1 + (c2 - c1) * a + (c3 - c1) * b).reshape(-1, 6)
+    return out[:, :3], out[:, 3:], np.repeat(weights, frame.n_faces)
+
+
+def refined_interpolated_cloud(frame, interp: int = 1):
+    """(points, colors) of the upsampled render cloud of one frame.
+
+    The rows of :func:`render_cloud`, each repeated by its multiplicity: the
+    cloud of every refined triangle interpolated by the extra factor, with
+    points shared by neighboring triangles once per triangle.
+    """
+    points, colors, weights = render_cloud(frame, interp)
+    return np.repeat(points, weights, axis=0), np.repeat(colors, weights, axis=0)
 
 
 def _check_frame_pair(t, a, b) -> None:
@@ -113,14 +140,8 @@ def _check_frame_pair(t, a, b) -> None:
         )
 
 
-def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarray:
-    """Per-frame normalized MSE rows (G, Y, U, V) on refined + interpolated clouds.
-
-    Frames correspond index-wise; both sides are upsampled with the same
-    interpolation factor and compared row by row (correspondence is per
-    face, so the two sides may order their vertex lists differently).
-    Geometry is normalized per coordinate, colors by 255^2.
-    """
+def _frame_pairs(ref_frames, recon_frames) -> list:
+    """[(reference frame, reconstruction frame)], every pair checked."""
     ref_frames = list(ref_frames)
     recon_frames = list(recon_frames)
     if not ref_frames:
@@ -129,14 +150,31 @@ def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarr
         raise ShapeMismatchError(
             f"{len(ref_frames)} reference frames vs {len(recon_frames)} reconstructed"
         )
-    rows = np.empty((len(ref_frames), 4))
-    for t, (a, b) in enumerate(zip(ref_frames, recon_frames)):
+    pairs = list(zip(ref_frames, recon_frames))
+    for t, (a, b) in enumerate(pairs):
         _check_frame_pair(t, a, b)
-        va, ca = refined_interpolated_cloud(a, interp)
-        vb, cb = refined_interpolated_cloud(b, interp)
-        n = va.shape[0]
-        rows[t, 0] = float(np.sum((va - vb) ** 2)) / (3.0 * n)
-        rows[t, 1:] = np.sum((ca - cb) ** 2, axis=0) / (255.0 ** 2 * n)
+    return pairs
+
+
+def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarray:
+    """Per-frame normalized MSE rows (G, Y, U, V) on refined + interpolated clouds.
+
+    Frames correspond index-wise; both sides are upsampled with the same
+    interpolation factor and compared row by row (correspondence is per
+    face, so the two sides may order their vertex lists differently).
+    Each distinct point of :func:`render_cloud` counts with its
+    multiplicity, which equals comparing the rows of
+    :func:`refined_interpolated_cloud`.  Geometry is normalized per
+    coordinate, colors by 255^2.
+    """
+    pairs = _frame_pairs(ref_frames, recon_frames)
+    rows = np.empty((len(pairs), 4))
+    for t, (a, b) in enumerate(pairs):
+        va, ca, weights = render_cloud(a, interp)
+        vb, cb, _ = render_cloud(b, interp)
+        n = weights.sum()
+        rows[t, 0] = float(np.sum(weights @ (va - vb) ** 2)) / (3.0 * n)
+        rows[t, 1:] = weights @ (ca - cb) ** 2 / (255.0 ** 2 * n)
     return rows
 
 
@@ -238,9 +276,34 @@ def _projection_sq_error(a: VoxelSet, b: VoxelSet) -> np.ndarray:
 
 
 def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
-    """The refined + interpolated render cloud of a frame, voxelized at `depth`."""
-    points, colors = refined_interpolated_cloud(frame, interp)
-    return voxelize(points, colors, depth).voxel_set
+    """The render cloud of a frame voxelized at `depth`, colors averaged per voxel.
+
+    Each point's color counts with its multiplicity in :func:`render_cloud`.
+    """
+    points, colors, weights = render_cloud(frame, interp)
+    vox = voxelize(points, None, depth)
+    n = len(vox.voxel_set)
+    mass = np.bincount(vox.index_map, weights=weights, minlength=n)
+    means = np.stack([np.bincount(vox.index_map, weights=weights * c, minlength=n)
+                      for c in colors.T], axis=1)
+    return VoxelSet(depth, vox.voxel_set.codes, means / mass[:, None])
+
+
+def _render_voxel_pairs(ref_frames, recon_frames, depth: int, interp: int):
+    """[(reference set, reconstruction set)]: :func:`_render_voxels` of each frame
+    pair; the frame lists are checked before any set is built."""
+    return [(_render_voxels(a, depth, interp), _render_voxels(b, depth, interp))
+            for a, b in _frame_pairs(ref_frames, recon_frames)]
+
+
+def _projection_psnr_of_sets(pairs, depth: int):
+    """(PSNR_Y, PSNR_U, PSNR_V) of the six-face renders of (reference, reconstruction)
+    voxel set pairs at `depth`, pooled over the pairs."""
+    err = np.zeros(3)
+    for a, b in pairs:
+        err += _projection_sq_error(a, b)
+    mse = err / (len(pairs) * 6 * 4 ** depth)
+    return tuple(_psnr(float(m), 255.0 ** 2) for m in mse)
 
 
 def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
@@ -251,21 +314,8 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
     frames before the PSNR.  Only pixels a voxel covers are visited, but the
     mean is over all 6 * 4^J pixels of every frame.
     """
-    ref_frames = list(ref_frames)
-    recon_frames = list(recon_frames)
-    if not ref_frames:
-        raise EmptySetError("no frames to compare")
-    if len(ref_frames) != len(recon_frames):
-        raise ShapeMismatchError(
-            f"{len(ref_frames)} reference frames vs {len(recon_frames)} reconstructed"
-        )
-    err = np.zeros(3)
-    for t, (a, b) in enumerate(zip(ref_frames, recon_frames)):
-        _check_frame_pair(t, a, b)
-        err += _projection_sq_error(_render_voxels(a, depth, interp),
-                                    _render_voxels(b, depth, interp))
-    mse = err / (len(ref_frames) * 6 * 4 ** depth)
-    return tuple(_psnr(float(m), 255.0 ** 2) for m in mse)
+    return _projection_psnr_of_sets(
+        _render_voxel_pairs(ref_frames, recon_frames, depth, interp), depth)
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +342,10 @@ def _nearest_grid(query: np.ndarray, target_codes: np.ndarray,
     """Nearest target rows of queries that have no target at distance 0.
 
     Searches rings of growing Chebyshev radius from 1; exact hits are found
-    by :func:`_nearest` before this runs.
+    by :func:`_nearest` before this runs.  Once the cube searched up to the
+    next ring would hold more cells than the target has voxels, the queries
+    still open are compared with every target voxel instead, in chunks of at
+    most _BRUTE_FORCE_PAIRS pairs.
     """
     from .geom import morton_encode
 
@@ -303,6 +356,12 @@ def _nearest_grid(query: np.ndarray, target_codes: np.ndarray,
     active = np.arange(n)
     radius = 1
     while active.size:
+        if (2 * radius + 1) ** 3 > target.shape[0]:
+            chunk = max(1, _BRUTE_FORCE_PAIRS // target.shape[0])
+            for start in range(0, active.size, chunk):
+                rows = active[start:start + chunk]
+                best_idx[rows] = _nearest_brute(query[rows], target)
+            break
         offsets = _ring_offsets(radius)
         cand = query[active][:, None, :] + offsets[None, :, :]
         qrow = np.broadcast_to(active[:, None], cand.shape[:2]).reshape(-1)
@@ -332,8 +391,6 @@ def _nearest_grid(query: np.ndarray, target_codes: np.ndarray,
         # nor tie-break a best of exactly r^2 won at a lower Morton code...
         # it can tie at r^2 with a lower code, so keep searching while equal
         active = active[best_d2[active] >= radius * radius]
-        if radius > size:
-            raise ConsistencyError("nearest-neighbor search exceeded the grid")
     return best_idx
 
 

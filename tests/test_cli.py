@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from tricloud import cli, codec, core
+from tricloud import cli, codec, core, metrics
 
 
 def _run(argv):
@@ -190,3 +190,60 @@ def test_eval_report_is_pinned(tmp_path, capsys):
         "3dae95cd95bf8578139094978ff239aac4b77cf933bceec5829c894000c998d8")
     assert hashlib.sha256(recon.read_bytes()).hexdigest() == (
         "529e4fb9725cdc54f5ee24dd4174a1a23ca689e3b8484c6cdcf775e0f9ff41ac")
+
+
+def _pin_scene(tmp_path):
+    # the scene of test_eval_report_is_pinned: (original, reconstruction)
+    orig = tmp_path / "pin.tcg"
+    bits = tmp_path / "pin.tcb"
+    recon = tmp_path / "pin_recon.tcg"
+    assert _run(["generate", "--shape", "sphere", "--frames", "2", "--faces", "200",
+                 "--upsample", "6", "--seed", "3", "--depth", "9", "-o", str(orig)]) == 0
+    assert _run(["encode", str(orig), "-o", str(bits), "--step-motion", "1",
+                 "--step-color-intra", "4", "--step-color-inter", "4"]) == 0
+    assert _run(["decode", str(bits), "-o", str(recon)]) == 0
+    return orig, recon
+
+
+def test_eval_report_at_uinterp_2_is_pinned(tmp_path, capsys):
+    # factor 2 puts blended edge midpoints into every render cloud; each
+    # distinct point is voxelized once, so two roundings of one shared edge
+    # midpoint on either side of a voxel boundary cannot fill two voxels
+    orig, recon = _pin_scene(tmp_path)
+    capsys.readouterr()
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(recon),
+                 "--uinterp", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "sequence = pin",
+        "n_frames = 2",
+        "depth = 9",
+        "uinterp = 2",
+        "psnr_g_triangle = 67.977761",
+        "psnr_y_triangle = 48.099941",
+        "psnr_u_triangle = 48.031756",
+        "psnr_v_triangle = 48.390220",
+        "psnr_y_projection = 28.763919",
+        "psnr_u_projection = 32.854891",
+        "psnr_v_projection = 31.898602",
+        "d_g2_matching = 0.000002",
+        "d_y2_matching = 1.295654",
+        "psnr_g_matching = 61.935465",
+        "psnr_y_matching = 47.005914",
+    ]
+
+
+def test_default_eval_builds_each_render_voxel_set_once(tmp_path, monkeypatch, capsys):
+    orig, recon = _pin_scene(tmp_path)
+    calls = []
+    render_voxels = metrics._render_voxels
+
+    def counting(*args):
+        calls.append(args)
+        return render_voxels(*args)
+
+    monkeypatch.setattr(metrics, "_render_voxels", counting)
+    # also counts calls through a name cli imports for itself
+    monkeypatch.setattr(cli, "_render_voxels", counting, raising=False)
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(recon)]) == 0
+    assert "psnr_y_projection" in capsys.readouterr().out
+    assert len(calls) == 2 * 2

@@ -188,6 +188,24 @@ def test_refined_faces_counts_and_blocks():
     assert fr.min() >= 0 and fr.max() == n_faces * per_face_pts - 1
 
 
+def test_interpolation_lattice_hand_case():
+    # upsample 2, factor 1: the six refined vertices of one face, in refine
+    # order, each its own copy; corners sit in one small triangle, edge
+    # midpoints in three
+    steps, fractions, weights = geom.interpolation_lattice(2, 1)
+    assert steps.tolist() == [[s, s, s] for s in range(6)]
+    assert np.all(fractions == 0.0)
+    assert weights.tolist() == [1, 3, 1, 3, 3, 1]
+    # upsample 1, factor 2: one triangle, six lattice points, each hit once;
+    # the edge midpoints blend the corners (steps 0, 2, 1 of refine)
+    steps, fractions, weights = geom.interpolation_lattice(1, 2)
+    assert weights.tolist() == [1] * 6
+    assert steps.tolist() == [[0, 0, 0], [0, 2, 1], [1, 1, 1], [0, 2, 1], [0, 2, 1], [2, 2, 2]]
+    assert fractions.tolist() == [[0, 0], [0, 0.5], [0, 0], [0.5, 0], [0.5, 0.5], [0, 0]]
+    with pytest.raises(ParameterError):
+        geom.interpolation_lattice(2, 0)
+
+
 def test_refine_interpolate_linear_field_is_exact():
     # colors that are an affine function of position are reproduced exactly
     # by barycentric interpolation at any factor

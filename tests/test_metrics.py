@@ -1,6 +1,7 @@
 """Distortion and rate metrics, checked against hand-worked instances."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,46 @@ def test_refined_interpolated_cloud_counts_and_validation():
     assert points2.shape == (6 * 2 * 2 ** 2, 3)
     with pytest.raises(ParameterError):
         metrics.refined_interpolated_cloud(f, 0)
+
+
+def _sorted_rows(rows):
+    return rows[np.lexsort(np.round(rows, 9).T[::-1])]
+
+
+@pytest.mark.parametrize("upsample", [1, 2, 3, 6])
+@pytest.mark.parametrize("interp", [1, 2, 3, 4])
+def test_render_cloud_is_the_interpolated_cloud_once_per_point(upsample, interp):
+    f = _frame(n_faces=7, upsample=upsample, seed=10 * upsample + interp, n_vertices=9)
+    points, colors, weights = metrics.render_cloud(f, interp)
+    n = upsample * interp
+    assert points.shape == (7 * (n + 1) * (n + 2) // 2, 3)
+    assert colors.shape == points.shape and weights.shape == points.shape[:1]
+    assert weights.sum() == 7 * upsample ** 2 * (interp + 1) * (interp + 2) // 2
+    # repeated by its weights it is the row multiset of the expanded cloud
+    v_r = geom.refine(f.vertices, f.faces, upsample)
+    expanded = geom.refine_interpolate(v_r, f.colors, geom.refined_faces(7, upsample), interp)
+    got = np.repeat(np.hstack([points, colors]), weights, axis=0)
+    assert np.allclose(_sorted_rows(got), _sorted_rows(np.hstack(expanded)), rtol=0, atol=1e-12)
+    if interp <= 2:
+        # u8 colors blend to halves, so weighted voxel means are exact
+        got = metrics._render_voxels(f, 6, interp)
+        for cloud in (metrics.refined_interpolated_cloud(f, interp), expanded):
+            want = geom.voxelize(*cloud, 6).voxel_set
+            assert np.array_equal(got.codes, want.codes)
+            assert np.array_equal(got.attributes, want.attributes)
+
+
+def test_render_cloud_validation():
+    f = _frame(n_faces=2, upsample=2, seed=6)
+    with pytest.raises(ParameterError):
+        metrics.render_cloud(f, 0)
+    short = core.TriangleCloudFrame(f.vertices, f.faces, f.colors[:-1], 2)
+    with pytest.raises(ConsistencyError):
+        metrics.render_cloud(short, 1)
+    empty = core.TriangleCloudFrame(np.zeros((0, 3)), np.zeros((0, 3), dtype=int),
+                                    np.zeros((0, 3)), 3)
+    points, colors, weights = metrics.render_cloud(empty, 2)
+    assert points.shape == colors.shape == (0, 3) and weights.shape == (0,)
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +395,29 @@ def test_matching_grid_path_above_brute_force_threshold():
         assert np.array_equal(got, want)
     d2 = np.sum((xyz_a - xyz_b[metrics._nearest(a, xyz_a, b, xyz_b)]) ** 2, axis=1)
     assert np.any(d2 == 0) and np.any(d2 > 0)
+
+
+def test_matching_ring_search_stays_bounded_between_separated_clouds():
+    # two 13^3 blocks six empty voxels apart: every query misses and the ring
+    # search must not grow with the gap; the result stays exact
+    depth = 8
+    block = np.stack(np.meshgrid(*[np.arange(13)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    a = _vset(depth, block, np.arange(len(block), dtype=float) % 256)
+    b = _vset(depth, block + [19, 0, 0], np.arange(len(block), dtype=float) % 251)
+    assert len(a) * len(b) > metrics._BRUTE_FORCE_PAIRS
+    xyz_a = metrics._voxel_coords(a)
+    xyz_b = metrics._voxel_coords(b)
+    for q, q_xyz, t, t_xyz in ((a, xyz_a, b, xyz_b), (b, xyz_b, a, xyz_a)):
+        tracemalloc.start()
+        try:
+            got = metrics._nearest(q, q_xyz, t, t_xyz)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250 * 2 ** 20
+        want = np.concatenate([metrics._nearest_brute(q_xyz[i:i + 256], t_xyz)
+                               for i in range(0, len(q_xyz), 256)])
+        assert np.array_equal(got, want)
 
 
 def test_matching_distortion_validation():
