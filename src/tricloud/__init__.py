@@ -19,11 +19,9 @@ from .codec import (
     decode_gof,
     decode_predicted,
     decode_reference,
-    decode_sequence,
     encode_gof,
     encode_predicted,
     encode_reference,
-    encode_sequence,
     read_bitstream,
     read_bitstream_file,
     write_bitstream,
@@ -74,7 +72,6 @@ from .geom import (
     morton_decode,
     morton_encode,
     refine,
-    refine_interpolate,
     refined_faces,
     voxelize,
 )
@@ -87,7 +84,6 @@ from .metrics import (
     psnr_transform,
     psnr_triangle_cloud,
     rates,
-    refined_interpolated_cloud,
     render_cloud,
     triangle_cloud_errors,
 )
@@ -109,7 +105,6 @@ from .transform import (
     raht_inverse,
     raht_plan,
     serialize_order,
-    transform_weights,
 )
 
 __version__ = "0.1.0"

@@ -27,7 +27,6 @@ from .core import (
     CodecParams,
     GroupOfFrames,
     read_gof_file,
-    validate_gof,
     write_gof_file,
 )
 from .datagen import SHAPES, gen_sequence
@@ -122,8 +121,6 @@ def cmd_generate(args) -> int:
     gofs = gen_sequence(args.shape, args.frames, n_faces=args.faces,
                         upsample=args.upsample, amplitude=args.amplitude,
                         seed=args.seed, gof_size=args.gof_size)
-    for gof in gofs:
-        validate_gof(gof)
     write_gof_file(args.output, gofs, args.depth)
     ref = gofs[0].reference
     n_frames = sum(g.n_frames for g in gofs)

@@ -56,7 +56,7 @@ from .errors import (
     RangeError,
     TruncatedStreamError,
 )
-from .geom import refine, voxelize
+from .geom import _group_means, refine, voxelize
 from .octree import octree_parse, octree_serialize
 from .transform import (
     RahtPlan,
@@ -188,16 +188,6 @@ class FrameBuffer:
         colors = _reconstruct(state.refined_plan, color_symbols, params.step_color_inter)
         return FrameBuffer(self.vertex_positions + motion / float(1 << params.depth),
                            self.refined_colors + colors)
-
-
-def _group_means(values: np.ndarray, index_map: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-group arithmetic means of rows, groups given by index_map."""
-    n_groups = counts.size
-    out = np.empty((n_groups, values.shape[1]))
-    for k in range(values.shape[1]):
-        out[:, k] = np.bincount(index_map, weights=values[:, k], minlength=n_groups)
-    out /= counts[:, None]
-    return out
 
 
 def _quantize(plan: RahtPlan, values: np.ndarray, step: float) -> np.ndarray:
@@ -400,15 +390,6 @@ def decode_gof(encoded: EncodedGof) -> GroupOfFrames:
             frame, buffer = decode_predicted(payload, state, buffer)
         frames.append(frame)
     return GroupOfFrames(tuple(frames))
-
-
-def encode_sequence(gofs, params: CodecParams, intra_only: bool = False) -> list:
-    """Encode GOFs independently (order preserved)."""
-    return [encode_gof(gof, params, intra_only) for gof in gofs]
-
-
-def decode_sequence(encoded_gofs) -> list:
-    return [decode_gof(encoded) for encoded in encoded_gofs]
 
 
 # ---------------------------------------------------------------------------

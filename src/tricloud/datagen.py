@@ -22,6 +22,18 @@ _MAX_AMPLITUDE = 0.1
 _JITTER = 2e-3
 
 
+def _quad_faces(rows: int, cols: int, stride: int) -> np.ndarray:
+    """Triangles (a, b, c) and (b, d, c) of every quad of a rows x cols grid.
+
+    Quads run row-major; vertex (i, j) is row i * stride + j % stride, so a
+    stride of cols wraps the last column around to the first.
+    """
+    i, j = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
+    a, b = i * stride + j % stride, i * stride + (j + 1) % stride
+    c, d = a + stride, b + stride
+    return np.stack([a, b, c, b, d, c], axis=-1).reshape(-1, 3).astype(np.int64)
+
+
 def _band_sphere(n_faces: int, center, radius: float):
     """Sphere band of R x C quads (2RC triangles), poles left open.
 
@@ -41,17 +53,7 @@ def _band_sphere(n_faces: int, center, radius: float):
         ],
         axis=-1,
     ).reshape(-1, 3) * radius + np.asarray(center)
-
-    def vid(i, j):
-        return i * cols + (j % cols)
-
-    faces = []
-    for i in range(rows):
-        for j in range(cols):
-            a, b, c, d = vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)
-            faces.append((a, b, c))
-            faces.append((b, d, c))
-    return verts, np.asarray(faces, dtype=np.int64)
+    return verts, _quad_faces(rows, cols, cols)
 
 
 def _wave_plane(n_faces: int, center, extent: float):
@@ -63,17 +65,7 @@ def _wave_plane(n_faces: int, center, extent: float):
     uu, vv = np.meshgrid(u, v, indexing="ij")
     zz = 0.12 * extent * np.sin(4.0 * uu / extent) * np.cos(3.0 * vv / extent)
     verts = np.stack([uu, vv, zz], axis=-1).reshape(-1, 3) + np.asarray(center)
-
-    def vid(i, j):
-        return i * (cols + 1) + j
-
-    faces = []
-    for i in range(rows):
-        for j in range(cols):
-            a, b, c, d = vid(i, j), vid(i, j + 1), vid(i + 1, j), vid(i + 1, j + 1)
-            faces.append((a, b, c))
-            faces.append((b, d, c))
-    return verts, np.asarray(faces, dtype=np.int64)
+    return verts, _quad_faces(rows, cols, cols + 1)
 
 
 def _two_blobs(n_faces: int, center, radius: float):

@@ -157,17 +157,18 @@ def refined_faces(n_faces: int, upsample: int) -> np.ndarray:
 
 
 def interpolation_lattice(upsample: int, interp: int):
-    """Distinct points of :func:`refine_interpolate` over one face's :func:`refined_faces`.
+    """Distinct points of one face's :func:`refined_faces`, each upsampled again.
 
-    Interpolating the U^2 refined triangles of a face by the factor I gives
-    U^2 (I+1)(I+2)/2 rows, which land on the (U*I+1)(U*I+2)/2 points (p, q),
-    p + q <= U*I, of one lattice.  Returns (steps, fractions, weights), one
-    row per lattice point in the loop order of :func:`refine` at factor U*I:
-    the three refine steps s1, s2, s3 the point blends as
-    s1 + (s2 - s1) * a + (s3 - s1) * b, the fractions (a, b), and how many of
-    the rows land on the point.  A refined vertex is its own copy (equal
-    steps, fractions 0); any other point takes the blend of the first
-    (local step, triangle) row that lands on it.
+    Interpolating the U^2 refined triangles of a face by the factor I (the
+    loop order and barycentric weights of :func:`refine`; the expanded cloud
+    is kept in ``tests/oracles.py``) gives U^2 (I+1)(I+2)/2 rows, which land
+    on the (U*I+1)(U*I+2)/2 points (p, q), p + q <= U*I, of one lattice.
+    Returns (steps, fractions, weights), one row per lattice point in the
+    loop order of :func:`refine` at factor U*I: the three refine steps s1,
+    s2, s3 the point blends as s1 + (s2 - s1) * a + (s3 - s1) * b, the
+    fractions (a, b), and how many of the rows land on the point.  A refined
+    vertex is its own copy (equal steps, fractions 0); any other point takes
+    the blend of the first (local step, triangle) row that lands on it.
     """
     upsample, interp = int(upsample), int(interp)
     if upsample < 1 or interp < 1:
@@ -179,7 +180,7 @@ def interpolation_lattice(upsample: int, interp: int):
     triangles = refined_faces(1, upsample)
     corners = np.stack([vi, vj], axis=1)[triangles]  # (U^2, 3, 2)
     ka, kb = np.triu_indices(interp + 1)
-    kb = kb - ka  # local steps of refine_interpolate, in loop order
+    kb = kb - ka  # local steps of the second upsampling, in loop order
     # lattice point (p, q) of every (local step, triangle) row, local steps outer
     pq = (corners[:, 0] * interp
           + ka[:, None, None] * (corners[:, 1] - corners[:, 0])
@@ -196,23 +197,14 @@ def interpolation_lattice(upsample: int, interp: int):
     return steps, fractions, weights
 
 
-def refine_interpolate(vertices_r, colors_r, faces_r, upsample: int):
-    """Upsample a refined cloud again, interpolating positions *and* colors.
-
-    Same loop order and barycentric weights as :func:`refine`, applied to both
-    signals; returns (points, colors).
-    """
-    vertices_r = np.asarray(vertices_r, dtype=np.float64)
-    colors_r = np.asarray(colors_r, dtype=np.float64)
-    if vertices_r.shape[0] != colors_r.shape[0]:
-        raise ConsistencyError("vertices_r and colors_r must correspond row-wise")
-    faces_r = np.asarray(faces_r, dtype=np.int64)
-    joined = np.concatenate([vertices_r, colors_r], axis=1)
-    c1 = joined[faces_r[:, 0]]
-    c2 = joined[faces_r[:, 1]]
-    c3 = joined[faces_r[:, 2]]
-    out = _barycentric_refine(c1, c2, c3, int(upsample))
-    return out[:, :3], out[:, 3:]
+def _group_means(values: np.ndarray, index_map: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Per-group arithmetic means of rows, groups given by index_map."""
+    n_groups = counts.size
+    out = np.empty((n_groups, values.shape[1]))
+    for k in range(values.shape[1]):
+        out[:, k] = np.bincount(index_map, weights=values[:, k], minlength=n_groups)
+    out /= counts[:, None]
+    return out
 
 
 @dataclass(frozen=True)
@@ -220,12 +212,10 @@ class VoxelizationResult:
     """Output of :func:`voxelize`.
 
     voxel_set: unique sorted codes with attribute means attached.
-    centers: (N_v, 3) voxel centers, (integer coords + 0.5) * 2^-J.
     index_map: for every input point, the row of its voxel in voxel_set.
     """
 
     voxel_set: VoxelSet
-    centers: np.ndarray
     index_map: np.ndarray
 
 
@@ -250,7 +240,7 @@ def voxelize(points, attributes, depth: int) -> VoxelizationResult:
     # grid boundary
     np.minimum(ints, (1 << depth) - 1, out=ints)
     codes = morton_encode(ints[:, 0], ints[:, 1], ints[:, 2], depth)
-    unique_codes, first_index, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    unique_codes, inverse = np.unique(codes, return_inverse=True)
     inverse = inverse.ravel()
 
     means = None
@@ -260,12 +250,7 @@ def voxelize(points, attributes, depth: int) -> VoxelizationResult:
             attrs = attrs.reshape(-1, 1)
         if attrs.shape[0] != points.shape[0]:
             raise ConsistencyError("attribute rows must match point count")
-        counts = np.bincount(inverse, minlength=unique_codes.size).astype(np.float64)
-        means = np.empty((unique_codes.size, attrs.shape[1]))
-        for k in range(attrs.shape[1]):
-            means[:, k] = np.bincount(inverse, weights=attrs[:, k], minlength=unique_codes.size)
-        means /= counts[:, None]
+        means = _group_means(attrs, inverse, np.bincount(inverse, minlength=unique_codes.size))
 
-    centers = (ints[first_index, :] + 0.5) * (2.0 ** -depth)
     voxel_set = VoxelSet(depth, unique_codes, means)
-    return VoxelizationResult(voxel_set, centers, inverse)
+    return VoxelizationResult(voxel_set, inverse)

@@ -16,8 +16,9 @@ The last three are taken over each frame's render cloud: the refined
 triangles upsampled once more by barycentric blending of positions and
 colors.  Neighboring refined triangles put rows on the same points, so
 :func:`render_cloud` returns each distinct lattice point once with its
-multiplicity, and the metrics weight by it; this equals the expanded cloud of
-:func:`refined_interpolated_cloud`, where shared points repeat.
+multiplicity, and the metrics weight by it; this equals the expanded cloud,
+where shared points repeat once per triangle (``tests/oracles.py`` builds it
+as the oracle the metrics are checked against).
 
 Geometry PSNRs are normalized per coordinate against the unit bounding cube
 (width 1); color PSNRs against peak 255.  Zero error returns +inf.
@@ -121,17 +122,6 @@ def render_cloud(frame, interp: int = 1):
     return out[:, :3], out[:, 3:], np.repeat(weights, frame.n_faces)
 
 
-def refined_interpolated_cloud(frame, interp: int = 1):
-    """(points, colors) of the upsampled render cloud of one frame.
-
-    The rows of :func:`render_cloud`, each repeated by its multiplicity: the
-    cloud of every refined triangle interpolated by the extra factor, with
-    points shared by neighboring triangles once per triangle.
-    """
-    points, colors, weights = render_cloud(frame, interp)
-    return np.repeat(points, weights, axis=0), np.repeat(colors, weights, axis=0)
-
-
 def _check_frame_pair(t, a, b) -> None:
     if a.n_faces != b.n_faces or a.upsample != b.upsample or a.n_colors != b.n_colors:
         raise ShapeMismatchError(
@@ -163,9 +153,8 @@ def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarr
     interpolation factor and compared row by row (correspondence is per
     face, so the two sides may order their vertex lists differently).
     Each distinct point of :func:`render_cloud` counts with its
-    multiplicity, which equals comparing the rows of
-    :func:`refined_interpolated_cloud`.  Geometry is normalized per
-    coordinate, colors by 255^2.
+    multiplicity, which equals comparing the expanded clouds row by row.
+    Geometry is normalized per coordinate, colors by 255^2.
     """
     pairs = _frame_pairs(ref_frames, recon_frames)
     rows = np.empty((len(pairs), 4))

@@ -8,12 +8,10 @@ so a parse in stream order emits leaf codes already sorted.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from .core import VoxelSet
-from .entropy import deflate, inflate, rlgr_decode, rlgr_encode
+from .entropy import deflate, inflate
 from .errors import (
     ConsistencyError,
     CorruptStreamError,
@@ -22,13 +20,7 @@ from .errors import (
     TrailingBytesError,
     TruncatedStreamError,
 )
-from .transform import (
-    dequantize_indices,
-    quantize_indices,
-    raht_forward,
-    raht_inverse,
-    raht_plan,
-)
+from .transform import raht_plan
 
 # child sub-lists per occupancy byte, in increasing child index
 _CHILD_LISTS = tuple(
@@ -97,47 +89,32 @@ def octree_parse(data: bytes, depth: int) -> VoxelSet:
 def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):
     """Standalone coding of one voxelized colored cloud (the comparison baseline).
 
-    Geometry is the deflated occupancy bytes; colors go through the same
-    transform/quantize/entropy path the intra codec uses.  Returns
-    (geometry_bytes, color_bytes).
+    Geometry is the deflated occupancy bytes; colors go through the intra
+    codec's plane path (``codec._quantize``, ``codec._code_planes``), each
+    plane framed by its u32 length.  Returns (geometry_bytes, color_bytes).
     """
+    from .codec import _code_planes, _pack_section, _quantize  # codec imports octree
+
     if voxel_set.attributes is None:
         raise ConsistencyError("baseline coding needs per-voxel attributes")
     geometry = deflate(octree_serialize(voxel_set))
-
     plan = raht_plan(voxel_set)
-    block = raht_forward(plan, voxel_set.attributes)
-    symbols = quantize_indices(block.coefficients, step_color)
-    parts = []
-    for k in range(symbols.shape[1]):
-        payload = rlgr_encode(symbols[plan.order, k])
-        parts.append(struct.pack("<I", len(payload)))
-        parts.append(payload)
-    return geometry, b"".join(parts)
+    planes = _code_planes(_quantize(plan, voxel_set.attributes, step_color), plan)
+    return geometry, b"".join(_pack_section(plane) for plane in planes)
 
 
 def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
                                step_color: float) -> VoxelSet:
     """Invert :func:`baseline_encode_pointcloud` (colors up to quantization)."""
+    from .codec import _decode_planes, _reconstruct, _RecordReader  # codec imports octree
+
     voxel_set = octree_parse(inflate(geometry), depth)
     plan = raht_plan(voxel_set)
-
-    columns = []
-    pos = 0
-    while pos < len(color_bytes):
-        if pos + 4 > len(color_bytes):
-            raise TruncatedStreamError("color payload length field cut short")
-        (length,) = struct.unpack_from("<I", color_bytes, pos)
-        pos += 4
-        if pos + length > len(color_bytes):
-            raise TruncatedStreamError("color payload cut short")
-        columns.append(rlgr_decode(color_bytes[pos:pos + length], len(voxel_set)))
-        pos += length
-    if not columns:
+    reader = _RecordReader(color_bytes)
+    planes = []
+    while not reader.done():
+        planes.append(reader.section())
+    if not planes:
         raise TruncatedStreamError("no color payloads present")
-
-    symbols = np.empty((len(voxel_set), len(columns)), dtype=np.int64)
-    for k, ordered in enumerate(columns):
-        symbols[plan.order, k] = ordered
-    attrs = raht_inverse(plan, dequantize_indices(symbols, step_color))
-    return voxel_set.with_attributes(attrs)
+    symbols = _decode_planes(planes, plan)
+    return voxel_set.with_attributes(_reconstruct(plan, symbols, step_color))

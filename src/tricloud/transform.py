@@ -91,20 +91,13 @@ class RahtPlan:
     order: np.ndarray
 
 
-def raht_plan(voxel_set, depth: int | None = None) -> RahtPlan:
-    """Build the level-by-level pairing schedule from sorted unique Morton codes."""
-    if isinstance(voxel_set, VoxelSet):
-        codes = voxel_set.codes
-        depth = voxel_set.depth
-    else:
-        if depth is None:
-            raise ParameterError("depth is required when passing raw codes")
-        codes = np.asarray(voxel_set, dtype=np.int64)
+def raht_plan(voxel_set: VoxelSet) -> RahtPlan:
+    """Build the level-by-level pairing schedule from the voxel set's Morton codes."""
+    codes = voxel_set.codes
+    depth = voxel_set.depth
     n = int(codes.size)
     if n == 0:
         raise EmptySetError("cannot build a transform plan for an empty voxel set")
-    if n > 1 and not np.all(codes[1:] > codes[:-1]):
-        raise ConsistencyError("voxel codes must be strictly increasing")
 
     top = np.int64(1) << (3 * depth)
     indices = np.arange(n, dtype=np.int64)  # original rows surviving into the level
@@ -137,21 +130,14 @@ def raht_plan(voxel_set, depth: int | None = None) -> RahtPlan:
     order = serialize_order(weights)
     weights.flags.writeable = False
     order.flags.writeable = False
-    return RahtPlan(depth=int(depth), n=n, levels=tuple(levels), weights=weights, order=order)
+    return RahtPlan(depth=depth, n=n, levels=tuple(levels), weights=weights, order=order)
 
 
 @dataclass(frozen=True)
 class CoefficientBlock:
-    """Transformed attribute rows plus the propagated weight of each row."""
+    """Transformed attribute rows, in voxel order."""
 
     coefficients: np.ndarray
-    weights: np.ndarray
-
-
-def _as_plan(geometry) -> RahtPlan:
-    if isinstance(geometry, RahtPlan):
-        return geometry
-    return raht_plan(geometry)
 
 
 def _as_matrix(values, n: int, what: str) -> np.ndarray:
@@ -163,13 +149,13 @@ def _as_matrix(values, n: int, what: str) -> np.ndarray:
     return arr
 
 
-def raht_forward(geometry, attributes) -> CoefficientBlock:
-    """Transform attribute rows over the voxel geometry (VoxelSet or RahtPlan).
+def raht_forward(plan: RahtPlan, attributes) -> CoefficientBlock:
+    """Transform attribute rows over the plan's voxel geometry.
 
-    Returns the coefficient rows in voxel order together with the propagated
-    weights.  The map is orthonormal, so energies are preserved exactly.
+    Returns the coefficient rows in voxel order; their weights are
+    ``plan.weights``.  The map is orthonormal, so energies are preserved
+    exactly.
     """
-    plan = _as_plan(geometry)
     ta = _as_matrix(attributes, plan.n, "attributes")
     for level in plan.levels:
         i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
@@ -177,14 +163,11 @@ def raht_forward(geometry, attributes) -> CoefficientBlock:
         x1 = ta[i1]
         ta[i0] = a * x0 + b * x1
         ta[i1] = -b * x0 + a * x1
-    return CoefficientBlock(coefficients=ta, weights=plan.weights)
+    return CoefficientBlock(coefficients=ta)
 
 
-def raht_inverse(geometry, coefficients) -> np.ndarray:
+def raht_inverse(plan: RahtPlan, coefficients) -> np.ndarray:
     """Invert :func:`raht_forward`: coefficient rows back to attribute rows."""
-    plan = _as_plan(geometry)
-    if isinstance(coefficients, CoefficientBlock):
-        coefficients = coefficients.coefficients
     ta = _as_matrix(coefficients, plan.n, "coefficients")
     for level in reversed(plan.levels):
         i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
@@ -195,17 +178,10 @@ def raht_inverse(geometry, coefficients) -> np.ndarray:
     return ta
 
 
-def transform_weights(geometry) -> np.ndarray:
-    """Propagated weights only (what a decoder derives from geometry alone)."""
-    return _as_plan(geometry).weights
-
-
-def serialize_order(block) -> np.ndarray:
+def serialize_order(weights) -> np.ndarray:
     """Permutation putting coefficients in decreasing-weight order.
 
     Stable: ties keep ascending row order, so encoder and decoder derive the
-    same permutation from the weights alone.  Accepts a CoefficientBlock or a
-    bare weight vector.
+    same permutation from the weights alone.
     """
-    weights = block.weights if isinstance(block, CoefficientBlock) else np.asarray(block)
     return np.argsort(-np.asarray(weights, dtype=np.int64), kind="stable")

@@ -247,3 +247,18 @@ def test_default_eval_builds_each_render_voxel_set_once(tmp_path, monkeypatch, c
     assert _run(["eval", "--original", str(orig), "--reconstruction", str(recon)]) == 0
     assert "psnr_y_projection" in capsys.readouterr().out
     assert len(calls) == 2 * 2
+
+
+def test_generate_validates_each_gof_once(tmp_path, monkeypatch):
+    calls = []
+    validate_gof = core.validate_gof
+
+    def counting(gof):
+        calls.append(gof)
+        return validate_gof(gof)
+
+    monkeypatch.setattr(core, "validate_gof", counting)
+    # also counts calls through a name cli imports for itself
+    monkeypatch.setattr(cli, "validate_gof", counting, raising=False)
+    _generate(tmp_path, frames=4, gof_size=2)
+    assert len(calls) == 2

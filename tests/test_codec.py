@@ -83,7 +83,7 @@ def test_reference_groupings_match_fresh_voxelization():
         res_v = geom.voxelize(state.quantized_vertices, None, params.depth)
         assert np.array_equal(res_v.voxel_set.codes, state.vertex_voxels.codes)
         assert np.array_equal(res_v.index_map, state.vertex_index_map)
-        assert np.array_equal(res_v.centers, state.vertex_centers)
+        assert np.array_equal(res_v.voxel_set.centers(), state.vertex_centers)
         refined = geom.refine(state.quantized_vertices, state.faces, params.upsample)
         res_r = geom.voxelize(refined, None, params.depth)
         assert np.array_equal(res_r.voxel_set.codes, state.refined_voxels.codes)
@@ -261,7 +261,7 @@ def test_bitstream_round_trip_and_file_io(tmp_path):
     gofs = datagen.gen_sequence("two-blobs", 6, n_faces=40, upsample=2,
                                 amplitude=0.02, seed=19, gof_size=3)
     params = _params()
-    enc = codec.encode_sequence(gofs, params)
+    enc = [codec.encode_gof(gof, params) for gof in gofs]
     buf = io.BytesIO()
     codec.write_bitstream(buf, enc)
     buf.seek(0)
@@ -272,7 +272,7 @@ def test_bitstream_round_trip_and_file_io(tmp_path):
 
     path = tmp_path / "seq.tcb"
     codec.write_bitstream_file(path, enc)
-    rec = codec.decode_sequence(codec.read_bitstream_file(path))
+    rec = [codec.decode_gof(g) for g in codec.read_bitstream_file(path)]
     assert [g.n_frames for g in rec] == [3, 3]
 
 

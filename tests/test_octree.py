@@ -1,5 +1,7 @@
 """Octree occupancy bytes and the standalone point-cloud baseline coder."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -123,3 +125,24 @@ def test_baseline_rejects_mismatched_stream():
     geo, col = octree.baseline_encode_pointcloud(vs, 1.0)
     with pytest.raises(CorruptStreamError):
         octree.baseline_decode_pointcloud(geo[:-1] + b"\xff", col, 3, 1.0)
+    for short in (col[:-1], col[:2], b""):  # plane cut short, length cut short, no plane
+        with pytest.raises(TruncatedStreamError):
+            octree.baseline_decode_pointcloud(geo, short, 3, 1.0)
+
+
+@pytest.mark.parametrize("columns, step, geometry_sha, color_sha", [
+    (1, 1.0, "5aaa9285ceb245d2356991f7d13f1120bd08983e5a7d8b902fb966f8571bd29a",
+     "771ab02fe59652e30dafdfa467606a597b710997ae09df77e3da6ae93dc89c8b"),
+    (3, 4.0, "32cd007cb534d15f6ddd822676306f6190f78e9b6d39b23b737150a1fc01d016",
+     "d0b455872c89b46e6b4492658656dba6d0c05aa5d89789033b3f55e21d41e5e1"),
+])
+def test_baseline_bytes_are_pinned(columns, step, geometry_sha, color_sha):
+    # recorded before the baseline moved onto the codec's plane helpers
+    rng = np.random.default_rng(20 + columns)
+    codes = np.sort(rng.choice(8 ** 6, size=900, replace=False).astype(np.int64))
+    vs = VoxelSet(6, codes, rng.random((900, columns)) * 255)
+    geo, col = octree.baseline_encode_pointcloud(vs, step)
+    assert hashlib.sha256(geo).hexdigest() == geometry_sha
+    assert hashlib.sha256(col).hexdigest() == color_sha
+    back = octree.baseline_decode_pointcloud(geo, col, 6, step)
+    assert back.attributes.shape == (900, columns)

@@ -69,7 +69,7 @@ def test_two_voxel_butterfly_matrix():
     m = transform.raht_forward(plan, np.eye(2)).coefficients
     r = 1.0 / math.sqrt(2.0)
     assert np.allclose(m, [[r, r], [-r, r]], atol=1e-12)
-    assert transform.transform_weights(plan).tolist() == [2, 2]
+    assert plan.weights.tolist() == [2, 2]
 
 
 def test_three_voxel_weighted_matrix():
@@ -86,7 +86,7 @@ def test_three_voxel_weighted_matrix():
         [-s6, -s6, 2.0 * s6],    # detail of the weighted x-level merge
     ])
     assert np.allclose(m, expected, atol=1e-12)
-    assert transform.transform_weights(plan).tolist() == [3, 2, 3]
+    assert plan.weights.tolist() == [3, 2, 3]
 
 
 def test_serialize_order_descending_weight_stable():
@@ -103,7 +103,7 @@ def test_constant_signal_concentrates_in_dc():
     assert np.allclose(coeffs[0], 9.0 * math.sqrt(5.0), atol=1e-12)
     assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
     # DC weight equals the point count
-    assert transform.transform_weights(plan)[0] == 5
+    assert plan.weights[0] == 5
 
 
 def test_forward_inverse_identity_small():
@@ -119,17 +119,7 @@ def test_single_voxel_transform_is_identity():
     sig = np.array([[1.5, -2.0, 3.0]])
     block = transform.raht_forward(plan, sig)
     assert np.allclose(block.coefficients, sig)
-    assert transform.transform_weights(plan).tolist() == [1]
-
-
-def test_plan_accepts_raw_codes_with_depth():
-    vs = VoxelSet(2, np.array([0, 9]))
-    from_set = transform.raht_plan(vs)
-    from_codes = transform.raht_plan(np.array([0, 9]), 2)
-    assert from_set.n == from_codes.n == 2
-    assert from_set.depth == from_codes.depth == 2
-    with pytest.raises(ParameterError):
-        transform.raht_plan(np.array([0, 9]))  # raw codes need a depth
+    assert plan.weights.tolist() == [1]
 
 
 def test_forward_rejects_wrong_row_count():
@@ -165,7 +155,7 @@ def test_weights_sum_invariant(depth, seed):
     n = int(rng.integers(1, min(60, 8 ** depth) + 1))
     codes = np.sort(rng.choice(8 ** depth, size=n, replace=False).astype(np.int64))
     plan = _plan(codes, depth)
-    weights = transform.transform_weights(plan)
+    weights = plan.weights
     assert weights.shape == (n,)
     assert weights[0] == n
     assert weights.min() >= 1
@@ -209,7 +199,7 @@ def test_plan_matches_running_weight_walk(depth, seed):
     plan = _plan(codes, depth)
     weights, levels = _running_walk(codes, depth)
     assert np.array_equal(plan.weights, weights)
-    assert np.array_equal(transform.transform_weights(plan), weights)
+    assert np.array_equal(plan.weights, weights)
     assert np.array_equal(plan.order, transform.serialize_order(plan.weights))
     assert not plan.weights.flags.writeable and not plan.order.flags.writeable
     assert len(plan.levels) == len(levels)
