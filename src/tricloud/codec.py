@@ -278,7 +278,8 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
 def decode_reference(payload: IntraPayload, params: CodecParams,
                      n_vertices: int, n_faces: int):
     """Invert :func:`encode_reference`; returns (frame, ReferenceState, FrameBuffer)."""
-    voxels = octree_parse(inflate(payload.octree_bytes), params.depth)
+    voxels = octree_parse(inflate(payload.octree_bytes, params.depth * payload.n_voxels),
+                          params.depth)
     if len(voxels) != payload.n_voxels:
         raise CorruptStreamError(
             f"octree decodes to {len(voxels)} voxels, header says {payload.n_voxels}"
@@ -289,7 +290,7 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
     if index_map.size == 0 or index_map[-1] != len(voxels) - 1:
         raise CorruptStreamError("duplicate-index map does not cover the voxel list")
 
-    face_raw = inflate(payload.face_bytes)
+    face_raw = inflate(payload.face_bytes, 12 * n_faces)
     if len(face_raw) != 12 * n_faces:
         raise CorruptStreamError("face section length does not match face count")
     faces = np.frombuffer(face_raw, dtype="<u4").reshape(n_faces, 3).astype(np.int64)

@@ -30,70 +30,6 @@ _INIT_KRP = 1 << _L
 _ESC = 24                 # unary prefixes of >= 24 switch to a raw 32-bit value
 
 
-class _BitWriter:
-    def __init__(self):
-        self.chunks = bytearray()
-        self.acc = 0
-        self.nbits = 0
-
-    def write(self, value: int, nbits: int) -> None:
-        self.acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
-        self.nbits += nbits
-        while self.nbits >= 8:
-            self.nbits -= 8
-            self.chunks.append((self.acc >> self.nbits) & 0xFF)
-        self.acc &= (1 << self.nbits) - 1
-
-    def getvalue(self) -> bytes:
-        if self.nbits:
-            return bytes(self.chunks) + bytes([(self.acc << (8 - self.nbits)) & 0xFF])
-        return bytes(self.chunks)
-
-
-class _BitReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0          # next byte index
-        self.acc = 0
-        self.nbits = 0
-
-    def read(self, nbits: int) -> int:
-        while self.nbits < nbits:
-            if self.pos >= len(self.data):
-                raise CorruptStreamError("bitstream ended mid-codeword")
-            self.acc = (self.acc << 8) | self.data[self.pos]
-            self.pos += 1
-            self.nbits += 8
-        self.nbits -= nbits
-        value = (self.acc >> self.nbits) & ((1 << nbits) - 1)
-        self.acc &= (1 << self.nbits) - 1
-        return value
-
-    def bytes_consumed(self) -> int:
-        return self.pos
-
-
-def _gr_write(writer: _BitWriter, value: int, k_r: int) -> None:
-    p = value >> k_r
-    if p < _ESC:
-        writer.write(((1 << p) - 1) << 1, p + 1)  # p ones, one zero
-        if k_r:
-            writer.write(value & ((1 << k_r) - 1), k_r)
-    else:
-        writer.write((1 << _ESC) - 1, _ESC)
-        writer.write(value, 32)
-
-
-def _gr_read(reader: _BitReader, k_r: int) -> int:
-    p = 0
-    while p < _ESC and reader.read(1):
-        p += 1
-    if p == _ESC:
-        return reader.read(32)
-    low = reader.read(k_r) if k_r else 0
-    return (p << k_r) | low
-
-
 def _adapt_krp(krp: int, p: int) -> int:
     if p == 0:
         return max(0, krp - 2)
@@ -113,7 +49,7 @@ def rlgr_encode(symbols) -> bytes:
     nonzeros = np.flatnonzero(unsigned).tolist()
     nonzeros.append(arr.size)  # sentinel
 
-    writer = _BitWriter()
+    words = []
     kp, krp = _INIT_KP, _INIT_KRP
     pos = 0
     nz_i = 0
@@ -121,38 +57,39 @@ def rlgr_encode(symbols) -> bytes:
     while pos < n:
         k = kp >> _L
         k_r = krp >> _L
-        if k == 0:
-            value = u[pos]
-            _gr_write(writer, value, k_r)
-            krp = _adapt_krp(krp, value >> k_r)
-            if value == 0:
-                kp = min(kp + _U0, _KP_MAX)
-            else:
-                kp = max(0, kp - _D0)
-                nz_i += 1
-            pos += 1
-        else:
+        if k:
             next_nz = nonzeros[nz_i]
-            gap = next_nz - pos
-            m = 1 << k
-            if gap >= m:
-                writer.write(0, 1)          # complete run of m zeros
+            if next_nz == n or next_nz - pos >= 1 << k:
+                # 2^k zeros; with no nonzero left, this bit flushes the
+                # trailing zeros, since the decoder clamps a run at the end
+                words.append("0")
                 kp = min(kp + _U1, _KP_MAX)
-                pos += m
-            elif next_nz == n:
-                if gap > 0:                 # flush trailing zeros as one run bit
-                    writer.write(0, 1)
-                pos = n
-            else:
-                writer.write(1, 1)          # broken run: length, then value-1
-                writer.write(gap, k)
-                value = u[next_nz] - 1
-                _gr_write(writer, value, k_r)
-                krp = _adapt_krp(krp, value >> k_r)
-                kp = max(0, kp - _D1)
-                pos = next_nz + 1
-                nz_i += 1
-    return bytes([RLGR_VERSION]) + struct.pack("<I", n) + writer.getvalue()
+                pos += 1 << k
+                continue
+            words.append(format((1 << k) | (next_nz - pos), "b"))  # '1', k-bit gap
+            pos = next_nz
+            value = u[pos] - 1
+        else:
+            value = u[pos]
+        p = value >> k_r
+        if p < _ESC:
+            # p ones, then a zero and the low k_r bits under a leading 1 cut off
+            words.append("1" * p + format((2 << k_r) | (value & ((1 << k_r) - 1)), "b")[1:])
+        else:
+            words.append("1" * _ESC + format(value, "032b"))
+        krp = _adapt_krp(krp, p)
+        if k:
+            kp = max(0, kp - _D1)
+            nz_i += 1
+        elif value:
+            kp = max(0, kp - _D0)
+            nz_i += 1
+        else:
+            kp = min(kp + _U0, _KP_MAX)
+        pos += 1
+    bits = "".join(words)
+    body = (int(bits or "0", 2) << (-len(bits) % 8)).to_bytes((len(bits) + 7) // 8, "big")
+    return bytes([RLGR_VERSION]) + struct.pack("<I", n) + body
 
 
 def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
@@ -167,39 +104,51 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
     (n,) = struct.unpack_from("<I", data, 1)
     if count is not None and n != count:
         raise CorruptStreamError(f"symbol count mismatch: payload {n}, expected {count}")
+    # a symbol costs at most 1 + 24 run bits, 24 escape ones and 32 raw bits
+    if len(data) - 5 > (81 * n + 7) // 8:
+        raise CorruptStreamError("RLGR body longer than its symbol count allows")
 
-    reader = _BitReader(data[5:])
+    n_bits = 8 * (len(data) - 5)
+    bits = format(int.from_bytes(data[5:], "big"), f"0{n_bits}b") if n_bits else ""
     out = np.zeros(n, dtype=np.int64)
     kp, krp = _INIT_KP, _INIT_KRP
-    pos = 0
-    while pos < n:
-        k = kp >> _L
-        k_r = krp >> _L
-        if k == 0:
-            value = _gr_read(reader, k_r)
-            krp = _adapt_krp(krp, value >> k_r)
-            if value == 0:
-                kp = min(kp + _U0, _KP_MAX)
-            else:
-                out[pos] = value
-                kp = max(0, kp - _D0)
-            pos += 1
-        else:
-            if reader.read(1) == 0:
-                pos += min(1 << k, n - pos)  # zeros are already in place
-                kp = min(kp + _U1, _KP_MAX)
-            else:
-                run = reader.read(k)
-                if pos + run >= n:
+    pos = b = 0
+    try:
+        while pos < n:
+            k = kp >> _L
+            k_r = krp >> _L
+            if k:
+                if bits[b] == "0":
+                    b += 1
+                    pos += 1 << k  # zeros are already in place; the loop ends at n
+                    kp = min(kp + _U1, _KP_MAX)
+                    continue
+                pos += int(bits[b + 1:b + 1 + k], 2)  # '1', k-bit gap
+                b += 1 + k
+                if pos >= n:
                     raise CorruptStreamError("broken-run record exceeds symbol count")
-                pos += run
-                value = _gr_read(reader, k_r)
-                krp = _adapt_krp(krp, value >> k_r)
+            end = bits.find("0", b, b + _ESC)
+            if end < 0:  # escape, or a prefix cut short by the end of the body
+                value = int(bits[b + _ESC:b + _ESC + 32], 2)
+                b += _ESC + 32
+            else:
+                low = int(bits[end + 1:end + 1 + k_r], 2) if k_r else 0
+                value = ((end - b) << k_r) | low
+                b = end + 1 + k_r
+            krp = _adapt_krp(krp, value >> k_r)
+            if k:
                 out[pos] = value + 1
                 kp = max(0, kp - _D1)
-                pos += 1
-    if reader.bytes_consumed() != len(data) - 5:
-        raise CorruptStreamError("unconsumed bytes after the last symbol")
+            elif value:
+                out[pos] = value
+                kp = max(0, kp - _D0)
+            else:
+                kp = min(kp + _U0, _KP_MAX)
+            pos += 1
+    except (IndexError, ValueError) as exc:
+        raise CorruptStreamError("bitstream ended mid-codeword") from exc
+    if not n_bits - 8 < b <= n_bits or "1" in bits[b:]:
+        raise CorruptStreamError("RLGR body does not end in zero padding within its last byte")
     # undo the sign interleave
     return np.where(out % 2 == 0, out // 2, -(out + 1) // 2)
 
@@ -232,7 +181,7 @@ def index_runs_decode(data: bytes, length: int | None = None) -> np.ndarray:
     With ``length`` given, a run list that does not expand to exactly that
     many entries raises CorruptStreamError before anything is expanded.
     """
-    body = inflate(data)
+    body = inflate(data, None if length is None else 4 * length + 8)
     if len(body) < 4:
         raise CorruptStreamError("index-run payload shorter than its header")
     (n_runs,) = struct.unpack_from("<I", body, 0)
@@ -257,8 +206,13 @@ def deflate(data: bytes) -> bytes:
     return zlib.compress(bytes(data), 9)
 
 
-def inflate(data: bytes) -> bytes:
+def inflate(data: bytes, max_length: int | None = None) -> bytes:
+    """Invert :func:`deflate`; output longer than ``max_length`` is an error."""
+    d = zlib.decompressobj()
     try:
-        return zlib.decompress(bytes(data))
+        out = d.decompress(bytes(data), 0 if max_length is None else max_length + 1)
     except zlib.error as exc:
         raise CorruptStreamError(f"bad DEFLATE stream: {exc}") from exc
+    if not d.eof or d.unused_data or (max_length is not None and len(out) > max_length):
+        raise CorruptStreamError("DEFLATE stream truncated, too long or followed by extra bytes")
+    return out

@@ -1,5 +1,11 @@
 """Reference implementations that only tests call.
 
+The bit-by-bit RLGR coder: a bit writer and reader with one call per field
+and per bit, and one Golomb-Rice code site per mode.  The library codes
+over one string of '0'/'1' characters (:func:`tricloud.entropy.rlgr_encode`,
+:func:`tricloud.entropy.rlgr_decode`); these functions keep the direct
+construction its bytes are checked against.
+
 The expanded render cloud: every refined triangle upsampled again, with a
 point shared by neighboring triangles repeated once per triangle.  The
 library computes each distinct point once (:func:`tricloud.metrics.render_cloud`,
@@ -7,9 +13,14 @@ library computes each distinct point once (:func:`tricloud.metrics.render_cloud`
 direct construction the metrics are checked against.
 """
 
+import struct
+
 import numpy as np
 
-from tricloud.errors import ConsistencyError
+from tricloud.entropy import (
+    _D0, _D1, _ESC, _INIT_KP, _INIT_KRP, _KP_MAX, _L, _U0, _U1, RLGR_VERSION, _adapt_krp,
+)
+from tricloud.errors import ConsistencyError, CorruptStreamError, RangeError
 from tricloud.geom import _barycentric_refine
 from tricloud.metrics import render_cloud
 
@@ -42,3 +53,169 @@ def refined_interpolated_cloud(frame, interp: int = 1):
     """
     points, colors, weights = render_cloud(frame, interp)
     return np.repeat(points, weights, axis=0), np.repeat(colors, weights, axis=0)
+
+
+class _BitWriter:
+    def __init__(self):
+        self.chunks = bytearray()
+        self.acc = 0
+        self.nbits = 0
+
+    def write(self, value: int, nbits: int) -> None:
+        self.acc = (self.acc << nbits) | (value & ((1 << nbits) - 1))
+        self.nbits += nbits
+        while self.nbits >= 8:
+            self.nbits -= 8
+            self.chunks.append((self.acc >> self.nbits) & 0xFF)
+        self.acc &= (1 << self.nbits) - 1
+
+    def getvalue(self) -> bytes:
+        if self.nbits:
+            return bytes(self.chunks) + bytes([(self.acc << (8 - self.nbits)) & 0xFF])
+        return bytes(self.chunks)
+
+
+class _BitReader:
+    def __init__(self, data: bytes):
+        self.data = data
+        self.pos = 0          # next byte index
+        self.acc = 0
+        self.nbits = 0
+
+    def read(self, nbits: int) -> int:
+        while self.nbits < nbits:
+            if self.pos >= len(self.data):
+                raise CorruptStreamError("bitstream ended mid-codeword")
+            self.acc = (self.acc << 8) | self.data[self.pos]
+            self.pos += 1
+            self.nbits += 8
+        self.nbits -= nbits
+        value = (self.acc >> self.nbits) & ((1 << nbits) - 1)
+        self.acc &= (1 << self.nbits) - 1
+        return value
+
+    def bytes_consumed(self) -> int:
+        return self.pos
+
+
+def _gr_write(writer: _BitWriter, value: int, k_r: int) -> None:
+    p = value >> k_r
+    if p < _ESC:
+        writer.write(((1 << p) - 1) << 1, p + 1)  # p ones, one zero
+        if k_r:
+            writer.write(value & ((1 << k_r) - 1), k_r)
+    else:
+        writer.write((1 << _ESC) - 1, _ESC)
+        writer.write(value, 32)
+
+
+def _gr_read(reader: _BitReader, k_r: int) -> int:
+    p = 0
+    while p < _ESC and reader.read(1):
+        p += 1
+    if p == _ESC:
+        return reader.read(32)
+    low = reader.read(k_r) if k_r else 0
+    return (p << k_r) | low
+
+
+def rlgr_encode(symbols) -> bytes:
+    """Encode signed integers; layout: version byte, u32 count, bit-packed body."""
+    arr = np.asarray(symbols, dtype=np.int64).ravel()
+    if arr.size and (arr.min() < -(1 << 31) or arr.max() > (1 << 31) - 1):
+        raise RangeError("symbols must fit in signed 32 bits")
+    # interleave signs: 0,-1,1,-2,... -> 0,1,2,3,...
+    unsigned = np.where(arr >= 0, 2 * arr, -2 * arr - 1)
+    u = unsigned.tolist()
+    nonzeros = np.flatnonzero(unsigned).tolist()
+    nonzeros.append(arr.size)  # sentinel
+
+    writer = _BitWriter()
+    kp, krp = _INIT_KP, _INIT_KRP
+    pos = 0
+    nz_i = 0
+    n = arr.size
+    while pos < n:
+        k = kp >> _L
+        k_r = krp >> _L
+        if k == 0:
+            value = u[pos]
+            _gr_write(writer, value, k_r)
+            krp = _adapt_krp(krp, value >> k_r)
+            if value == 0:
+                kp = min(kp + _U0, _KP_MAX)
+            else:
+                kp = max(0, kp - _D0)
+                nz_i += 1
+            pos += 1
+        else:
+            next_nz = nonzeros[nz_i]
+            gap = next_nz - pos
+            m = 1 << k
+            if gap >= m:
+                writer.write(0, 1)          # complete run of m zeros
+                kp = min(kp + _U1, _KP_MAX)
+                pos += m
+            elif next_nz == n:
+                if gap > 0:                 # flush trailing zeros as one run bit
+                    writer.write(0, 1)
+                pos = n
+            else:
+                writer.write(1, 1)          # broken run: length, then value-1
+                writer.write(gap, k)
+                value = u[next_nz] - 1
+                _gr_write(writer, value, k_r)
+                krp = _adapt_krp(krp, value >> k_r)
+                kp = max(0, kp - _D1)
+                pos = next_nz + 1
+                nz_i += 1
+    return bytes([RLGR_VERSION]) + struct.pack("<I", n) + writer.getvalue()
+
+
+def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
+    """Decode an RLGR payload back to signed integers.
+
+    ``count``, when given, must match the payload's embedded symbol count.
+    """
+    if len(data) < 5:
+        raise CorruptStreamError("RLGR payload shorter than its header")
+    if data[0] != RLGR_VERSION:
+        raise CorruptStreamError(f"unsupported RLGR version {data[0]}")
+    (n,) = struct.unpack_from("<I", data, 1)
+    if count is not None and n != count:
+        raise CorruptStreamError(f"symbol count mismatch: payload {n}, expected {count}")
+
+    reader = _BitReader(data[5:])
+    out = np.zeros(n, dtype=np.int64)
+    kp, krp = _INIT_KP, _INIT_KRP
+    pos = 0
+    while pos < n:
+        k = kp >> _L
+        k_r = krp >> _L
+        if k == 0:
+            value = _gr_read(reader, k_r)
+            krp = _adapt_krp(krp, value >> k_r)
+            if value == 0:
+                kp = min(kp + _U0, _KP_MAX)
+            else:
+                out[pos] = value
+                kp = max(0, kp - _D0)
+            pos += 1
+        else:
+            if reader.read(1) == 0:
+                pos += min(1 << k, n - pos)  # zeros are already in place
+                kp = min(kp + _U1, _KP_MAX)
+            else:
+                run = reader.read(k)
+                if pos + run >= n:
+                    raise CorruptStreamError("broken-run record exceeds symbol count")
+                pos += run
+                value = _gr_read(reader, k_r)
+                krp = _adapt_krp(krp, value >> k_r)
+                out[pos] = value + 1
+                kp = max(0, kp - _D1)
+                pos += 1
+    if reader.bytes_consumed() != len(data) - 5:
+        raise CorruptStreamError("unconsumed bytes after the last symbol")
+    # undo the sign interleave
+    return np.where(out % 2 == 0, out // 2, -(out + 1) // 2)

@@ -7,6 +7,8 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
+from functools import cache
 
 import numpy as np
 import pytest
@@ -101,6 +103,33 @@ def test_hostile_index_runs_rejected_before_expansion():
     payload, _, _ = codec.encode_reference(ref, params)
     runs = entropy.deflate(struct.pack("<II", 1, 10_000_000))
     hostile = dataclasses.replace(payload, index_run_bytes=runs)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            codec.decode_reference(hostile, params, ref.n_vertices, ref.n_faces)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+@cache
+def _deflated_zeros(n_bytes):
+    z = zlib.compressobj(9)
+    chunk = bytes(1 << 20)
+    return b"".join([z.compress(chunk) for _ in range(n_bytes >> 20)] + [z.flush()])
+
+
+@pytest.mark.parametrize("section", ["octree_bytes", "index_run_bytes", "face_bytes"])
+def test_hostile_deflate_sections_rejected_while_inflating(section):
+    # a 65 KB section that inflates to 64 MiB must be refused at the size the
+    # header implies (depth * n_voxels, 4 * n_vertices + 8, 12 * n_faces)
+    # before the rest of it is inflated
+    gof = _gof(n_frames=1)
+    params = _params()
+    ref = gof.reference
+    payload, _, _ = codec.encode_reference(ref, params)
+    hostile = dataclasses.replace(payload, **{section: _deflated_zeros(64 << 20)})
     tracemalloc.start()
     try:
         with pytest.raises(CorruptStreamError):

@@ -6,12 +6,14 @@ wire format cannot drift silently.
 """
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tricloud import entropy
 from tricloud.errors import CorruptStreamError, MalformedIndexMapError, RangeError
 
@@ -109,6 +111,76 @@ def test_rlgr_round_trip_sparse_profiles(seed, n, density):
     assert np.array_equal(entropy.rlgr_decode(entropy.rlgr_encode(syms)), syms)
 
 
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 2000), st.floats(0.0, 1.0),
+       st.integers(1, 31), st.booleans(), st.one_of(st.just(0), st.integers(70_000, 100_000)))
+@settings(max_examples=80, deadline=None)
+def test_rlgr_matches_the_bitwise_oracle(seed, n, density, magnitude, escapes, zero_run):
+    # the bit-by-bit coder fixes the wire format: round trips alone would pass
+    # if encoder and decoder drifted together
+    rng = np.random.default_rng(seed)
+    syms = rng.integers(-(1 << magnitude), 1 << magnitude, size=n) * (rng.random(n) < density)
+    if escapes and n:
+        syms[rng.integers(0, n, size=3)] = [-(1 << 31), (1 << 31) - 1, 1 << 30]
+    syms = np.insert(syms, rng.integers(0, n + 1), np.zeros(zero_run, dtype=np.int64))
+    blob = oracles.rlgr_encode(syms)
+    assert entropy.rlgr_encode(syms) == blob
+    assert np.array_equal(entropy.rlgr_decode(blob), syms)
+
+
+def _sweep_payloads():
+    # each payload escapes once; the first (u = 48 at kR = 1) and the sparse
+    # one (32-bit extremes) also break runs and end in a flushed zero tail,
+    # the dense one stays in Golomb-Rice mode
+    rng = np.random.default_rng(5)
+    sparse = rng.integers(-40, 40, 400) * (rng.random(400) < 0.15)
+    sparse[::37] = -(1 << 31)
+    sparse[-31:] = [(1 << 31) - 1] + [0] * 30
+    dense = rng.integers(-300, 300, 150)
+    return [entropy.rlgr_encode(s) for s in ([24] + [0] * 8 + [3] + [0] * 5, sparse, dense)]
+
+
+def test_rlgr_every_prefix_cut_is_a_stream_error():
+    for blob in _sweep_payloads():
+        for cut in range(len(blob)):
+            with pytest.raises(CorruptStreamError):
+                entropy.rlgr_decode(blob[:cut])
+
+
+def test_rlgr_every_bit_flip_decodes_or_is_a_stream_error():
+    for blob in _sweep_payloads():
+        (n,) = struct.unpack_from("<I", blob, 1)
+        for bit in range(40, 8 * len(blob)):
+            flipped = bytearray(blob)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            try:
+                assert entropy.rlgr_decode(bytes(flipped)).size == n
+            except CorruptStreamError:
+                pass
+
+
+def test_rlgr_rejects_set_padding_bits():
+    # [1] codes as '100' and five padding bits, which must all be zero
+    assert entropy.rlgr_decode(_payload(1, "80")).tolist() == [1]
+    for bit in range(3, 8):
+        with pytest.raises(CorruptStreamError):
+            entropy.rlgr_decode(_payload(1, f"{0x80 | (0x80 >> bit):02x}"))
+    with pytest.raises(CorruptStreamError):
+        entropy.rlgr_decode(entropy.rlgr_encode([1])[:-1] + b"\x81")
+
+
+def test_rlgr_overlong_body_rejected_before_expansion():
+    # one symbol needs at most 81 bits; a 1 MiB body is refused unexpanded
+    hostile = bytes([1]) + struct.pack("<I", 1) + b"\xff" * (1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            entropy.rlgr_decode(hostile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
+
+
 # --- duplicate-index runs -------------------------------------------------
 
 def test_index_runs_frozen_body():
@@ -176,3 +248,15 @@ def test_deflate_inflate_round_trip():
 def test_inflate_rejects_garbage():
     with pytest.raises(CorruptStreamError):
         entropy.inflate(b"\x00\x01\x02 definitely not zlib")
+
+
+def test_inflate_rejects_truncated_trailing_and_overlong_streams():
+    data = bytes(range(256)) * 4
+    blob = entropy.deflate(data)
+    assert entropy.inflate(blob, len(data)) == data
+    assert entropy.inflate(entropy.deflate(b""), 0) == b""
+    for bad in (blob[:-1], blob[: len(blob) // 2], blob + b"\x00"):
+        with pytest.raises(CorruptStreamError):
+            entropy.inflate(bad)
+    with pytest.raises(CorruptStreamError):
+        entropy.inflate(blob, len(data) - 1)
