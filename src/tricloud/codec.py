@@ -189,6 +189,14 @@ class FrameBuffer:
         return FrameBuffer(self.vertex_positions + motion / float(1 << params.depth),
                            self.refined_colors + colors)
 
+    def frame(self, state: ReferenceState) -> TriangleCloudFrame:
+        """The decoded frame: positions clamped into [0, 1), colors into [0, 255]."""
+        vertices = self.vertex_positions[state.vertex_index_map]
+        colors = self.refined_colors[state.refined_index_map]
+        np.clip(vertices, 0.0, np.nextafter(1.0, 0.0), out=vertices)
+        np.clip(colors, 0.0, 255.0, out=colors)
+        return TriangleCloudFrame(vertices, state.faces, colors, state.params.upsample)
+
 
 def _quantize(plan: RahtPlan, values: np.ndarray, step: float) -> np.ndarray:
     """Transform rows over the plan's voxels, then quantize to bin indices."""
@@ -302,12 +310,9 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
         raise CorruptStreamError("refined voxel count disagrees with the header")
 
     symbols = _decode_planes(payload.color_payloads, state.refined_plan)
-    recon_colors = _reconstruct(state.refined_plan, symbols, params.step_color_intra)
-    frame = TriangleCloudFrame(
-        state.quantized_vertices, faces, recon_colors[state.refined_index_map],
-        params.upsample,
-    )
-    return frame, state, FrameBuffer(state.vertex_centers, recon_colors)
+    buffer = FrameBuffer(state.vertex_centers,
+                         _reconstruct(state.refined_plan, symbols, params.step_color_intra))
+    return buffer.frame(state), state, buffer
 
 
 def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
@@ -342,13 +347,7 @@ def decode_predicted(payload: PredictedPayload, state: ReferenceState,
     """Invert :func:`encode_predicted`; returns (frame, FrameBuffer for frame t)."""
     buffer = buffer.advance(state, _decode_planes(payload.motion_payloads, state.vertex_plan),
                             _decode_planes(payload.color_payloads, state.refined_plan))
-    frame = TriangleCloudFrame(
-        buffer.vertex_positions[state.vertex_index_map],
-        state.faces,
-        buffer.refined_colors[state.refined_index_map],
-        state.params.upsample,
-    )
-    return frame, buffer
+    return buffer.frame(state), buffer
 
 
 def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False) -> EncodedGof:

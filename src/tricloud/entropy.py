@@ -149,8 +149,11 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
         raise CorruptStreamError("bitstream ended mid-codeword") from exc
     if not n_bits - 8 < b <= n_bits or "1" in bits[b:]:
         raise CorruptStreamError("RLGR body does not end in zero padding within its last byte")
-    # undo the sign interleave
-    return np.where(out % 2 == 0, out // 2, -(out + 1) // 2)
+    # undo the sign interleave in place: 0,1,2,3,... -> 0,-1,1,-2,...
+    sign = out & 1
+    out >>= 1
+    out ^= np.negative(sign, out=sign)
+    return out
 
 
 def index_runs_encode(index_map) -> bytes:

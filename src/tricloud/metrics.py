@@ -308,15 +308,22 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
 
 
 # ---------------------------------------------------------------------------
-# matching distortion (exact nearest neighbors on the voxel grid)
+# matching distortion (exact nearest neighbors, shell by shell on the voxel grid)
 # ---------------------------------------------------------------------------
 
-def _ring_offsets(radius: int) -> np.ndarray:
-    """Integer offsets at exactly Chebyshev distance `radius`."""
-    span = np.arange(-radius, radius + 1, dtype=np.int64)
-    grid = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
-    cheb = np.abs(grid).max(axis=1)
-    return grid[cheb == radius]
+def _shells():
+    """Integer offsets by shells of squared length 0, 1, 2, ..., empty ones
+    skipped: cubes of doubling radius r each yield the shells up to r^2."""
+    done, radius = 0, 1
+    while True:
+        span = np.arange(-radius, radius + 1, dtype=np.int64)
+        offsets = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
+        d2 = np.sum(offsets ** 2, axis=1)
+        order = np.argsort(d2)
+        offsets, d2 = offsets[order], d2[order]
+        lo, hi = np.searchsorted(d2, [done, radius * radius + 1])
+        yield from np.split(offsets[lo:hi], np.flatnonzero(np.diff(d2[lo:hi])) + 1)
+        done, radius = radius * radius + 1, 2 * radius
 
 
 def _nearest_brute(query: np.ndarray, target: np.ndarray) -> np.ndarray:
@@ -326,80 +333,43 @@ def _nearest_brute(query: np.ndarray, target: np.ndarray) -> np.ndarray:
     return np.argmin(d2, axis=1)
 
 
-def _nearest_grid(query: np.ndarray, target_codes: np.ndarray,
-                  target: np.ndarray, depth: int) -> np.ndarray:
-    """Nearest target rows of queries that have no target at distance 0.
-
-    Searches rings of growing Chebyshev radius from 1; exact hits are found
-    by :func:`_nearest` before this runs.  Once the cube searched up to the
-    next ring would hold more cells than the target has voxels, the queries
-    still open are compared with every target voxel instead, in chunks of at
-    most _BRUTE_FORCE_PAIRS pairs.
-    """
-    from .geom import morton_encode
-
-    n = query.shape[0]
-    size = 1 << depth
-    best_d2 = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    best_idx = np.full(n, -1, dtype=np.int64)
-    active = np.arange(n)
-    radius = 1
-    while active.size:
-        if (2 * radius + 1) ** 3 > target.shape[0]:
-            chunk = max(1, _BRUTE_FORCE_PAIRS // target.shape[0])
-            for start in range(0, active.size, chunk):
-                rows = active[start:start + chunk]
-                best_idx[rows] = _nearest_brute(query[rows], target)
-            break
-        offsets = _ring_offsets(radius)
-        cand = query[active][:, None, :] + offsets[None, :, :]
-        qrow = np.broadcast_to(active[:, None], cand.shape[:2]).reshape(-1)
-        cand = cand.reshape(-1, 3)
-        inside = np.all((cand >= 0) & (cand < size), axis=1)
-        if inside.any():
-            cand = cand[inside]
-            qrow_in = qrow[inside]
-            codes = morton_encode(cand[:, 0], cand[:, 1], cand[:, 2], depth)
-            pos = np.searchsorted(target_codes, codes)
-            hit = (pos < target_codes.size) & (target_codes[np.minimum(pos, target_codes.size - 1)] == codes)
-            if hit.any():
-                qh = qrow_in[hit]
-                th = pos[hit]
-                d2 = np.sum((query[qh] - target[th]) ** 2, axis=1)
-                order = np.lexsort((th, d2, qh))
-                uniq_q, first = np.unique(qh[order], return_index=True)
-                cd2 = d2[order][first]
-                cidx = th[order][first]
-                cur_d2 = best_d2[uniq_q]
-                cur_idx = best_idx[uniq_q]
-                better = (cd2 < cur_d2) | ((cd2 == cur_d2) & (cidx < cur_idx))
-                best_d2[uniq_q[better]] = cd2[better]
-                best_idx[uniq_q[better]] = cidx[better]
-        radius += 1
-        # a ring at Chebyshev radius r cannot beat a best of less than r^2,
-        # nor tie-break a best of exactly r^2 won at a lower Morton code...
-        # it can tie at r^2 with a lower code, so keep searching while equal
-        active = active[best_d2[active] >= radius * radius]
-    return best_idx
-
-
 def _nearest(query_set: VoxelSet, query: np.ndarray,
              target_set: VoxelSet, target: np.ndarray) -> np.ndarray:
     """Row of the nearest target voxel for every query voxel.
 
     query / target are the decoded coordinates of the two sets.  Ties go to
-    the lowest Morton code.
+    the lowest Morton code, the lowest target row.  Shell by shell (see
+    :func:`_shells`), a query's neighbors are looked up by row-major key
+    (x * 2^J + y) * 2^J + z, the query's key plus the offset's; the first
+    shell with a hit answers it.  Once the offsets searched outnumber the
+    target's voxels, the queries still open go to :func:`_nearest_brute` in
+    chunks of at most _BRUTE_FORCE_PAIRS pairs.
     """
-    if query.shape[0] * target.shape[0] <= _BRUTE_FORCE_PAIRS:
-        return _nearest_brute(query, target)
-    # a query whose own code the target holds is its unique match at distance 0
-    target_codes = target_set.codes
-    idx = np.searchsorted(target_codes, query_set.codes)
-    hit = idx < target_codes.size
-    hit[hit] = target_codes[idx[hit]] == query_set.codes[hit]
-    miss = np.flatnonzero(~hit)
-    if miss.size:
-        idx[miss] = _nearest_grid(query[miss], target_codes, target, query_set.depth)
+    size = 1 << query_set.depth
+    n_target = target.shape[0]
+    key = np.array([size * size, size, 1], dtype=np.int64)
+    order = np.argsort(target @ key)
+    target_keys = target[order] @ key
+    idx = np.full(query.shape[0], n_target, dtype=np.int64)
+    open_rows = np.arange(query.shape[0])
+    searched = 0
+    for offsets in _shells():
+        if open_rows.size == 0 or searched > n_target:
+            break
+        searched += offsets.shape[0]
+        inside = np.ones((open_rows.size, offsets.shape[0]), dtype=bool)
+        for axis in range(3):
+            cand = query[open_rows, axis, None] + offsets[:, axis]
+            inside &= (cand >= 0) & (cand < size)
+        qi, oi = np.nonzero(inside)
+        keys = (query[open_rows] @ key)[qi] + (offsets @ key)[oi]
+        pos = np.minimum(np.searchsorted(target_keys, keys), n_target - 1)
+        hit = target_keys[pos] == keys
+        np.minimum.at(idx, open_rows[qi[hit]], order[pos[hit]])
+        open_rows = open_rows[idx[open_rows] == n_target]
+    chunk = max(1, _BRUTE_FORCE_PAIRS // n_target)
+    for rows in np.split(open_rows, range(chunk, open_rows.size, chunk)):
+        idx[rows] = _nearest_brute(query[rows], target)
     return idx
 
 
@@ -415,9 +385,9 @@ def _one_way(src: VoxelSet, src_xyz: np.ndarray, dst: VoxelSet, dst_xyz: np.ndar
 def matching_distortion(source: VoxelSet, target: VoxelSet):
     """Symmetric mean squared matching distortion between voxelized clouds.
 
-    Returns (d_G2, d_Y2, PSNR_G, PSNR_Y).  Matches are exact nearest
-    neighbors on voxel centers (squared Euclidean, ties to the lowest
-    Morton code); the symmetric figure is the max of the two directions.
+    Returns (d_G2, d_Y2, PSNR_G, PSNR_Y).  Matches are exact nearest neighbors
+    on voxel centers (squared Euclidean, ties to the lowest Morton code; see
+    :func:`_nearest`); the symmetric figure is the max of the two directions.
     Geometry is in bounding-cube units, luminance is attribute column 0.
     """
     if len(source) == 0 or len(target) == 0:

@@ -108,13 +108,15 @@ def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
     """Invert :func:`baseline_encode_pointcloud` (colors up to quantization)."""
     from .codec import _decode_planes, _reconstruct, _RecordReader  # codec imports octree
 
-    voxel_set = octree_parse(inflate(geometry), depth)
-    plan = raht_plan(voxel_set)
     reader = _RecordReader(color_bytes)
     planes = []
     while not reader.done():
         planes.append(reader.section())
     if not planes:
         raise TruncatedStreamError("no color payloads present")
+    # every plane declares the voxel count (bytes 1-4), which bounds the octree
+    n_voxels = int.from_bytes(planes[0][1:5], "little")
+    voxel_set = octree_parse(inflate(geometry, depth * n_voxels), depth)
+    plan = raht_plan(voxel_set)
     symbols = _decode_planes(planes, plan)
     return voxel_set.with_attributes(_reconstruct(plan, symbols, step_color))

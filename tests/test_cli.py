@@ -192,6 +192,30 @@ def test_eval_report_is_pinned(tmp_path, capsys):
         "529e4fb9725cdc54f5ee24dd4174a1a23ca689e3b8484c6cdcf775e0f9ff41ac")
 
 
+def test_decode_accepts_streams_coded_at_coarse_steps(tmp_path):
+    # saturated colors on a sphere stretched to touch the unit cube: at these
+    # steps the reconstruction overshoots [0, 255] and [0, 1), and decode
+    # must still write a valid TCG1 file
+    (gof,), depth = core.read_gof_file(_generate(tmp_path, frames=2, gof_size=2))
+    rng = np.random.default_rng(0)
+    frames = []
+    for frame in gof.frames:
+        v = frame.vertices - frame.vertices.min(axis=0)
+        v = v / v.max(axis=0) * np.nextafter(1.0, 0.0)
+        colors = rng.choice([0.0, 255.0], size=frame.colors.shape)
+        frames.append(core.TriangleCloudFrame(v, frame.faces, colors, frame.upsample))
+    orig = tmp_path / "edge.tcg"
+    bits = tmp_path / "edge.tcb"
+    recon = tmp_path / "edge_recon.tcg"
+    core.write_gof_file(orig, core.GroupOfFrames(tuple(frames)), depth)
+    assert _run(["encode", str(orig), "-o", str(bits), "--step-motion", "4",
+                 "--step-color-intra", "64", "--step-color-inter", "64"]) == 0
+    assert _run(["decode", str(bits), "-o", str(recon)]) == 0
+    (out,), _ = core.read_gof_file(recon)
+    colors = np.concatenate([f.colors for f in out.frames])
+    assert colors.min() == 0.0 and colors.max() == 255.0
+
+
 def _pin_scene(tmp_path):
     # the scene of test_eval_report_is_pinned: (original, reconstruction)
     orig = tmp_path / "pin.tcg"

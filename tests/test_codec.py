@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from tricloud import codec, datagen, entropy, geom, transform
-from tricloud.core import CodecParams, GroupOfFrames, TriangleCloudFrame
+from tricloud.core import CodecParams, GroupOfFrames, TriangleCloudFrame, validate_gof
 from tricloud.errors import (
     ConsistencyError,
     CorruptStreamError,
@@ -44,6 +44,36 @@ def test_decoded_reference_geometry_is_quantized_original():
     # decoded vertices are the canonical reordering of the quantized input,
     # reproduced bit for bit
     assert np.array_equal(rec.reference.vertices, v_hat[perm])
+
+
+def _cube_touching_gof(colors):
+    """Two sphere frames stretched to touch the unit cube on every side."""
+    frames = []
+    for frame in _gof(n_frames=2).frames:
+        v = frame.vertices - frame.vertices.min(axis=0)
+        v = v / v.max(axis=0) * np.nextafter(1.0, 0.0)
+        frames.append(TriangleCloudFrame(v, frame.faces, colors(frame.colors.shape), 2))
+    return GroupOfFrames(tuple(frames))
+
+
+@pytest.mark.parametrize("colors, steps", [
+    # saturated colors at coarse color steps: reconstructions overshoot [0, 255]
+    (lambda shape: np.random.default_rng(0).choice([0.0, 255.0], size=shape),
+     dict(step_color_intra=64, step_color_inter=64)),
+    # mid-gray colors, coarse motion step: vertices overshoot the unit cube
+    (lambda shape: np.full(shape, 128.0), dict(step_motion=4)),
+])
+def test_decoded_frames_are_clamped_into_the_valid_range(colors, steps):
+    gof = _cube_touching_gof(colors)
+    params = _params(**steps)
+    encoded = codec.encode_gof(gof, params)
+    validate_gof(codec.decode_gof(encoded))
+    # only the output is clamped; the closed-loop buffers keep the overshoot
+    _, state, buffer = codec.decode_reference(encoded.frames[0], params,
+                                              encoded.n_vertices, encoded.n_faces)
+    _, buffer = codec.decode_predicted(encoded.frames[1], state, buffer)
+    v, c = buffer.vertex_positions, buffer.refined_colors
+    assert v.min() < 0.0 or v.max() >= 1.0 or c.min() < 0.0 or c.max() > 255.0
 
 
 def test_decoded_faces_reference_same_triangles():

@@ -181,6 +181,23 @@ def test_rlgr_overlong_body_rejected_before_expansion():
     assert peak < 4 << 20
 
 
+def test_rlgr_decode_undoes_the_sign_interleave_in_place():
+    # 24 bytes declaring 4,194,304 zeros: the 32 MiB result plus one
+    # same-sized temporary at most
+    payload = entropy.rlgr_encode(np.zeros(1 << 22, dtype=np.int64))
+    assert len(payload) == 24
+    tracemalloc.start()
+    try:
+        out = entropy.rlgr_decode(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.size == 1 << 22 and not out.any()
+    assert peak <= 80 << 20
+    values = np.arange(-(1 << 31), 1 << 31, 9_973_451)
+    assert np.array_equal(entropy.rlgr_decode(entropy.rlgr_encode(values)), values)
+
+
 # --- duplicate-index runs -------------------------------------------------
 
 def test_index_runs_frozen_body():

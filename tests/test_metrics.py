@@ -355,7 +355,7 @@ def test_matching_ties_break_to_lowest_morton():
     assert d_y2 == (0.0 + 190.0 ** 2) / 2  # backward direction dominates
 
 
-def test_matching_grid_path_matches_brute_force(monkeypatch):
+def test_matching_grid_path_matches_brute_force():
     rng = np.random.default_rng(42)
     for trial in range(25):
         depth = int(rng.integers(2, 5))
@@ -366,16 +366,34 @@ def test_matching_grid_path_matches_brute_force(monkeypatch):
         cb = np.unique(rng.integers(0, side, size=(n_b, 3)), axis=0)
         a = _vset(depth, ca, rng.integers(0, 256, size=ca.shape[0]).astype(float))
         b = _vset(depth, cb, rng.integers(0, 256, size=cb.shape[0]).astype(float))
-        want = metrics.matching_distortion(a, b)
-        with monkeypatch.context() as m:
-            m.setattr(metrics, "_BRUTE_FORCE_PAIRS", 0)
-            got = metrics.matching_distortion(a, b)
-        assert got == want
+        xyz_a = metrics._voxel_coords(a)
+        xyz_b = metrics._voxel_coords(b)
+        for q, q_xyz, t, t_xyz in ((a, xyz_a, b, xyz_b), (b, xyz_b, a, xyz_a)):
+            got = metrics._nearest(q, q_xyz, t, t_xyz)
+            assert np.array_equal(got, metrics._nearest_brute(q_xyz, t_xyz))
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_matching_ties_on_odd_and_even_lattices_match_brute_force(depth):
+    # queries on odd lattice points, targets on all even ones: every interior
+    # query has 8 targets at squared distance 3, so each answer is a tie
+    side = 1 << depth
+    grid = np.stack(np.meshgrid(*[np.arange(side)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    odd = grid[np.all(grid % 2 == 1, axis=1)]
+    odd = odd[np.random.default_rng(depth).permutation(len(odd))[:500]]
+    even = grid[np.all(grid % 2 == 0, axis=1)]
+    q = _vset(depth, odd, np.zeros(len(odd)))
+    t = _vset(depth, even, np.zeros(len(even)))
+    q_xyz = metrics._voxel_coords(q)
+    t_xyz = metrics._voxel_coords(t)
+    got = metrics._nearest(q, q_xyz, t, t_xyz)
+    assert np.array_equal(got, metrics._nearest_brute(q_xyz, t_xyz))
+    assert np.all(np.sum((q_xyz - t_xyz[got]) ** 2, axis=1) == 3)
 
 
 def test_matching_grid_path_above_brute_force_threshold():
-    # large enough that _nearest takes the exact-hit lookup and ring search
-    # without any patching; the brute-force oracle runs in bounded chunks
+    # more query-target pairs than _BRUTE_FORCE_PAIRS, with hits at squared
+    # distance 0 and misses; the brute-force oracle runs in bounded chunks
     rng = np.random.default_rng(43)
     depth = 6
     side = 1 << depth

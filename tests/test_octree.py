@@ -1,6 +1,8 @@
 """Octree occupancy bytes and the standalone point-cloud baseline coder."""
 
 import hashlib
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -128,6 +130,23 @@ def test_baseline_rejects_mismatched_stream():
     for short in (col[:-1], col[:2], b""):  # plane cut short, length cut short, no plane
         with pytest.raises(TruncatedStreamError):
             octree.baseline_decode_pointcloud(geo, short, 3, 1.0)
+
+
+def test_baseline_hostile_geometry_rejected_while_inflating():
+    # a 65,238-byte section of deflated zeros (64 MiB inflated) is refused at
+    # depth * n_voxels bytes, n_voxels read from the color plane's header
+    z = zlib.compressobj(9)
+    bomb = b"".join([z.compress(bytes(1 << 20)) for _ in range(64)] + [z.flush()])
+    assert len(bomb) == 65_238
+    _, col = octree.baseline_encode_pointcloud(_colored_set(3, 40, 9), 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError):
+            octree.baseline_decode_pointcloud(bomb, col, 3, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
 
 
 @pytest.mark.parametrize("columns, step, geometry_sha, color_sha", [
