@@ -191,8 +191,8 @@ class FrameBuffer:
 
     def frame(self, state: ReferenceState) -> TriangleCloudFrame:
         """The decoded frame: positions clamped into [0, 1), colors into [0, 255]."""
-        vertices = self.vertex_positions[state.vertex_index_map]
-        colors = self.refined_colors[state.refined_index_map]
+        vertices = np.take(self.vertex_positions, state.vertex_index_map, axis=0)
+        colors = np.take(self.refined_colors, state.refined_index_map, axis=0)
         np.clip(vertices, 0.0, np.nextafter(1.0, 0.0), out=vertices)
         np.clip(colors, 0.0, 255.0, out=colors)
         return TriangleCloudFrame(vertices, state.faces, colors, state.params.upsample)
@@ -213,7 +213,7 @@ def _code_planes(symbols: np.ndarray, plan: RahtPlan) -> tuple:
 
 
 def _decode_planes(payloads, plan: RahtPlan) -> np.ndarray:
-    symbols = np.empty((plan.n, len(payloads)), dtype=np.int64)
+    symbols = np.empty((plan.n, len(payloads)), dtype=np.int64, order="F")
     for k, payload in enumerate(payloads):
         symbols[plan.order, k] = rlgr_decode(payload, plan.n)
     return symbols
@@ -248,8 +248,8 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
     )
 
 
-def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
-    """Intra-code one frame; returns (IntraPayload, ReferenceState, FrameBuffer)."""
+def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
+    """Intra-code one frame; returns (IntraPayload, ReferenceState, color symbols)."""
     if frame.upsample != params.upsample:
         raise ParameterError(
             f"frame upsample {frame.upsample} != codec upsample {params.upsample}"
@@ -268,7 +268,6 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
     # colors ride on the refined quantized vertices, averaged per voxel
     colors_v = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
     symbols = _quantize(state.refined_plan, colors_v, params.step_color_intra)
-    recon_colors = _reconstruct(state.refined_plan, symbols, params.step_color_intra)
 
     if frame.n_vertices >= 1 << 32:
         raise RangeError("face indices exceed u32")
@@ -280,6 +279,13 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
         face_bytes=deflate(faces.astype("<u4").tobytes()),
         color_payloads=_code_planes(symbols, state.refined_plan),
     )
+    return payload, state, symbols
+
+
+def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
+    """Intra-code one frame; returns (IntraPayload, ReferenceState, FrameBuffer)."""
+    payload, state, symbols = _encode_intra(frame, params)
+    recon_colors = _reconstruct(state.refined_plan, symbols, params.step_color_intra)
     return payload, state, FrameBuffer(state.vertex_centers, recon_colors)
 
 
@@ -355,9 +361,8 @@ def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False
     validate_gof(gof)
     frames = []
     if intra_only:
-        for frame in gof:
-            payload, _, _ = encode_reference(frame, params)
-            frames.append(payload)
+        # no later frame reads an intra-only frame's reconstruction
+        frames.extend(_encode_intra(frame, params)[0] for frame in gof)
     else:
         payload, state, buffer = encode_reference(gof.reference, params)
         frames.append(payload)

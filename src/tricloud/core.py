@@ -246,9 +246,9 @@ def _read_exact(fp, n: int) -> bytes:
 
 
 def _colors_to_u8(colors: np.ndarray) -> np.ndarray:
-    # round half away from zero, then clip; file colors are u8
-    rounded = np.floor(np.abs(colors) + 0.5) * np.sign(colors)
-    return np.clip(rounded, 0, 255).astype(np.uint8)
+    # round half away from zero, then clip; file colors are u8.  On [0, 255]
+    # rounding half up is rounding half away, so clipping first is the same
+    return np.floor(np.clip(colors, 0, 255) + 0.5).astype(np.uint8)
 
 
 def write_frame(fp, frame: TriangleCloudFrame, depth: int, include_faces: bool = True) -> None:

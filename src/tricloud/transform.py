@@ -14,6 +14,12 @@ weights) times the weighted mean of the input rows.
 :class:`RahtPlan` carries each level's sibling rows and butterfly gains, the
 final weight of every coefficient row and the coefficient order, so forward
 and inverse passes over any number of frames only gather, combine and scatter.
+Both passes run all levels over one contiguous column at a time, with 1-D
+gains: the forward pass on a column-major copy of its input, the inverse on a
+copy of each column, written back into row-major (C-ordered) rows.  A 1-D
+``take`` and scatter over a contiguous column cost a fraction of 2-D row
+indexing, and every element goes through the same float operations in the
+same order as in a row-wise pass.
 """
 
 from __future__ import annotations
@@ -70,8 +76,8 @@ class _PlanLevel:
 
     left_rows: np.ndarray
     right_rows: np.ndarray
-    a: np.ndarray   # sqrt(w0 / (w0 + w1)) per pair, as a column
-    b: np.ndarray   # sqrt(w1 / (w0 + w1)) per pair, as a column
+    a: np.ndarray   # sqrt(w0 / (w0 + w1)) per pair, 1-D
+    b: np.ndarray   # sqrt(w1 / (w0 + w1)) per pair, 1-D
 
 
 @dataclass(frozen=True)
@@ -107,26 +113,26 @@ def raht_plan(voxel_set: VoxelSet) -> RahtPlan:
     for level in range(1, 3 * depth + 1):
         lcodes = codes[indices]
         # at most two survivors share a cell, so a level's pairs never overlap
-        flags = ((lcodes[:-1] ^ lcodes[1:]) & (top - (np.int64(1) << level))) == 0
-        if not flags.any():
+        pos = np.flatnonzero(((lcodes[:-1] ^ lcodes[1:]) & (top - (np.int64(1) << level))) == 0)
+        if not pos.size:
             continue
         # a survivor covers every voxel up to the next survivor
         covered = np.diff(indices, append=n)
-        c0 = covered[:-1][flags]
-        c1 = covered[1:][flags]
-        right_rows = indices[1:][flags]
+        c0 = covered[pos]
+        c1 = covered[pos + 1]
+        right_rows = indices[pos + 1]
         weights[right_rows] = c0 + c1  # a high-pass row is final at its level
         w0 = c0.astype(np.float64)
         w1 = c1.astype(np.float64)
         levels.append(
             _PlanLevel(
-                left_rows=indices[:-1][flags],
+                left_rows=indices[pos],
                 right_rows=right_rows,
-                a=np.sqrt(w0 / (w0 + w1))[:, None],
-                b=np.sqrt(w1 / (w0 + w1))[:, None],
+                a=np.sqrt(w0 / (w0 + w1)),
+                b=np.sqrt(w1 / (w0 + w1)),
             )
         )
-        indices = indices[np.concatenate([[True], ~flags])]
+        indices = np.delete(indices, pos + 1)
     order = serialize_order(weights)
     weights.flags.writeable = False
     order.flags.writeable = False
@@ -140,8 +146,8 @@ class CoefficientBlock:
     coefficients: np.ndarray
 
 
-def _as_matrix(values, n: int, what: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+def _as_rows(values, n: int, what: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] != n:
@@ -156,26 +162,31 @@ def raht_forward(plan: RahtPlan, attributes) -> CoefficientBlock:
     ``plan.weights``.  The map is orthonormal, so energies are preserved
     exactly.
     """
-    ta = _as_matrix(attributes, plan.n, "attributes")
-    for level in plan.levels:
-        i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
-        x0 = ta[i0]
-        x1 = ta[i1]
-        ta[i0] = a * x0 + b * x1
-        ta[i1] = -b * x0 + a * x1
+    ta = np.array(_as_rows(attributes, plan.n, "attributes"), order="F")
+    for column in ta.T:
+        for level in plan.levels:
+            i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
+            x0 = column.take(i0)
+            x1 = column.take(i1)
+            column[i0] = a * x0 + b * x1
+            column[i1] = -b * x0 + a * x1
     return CoefficientBlock(coefficients=ta)
 
 
 def raht_inverse(plan: RahtPlan, coefficients) -> np.ndarray:
-    """Invert :func:`raht_forward`: coefficient rows back to attribute rows."""
-    ta = _as_matrix(coefficients, plan.n, "coefficients")
-    for level in reversed(plan.levels):
-        i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
-        x0 = ta[i0]
-        x1 = ta[i1]
-        ta[i0] = a * x0 - b * x1
-        ta[i1] = b * x0 + a * x1
-    return ta
+    """Invert :func:`raht_forward`: coefficient rows back to attribute rows (C order)."""
+    coefficients = _as_rows(coefficients, plan.n, "coefficients")
+    rows = np.empty(coefficients.shape)
+    for k in range(rows.shape[1]):
+        column = coefficients[:, k].copy()
+        for level in reversed(plan.levels):
+            i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
+            x0 = column.take(i0)
+            x1 = column.take(i1)
+            column[i0] = a * x0 - b * x1
+            column[i1] = b * x0 + a * x1
+        rows[:, k] = column
+    return rows
 
 
 def serialize_order(weights) -> np.ndarray:

@@ -11,6 +11,12 @@ point shared by neighboring triangles repeated once per triangle.  The
 library computes each distinct point once (:func:`tricloud.metrics.render_cloud`,
 :func:`tricloud.geom.interpolation_lattice`); these functions keep the
 direct construction the metrics are checked against.
+
+The row-wise RAHT passes: each level gathers, combines and scatters whole
+attribute rows with (m, 1) gains.  The library runs the same butterflies one
+contiguous column at a time (:func:`tricloud.transform.raht_forward`,
+:func:`tricloud.transform.raht_inverse`); these functions keep the row-wise
+form its output is checked against bit for bit.
 """
 
 import struct
@@ -23,6 +29,7 @@ from tricloud.entropy import (
 from tricloud.errors import ConsistencyError, CorruptStreamError, RangeError
 from tricloud.geom import _barycentric_refine
 from tricloud.metrics import render_cloud
+from tricloud.transform import CoefficientBlock
 
 
 def refine_interpolate(vertices_r, colors_r, faces_r, upsample: int):
@@ -219,3 +226,36 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
         raise CorruptStreamError("unconsumed bytes after the last symbol")
     # undo the sign interleave
     return np.where(out % 2 == 0, out // 2, -(out + 1) // 2)
+
+
+def _as_matrix(values, n: int, what: str) -> np.ndarray:
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2 or arr.shape[0] != n:
+        raise ConsistencyError(f"{what} must have one row per voxel ({n}), got {arr.shape}")
+    return arr
+
+
+def raht_forward(plan, attributes) -> CoefficientBlock:
+    """Row-wise forward RAHT over the plan's levels, bottom-up."""
+    ta = _as_matrix(attributes, plan.n, "attributes")
+    for level in plan.levels:
+        i0, i1, a, b = level.left_rows, level.right_rows, level.a[:, None], level.b[:, None]
+        x0 = ta[i0]
+        x1 = ta[i1]
+        ta[i0] = a * x0 + b * x1
+        ta[i1] = -b * x0 + a * x1
+    return CoefficientBlock(coefficients=ta)
+
+
+def raht_inverse(plan, coefficients) -> np.ndarray:
+    """Row-wise inverse RAHT over the plan's levels, top-down."""
+    ta = _as_matrix(coefficients, plan.n, "coefficients")
+    for level in reversed(plan.levels):
+        i0, i1, a, b = level.left_rows, level.right_rows, level.a[:, None], level.b[:, None]
+        x0 = ta[i0]
+        x1 = ta[i1]
+        ta[i0] = a * x0 - b * x1
+        ta[i1] = b * x0 + a * x1
+    return ta

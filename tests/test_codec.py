@@ -1,6 +1,7 @@
 """GOF codec: closed loop, canonical ordering, and the TCB1 container."""
 
 import dataclasses
+import hashlib
 import io
 import os
 import struct
@@ -370,3 +371,48 @@ def test_decode_sequence_empty_stream():
     codec.write_bitstream(buf, [])
     buf.seek(0)
     assert codec.read_bitstream(buf) == []
+
+
+def _counting_inverse(monkeypatch):
+    calls = []
+
+    def inverse(plan, coefficients):
+        calls.append(plan.n)
+        return transform.raht_inverse(plan, coefficients)
+
+    monkeypatch.setattr(codec, "raht_inverse", inverse)
+    return calls
+
+
+@pytest.mark.parametrize("intra_only, n_inverses, digest", [
+    # no frame reads an intra-only frame's reconstruction
+    (True, 0, "0b397290a54978ba5ec70bf18b147bd42b9fb9f54799d34392a08a03c97ecc37"),
+    # the reference's colors, then motion and colors of each predicted frame
+    (False, 1 + 2 * 3, "b9e423d97b7830c3f4a6e9af76a4bdc14f670ffc9ef8496fe743c333c7ccca77"),
+])
+def test_encoder_inverts_only_what_a_later_frame_reads(monkeypatch, intra_only, n_inverses,
+                                                        digest):
+    gof = _gof(n_frames=4, seed=17)
+    calls = _counting_inverse(monkeypatch)
+    enc = codec.encode_gof(gof, _params(step_color_intra=4.0), intra_only=intra_only)
+    assert len(calls) == n_inverses
+    assert hashlib.sha256(codec.serialize_gof_record(enc)).hexdigest() == digest
+
+
+def test_decoded_frame_gather_allocates_only_its_output():
+    # about 100k refined voxels; a column-major buffer would be copied to row
+    # order before the gather
+    gof = datagen.gen_sequence("sphere", 2, n_faces=2000, upsample=10, seed=1)[0]
+    params = CodecParams(10, 10, step_color_intra=4.0, step_color_inter=4.0)
+    encoded = codec.encode_gof(gof, params)
+    _, state, buffer = codec.decode_reference(encoded.frames[0], params,
+                                              encoded.n_vertices, encoded.n_faces)
+    _, buffer = codec.decode_predicted(encoded.frames[1], state, buffer)
+    assert len(state.refined_voxels) > 90_000
+    tracemalloc.start()
+    try:
+        frame = buffer.frame(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= frame.vertices.nbytes + frame.colors.nbytes + (1 << 20)

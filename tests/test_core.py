@@ -4,6 +4,9 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from tricloud import core
 from tricloud.errors import (
@@ -181,6 +184,23 @@ def test_frame_colors_clip_to_bytes():
     back, _ = core.read_frame(buf)
     # round half away from zero, then clip
     assert back.colors[0].tolist() == [255.0, 0.0, 128.0]
+
+
+def _round_half_away_then_clip(colors):
+    rounded = np.floor(np.abs(colors) + 0.5) * np.sign(colors)
+    return np.clip(rounded, 0, 255).astype(np.uint8)
+
+
+_COLOR_EDGES = [-0.0, 0.0, -0.5, 0.5, -1.5, 1.5, 127.5, 254.5, 255.0, 255.5, 256.0, -300.0,
+                0.49999999999999994, np.nextafter(254.5, 0.0), 1e300, -1e300]
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 40),
+                  elements=st.one_of(st.floats(-1e6, 1e6), st.sampled_from(_COLOR_EDGES),
+                                     st.integers(-600, 600).map(lambda k: k / 2))))
+@example(np.array(_COLOR_EDGES))
+def test_colors_to_u8_matches_round_half_away_then_clip(colors):
+    assert np.array_equal(core._colors_to_u8(colors), _round_half_away_then_clip(colors))
 
 
 def test_frame_bad_magic_and_truncation():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from tricloud import transform
 from tricloud.core import VoxelSet
 from tricloud.errors import ConsistencyError, ParameterError
@@ -209,6 +210,34 @@ def test_plan_matches_running_weight_walk(depth, seed):
         assert np.array_equal(level.right_rows, i1)
         w0 = w0.astype(np.float64)
         w1 = w1.astype(np.float64)
-        assert np.array_equal(level.a[:, 0], np.sqrt(w0 / (w0 + w1)))
-        assert np.array_equal(level.b[:, 0], np.sqrt(w1 / (w0 + w1)))
+        assert np.array_equal(level.a, np.sqrt(w0 / (w0 + w1)))
+        assert np.array_equal(level.b, np.sqrt(w1 / (w0 + w1)))
         assert np.abs(level.a ** 2 + level.b ** 2 - 1.0).max() <= 4 * np.finfo(float).eps
+
+
+def _random_codes(rng, depth):
+    """Sorted distinct codes: scattered voxels plus clusters of near neighbors."""
+    n = int(rng.integers(1, 200))
+    scattered = rng.integers(0, 8 ** depth, size=n)
+    bases = rng.integers(0, 8 ** depth, size=int(rng.integers(1, 8)))
+    offsets = rng.integers(0, 8 ** min(depth, 4), size=(bases.size, 24))
+    clustered = (bases[:, None] + offsets).ravel()
+    return np.unique(np.concatenate([scattered, clustered]) % 8 ** depth)
+
+
+@given(st.integers(1, 10), st.integers(0, 2 ** 31),
+       st.sampled_from([None, 1, 3, 9]), st.sampled_from(["C", "F"]))
+@settings(max_examples=80, deadline=None)
+def test_column_passes_match_row_wise_oracle(depth, seed, width, order):
+    rng = np.random.default_rng(seed)
+    plan = _plan(_random_codes(rng, depth), depth)
+    shape = (plan.n,) if width is None else (plan.n, width)
+    block = np.asarray(rng.normal(size=shape) * 100, order=order)
+    kept = block.copy()
+
+    coefficients = transform.raht_forward(plan, block).coefficients
+    assert np.array_equal(coefficients, oracles.raht_forward(plan, kept).coefficients)
+    rows = transform.raht_inverse(plan, block)
+    assert np.array_equal(rows, oracles.raht_inverse(plan, kept))
+    assert rows.flags.c_contiguous
+    assert np.array_equal(block, kept)  # the caller's array is left alone
