@@ -321,12 +321,10 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
     return buffer.frame(state), state, buffer
 
 
-def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
-                     buffer: FrameBuffer):
-    """Predict frame t from the buffer and code the residuals.
-
-    Returns (PredictedPayload, FrameBuffer for frame t).
-    """
+def _encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
+                      buffer: FrameBuffer):
+    """Predict frame t from the buffer and code the residuals; returns
+    (PredictedPayload, motion symbols, color symbols)."""
     params = state.params
     if frame.n_vertices != state.vertex_index_map.size:
         raise ConsistencyError("predicted frame vertex count differs from the reference")
@@ -345,6 +343,16 @@ def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
         motion_payloads=_code_planes(motion_symbols, state.vertex_plan),
         color_payloads=_code_planes(color_symbols, state.refined_plan),
     )
+    return payload, motion_symbols, color_symbols
+
+
+def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
+                     buffer: FrameBuffer):
+    """Predict frame t from the buffer and code the residuals.
+
+    Returns (PredictedPayload, FrameBuffer for frame t).
+    """
+    payload, motion_symbols, color_symbols = _encode_predicted(frame, state, buffer)
     return payload, buffer.advance(state, motion_symbols, color_symbols)
 
 
@@ -366,9 +374,11 @@ def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False
     else:
         payload, state, buffer = encode_reference(gof.reference, params)
         frames.append(payload)
-        for frame in gof.frames[1:]:
+        for frame in gof.frames[1:-1]:
             payload, buffer = encode_predicted(frame, state, buffer)
             frames.append(payload)
+        if len(gof.frames) > 1:  # nothing reads the last frame's buffer
+            frames.append(_encode_predicted(gof.frames[-1], state, buffer)[0])
     return EncodedGof(
         params=params,
         intra_only=bool(intra_only),

@@ -7,6 +7,19 @@ so no side information is needed beyond a version byte and a symbol count.
 When k = 0 every symbol is Golomb-Rice coded; when k >= 1 runs of zeros are
 coded with one bit per 2^k zeros.  All constants are frozen here and in
 docs/bitstream.md; changing any of them requires bumping RLGR_VERSION.
+
+The encoder iterates once per nonzero symbol, not once per codeword.  kP
+depends only on the gaps between nonzeros, and kRP only on the coded values
+and on how many Golomb-Rice-coded zeros precede each one, so two scans carry
+the state: one over the gaps (a table lookup [gap][kP] for short gaps) and
+one over the values (kRP falls by 2 per zero in front, then a lookup
+[value][kRP] for small values).  Everything else follows with array
+operations: before each nonzero a field of zero bits (its Golomb-Rice zeros
+and complete runs), then '1' and the k-bit gap of a broken run, the unary
+prefix, and kR low bits or a 32-bit escape.  A cumulative sum places the
+fields, and each kind of field is added into big-endian 32-bit words in one
+pass.  The decoder keeps one loop over codewords, since a codeword's
+position depends on every codeword before it.
 """
 
 from __future__ import annotations
@@ -38,58 +51,153 @@ def _adapt_krp(krp: int, p: int) -> int:
     return krp
 
 
+def _kp_after_gap(gap: int, kp: int) -> int:
+    """kP after ``gap`` zeros and one nonzero symbol, coded from ``kp``."""
+    while gap and kp < 1 << _L:     # Golomb-Rice-coded zeros
+        kp = min(kp + _U0, _KP_MAX)
+        gap -= 1
+    k = kp >> _L
+    while k and gap >> k:           # complete runs of 2^k zeros
+        gap -= 1 << k
+        kp = min(kp + _U1, _KP_MAX)
+        k = kp >> _L
+    return max(0, kp - (_D1 if k else _D0))
+
+
+def _gap_rule(gap: np.ndarray, kp: np.ndarray):
+    """The kP rule of :func:`_kp_after_gap` over arrays, with what it codes.
+
+    Returns (kP after the nonzero, Golomb-Rice-coded zeros, complete runs,
+    the broken run's k (0: the nonzero is Golomb-Rice coded), zeros left
+    for the broken run).  Complete runs are taken a level of k at a time:
+    _LEVEL_RUNS[kP] runs of 2^k take kP to the next level, and at k = 24
+    kP stays at its cap.
+    """
+    zeros = np.minimum(gap, _GR_ZEROS[kp])
+    kp = kp + _U0 * zeros  # below 16 + U0, far under the cap
+    left = gap - zeros
+    runs = np.zeros_like(left)
+    todo = np.flatnonzero(kp >> _L)
+    while todo.size:
+        at = kp[todo]
+        room = _LEVEL_RUNS[at]
+        take = np.minimum(left[todo] >> (at >> _L), room)
+        left[todo] -= take << (at >> _L)
+        runs[todo] += take
+        kp[todo] = np.minimum(at + _U1 * take, _KP_MAX)
+        todo = todo[take == room]
+    k = kp >> _L
+    return np.where(k > 0, kp - _D1, np.maximum(kp - _D0, 0)), zeros, runs, k, left
+
+
+def _krp_rule(krp: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """:func:`_adapt_krp` over arrays."""
+    return np.where(p == 0, np.maximum(krp - 2, 0),
+                    np.where(p > 1, np.minimum(krp + p + 1, _KRP_MAX), krp))
+
+
+def _zero_bits(zeros: np.ndarray, krp: np.ndarray) -> np.ndarray:
+    """Bits of ``zeros`` Golomb-Rice-coded zeros from ``krp``: each is '0'
+    and kR zero bits, and lowers kRP by 2."""
+    bits = zeros.copy()
+    for i in range(int(zeros.max(initial=0))):
+        bits += np.where(i < zeros, np.maximum(krp - 2 * i, 0) >> _L, 0)
+    return bits
+
+
+# per kP: Golomb-Rice zeros until run mode, and complete runs until the
+# next level of k (unbounded at the cap)
+_KP_RANGE = np.arange(_KP_MAX + 1)
+_GR_ZEROS = np.maximum(0, -((_KP_RANGE - (1 << _L)) // _U0))
+_LEVEL_RUNS = np.where(_KP_RANGE < _KP_MAX,
+                       -((_KP_RANGE - (((_KP_RANGE >> _L) + 1) << _L)) // _U1),
+                       np.iinfo(np.int64).max)
+
+# scan tables: kP after a gap below _GAP_TABLE, indexed [gap][kP], and kRP
+# after a coded value below _VALUE_TABLE, indexed [value][kRP]
+_GAP_TABLE = 64
+_VALUE_TABLE = 64
+_KP_TABLE = _gap_rule(*np.divmod(np.arange(_GAP_TABLE * (_KP_MAX + 1)), _KP_MAX + 1)
+                      )[0].reshape(_GAP_TABLE, -1).tolist()
+_KRP_TABLE = _krp_rule(np.arange(_KRP_MAX + 1),
+                       np.arange(_VALUE_TABLE)[:, None] >> (np.arange(_KRP_MAX + 1) >> _L)
+                       ).tolist()
+
+
+def _place(words: np.ndarray, offsets: np.ndarray, widths: np.ndarray,
+           fields: np.ndarray) -> None:
+    """Add bit fields of at most 32 bits, MSB first at their bit offsets,
+    into big-endian 32-bit words held as float64 (exact below 2^53).  The
+    fields must not overlap, so adding the pieces that share a word is OR."""
+    piece = fields.astype(np.uint64) << (64 - (offsets & 31) - widths).astype(np.uint64)
+    word = offsets >> 5
+    words += np.bincount(word, (piece >> 32).astype(np.float64), words.size)
+    words += np.bincount(word + 1, (piece & 0xFFFFFFFF).astype(np.float64), words.size)
+
+
 def rlgr_encode(symbols) -> bytes:
     """Encode signed integers; layout: version byte, u32 count, bit-packed body."""
     arr = np.asarray(symbols, dtype=np.int64).ravel()
-    if arr.size and (arr.min() < -(1 << 31) or arr.max() > (1 << 31) - 1):
-        raise RangeError("symbols must fit in signed 32 bits")
-    # interleave signs: 0,-1,1,-2,... -> 0,1,2,3,...
-    unsigned = np.where(arr >= 0, 2 * arr, -2 * arr - 1)
-    u = unsigned.tolist()
-    nonzeros = np.flatnonzero(unsigned).tolist()
-    nonzeros.append(arr.size)  # sentinel
-
-    words = []
-    kp, krp = _INIT_KP, _INIT_KRP
-    pos = 0
-    nz_i = 0
     n = arr.size
-    while pos < n:
-        k = kp >> _L
-        k_r = krp >> _L
-        if k:
-            next_nz = nonzeros[nz_i]
-            if next_nz == n or next_nz - pos >= 1 << k:
-                # 2^k zeros; with no nonzero left, this bit flushes the
-                # trailing zeros, since the decoder clamps a run at the end
-                words.append("0")
-                kp = min(kp + _U1, _KP_MAX)
-                pos += 1 << k
-                continue
-            words.append(format((1 << k) | (next_nz - pos), "b"))  # '1', k-bit gap
-            pos = next_nz
-            value = u[pos] - 1
-        else:
-            value = u[pos]
-        p = value >> k_r
-        if p < _ESC:
-            # p ones, then a zero and the low k_r bits under a leading 1 cut off
-            words.append("1" * p + format((2 << k_r) | (value & ((1 << k_r) - 1)), "b")[1:])
-        else:
-            words.append("1" * _ESC + format(value, "032b"))
-        krp = _adapt_krp(krp, p)
-        if k:
-            kp = max(0, kp - _D1)
-            nz_i += 1
-        elif value:
-            kp = max(0, kp - _D0)
-            nz_i += 1
-        else:
-            kp = min(kp + _U0, _KP_MAX)
-        pos += 1
-    bits = "".join(words)
-    body = (int(bits or "0", 2) << (-len(bits) % 8)).to_bytes((len(bits) + 7) // 8, "big")
-    return bytes([RLGR_VERSION]) + struct.pack("<I", n) + body
+    if n and (arr.min() < -(1 << 31) or arr.max() > (1 << 31) - 1):
+        raise RangeError("symbols must fit in signed 32 bits")
+    positions = np.flatnonzero(arr)
+    signed = arr[positions]
+    # interleave signs: 0,-1,1,-2,... -> 0,1,2,3,...
+    unsigned = np.where(signed > 0, 2 * signed, -2 * signed - 1)
+    gaps = np.diff(positions, prepend=-1) - 1
+
+    # scan 1: kP before each nonzero, driven by the zeros in front of it
+    kp_at = []
+    kp = _INIT_KP
+    for gap in gaps.tolist():
+        kp_at.append(kp)
+        kp = _KP_TABLE[gap][kp] if gap < _GAP_TABLE else _kp_after_gap(gap, kp)
+    _, zeros, runs, k, left = _gap_rule(gaps, np.array(kp_at, dtype=np.int64))
+    values = unsigned - (k > 0)  # a broken run codes the nonzero minus 1
+
+    # scan 2: kRP after each value; each Golomb-Rice zero in front lowers it by 2
+    krp_after = []
+    krp = _INIT_KRP
+    for drop, value in zip((2 * zeros).tolist(), values.tolist()):
+        if drop:
+            krp = krp - drop if krp > drop else 0
+        krp = (_KRP_TABLE[value][krp] if value < _VALUE_TABLE
+               else _adapt_krp(krp, value >> (krp >> _L)))
+        krp_after.append(krp)
+    krp_before = np.array([_INIT_KRP] + krp_after[:-1], dtype=np.int64)[:positions.size]
+
+    # every nonzero: zero bits, then '1' and a k-bit gap in run mode, then
+    # the Golomb-Rice codeword: p ones and '0', and kR low bits, or 24 ones
+    # and the 32-bit value
+    k_r = np.maximum(krp_before - 2 * zeros, 0) >> _L
+    ones = np.minimum(values >> k_r, _ESC)
+    short = ones < _ESC  # a prefix of fewer than 24 ones ends in '0'
+    gap_width = np.where(k > 0, k + 1, 0)
+    prefix_width = ones + short
+    low_width = np.where(short, k_r, 32)
+    tail = gap_width + prefix_width + low_width
+    start = np.cumsum(_zero_bits(zeros, krp_before) + runs + tail) - tail
+
+    # the zeros after the last nonzero: complete runs, then one '0' for the
+    # rest, since the decoder clamps a run at the end of the plane
+    _, end_zeros, end_runs, _, end_left = _gap_rule(
+        np.array([n - 1 - positions[-1] if positions.size else n]), np.array([kp]))
+    n_bits = int(start[-1] + tail[-1] if start.size else 0) + int(
+        _zero_bits(end_zeros, np.array([krp]))[0] + end_runs[0] + (end_left[0] > 0))
+
+    words = np.zeros(((n_bits + 31) >> 5) + 2)  # a field of width 0 may sit at n_bits
+    _place(words, start, gap_width, np.where(k > 0, (1 << k) | left, 0))
+    start += gap_width
+    _place(words, start, prefix_width, ((1 << ones) - 1) << short)
+    start += prefix_width
+    _place(words, start, low_width, np.where(short, values & ((1 << k_r) - 1), values))
+    # header and body in one buffer; three bytes of slack in front put the
+    # body's words on a 4-byte boundary
+    payload = np.empty(8 + 4 * (words.size - 2), dtype=np.uint8)
+    payload[3:8] = np.frombuffer(bytes([RLGR_VERSION]) + struct.pack("<I", n), dtype=np.uint8)
+    payload[8:].view(">u4")[:] = words[:-2]
+    return payload[3:8 + ((n_bits + 7) >> 3)].tobytes()
 
 
 def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
@@ -113,6 +221,9 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
     out = np.zeros(n, dtype=np.int64)
     kp, krp = _INIT_KP, _INIT_KRP
     pos = b = 0
+    # the kP and kRP rules inline: kP >= 16 in run mode and < 16 in
+    # Golomb-Rice mode, so only a complete run and a Golomb-Rice nonzero
+    # can reach a bound
     try:
         while pos < n:
             k = kp >> _L
@@ -121,7 +232,9 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
                 if bits[b] == "0":
                     b += 1
                     pos += 1 << k  # zeros are already in place; the loop ends at n
-                    kp = min(kp + _U1, _KP_MAX)
+                    kp += _U1
+                    if kp > _KP_MAX:
+                        kp = _KP_MAX
                     continue
                 pos += int(bits[b + 1:b + 1 + k], 2)  # '1', k-bit gap
                 b += 1 + k
@@ -131,19 +244,25 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
             if end < 0:  # escape, or a prefix cut short by the end of the body
                 value = int(bits[b + _ESC:b + _ESC + 32], 2)
                 b += _ESC + 32
+                p = value >> k_r
             else:
-                low = int(bits[end + 1:end + 1 + k_r], 2) if k_r else 0
-                value = ((end - b) << k_r) | low
+                p = end - b
                 b = end + 1 + k_r
-            krp = _adapt_krp(krp, value >> k_r)
+                value = (p << k_r) | int(bits[end + 1:b], 2) if k_r else p
+            if p == 0:
+                krp = krp - 2 if krp > 2 else 0
+            elif p > 1:
+                krp += p + 1
+                if krp > _KRP_MAX:
+                    krp = _KRP_MAX
             if k:
                 out[pos] = value + 1
-                kp = max(0, kp - _D1)
+                kp -= _D1
             elif value:
                 out[pos] = value
-                kp = max(0, kp - _D0)
+                kp = kp - _D0 if kp > _D0 else 0
             else:
-                kp = min(kp + _U0, _KP_MAX)
+                kp += _U0
             pos += 1
     except (IndexError, ValueError) as exc:
         raise CorruptStreamError("bitstream ended mid-codeword") from exc

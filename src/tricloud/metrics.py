@@ -341,26 +341,34 @@ def _nearest(query_set: VoxelSet, query: np.ndarray,
     the lowest Morton code, the lowest target row.  Shell by shell (see
     :func:`_shells`), a query's neighbors are looked up by row-major key
     (x * 2^J + y) * 2^J + z, the query's key plus the offset's; the first
-    shell with a hit answers it.  Once the offsets searched outnumber the
-    target's voxels, the queries still open go to :func:`_nearest_brute` in
-    chunks of at most _BRUTE_FORCE_PAIRS pairs.
+    shell with a hit answers it; only neighbors inside the target's bounding
+    box are looked up.  The queries still open go to :func:`_nearest_brute`,
+    in chunks of at most _BRUTE_FORCE_PAIRS pairs, once the offsets searched
+    outnumber the target's voxels or once the shells' open queries times
+    offsets, summed, would outnumber the pairs that brute force compares for
+    the queries still open.
     """
     size = 1 << query_set.depth
     n_target = target.shape[0]
     key = np.array([size * size, size, 1], dtype=np.int64)
     order = np.argsort(target @ key)
     target_keys = target[order] @ key
+    lo = [target[:, axis].min() for axis in range(3)]
+    hi = [target[:, axis].max() for axis in range(3)]
     idx = np.full(query.shape[0], n_target, dtype=np.int64)
     open_rows = np.arange(query.shape[0])
-    searched = 0
+    searched = pairs = 0
     for offsets in _shells():
         if open_rows.size == 0 or searched > n_target:
             break
         searched += offsets.shape[0]
+        pairs += open_rows.size * offsets.shape[0]
+        if pairs > open_rows.size * n_target:
+            break
         inside = np.ones((open_rows.size, offsets.shape[0]), dtype=bool)
         for axis in range(3):
             cand = query[open_rows, axis, None] + offsets[:, axis]
-            inside &= (cand >= 0) & (cand < size)
+            inside &= (cand >= lo[axis]) & (cand <= hi[axis])
         qi, oi = np.nonzero(inside)
         keys = (query[open_rows] @ key)[qi] + (offsets @ key)[oi]
         pos = np.minimum(np.searchsorted(target_keys, keys), n_target - 1)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tricloud import entropy
+from tricloud import codec, datagen, entropy
+from tricloud.core import CodecParams
 from tricloud.errors import CorruptStreamError, MalformedIndexMapError, RangeError
 
 
@@ -196,6 +197,96 @@ def test_rlgr_decode_undoes_the_sign_interleave_in_place():
     assert peak <= 80 << 20
     values = np.arange(-(1 << 31), 1 << 31, 9_973_451)
     assert np.array_equal(entropy.rlgr_decode(entropy.rlgr_encode(values)), values)
+
+
+def _scalar_gap(gap, kp):
+    # the run-mode walk one codeword at a time: (kP after, Golomb-Rice
+    # zeros, complete runs, k, zeros left for the broken run)
+    zeros = runs = 0
+    while gap and kp < 16:
+        kp, gap, zeros = kp + 3, gap - 1, zeros + 1
+    while kp >= 16 and gap >= 1 << (kp >> 4):
+        kp, gap, runs = min(kp + 2, 24 << 4), gap - (1 << (kp >> 4)), runs + 1
+    return max(0, kp - 1), zeros, runs, kp >> 4, gap
+
+
+def test_rlgr_scan_tables_match_the_scalar_rules():
+    n_kp, n_krp = entropy._KP_MAX + 1, entropy._KRP_MAX + 1
+    assert len(entropy._KP_TABLE) == entropy._GAP_TABLE
+    assert len(entropy._KRP_TABLE) == entropy._VALUE_TABLE
+    for gap, row in enumerate(entropy._KP_TABLE):
+        assert row == [entropy._kp_after_gap(gap, kp) for kp in range(n_kp)]
+    for value, row in enumerate(entropy._KRP_TABLE):
+        assert row == [entropy._adapt_krp(krp, value >> (krp >> 4)) for krp in range(n_krp)]
+
+
+def test_rlgr_gap_rule_matches_the_scalar_walk():
+    # at and past the table size, and past 2^24 zeros where kP sits at its cap
+    g = entropy._GAP_TABLE
+    gaps = [*range(40), g - 1, g, g + 1, 2 * g, 1000, (1 << 16) + 3,
+            (1 << 24) - 1, 1 << 24, (1 << 24) + 1, 1 << 30, 3 << 31]
+    kps = list(range(entropy._KP_MAX + 1))
+    gap_grid, kp_grid = (np.array(a, dtype=np.int64).ravel() for a in np.meshgrid(gaps, kps))
+    got = np.stack(entropy._gap_rule(gap_grid, kp_grid), axis=1)
+    want = [_scalar_gap(gap, kp) for gap, kp in zip(gap_grid.tolist(), kp_grid.tolist())]
+    assert got.tolist() == [list(w) for w in want]
+    assert got[:, 0].tolist() == [entropy._kp_after_gap(*a)
+                                  for a in zip(gap_grid.tolist(), kp_grid.tolist())]
+
+
+def _edge_planes():
+    # every gap up to past the gap table and every value around the value
+    # table (unsigned V-2..V+2; run mode codes one less), 32-bit escapes at
+    # both extremes, gaps ending on and off run boundaries, and trailing
+    # zeros flushed from each state; the lead-ins start kP at 0, in run mode
+    # and near the top of its range
+    g, v = entropy._GAP_TABLE, entropy._VALUE_TABLE
+    values = [v // 2 - 1, -(v // 2), v // 2, -(v // 2) - 1, v // 2 + 1, -(1 << 31), (1 << 31) - 1]
+    gaps = [*range(g + 3), 2 * g, 2 * g + 1]
+    for lead in ([], [0] * 7 + [3], [0] * 5000 + [1]):
+        for i, gap in enumerate(gaps):
+            for value in values:
+                yield lead + [0] * gap + [value]
+            yield lead + [values[i % len(values)]] + [0] * gap
+            yield lead + [0] * gap
+
+
+def test_rlgr_tabulated_edges_match_the_bitwise_oracle():
+    for plane in _edge_planes():
+        symbols = np.array(plane, dtype=np.int64)
+        payload = oracles.rlgr_encode(symbols)
+        assert entropy.rlgr_encode(symbols) == payload
+        assert np.array_equal(entropy.rlgr_decode(payload), symbols)
+
+
+@pytest.mark.parametrize("intra_only", [False, True])
+def test_rlgr_every_plane_of_a_small_gof_matches_the_bitwise_oracle(intra_only):
+    gof = datagen.gen_sequence("sphere", 3, n_faces=200, upsample=4, seed=3)[0]
+    params = CodecParams(9, 4, step_color_intra=4.0, step_color_inter=4.0)
+    encoded = codec.encode_gof(gof, params, intra_only=intra_only)
+    planes = [plane for frame in encoded.frames for plane in (
+        frame.color_payloads if isinstance(frame, codec.IntraPayload)
+        else frame.motion_payloads + frame.color_payloads)]
+    assert len(planes) == (9 if intra_only else 15)
+    for payload in planes:
+        symbols = oracles.rlgr_decode(payload)
+        assert oracles.rlgr_encode(symbols) == payload
+        assert np.array_equal(entropy.rlgr_decode(payload), symbols)
+
+
+def test_rlgr_encode_touches_only_the_nonzeros():
+    # a 32 MiB plane with one nonzero: a per-symbol list or a same-sized
+    # temporary would show here
+    plane = np.zeros(1 << 22, dtype=np.int64)
+    plane[1_234_567] = -5
+    tracemalloc.start()
+    try:
+        payload = entropy.rlgr_encode(plane)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1 << 20
+    assert np.array_equal(entropy.rlgr_decode(payload), plane)
 
 
 # --- duplicate-index runs -------------------------------------------------

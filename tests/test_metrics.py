@@ -439,6 +439,32 @@ def test_matching_ring_search_stays_bounded_between_separated_clouds():
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("shift", [[17, 0, 0], [17, 17, 0], [3, 17, 17]])
+def test_matching_between_separated_blocks_looks_up_few_keys(monkeypatch, shift):
+    # two 12^3 blocks five or more empty voxels apart, away from the grid's
+    # edges: no neighbor key outside the target's bounding box is looked up,
+    # so the shells cost next to nothing before brute force takes the
+    # queries still open (the shells alone used to look up about one key
+    # per brute-force pair)
+    block = np.stack(np.meshgrid(*[np.arange(12)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+    q = _vset(8, block + 30, np.zeros(len(block)))
+    t = _vset(8, block + 30 + np.array(shift), np.zeros(len(block)))
+    q_xyz = metrics._voxel_coords(q)
+    t_xyz = metrics._voxel_coords(t)
+    keys = []
+    searchsorted = np.searchsorted
+
+    def counting(a, v, *args, **kwargs):
+        keys.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counting)
+    got = metrics._nearest(q, q_xyz, t, t_xyz)
+    monkeypatch.undo()
+    assert np.array_equal(got, metrics._nearest_brute(q_xyz, t_xyz))
+    assert sum(keys) <= len(q) * len(t) // 100
+
+
 def test_matching_distortion_validation():
     a = _vset(2, [[0, 0, 0]], [1.0])
     with pytest.raises(EmptySetError):
