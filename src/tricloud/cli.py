@@ -30,7 +30,7 @@ from .core import (
     write_gof_file,
 )
 from .datagen import SHAPES, gen_sequence
-from .errors import FormatError, TricloudError
+from .errors import CorruptStreamError, FormatError, TricloudError
 from .metrics import (
     _projection_psnr_of_sets,
     _render_voxel_pairs,
@@ -180,6 +180,8 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     encoded = read_bitstream_file(args.input)
+    if not encoded:  # a TCG1 file holds at least one container
+        raise CorruptStreamError(f"{args.input}: bitstream holds no GOF")
     log.info("decoding %d GOF(s)", len(encoded))
     gofs = _run_jobs(decode_gof, encoded, args.jobs)
     out = []
@@ -190,8 +192,7 @@ def cmd_decode(args) -> int:
             out.extend(GroupOfFrames((frame,)) for frame in gof)
         else:
             out.append(gof)
-    depth = encoded[0].params.depth if encoded else 10
-    write_gof_file(args.output, out, depth)
+    write_gof_file(args.output, out, encoded[0].params.depth)
     n_frames = sum(g.n_frames for g in gofs)
     print(f"wrote {args.output}: {n_frames} frames in {len(gofs)} GOF(s), "
           f"{os.path.getsize(args.output)} bytes")

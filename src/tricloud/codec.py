@@ -368,8 +368,9 @@ def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False
     """Encode one validated GOF (hybrid by default, all-intra on request)."""
     validate_gof(gof)
     frames = []
-    if intra_only:
-        # no later frame reads an intra-only frame's reconstruction
+    if intra_only or gof.n_frames == 1:
+        # no later frame reads the reconstruction of an intra-only frame or
+        # of a lone reference frame
         frames.extend(_encode_intra(frame, params)[0] for frame in gof)
     else:
         payload, state, buffer = encode_reference(gof.reference, params)
@@ -377,8 +378,8 @@ def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False
         for frame in gof.frames[1:-1]:
             payload, buffer = encode_predicted(frame, state, buffer)
             frames.append(payload)
-        if len(gof.frames) > 1:  # nothing reads the last frame's buffer
-            frames.append(_encode_predicted(gof.frames[-1], state, buffer)[0])
+        # nothing reads the last frame's buffer
+        frames.append(_encode_predicted(gof.frames[-1], state, buffer)[0])
     return EncodedGof(
         params=params,
         intra_only=bool(intra_only),

@@ -2,9 +2,11 @@
 
 Voxelization quantizes points to the 2^J grid, merges duplicates (averaging
 their attribute rows in double precision), and orders the survivors by Morton
-code.  The refinement order is normative: the (i, j) barycentric loop runs in
-the outer dimension and faces in the inner one, so colors generated for the
-refined vertices of one frame line up index-wise with every other frame's.
+code.  The refinement order is normative: refined points are grouped by the
+barycentric step (i, j) of :func:`_steps` (i outer, j inner) and by face
+within a step, so colors generated for the refined vertices of one frame line
+up index-wise with every other frame's.  One broadcast :func:`_blend` over all
+steps and faces computes them.
 """
 
 from __future__ import annotations
@@ -95,65 +97,59 @@ def morton_decode(code, depth: int):
     return x, y, z
 
 
-def _barycentric_refine(corner0, corner1, corner2, upsample: int) -> np.ndarray:
-    """Stack corner blends for every (i, j) step of the refinement loop.
+def _steps(n: int):
+    """(i, j) of every lattice point i + j <= n, in the normative loop order:
+    i = 0..n outer, j = 0..n-i inner."""
+    i, j = np.triu_indices(n + 1)
+    return i, j - i
 
-    corner0/1/2 are (N_f, K) rows.  Output rows: one block of N_f rows per
-    (i, j), i = 0..U, j = 0..U-i, in that loop order.
-    """
-    u = float(upsample)
-    blocks = []
-    for i in range(upsample + 1):
-        for j in range(upsample + 1 - i):
-            a = i / u
-            b = j / u
-            blocks.append(corner0 + (corner1 - corner0) * a + (corner2 - corner0) * b)
-    return np.concatenate(blocks, axis=0)
+
+def _blend(c1, c2, c3, a, b):
+    """The barycentric blend c1 + (c2 - c1) * a + (c3 - c1) * b, broadcast."""
+    out = (c2 - c1) * a
+    out += c1
+    out += (c3 - c1) * b
+    return out
 
 
 def refine(vertices, faces, upsample: int) -> np.ndarray:
     """Barycentric upsampling of every face; returns (N_f*(U+1)(U+2)/2, 3) points.
 
     Point for (face m, step i, j) is V1 + (V2-V1)*i/U + (V3-V1)*j/U; output is
-    grouped by (i, j) step first, faces within a step.
+    grouped by (i, j) step first (the order of :func:`_steps`), faces within a
+    step.
     """
-    if int(upsample) < 1:
+    upsample = int(upsample)
+    if upsample < 1:
         raise ParameterError(f"upsample factor must be >= 1, got {upsample}")
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
-    v1 = vertices[faces[:, 0]]
-    v2 = vertices[faces[:, 1]]
-    v3 = vertices[faces[:, 2]]
-    return _barycentric_refine(v1, v2, v3, int(upsample))
+    i, j = _steps(upsample)
+    return _blend(vertices[faces[:, 0]], vertices[faces[:, 1]], vertices[faces[:, 2]],
+                  (i / upsample)[:, None, None], (j / upsample)[:, None, None]).reshape(-1, 3)
 
 
 def refined_faces(n_faces: int, upsample: int) -> np.ndarray:
     """Face triples over the output of :func:`refine`: U^2 triangles per input face.
 
     Row indices follow the refinement ordering, so entry (i, j) of face m is
-    row offset(i, j)*N_f + m where offset counts the (i, j) loop steps.
+    row offset[i, j]*N_f + m where offset[i, j] is the position of step
+    (i, j) in :func:`_steps`.  Each step (i, j), i + j < U, gives the triangle
+    (i, j), (i+1, j), (i, j+1), then, when i + j < U - 1, the triangle
+    (i+1, j), (i+1, j+1), (i, j+1).
     """
-    upsample = int(upsample)
+    n_faces, upsample = int(n_faces), int(upsample)
     if upsample < 1:
         raise ParameterError(f"upsample factor must be >= 1, got {upsample}")
-
-    def offset(i, j):
-        return i * (upsample + 1) - i * (i - 1) // 2 + j
-
-    m = np.arange(int(n_faces), dtype=np.int64)
-    triples = []
-    for i in range(upsample):
-        for j in range(upsample - i):
-            a, b, c = offset(i, j), offset(i + 1, j), offset(i, j + 1)
-            triples.append(np.stack([a * n_faces + m, b * n_faces + m, c * n_faces + m], axis=1))
-            if i + j <= upsample - 2:
-                d = offset(i + 1, j + 1)
-                triples.append(
-                    np.stack([b * n_faces + m, d * n_faces + m, c * n_faces + m], axis=1)
-                )
-    if not triples:
-        return np.zeros((0, 3), dtype=np.int64)
-    return np.concatenate(triples, axis=0)
+    steps = _steps(upsample)
+    offset = np.zeros((upsample + 1, upsample + 1), dtype=np.int64)
+    offset[steps] = np.arange(steps[0].size)
+    i, j = _steps(upsample - 1)
+    a, b, c, d = offset[i, j], offset[i + 1, j], offset[i, j + 1], offset[i + 1, j + 1]
+    triangles = np.stack([a, b, c, b, d, c], axis=1).reshape(-1, 3)  # up, then down, per step
+    has_down = i + j <= upsample - 2
+    triangles = triangles[np.stack([np.ones_like(has_down), has_down], axis=1).ravel()]
+    return (triangles[:, None] * n_faces + np.arange(n_faces)[:, None]).reshape(-1, 3)
 
 
 def interpolation_lattice(upsample: int, interp: int):
@@ -175,12 +171,10 @@ def interpolation_lattice(upsample: int, interp: int):
         raise ParameterError(f"upsample and interpolation factors must be >= 1, "
                              f"got {upsample} and {interp}")
     n = upsample * interp
-    vi, vj = np.triu_indices(upsample + 1)
-    vj = vj - vi  # (i, j) of every refine step, in loop order
+    vi, vj = _steps(upsample)
     triangles = refined_faces(1, upsample)
     corners = np.stack([vi, vj], axis=1)[triangles]  # (U^2, 3, 2)
-    ka, kb = np.triu_indices(interp + 1)
-    kb = kb - ka  # local steps of the second upsampling, in loop order
+    ka, kb = _steps(interp)  # local steps of the second upsampling
     # lattice point (p, q) of every (local step, triangle) row, local steps outer
     pq = (corners[:, 0] * interp
           + ka[:, None, None] * (corners[:, 1] - corners[:, 0])

@@ -38,6 +38,8 @@ from .errors import (
     ShapeMismatchError,
 )
 from .geom import (
+    _blend,
+    _group_means,
     interpolation_lattice,
     morton_decode,
     refine,
@@ -116,9 +118,8 @@ def render_cloud(frame, interp: int = 1):
     n_steps = (frame.upsample + 1) * (frame.upsample + 2) // 2  # rows of refine per face
     joined = np.concatenate([v_r, frame.colors], axis=1).reshape(n_steps, frame.n_faces, 6)
     c1, c2, c3 = (joined[steps[:, k]] for k in range(3))
-    a = fractions[:, 0, None, None]
-    b = fractions[:, 1, None, None]
-    out = (c1 + (c2 - c1) * a + (c3 - c1) * b).reshape(-1, 6)
+    out = _blend(c1, c2, c3, fractions[:, 0, None, None],
+                 fractions[:, 1, None, None]).reshape(-1, 6)
     return out[:, :3], out[:, 3:], np.repeat(weights, frame.n_faces)
 
 
@@ -271,11 +272,9 @@ def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
     """
     points, colors, weights = render_cloud(frame, interp)
     vox = voxelize(points, None, depth)
-    n = len(vox.voxel_set)
-    mass = np.bincount(vox.index_map, weights=weights, minlength=n)
-    means = np.stack([np.bincount(vox.index_map, weights=weights * c, minlength=n)
-                      for c in colors.T], axis=1)
-    return VoxelSet(depth, vox.voxel_set.codes, means / mass[:, None])
+    mass = np.bincount(vox.index_map, weights=weights, minlength=len(vox.voxel_set))
+    means = _group_means(colors * weights[:, None], vox.index_map, mass)
+    return VoxelSet(depth, vox.voxel_set.codes, means)
 
 
 def _render_voxel_pairs(ref_frames, recon_frames, depth: int, interp: int):

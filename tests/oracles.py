@@ -1,10 +1,14 @@
 """Reference implementations that only tests call.
 
+The refinement loop: one corner blend per (i, j) step, concatenated.  The
+library blends every step at once (:func:`tricloud.geom.refine`); this
+function keeps the loop whose bytes it is checked against.
+
 The bit-by-bit RLGR coder: a bit writer and reader with one call per field
-and per bit, and one Golomb-Rice code site per mode.  The library codes
-over one string of '0'/'1' characters (:func:`tricloud.entropy.rlgr_encode`,
-:func:`tricloud.entropy.rlgr_decode`); these functions keep the direct
-construction its bytes are checked against.
+and per bit, one Golomb-Rice code site per mode, and its own copy of the kRP
+rule.  The library codes over one string of '0'/'1' characters
+(:func:`tricloud.entropy.rlgr_encode`, :func:`tricloud.entropy.rlgr_decode`);
+these functions keep the direct construction its bytes are checked against.
 
 The expanded render cloud: every refined triangle upsampled again, with a
 point shared by neighboring triangles repeated once per triangle.  The
@@ -24,12 +28,27 @@ import struct
 import numpy as np
 
 from tricloud.entropy import (
-    _D0, _D1, _ESC, _INIT_KP, _INIT_KRP, _KP_MAX, _L, _U0, _U1, RLGR_VERSION, _adapt_krp,
+    _D0, _D1, _ESC, _INIT_KP, _INIT_KRP, _KP_MAX, _KRP_MAX, _L, _U0, _U1, RLGR_VERSION,
 )
 from tricloud.errors import ConsistencyError, CorruptStreamError, RangeError
-from tricloud.geom import _barycentric_refine
 from tricloud.metrics import render_cloud
 from tricloud.transform import CoefficientBlock
+
+
+def barycentric_refine(corner0, corner1, corner2, upsample: int) -> np.ndarray:
+    """Stack corner blends for every (i, j) step of the refinement loop.
+
+    corner0/1/2 are (N_f, K) rows.  Output rows: one block of N_f rows per
+    (i, j), i = 0..U, j = 0..U-i, in that loop order.
+    """
+    u = float(upsample)
+    blocks = []
+    for i in range(upsample + 1):
+        for j in range(upsample + 1 - i):
+            a = i / u
+            b = j / u
+            blocks.append(corner0 + (corner1 - corner0) * a + (corner2 - corner0) * b)
+    return np.concatenate(blocks, axis=0)
 
 
 def refine_interpolate(vertices_r, colors_r, faces_r, upsample: int):
@@ -47,7 +66,7 @@ def refine_interpolate(vertices_r, colors_r, faces_r, upsample: int):
     c1 = joined[faces_r[:, 0]]
     c2 = joined[faces_r[:, 1]]
     c3 = joined[faces_r[:, 2]]
-    out = _barycentric_refine(c1, c2, c3, int(upsample))
+    out = barycentric_refine(c1, c2, c3, int(upsample))
     return out[:, :3], out[:, 3:]
 
 
@@ -60,6 +79,15 @@ def refined_interpolated_cloud(frame, interp: int = 1):
     """
     points, colors, weights = render_cloud(frame, interp)
     return np.repeat(points, weights, axis=0), np.repeat(colors, weights, axis=0)
+
+
+def _adapt_krp(krp: int, p: int) -> int:
+    """kRP after a Golomb-Rice codeword with unary prefix p (docs/bitstream.md)."""
+    if p == 0:
+        return max(0, krp - 2)
+    if p > 1:
+        return min(krp + p + 1, _KRP_MAX)
+    return krp
 
 
 class _BitWriter:

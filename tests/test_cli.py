@@ -117,6 +117,16 @@ def test_corrupt_magic_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_decode_of_a_stream_without_gofs_exits_1_and_writes_nothing(tmp_path, capsys):
+    # a TCG1 file needs at least one container, so there is nothing to write
+    bits = tmp_path / "empty.tcb"
+    codec.write_bitstream_file(bits, [])
+    out = tmp_path / "out.tcg"
+    assert _run(["decode", str(bits), "-o", str(out)]) == 1
+    assert "no GOF" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_metric_exits_2(tmp_path, capsys):
     orig = _generate(tmp_path, frames=2, gof_size=2)
     rc = _run(["eval", "--original", str(orig), "--reconstruction", str(orig),

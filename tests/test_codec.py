@@ -384,16 +384,18 @@ def _counting_inverse(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("intra_only, n_inverses, digest", [
+@pytest.mark.parametrize("intra_only, n_inverses, digest, n_frames", [
     # no frame reads an intra-only frame's reconstruction
-    (True, 0, "0b397290a54978ba5ec70bf18b147bd42b9fb9f54799d34392a08a03c97ecc37"),
+    (True, 0, "0b397290a54978ba5ec70bf18b147bd42b9fb9f54799d34392a08a03c97ecc37", 4),
     # the reference's colors, then motion and colors of each predicted frame
     # but the last
-    (False, 1 + 2 * 2, "b9e423d97b7830c3f4a6e9af76a4bdc14f670ffc9ef8496fe743c333c7ccca77"),
+    (False, 1 + 2 * 2, "b9e423d97b7830c3f4a6e9af76a4bdc14f670ffc9ef8496fe743c333c7ccca77", 4),
+    # no frame follows a lone reference frame
+    (False, 0, "b19832f0d2e3ca084991e659231efcdfa7f41ccfa2b24304afda56c7e2f16a05", 1),
 ])
 def test_encoder_inverts_only_what_a_later_frame_reads(monkeypatch, intra_only, n_inverses,
-                                                        digest):
-    gof = _gof(n_frames=4, seed=17)
+                                                        digest, n_frames):
+    gof = _gof(n_frames=n_frames, seed=17)
     calls = _counting_inverse(monkeypatch)
     enc = codec.encode_gof(gof, _params(step_color_intra=4.0), intra_only=intra_only)
     assert len(calls) == n_inverses

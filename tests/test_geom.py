@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import refine_interpolate
+from oracles import barycentric_refine, refine_interpolate
 from tricloud import geom
 from tricloud.errors import ParameterError, RangeError
 
@@ -163,6 +163,17 @@ def test_refine_point_count(upsample):
     out = geom.refine(TRI, faces, upsample)
     per_face = (upsample + 1) * (upsample + 2) // 2
     assert out.shape == (2 * per_face, 3)
+
+
+@pytest.mark.parametrize("n_faces", [0, 1, 7, 500])
+def test_refine_equals_the_step_loop_byte_for_byte(n_faces):
+    rng = np.random.default_rng(n_faces)
+    verts = rng.random((40, 3))
+    faces = rng.integers(0, 40, size=(n_faces, 3))
+    corners = [verts[faces[:, k]] for k in range(3)]
+    for upsample in range(1, 13):
+        expected = barycentric_refine(*corners, upsample)
+        assert geom.refine(verts, faces, upsample).tobytes() == expected.tobytes()
 
 
 def test_refine_rejects_bad_upsample():

@@ -1,6 +1,7 @@
 """Import hygiene of the package: no unused imports, no dangling exports."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -39,3 +40,16 @@ def test_every_imported_name_is_used(path):
 def test_every_exported_name_resolves():
     missing = [name for name in tricloud.__all__ if not hasattr(tricloud, name)]
     assert not missing, f"tricloud.__all__ names what the package does not bind: {missing}"
+
+
+def test_oracles_bind_no_private_callable_of_the_package():
+    # an oracle that calls the library's own helpers checks them against
+    # themselves; frozen constants such as entropy._L may be shared
+    tree = ast.parse((pathlib.Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    shared = [f"{node.module}.{alias.name}"
+              for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.module.startswith("tricloud")
+              for alias in node.names
+              if alias.name.startswith("_")
+              and callable(getattr(importlib.import_module(node.module), alias.name))]
+    assert not shared, f"tests/oracles.py binds private callables of tricloud: {shared}"
