@@ -18,7 +18,10 @@ colors.  Neighboring refined triangles put rows on the same points, so
 :func:`render_cloud` returns each distinct lattice point once with its
 multiplicity, and the metrics weight by it; this equals the expanded cloud,
 where shared points repeat once per triangle (``tests/oracles.py`` builds it
-as the oracle the metrics are checked against).
+as the oracle the metrics are checked against).  Known results are not
+recomputed: refined vertices are copied rather than blended, the two faces
+of an axis share one pixel match, and matching finds a query's own voxel
+by Morton code.
 
 Geometry PSNRs are normalized per coordinate against the unit bounding cube
 (width 1); color PSNRs against peak 255.  Zero error returns +inf.
@@ -107,7 +110,8 @@ def render_cloud(frame, interp: int = 1):
     The triangle cloud is refined to its native color resolution, then each
     refined triangle is interpolated by the extra factor.  Every distinct
     point (see :func:`geom.interpolation_lattice`) comes once, weighted by
-    the number of refined triangles that put it in the cloud.
+    the number of refined triangles that put it in the cloud.  Refined
+    vertices (fractions 0) copy their refine rows; only the rest are blended.
     """
     if int(interp) < 1:
         raise ParameterError(f"interpolation factor must be >= 1, got {interp}")
@@ -116,11 +120,16 @@ def render_cloud(frame, interp: int = 1):
     if frame.n_colors != v_r.shape[0]:
         raise ConsistencyError(f"{frame.n_colors} colors for {v_r.shape[0]} refined vertices")
     n_steps = (frame.upsample + 1) * (frame.upsample + 2) // 2  # rows of refine per face
-    joined = np.concatenate([v_r, frame.colors], axis=1).reshape(n_steps, frame.n_faces, 6)
-    c1, c2, c3 = (joined[steps[:, k]] for k in range(3))
-    out = _blend(c1, c2, c3, fractions[:, 0, None, None],
-                 fractions[:, 1, None, None]).reshape(-1, 6)
-    return out[:, :3], out[:, 3:], np.repeat(weights, frame.n_faces)
+    blended = np.flatnonzero(fractions.any(axis=1))
+    a, b = (fractions[blended, k, None, None] for k in range(2))
+    clouds = []
+    for values in (v_r, frame.colors):
+        per_step = values.reshape(n_steps, frame.n_faces, 3)
+        out = per_step.take(steps[:, 0], axis=0)
+        c2, c3 = (per_step.take(steps[blended, k], axis=0) for k in (1, 2))
+        out[blended] = _blend(out[blended], c2, c3, a, b)
+        clouds.append(out.reshape(-1, 3))
+    return clouds[0], clouds[1], np.repeat(weights, frame.n_faces)
 
 
 def _check_frame_pair(t, a, b) -> None:
@@ -195,11 +204,13 @@ def _voxel_coords(voxel_set: VoxelSet) -> np.ndarray:
 
 
 def _face_winners(coords: np.ndarray, depth: int):
-    """Visible voxels of each cube face, in the order of :func:`project_to_faces`.
+    """Visible voxels of the two cube faces on each axis, x then y then z.
 
-    Yields (keys, rows) per face: the sorted pixel keys row * 2^J + col that
-    the voxels at `coords` cover, and for each key the row of the voxel
-    nearest that face.  The work depends on the voxel count, not on 4^J.
+    Yields (keys, plus_rows, minus_rows) per axis: the sorted pixel keys
+    row * 2^J + col that the voxels at `coords` cover, which the + and -
+    faces share, and for each key the row of the voxel nearest the + face
+    and of the one nearest the - face.  The work depends on the voxel count,
+    not on 4^J.
     """
     size = 1 << depth
     for axis in range(3):
@@ -210,9 +221,7 @@ def _face_winners(coords: np.ndarray, depth: int):
         sorted_pix = pix[order]
         first = np.flatnonzero(np.diff(sorted_pix, prepend=-1))
         last = np.flatnonzero(np.diff(sorted_pix, append=size * size))
-        keys = sorted_pix[first]
-        yield keys, order[last]
-        yield keys, order[first]
+        yield sorted_pix[first], order[last], order[first]
 
 
 def project_to_faces(voxel_set: VoxelSet, depth: int | None = None) -> np.ndarray:
@@ -235,8 +244,9 @@ def project_to_faces(voxel_set: VoxelSet, depth: int | None = None) -> np.ndarra
     if voxel_set.attributes is None or voxel_set.attributes.shape[1] != 3:
         raise ConsistencyError("projection needs a voxel set with 3-component colors")
     pixels = images.reshape(6, size * size, 3)
-    for face, (keys, rows) in enumerate(_face_winners(_voxel_coords(voxel_set), depth)):
-        pixels[face, keys] = voxel_set.attributes[rows]
+    for axis, (keys, *winners) in enumerate(_face_winners(_voxel_coords(voxel_set), depth)):
+        for face, rows in enumerate(winners, start=2 * axis):
+            pixels[face, keys] = voxel_set.attributes.take(rows, axis=0)
     return images
 
 
@@ -246,22 +256,25 @@ def _projection_sq_error(a: VoxelSet, b: VoxelSet) -> np.ndarray:
     Equals the sum over all 6 * 4^J pixels of (render_a - render_b)^2, but
     visits only the pixels some voxel covers: a pixel both sets cover adds
     (c_a - c_b)^2, one covered by a single set adds (c - gray)^2, and gray
-    against gray adds nothing.
+    against gray adds nothing.  The two faces of an axis cover the same
+    pixels, so the pixel keys of a and b are matched once per axis.
     """
     err = np.zeros(3)
-    faces_a = _face_winners(_voxel_coords(a), a.depth)
-    faces_b = _face_winners(_voxel_coords(b), b.depth)
-    for (keys_a, rows_a), (keys_b, rows_b) in zip(faces_a, faces_b):
-        colors_a = a.attributes[rows_a]
-        colors_b = b.attributes[rows_b]
+    axes_a = _face_winners(_voxel_coords(a), a.depth)
+    axes_b = _face_winners(_voxel_coords(b), b.depth)
+    for (keys_a, *faces_a), (keys_b, *faces_b) in zip(axes_a, axes_b):
         pos = np.searchsorted(keys_b, keys_a)
         both = pos < keys_b.size
         both[both] = keys_b[pos[both]] == keys_a[both]
+        pos = pos[both]
         only_b = np.ones(keys_b.size, dtype=bool)
-        only_b[pos[both]] = False
-        err += np.sum((colors_a[both] - colors_b[pos[both]]) ** 2, axis=0)
-        err += np.sum((colors_a[~both] - NEUTRAL_GRAY) ** 2, axis=0)
-        err += np.sum((colors_b[only_b] - NEUTRAL_GRAY) ** 2, axis=0)
+        only_b[pos] = False
+        for rows_a, rows_b in zip(faces_a, faces_b):
+            for d in (a.attributes.take(rows_a[both], axis=0)
+                      - b.attributes.take(rows_b[pos], axis=0),
+                      a.attributes.take(rows_a[~both], axis=0) - NEUTRAL_GRAY,
+                      b.attributes.take(rows_b[only_b], axis=0) - NEUTRAL_GRAY):
+                err += np.einsum("ij,ij->j", d, d)
     return err
 
 
@@ -311,9 +324,9 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
 # ---------------------------------------------------------------------------
 
 def _shells():
-    """Integer offsets by shells of squared length 0, 1, 2, ..., empty ones
+    """Integer offsets by shells of squared length 1, 2, 3, ..., empty ones
     skipped: cubes of doubling radius r each yield the shells up to r^2."""
-    done, radius = 0, 1
+    done, radius = 1, 1
     while True:
         span = np.arange(-radius, radius + 1, dtype=np.int64)
         offsets = np.stack(np.meshgrid(span, span, span, indexing="ij"), axis=-1).reshape(-1, 3)
@@ -337,26 +350,30 @@ def _nearest(query_set: VoxelSet, query: np.ndarray,
     """Row of the nearest target voxel for every query voxel.
 
     query / target are the decoded coordinates of the two sets.  Ties go to
-    the lowest Morton code, the lowest target row.  Shell by shell (see
-    :func:`_shells`), a query's neighbors are looked up by row-major key
-    (x * 2^J + y) * 2^J + z, the query's key plus the offset's; the first
-    shell with a hit answers it; only neighbors inside the target's bounding
-    box are looked up.  The queries still open go to :func:`_nearest_brute`,
-    in chunks of at most _BRUTE_FORCE_PAIRS pairs, once the offsets searched
-    outnumber the target's voxels or once the shells' open queries times
-    offsets, summed, would outnumber the pairs that brute force compares for
-    the queries still open.
+    the lowest Morton code, the lowest target row.  A query's own voxel is
+    looked up by Morton code, which both sets keep sorted.  Then shell by
+    shell (see :func:`_shells`) and offset by offset, the open queries, kept
+    sorted by row-major key (x * 2^J + y) * 2^J + z, look up their key plus
+    the offset's; the first shell with a hit answers a query; only neighbors
+    inside the target's bounding box are looked up.  The queries still open
+    go to :func:`_nearest_brute`, in chunks of at most _BRUTE_FORCE_PAIRS
+    pairs, once the offsets searched outnumber the target's voxels or once
+    the shells' open queries times offsets, summed, would outnumber the
+    pairs that brute force compares for the queries still open.
     """
     size = 1 << query_set.depth
     n_target = target.shape[0]
+    pos = np.minimum(np.searchsorted(target_set.codes, query_set.codes), n_target - 1)
+    hit = target_set.codes[pos] == query_set.codes
+    idx = np.where(hit, pos, n_target)
     key = np.array([size * size, size, 1], dtype=np.int64)
+    query_keys = query @ key
     order = np.argsort(target @ key)
     target_keys = target[order] @ key
     lo = [target[:, axis].min() for axis in range(3)]
     hi = [target[:, axis].max() for axis in range(3)]
-    idx = np.full(query.shape[0], n_target, dtype=np.int64)
-    open_rows = np.arange(query.shape[0])
-    searched = pairs = 0
+    open_rows = np.flatnonzero(~hit)[np.argsort(query_keys[~hit])]
+    searched, pairs = 1, query.shape[0]  # shell 0
     for offsets in _shells():
         if open_rows.size == 0 or searched > n_target:
             break
@@ -364,15 +381,18 @@ def _nearest(query_set: VoxelSet, query: np.ndarray,
         pairs += open_rows.size * offsets.shape[0]
         if pairs > open_rows.size * n_target:
             break
-        inside = np.ones((open_rows.size, offsets.shape[0]), dtype=bool)
+        inside = np.ones((offsets.shape[0], open_rows.size), dtype=bool)
         for axis in range(3):
-            cand = query[open_rows, axis, None] + offsets[:, axis]
+            cand = query[open_rows, axis] + offsets[:, axis, None]
             inside &= (cand >= lo[axis]) & (cand <= hi[axis])
-        qi, oi = np.nonzero(inside)
-        keys = (query[open_rows] @ key)[qi] + (offsets @ key)[oi]
-        pos = np.minimum(np.searchsorted(target_keys, keys), n_target - 1)
-        hit = target_keys[pos] == keys
-        np.minimum.at(idx, open_rows[qi[hit]], order[pos[hit]])
+        keys = query_keys[open_rows]
+        for offset_key, offset_inside in zip(offsets @ key, inside):
+            sel = np.flatnonzero(offset_inside)
+            needles = keys[sel] + offset_key
+            pos = np.minimum(np.searchsorted(target_keys, needles), n_target - 1)
+            hit = target_keys[pos] == needles
+            rows = open_rows[sel[hit]]
+            idx[rows] = np.minimum(idx[rows], order[pos[hit]])
         open_rows = open_rows[idx[open_rows] == n_target]
     chunk = max(1, _BRUTE_FORCE_PAIRS // n_target)
     for rows in np.split(open_rows, range(chunk, open_rows.size, chunk)):
@@ -383,9 +403,9 @@ def _nearest(query_set: VoxelSet, query: np.ndarray,
 def _one_way(src: VoxelSet, src_xyz: np.ndarray, dst: VoxelSet, dst_xyz: np.ndarray):
     idx = _nearest(src, src_xyz, dst, dst_xyz)
     sq = 2.0 ** (-2 * src.depth)
-    d2 = np.sum((src_xyz - dst_xyz[idx]) ** 2, axis=1)
-    d_g2 = float(np.mean(d2)) * sq
-    d_y2 = float(np.mean((src.attributes[:, 0] - dst.attributes[idx, 0]) ** 2))
+    d = src_xyz - dst_xyz.take(idx, axis=0)
+    d_g2 = float(np.mean(np.einsum("ij,ij->i", d, d))) * sq
+    d_y2 = float(np.mean((src.attributes[:, 0] - dst.attributes[:, 0].take(idx)) ** 2))
     return d_g2, d_y2
 
 

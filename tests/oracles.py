@@ -6,15 +6,19 @@ function keeps the loop whose bytes it is checked against.
 
 The bit-by-bit RLGR coder: a bit writer and reader with one call per field
 and per bit, one Golomb-Rice code site per mode, and its own copy of the kRP
-rule.  The library codes over one string of '0'/'1' characters
-(:func:`tricloud.entropy.rlgr_encode`, :func:`tricloud.entropy.rlgr_decode`);
-these functions keep the direct construction its bytes are checked against.
+rule.  The library encoder scans the symbols once per nonzero and packs the
+codewords into 32-bit words (:func:`tricloud.entropy.rlgr_encode`); its
+decoder reads one string of '0'/'1' characters
+(:func:`tricloud.entropy.rlgr_decode`).  These functions keep the direct
+construction their bytes are checked against.
 
 The expanded render cloud: every refined triangle upsampled again, with a
 point shared by neighboring triangles repeated once per triangle.  The
 library computes each distinct point once (:func:`tricloud.metrics.render_cloud`,
 :func:`tricloud.geom.interpolation_lattice`); these functions keep the
-direct construction the metrics are checked against.
+direct construction the metrics are checked against, and the blend of every
+distinct point, refined vertices included, whose bytes the library's
+render cloud must equal.
 
 The row-wise RAHT passes: each level gathers, combines and scatters whole
 attribute rows with (m, 1) gains.  The library runs the same butterflies one
@@ -31,6 +35,7 @@ from tricloud.entropy import (
     _D0, _D1, _ESC, _INIT_KP, _INIT_KRP, _KP_MAX, _KRP_MAX, _L, _U0, _U1, RLGR_VERSION,
 )
 from tricloud.errors import ConsistencyError, CorruptStreamError, RangeError
+from tricloud.geom import interpolation_lattice, refine
 from tricloud.metrics import render_cloud
 from tricloud.transform import CoefficientBlock
 
@@ -79,6 +84,24 @@ def refined_interpolated_cloud(frame, interp: int = 1):
     """
     points, colors, weights = render_cloud(frame, interp)
     return np.repeat(points, weights, axis=0), np.repeat(colors, weights, axis=0)
+
+
+def blended_render_cloud(frame, interp: int = 1):
+    """(points, colors, weights) of :func:`render_cloud`, every point blended.
+
+    Each lattice point gathers its three refine steps' rows and blends them,
+    a refined vertex (equal steps, fractions 0) included.
+    """
+    steps, fractions, weights = interpolation_lattice(frame.upsample, interp)
+    v_r = refine(frame.vertices, frame.faces, frame.upsample)
+    n_steps = (frame.upsample + 1) * (frame.upsample + 2) // 2  # rows of refine per face
+    joined = np.concatenate([v_r, frame.colors], axis=1).reshape(n_steps, frame.n_faces, 6)
+    c1, c2, c3 = (joined[steps[:, k]] for k in range(3))
+    out = (c2 - c1) * fractions[:, 0, None, None]
+    out += c1
+    out += (c3 - c1) * fractions[:, 1, None, None]
+    out = out.reshape(-1, 6)
+    return out[:, :3], out[:, 3:], np.repeat(weights, frame.n_faces)
 
 
 def _adapt_krp(krp: int, p: int) -> int:

@@ -266,6 +266,25 @@ def test_eval_report_at_uinterp_2_is_pinned(tmp_path, capsys):
     ]
 
 
+def test_matching_on_the_pin_scene_render_voxels_matches_brute_force(tmp_path):
+    # the render voxel sets an eval of the pin scene matches: the grid search
+    # must give brute force's answers, over hits at squared distance 0, 1 and 2
+    orig, recon = _pin_scene(tmp_path)
+    originals = [f for gof in core.read_gof_file(orig)[0] for f in gof]
+    recons = [f for gof in core.read_gof_file(recon)[0] for f in gof]
+    d2_seen = set()
+    for a, b in zip(originals, recons):
+        sets = [metrics._render_voxels(f, 9, 1) for f in (a, b)]
+        xyz = [metrics._voxel_coords(vs) for vs in sets]
+        for q, t in ((0, 1), (1, 0)):
+            got = metrics._nearest(sets[q], xyz[q], sets[t], xyz[t])
+            want = np.concatenate([metrics._nearest_brute(xyz[q][i:i + 256], xyz[t])
+                                   for i in range(0, len(xyz[q]), 256)])
+            assert np.array_equal(got, want)
+            d2_seen.update(np.sum((xyz[q] - xyz[t][got]) ** 2, axis=1).tolist())
+    assert {0, 1, 2} <= d2_seen
+
+
 def test_default_eval_builds_each_render_voxel_set_once(tmp_path, monkeypatch, capsys):
     orig, recon = _pin_scene(tmp_path)
     calls = []

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import refine_interpolate, refined_interpolated_cloud
+from oracles import blended_render_cloud, refine_interpolate, refined_interpolated_cloud
 from tricloud import core, geom, metrics
 from tricloud.errors import (
     ConsistencyError,
@@ -184,6 +184,18 @@ def test_render_cloud_is_the_interpolated_cloud_once_per_point(upsample, interp)
             assert np.array_equal(got.attributes, want.attributes)
 
 
+@pytest.mark.parametrize("upsample", [1, 2, 3, 6])
+@pytest.mark.parametrize("interp", [1, 2, 3, 4])
+def test_render_cloud_is_the_blended_cloud_byte_for_byte(upsample, interp):
+    for n_faces in (0, 1, 7):
+        f = _frame(n_faces=n_faces, upsample=upsample, seed=upsample + 5 * interp, n_vertices=9)
+        got = metrics.render_cloud(f, interp)
+        want = blended_render_cloud(f, interp)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+
+
 def test_render_cloud_validation():
     f = _frame(n_faces=2, upsample=2, seed=6)
     with pytest.raises(ParameterError):
@@ -317,6 +329,30 @@ def test_projection_sq_error_matches_dense_renders():
         assert metrics._projection_sq_error(x, y) == pytest.approx(
             _dense_sq_error(x, y), rel=1e-12, abs=0.0)
     assert np.all(metrics._projection_sq_error(a, a) == 0.0)
+
+
+def test_projection_sq_error_with_occlusion_on_every_axis():
+    # two thick boxes, one shifted on every axis: each covered pixel has at
+    # least two voxels along its axis, so the + and - faces of an axis show
+    # different voxels, and each set covers pixels the other does not
+    rng = np.random.default_rng(33)
+    depth = 4
+    box = np.stack(np.meshgrid(np.arange(3, 9), np.arange(2, 11), np.arange(4, 13),
+                               indexing="ij"), axis=-1).reshape(-1, 3)
+    sets = []
+    for coords in (box, box + [2, -1, 3]):
+        vs = _vset(depth, coords, np.zeros(len(coords)))
+        sets.append(vs.with_attributes(rng.integers(0, 256, size=(len(vs), 3)).astype(float)))
+    a, b = sets
+    renders = [metrics.project_to_faces(vs) for vs in sets]
+    for axis in range(3):
+        for img in renders:
+            assert np.any(img[2 * axis] != img[2 * axis + 1])
+        covered_a, covered_b = (np.any(img[2 * axis] != 128.0, axis=-1) for img in renders)
+        assert np.any(covered_a & ~covered_b) and np.any(covered_b & ~covered_a)
+    for x, y in ((a, b), (b, a)):
+        assert metrics._projection_sq_error(x, y) == pytest.approx(
+            _dense_sq_error(x, y), rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
