@@ -28,6 +28,7 @@ points and colors are unaffected because they are generated per face.
 
 from __future__ import annotations
 
+import io
 import struct
 from dataclasses import dataclass
 
@@ -38,6 +39,7 @@ from .core import (
     GroupOfFrames,
     TriangleCloudFrame,
     VoxelSet,
+    _read_exact,
     validate_gof,
 )
 from .entropy import (
@@ -54,7 +56,6 @@ from .errors import (
     FormatError,
     ParameterError,
     RangeError,
-    TruncatedStreamError,
 )
 from .geom import _group_means, refine, voxelize
 from .octree import octree_parse, octree_serialize
@@ -416,24 +417,9 @@ def _pack_section(data: bytes) -> bytes:
     return struct.pack("<I", len(data)) + data
 
 
-class _RecordReader:
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise TruncatedStreamError("GOF record ended early")
-        chunk = self.data[self.pos:self.pos + n]
-        self.pos += n
-        return chunk
-
-    def section(self) -> bytes:
-        (length,) = struct.unpack("<I", self.take(4))
-        return self.take(length)
-
-    def done(self) -> bool:
-        return self.pos == len(self.data)
+def _section(fp) -> bytes:
+    (length,) = struct.unpack("<I", _read_exact(fp, 4))
+    return _read_exact(fp, length)
 
 
 def serialize_gof_record(encoded: EncodedGof) -> bytes:
@@ -472,9 +458,9 @@ def serialize_gof_record(encoded: EncodedGof) -> bytes:
 
 
 def parse_gof_record(data: bytes) -> EncodedGof:
-    reader = _RecordReader(data)
+    fp = io.BytesIO(data)
     depth, upsample, n_frames, intra_flag, s_m, s_ci, s_cp, n_vertices, n_faces = (
-        struct.unpack("<IIIB3dII", reader.take(45))
+        struct.unpack("<IIIB3dII", _read_exact(fp, 45))
     )
     try:
         params = CodecParams(depth, upsample, s_m, s_ci, s_cp)
@@ -482,23 +468,23 @@ def parse_gof_record(data: bytes) -> EncodedGof:
         raise CorruptStreamError(f"bad GOF header: {exc}") from exc
     frames = []
     for _ in range(n_frames):
-        (kind,) = struct.unpack("<B", reader.take(1))
+        (kind,) = struct.unpack("<B", _read_exact(fp, 1))
         if kind == _INTRA:
-            n_voxels, n_refined = struct.unpack("<II", reader.take(8))
-            octree_bytes = reader.section()
-            runs = reader.section()
-            faces = reader.section()
-            planes = tuple(reader.section() for _ in range(3))
+            n_voxels, n_refined = struct.unpack("<II", _read_exact(fp, 8))
+            octree_bytes = _section(fp)
+            runs = _section(fp)
+            faces = _section(fp)
+            planes = tuple(_section(fp) for _ in range(3))
             frames.append(
                 IntraPayload(n_voxels, n_refined, octree_bytes, runs, faces, planes)
             )
         elif kind == _PREDICTED:
-            motion = tuple(reader.section() for _ in range(3))
-            planes = tuple(reader.section() for _ in range(3))
+            motion = tuple(_section(fp) for _ in range(3))
+            planes = tuple(_section(fp) for _ in range(3))
             frames.append(PredictedPayload(motion, planes))
         else:
             raise CorruptStreamError(f"unknown frame record type {kind}")
-    if not reader.done():
+    if fp.read(1):
         raise CorruptStreamError("trailing bytes inside a GOF record")
     if not frames or not isinstance(frames[0], IntraPayload):
         raise CorruptStreamError("GOF record does not start with an intra frame")
@@ -521,29 +507,17 @@ def write_bitstream(fp, encoded_gofs) -> None:
 
 def read_bitstream(fp) -> list:
     """Read a TCB1 container back into EncodedGof records."""
-    magic = fp.read(4)
-    if len(magic) < 4:
-        raise TruncatedStreamError("missing container magic")
+    magic = _read_exact(fp, 4)
     if magic != BITSTREAM_MAGIC:
         raise FormatError(f"bad container magic {magic!r}, expected {BITSTREAM_MAGIC!r}")
-    header = fp.read(6)
-    if len(header) < 6:
-        raise TruncatedStreamError("truncated container header")
-    version, n_gofs = struct.unpack("<HI", header)
+    version, n_gofs = struct.unpack("<HI", _read_exact(fp, 6))
     if version != BITSTREAM_VERSION:
         raise FormatError(f"unsupported container version {version}")
     records = []
     for _ in range(n_gofs):
-        length_raw = fp.read(4)
-        if len(length_raw) < 4:
-            raise TruncatedStreamError("missing GOF record length")
-        (length,) = struct.unpack("<I", length_raw)
-        body = fp.read(length)
-        if len(body) < length:
-            raise TruncatedStreamError("GOF record shorter than its declared length")
-        records.append(parse_gof_record(body))
-    trailer = fp.read(1)
-    if trailer:
+        (length,) = struct.unpack("<I", _read_exact(fp, 4))
+        records.append(parse_gof_record(_read_exact(fp, length)))
+    if fp.read(1):
         raise CorruptStreamError("trailing bytes after the last GOF record")
     return records
 

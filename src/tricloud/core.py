@@ -210,14 +210,17 @@ def validate_gof(gof: GroupOfFrames) -> GroupOfFrames:
             raise ConsistencyError(f"{label}: vertex count mismatch with the reference frame")
         if frame.n_faces and (frame.faces.min() < 0 or frame.faces.max() >= frame.n_vertices):
             raise ConsistencyError(f"{label}: face index out of range")
-        if frame.vertices.size and (frame.vertices.min() < 0.0 or frame.vertices.max() >= 1.0):
+        # written so that NaN, which fails every comparison, fails the check
+        if frame.vertices.size and not (frame.vertices.min() >= 0.0
+                                        and frame.vertices.max() < 1.0):
             raise ConsistencyError(f"{label}: vertex coordinate out of [0, 1)")
         expected = expected_color_count(frame.n_faces, frame.upsample)
         if frame.n_colors != expected:
             raise ConsistencyError(
                 f"{label}: color count {frame.n_colors} != N_f(U+1)(U+2)/2 = {expected}"
             )
-        if frame.colors.size and (frame.colors.min() < 0.0 or frame.colors.max() > 255.0):
+        if frame.colors.size and not (frame.colors.min() >= 0.0
+                                      and frame.colors.max() <= 255.0):
             raise ConsistencyError(f"{label}: color component out of [0, 255]")
     return gof
 
@@ -238,11 +241,22 @@ def rgb_from_yuv(yuv) -> np.ndarray:
 # TCF1 / TCG1 binary formats (little-endian; see docs/bitstream.md)
 # ---------------------------------------------------------------------------
 
+# a declared length is read this many bytes at a time, so a hostile length
+# costs no more memory than the bytes the stream really holds
+_READ_CHUNK = 16 << 20
+
+
 def _read_exact(fp, n: int) -> bytes:
-    data = fp.read(n)
-    if len(data) != n:
-        raise TruncatedStreamError(f"expected {n} bytes, got {len(data)}")
-    return data
+    """Read exactly ``n`` bytes or raise TruncatedStreamError; needs only ``fp.read``."""
+    chunks = []
+    remaining = n
+    while remaining > 0:
+        chunk = fp.read(min(remaining, _READ_CHUNK))
+        if not chunk:
+            raise TruncatedStreamError(f"expected {n} bytes, got {n - remaining}")
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
 
 
 def _colors_to_u8(colors: np.ndarray) -> np.ndarray:
@@ -335,11 +349,8 @@ def read_gof_file(path) -> tuple[list[GroupOfFrames], int]:
     gofs = []
     depth = None
     with open(path, "rb") as fp:
-        while True:
-            probe = fp.read(1)
-            if not probe:
-                break
-            fp.seek(-1, 1)
+        # peek needs no seek, so a pipe works as input
+        while fp.peek(1):
             gof, gof_depth = read_gof(fp)
             if depth is not None and gof_depth != depth:
                 raise ConsistencyError("containers in one file disagree on depth")

@@ -8,6 +8,8 @@ so a parse in stream order emits leaf codes already sorted.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 
 from .core import VoxelSet
@@ -106,12 +108,12 @@ def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):
 def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
                                step_color: float) -> VoxelSet:
     """Invert :func:`baseline_encode_pointcloud` (colors up to quantization)."""
-    from .codec import _decode_planes, _reconstruct, _RecordReader  # codec imports octree
+    from .codec import _decode_planes, _reconstruct, _section  # codec imports octree
 
-    reader = _RecordReader(color_bytes)
+    fp = io.BytesIO(color_bytes)
     planes = []
-    while not reader.done():
-        planes.append(reader.section())
+    while fp.tell() < len(color_bytes):
+        planes.append(_section(fp))
     if not planes:
         raise TruncatedStreamError("no color payloads present")
     # every plane declares the voxel count (bytes 1-4), which bounds the octree

@@ -4,6 +4,10 @@ import csv
 import hashlib
 import json
 import math
+import os
+import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -115,6 +119,66 @@ def test_corrupt_magic_exits_2(tmp_path, capsys):
     rc = _run(["encode", str(bad), "-o", str(tmp_path / "x.tcb")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def _child_env():
+    """Environment for a child process that imports this run's tricloud."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)),
+                OPENBLAS_NUM_THREADS="1")
+
+
+# the CLI in a child process whose address space is capped at 1 GiB, so a
+# reader that trusts a hostile length fails there instead of in the test run
+_CAPPED_CLI = (
+    "import resource, sys\n"
+    "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    "from tricloud import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def _tcg1(upsample, n_p, n_f, body=b""):
+    """One TCG1 container of one depth-8 frame."""
+    return (core.GOF_MAGIC + struct.pack("<I", 1) + core.FRAME_MAGIC
+            + struct.pack("<IIII", 8, upsample, n_p, n_f) + body)
+
+
+_HOSTILE = {
+    # 2^32-1 vertices declared, none present
+    "vertex-count": ("encode", _tcg1(2, 0xFFFFFFFF, 1)),
+    # 3 vertices and 1 face, but (U+1)(U+2)/2 colors for U = 2^32-1
+    "upsample": ("encode", _tcg1(0xFFFFFFFF, 3, 1, bytes(36) + struct.pack("<3I", 0, 1, 2))),
+    # one GOF record that declares about 4 GiB and carries 10 bytes
+    "record-length": ("decode", codec.BITSTREAM_MAGIC + struct.pack("<HI", 1, 1)
+                      + struct.pack("<I", 0xFFFFFFF0) + bytes(10)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_HOSTILE))
+def test_hostile_declared_length_exits_1_within_a_memory_cap(tmp_path, name):
+    command, data = _HOSTILE[name]
+    path = tmp_path / "hostile.bin"
+    path.write_bytes(data)
+    result = subprocess.run(
+        [sys.executable, "-c", _CAPPED_CLI, command, str(path), "-o", str(tmp_path / "out")],
+        env=_child_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "error:" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_encode_and_decode_read_from_a_pipe(tmp_path):
+    orig = _generate(tmp_path, frames=2, gof_size=2)
+    bits, recon = tmp_path / "seq.tcb", tmp_path / "recon.tcg"
+    assert _run(["encode", str(orig), "-o", str(bits)]) == 0
+    assert _run(["decode", str(bits), "-o", str(recon)]) == 0
+    for command, source, target in (("encode", orig, bits), ("decode", bits, recon)):
+        piped = tmp_path / f"piped-{command}"
+        subprocess.run([sys.executable, "-m", "tricloud.cli", command, "/dev/stdin",
+                        "-o", str(piped)], input=source.read_bytes(), env=_child_env(),
+                       capture_output=True, check=True, timeout=120)
+        assert piped.read_bytes() == target.read_bytes()
 
 
 def test_decode_of_a_stream_without_gofs_exits_1_and_writes_nothing(tmp_path, capsys):

@@ -14,7 +14,7 @@ from functools import cache
 import numpy as np
 import pytest
 
-from tricloud import codec, datagen, entropy, geom, transform
+from tricloud import codec, core, datagen, entropy, geom, transform
 from tricloud.core import CodecParams, GroupOfFrames, TriangleCloudFrame, validate_gof
 from tricloud.errors import (
     ConsistencyError,
@@ -334,6 +334,31 @@ def test_bitstream_round_trip_and_file_io(tmp_path):
     codec.write_bitstream_file(path, enc)
     rec = [codec.decode_gof(g) for g in codec.read_bitstream_file(path)]
     assert [g.n_frames for g in rec] == [3, 3]
+
+
+class _ReadOnly:
+    """A stream with nothing but read(), as a pipe offers: no seek, no tell."""
+
+    def __init__(self, data: bytes):
+        self.read = io.BytesIO(data).read
+
+
+def test_readers_need_only_read():
+    gof = _gof(n_frames=2, seed=20)
+    enc = codec.encode_gof(gof, _params())
+    bits = io.BytesIO()
+    codec.write_bitstream(bits, [enc])
+    back = codec.read_bitstream(_ReadOnly(bits.getvalue()))
+    assert [codec.serialize_gof_record(g) for g in back] == [codec.serialize_gof_record(enc)]
+    frames = io.BytesIO()
+    core.write_gof(frames, gof, depth=8)
+    read, depth = core.read_gof(_ReadOnly(frames.getvalue()))
+    frames.seek(0)
+    seekable, _ = core.read_gof(frames)
+    assert depth == 8
+    assert all(np.array_equal(getattr(a, name), getattr(b, name))
+               for a, b in zip(read, seekable, strict=True)
+               for name in ("vertices", "faces", "colors"))
 
 
 def test_bitstream_header_errors():

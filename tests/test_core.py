@@ -1,6 +1,10 @@
 """Domain types, validation, and the TCF1/TCG1 raw file formats."""
 
 import io
+import os
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -96,6 +100,19 @@ def test_validate_gof_catches_each_violation():
     loud[0, 0] = 300.0
     with pytest.raises(ConsistencyError, match="color component"):
         core.validate_gof(core.GroupOfFrames((variant(colors=loud),)))
+
+
+@pytest.mark.parametrize("field", ["vertices", "colors"])
+def test_validate_gof_rejects_nan(field):
+    # NaN fails every comparison, so a range check must be written to fail on it
+    base = _frame(seed=5)
+    values = np.asarray(getattr(base, field)).copy()
+    values[1, 2] = np.nan
+    fields = dict(vertices=base.vertices, faces=base.faces, colors=base.colors,
+                  upsample=base.upsample)
+    fields[field] = values
+    with pytest.raises(ConsistencyError):
+        core.validate_gof(core.GroupOfFrames((core.TriangleCloudFrame(**fields),)))
 
 
 def test_codec_params_validation():
@@ -214,6 +231,26 @@ def test_frame_bad_magic_and_truncation():
         core.read_frame(io.BytesIO(data[:-3]))
 
 
+def test_read_exact_reads_in_bounded_chunks(monkeypatch):
+    data = bytes(range(10))
+    sizes = []
+
+    def recording():
+        fp = io.BytesIO(data)
+        return SimpleNamespace(read=lambda n: sizes.append(n) or fp.read(n))
+
+    # one chunk comes back as the object read() returned, without a copy
+    assert core._read_exact(SimpleNamespace(read=lambda n: data), 10) is data
+    monkeypatch.setattr(core, "_READ_CHUNK", 4)
+    assert core._read_exact(recording(), 10) == data
+    assert sizes == [4, 4, 2]
+    # a length the stream does not hold costs only the bytes it does hold
+    sizes.clear()
+    with pytest.raises(TruncatedStreamError, match="got 10"):
+        core._read_exact(recording(), 1 << 40)
+    assert sizes == [4, 4, 4, 4]
+
+
 def test_gof_container_round_trip_shares_faces():
     f1 = _frame(n_faces=4, upsample=3, seed=9)
     f2 = core.TriangleCloudFrame(
@@ -258,3 +295,52 @@ def test_gof_file_error_paths(tmp_path):
     wrong.write_bytes(b"BOGUS123")
     with pytest.raises(FormatError):
         core.read_gof_file(wrong)
+
+
+# Runs in a child process capped at 1 GiB of address space: a reader that
+# trusts a hostile length fails there instead of in the test run.  It goes
+# through a real file because io.BytesIO.read(n) does not preallocate n bytes.
+_MUTATION_SWEEP = """
+import io, random, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+import numpy as np
+from tricloud import core, datagen
+from tricloud.errors import TricloudError
+
+path = sys.argv[1]
+gof = datagen.gen_sequence("sphere", 2, n_faces=20, upsample=2, seed=1)[0]
+core.write_gof_file(path, gof, depth=8)
+with open(path, "rb") as fp:
+    data = fp.read()
+rng = random.Random(1)
+for trial in range(400):
+    mutated = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+    with open(path, "wb") as fp:
+        fp.write(mutated)
+    try:
+        gofs, depth = core.read_gof_file(path)
+    except TricloudError:
+        continue
+    for read in gofs:
+        buf = io.BytesIO()
+        core.write_gof(buf, read, depth)
+        buf.seek(0)
+        back, back_depth = core.read_gof(buf)
+        assert back_depth == depth, trial
+        for a, b in zip(read.frames, back.frames, strict=True):
+            assert a.upsample == b.upsample, trial
+            for name in ("vertices", "faces", "colors"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), trial
+"""
+
+
+def test_mutated_gof_files_read_back_unchanged_or_raise(tmp_path):
+    # each mutated file either reads and survives a write/read round trip,
+    # or raises a TricloudError; any other exception fails the child
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run([sys.executable, "-c", _MUTATION_SWEEP, str(tmp_path / "m.tcg")],
+                            env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr

@@ -37,6 +37,30 @@ def test_every_imported_name_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def _reads_one_byte(call):
+    return (len(call.args) == 1 and not call.keywords
+            and isinstance(call.args[0], ast.Constant) and call.args[0].value == 1)
+
+
+def test_every_declared_length_is_read_through_read_exact():
+    # core._read_exact reads a declared length in bounded chunks; any other
+    # read takes one byte (the trailer checks)
+    stray = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        exempt = {id(node)
+                  for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_read_exact"
+                  and path.name == "core.py"
+                  for node in ast.walk(func)}
+        stray += [f"{path.name}:{node.lineno}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "read" and id(node) not in exempt
+                  and not _reads_one_byte(node)]
+    assert not stray, f"reads outside core._read_exact: {stray}"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in tricloud.__all__ if not hasattr(tricloud, name)]
     assert not missing, f"tricloud.__all__ names what the package does not bind: {missing}"
