@@ -16,9 +16,11 @@ from .codec import (
     IntraPayload,
     PredictedPayload,
     ReferenceState,
+    decode_frames,
     decode_gof,
     decode_predicted,
     decode_reference,
+    encode_frames,
     encode_gof,
     encode_predicted,
     encode_reference,
@@ -29,18 +31,23 @@ from .codec import (
 )
 from .core import (
     CodecParams,
+    GofHeader,
     GroupOfFrames,
     TriangleCloudFrame,
     VoxelSet,
+    check_frame,
     expected_color_count,
+    iter_gof_file,
     read_frame,
     read_gof,
     read_gof_file,
+    read_gof_frames,
     rgb_from_yuv,
     validate_gof,
     write_frame,
     write_gof,
     write_gof_file,
+    write_gof_frames,
     yuv_from_rgb,
 )
 from .datagen import gen_sequence

@@ -9,25 +9,31 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import math
 import os
+import stat
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 from .codec import (
     IntraPayload,
+    decode_frames,
     decode_gof,
-    encode_gof,
+    encode_frames,
     read_bitstream_file,
     write_bitstream_file,
 )
 from .core import (
     CodecParams,
-    GroupOfFrames,
+    GofHeader,
+    iter_gof_file,
     read_gof_file,
     write_gof_file,
+    write_gof_frames,
 )
 from .datagen import SHAPES, gen_sequence
 from .errors import CorruptStreamError, FormatError, TricloudError
@@ -88,13 +94,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-color-inter", type=float, default=1.0)
     p.add_argument("--intra-only", action="store_true",
                    help="code every frame as a reference frame")
-    p.add_argument("--jobs", type=int, default=1, help="parallel GOF workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel GOF workers, at most N GOFs in flight (default 1: "
+                        "one frame held at a time)")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a TCB1 bitstream to a TCG1 sequence")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--jobs", type=int, default=1, help="parallel GOF workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="parallel GOF workers, at most N GOFs in flight (default 1: "
+                        "one frame held at a time)")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="compare two TCG1 sequences")
@@ -131,8 +141,8 @@ def cmd_generate(args) -> int:
 
 
 def _encode_job(job):
-    gof, params, intra_only = job
-    return encode_gof(gof, params, intra_only)
+    frames, n_frames, params, intra_only = job
+    return encode_frames(frames, n_frames, params, intra_only)
 
 
 def _rate_report(encoded) -> dict:
@@ -149,20 +159,40 @@ def _rate_report(encoded) -> dict:
 
 
 def _run_jobs(worker, jobs, n_workers: int):
-    if n_workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            return list(pool.map(worker, jobs))
-    return [worker(job) for job in jobs]
+    """Yield ``worker(job)`` for each job, in order, as the caller asks for them.
+
+    With ``n_workers`` > 1 and at least two jobs, the jobs run in a pool of
+    that many processes, and at most ``n_workers`` are in flight: submitted,
+    or returned and not yet done with by the caller.
+    """
+    jobs = iter(jobs)
+    if n_workers > 1:
+        head = list(itertools.islice(jobs, 2))
+        if len(head) == 2:
+            with ProcessPoolExecutor(max_workers=n_workers) as pool:
+                pending = deque(pool.submit(worker, job) for job in head)
+                head.clear()
+                while pending:
+                    pending.extend(pool.submit(worker, job) for job in
+                                   itertools.islice(jobs, n_workers - len(pending)))
+                    yield pending.popleft().result()
+            return
+        jobs = iter(head)
+    yield from map(worker, jobs)
 
 
 def cmd_encode(args) -> int:
-    gofs, file_depth = read_gof_file(args.input)
-    depth = args.depth if args.depth is not None else file_depth
-    params = CodecParams(depth, gofs[0].reference.upsample, args.step_motion,
+    containers = iter_gof_file(args.input)
+    header, frames = next(containers)
+    depth = args.depth if args.depth is not None else header.depth
+    params = CodecParams(depth, header.upsample, args.step_motion,
                          args.step_color_intra, args.step_color_inter)
-    log.info("encoding %d GOF(s) at depth %d", len(gofs), depth)
-    encoded = _run_jobs(_encode_job, [(g, params, args.intra_only) for g in gofs],
-                        args.jobs)
+    # one GOF at a time: this process encodes frames as it reads them, a pool
+    # worker gets the GOF's frames
+    jobs = ((tuple(frames) if args.jobs > 1 else frames, h.n_frames, params, args.intra_only)
+            for h, frames in itertools.chain([(header, frames)], containers))
+    log.info("encoding at depth %d", depth)
+    encoded = list(_run_jobs(_encode_job, jobs, args.jobs))
     write_bitstream_file(args.output, encoded)
 
     print("frame  type  geometry_kbit  color_kbit")
@@ -178,23 +208,38 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _write_decoded(fp, encoded, frames, depth: int) -> None:
+    """Write the frames of one decoded GOF record as TCG1 containers."""
+    upsample = encoded.params.upsample
+    if encoded.intra_only:
+        # all-intra frames carry no shared vertex labeling, so each gets its
+        # own group in the output container
+        frames = iter(frames)
+        for _ in range(encoded.n_frames):
+            write_gof_frames(fp, GofHeader(1, depth, upsample), itertools.islice(frames, 1))
+    else:
+        write_gof_frames(fp, GofHeader(encoded.n_frames, depth, upsample), frames)
+
+
 def cmd_decode(args) -> int:
     encoded = read_bitstream_file(args.input)
     if not encoded:  # a TCG1 file holds at least one container
         raise CorruptStreamError(f"{args.input}: bitstream holds no GOF")
     log.info("decoding %d GOF(s)", len(encoded))
-    gofs = _run_jobs(decode_gof, encoded, args.jobs)
-    out = []
-    for enc, gof in zip(encoded, gofs):
-        if enc.intra_only and gof.n_frames > 1:
-            # all-intra frames carry no shared vertex labeling, so each gets
-            # its own group in the output container
-            out.extend(GroupOfFrames((frame,)) for frame in gof)
-        else:
-            out.append(gof)
-    write_gof_file(args.output, out, encoded[0].params.depth)
-    n_frames = sum(g.n_frames for g in gofs)
-    print(f"wrote {args.output}: {n_frames} frames in {len(gofs)} GOF(s), "
+    # this process decodes one frame at a time, a pool worker a whole GOF
+    decoded = _run_jobs(decode_frames if args.jobs <= 1 else decode_gof, encoded, args.jobs)
+    with open(args.output, "wb") as fp:
+        try:
+            for enc in encoded:
+                _write_decoded(fp, enc, next(decoded), encoded[0].params.depth)
+        except BaseException:
+            # a decode that fails leaves no partial file behind
+            if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
+                fp.close()
+                os.remove(args.output)
+            raise
+    n_frames = sum(enc.n_frames for enc in encoded)
+    print(f"wrote {args.output}: {n_frames} frames in {len(encoded)} GOF(s), "
           f"{os.path.getsize(args.output)} bytes")
     return 0
 

@@ -39,6 +39,7 @@ from .core import (
     GroupOfFrames,
     TriangleCloudFrame,
     VoxelSet,
+    _next_frame,
     _read_exact,
     validate_gof,
 )
@@ -61,8 +62,8 @@ from .geom import _group_means, refine, voxelize
 from .octree import octree_parse, octree_serialize
 from .transform import (
     RahtPlan,
+    _bin_indices,
     dequantize_indices,
-    quantize_indices,
     raht_forward,
     raht_inverse,
     raht_plan,
@@ -201,7 +202,8 @@ class FrameBuffer:
 
 def _quantize(plan: RahtPlan, values: np.ndarray, step: float) -> np.ndarray:
     """Transform rows over the plan's voxels, then quantize to bin indices."""
-    return quantize_indices(raht_forward(plan, values).coefficients, step)
+    # the coefficients are a fresh array, so they are quantized in place
+    return _bin_indices(raht_forward(plan, values).coefficients, step)
 
 
 def _reconstruct(plan: RahtPlan, symbols: np.ndarray, step: float) -> np.ndarray:
@@ -332,13 +334,15 @@ def _encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
     if frame.n_colors != state.refined_index_map.size:
         raise ConsistencyError("predicted frame color count differs from the reference")
 
-    positions = _group_means(frame.vertices[state.vertex_permutation],
-                             state.vertex_index_map, state.vertex_counts)
-    motion_residual = (positions - buffer.vertex_positions) * float(1 << params.depth)
-    motion_symbols = _quantize(state.vertex_plan, motion_residual, params.step_motion)
+    # the residuals are formed in place, in the per-voxel means' own arrays
+    motion = _group_means(frame.vertices[state.vertex_permutation],
+                          state.vertex_index_map, state.vertex_counts)
+    motion -= buffer.vertex_positions
+    motion *= float(1 << params.depth)
+    motion_symbols = _quantize(state.vertex_plan, motion, params.step_motion)
     colors = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
-    color_symbols = _quantize(state.refined_plan, colors - buffer.refined_colors,
-                              params.step_color_inter)
+    colors -= buffer.refined_colors
+    color_symbols = _quantize(state.refined_plan, colors, params.step_color_inter)
 
     payload = PredictedPayload(
         motion_payloads=_code_planes(motion_symbols, state.vertex_plan),
@@ -354,6 +358,7 @@ def encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
     Returns (PredictedPayload, FrameBuffer for frame t).
     """
     payload, motion_symbols, color_symbols = _encode_predicted(frame, state, buffer)
+    del frame  # the buffer update does not read it, so a streamed frame is freed here
     return payload, buffer.advance(state, motion_symbols, color_symbols)
 
 
@@ -365,39 +370,63 @@ def decode_predicted(payload: PredictedPayload, state: ReferenceState,
     return buffer.frame(state), buffer
 
 
-def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False) -> EncodedGof:
-    """Encode one validated GOF (hybrid by default, all-intra on request)."""
-    validate_gof(gof)
-    frames = []
-    if intra_only or gof.n_frames == 1:
+def encode_frames(frames, n_frames: int, params: CodecParams,
+                  intra_only: bool = False) -> EncodedGof:
+    """Encode one GOF of ``n_frames`` frames, read from ``frames`` one at a time.
+
+    The frames must already be checked, as :func:`core.read_gof_frames` and
+    :func:`core.validate_gof` do.  One input frame is held at a time, beside
+    the reference state and the frame buffer; knowing the count up front lets
+    a hybrid GOF skip the buffer update of its last frame, which nothing reads.
+    """
+    frames = iter(frames)
+    reference = _next_frame(frames, n_frames)
+    n_vertices, n_faces = reference.n_vertices, reference.n_faces
+    if intra_only or n_frames == 1:
         # no later frame reads the reconstruction of an intra-only frame or
         # of a lone reference frame
-        frames.extend(_encode_intra(frame, params)[0] for frame in gof)
+        payloads = [_encode_intra(reference, params)[0]]
+        del reference  # dropped before the next frame is read
+        payloads.extend(_encode_intra(_next_frame(frames, n_frames), params)[0]
+                        for _ in range(n_frames - 1))
     else:
-        payload, state, buffer = encode_reference(gof.reference, params)
-        frames.append(payload)
-        for frame in gof.frames[1:-1]:
-            payload, buffer = encode_predicted(frame, state, buffer)
-            frames.append(payload)
+        payload, state, buffer = encode_reference(reference, params)
+        del reference
+        payloads = [payload]
+        for _ in range(n_frames - 2):
+            payload, buffer = encode_predicted(_next_frame(frames, n_frames), state, buffer)
+            payloads.append(payload)
         # nothing reads the last frame's buffer
-        frames.append(_encode_predicted(gof.frames[-1], state, buffer)[0])
+        payloads.append(_encode_predicted(_next_frame(frames, n_frames), state, buffer)[0])
+    if next(frames, None) is not None:
+        raise ConsistencyError(f"more frames than the {n_frames} declared")
     return EncodedGof(
         params=params,
         intra_only=bool(intra_only),
-        n_vertices=gof.reference.n_vertices,
-        n_faces=gof.reference.n_faces,
-        frames=tuple(frames),
+        n_vertices=n_vertices,
+        n_faces=n_faces,
+        frames=tuple(payloads),
     )
 
 
-def decode_gof(encoded: EncodedGof) -> GroupOfFrames:
-    """Decode one GOF record back to triangle-cloud frames."""
+def encode_gof(gof: GroupOfFrames, params: CodecParams, intra_only: bool = False) -> EncodedGof:
+    """Encode one GOF (hybrid by default, all-intra on request); it is validated first."""
+    validate_gof(gof)
+    return encode_frames(gof.frames, gof.n_frames, params, intra_only)
+
+
+def decode_frames(encoded: EncodedGof):
+    """Decode one GOF record, yielding each frame as it is made.
+
+    Only the reference state and the frame buffer carry over from one frame
+    to the next, so a consumer that drops each frame holds one at a time.
+    """
     params = encoded.params
-    frames = []
     state = None
     buffer = None
-    for t, payload in enumerate(encoded.frames):
+    for payload in encoded.frames:
         if isinstance(payload, IntraPayload):
+            state = buffer = None  # a reference frame reads nothing decoded before it
             frame, state, buffer = decode_reference(
                 payload, params, encoded.n_vertices, encoded.n_faces
             )
@@ -405,8 +434,13 @@ def decode_gof(encoded: EncodedGof) -> GroupOfFrames:
             if state is None:
                 raise CorruptStreamError("predicted frame before any reference frame")
             frame, buffer = decode_predicted(payload, state, buffer)
-        frames.append(frame)
-    return GroupOfFrames(tuple(frames))
+        yield frame
+        del frame  # the consumer's reference is the only one left
+
+
+def decode_gof(encoded: EncodedGof) -> GroupOfFrames:
+    """Decode one GOF record back to triangle-cloud frames."""
+    return GroupOfFrames(tuple(decode_frames(encoded)))
 
 
 # ---------------------------------------------------------------------------

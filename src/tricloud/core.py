@@ -197,31 +197,39 @@ class VoxelSet:
         return (np.stack([x, y, z], axis=1) + 0.5) * (2.0 ** -self.depth)
 
 
+def check_frame(frame: TriangleCloudFrame, t: int, upsample: int, faces: np.ndarray,
+                n_vertices: int) -> None:
+    """Check frame ``t`` (from 0) of a GOF against its reference frame's upsample
+    factor, faces and vertex count, and against its own invariants; raise
+    ConsistencyError if one fails."""
+    label = f"frame {t + 1}"
+    if frame.upsample != upsample:
+        raise ConsistencyError(f"{label}: upsample factor mismatch")
+    if frame.faces.shape != faces.shape or not np.array_equal(frame.faces, faces):
+        raise ConsistencyError(f"{label}: face mismatch with the reference frame")
+    if frame.n_vertices != n_vertices:
+        raise ConsistencyError(f"{label}: vertex count mismatch with the reference frame")
+    if frame.n_faces and (frame.faces.min() < 0 or frame.faces.max() >= frame.n_vertices):
+        raise ConsistencyError(f"{label}: face index out of range")
+    # written so that NaN, which fails every comparison, fails the check
+    if frame.vertices.size and not (frame.vertices.min() >= 0.0
+                                    and frame.vertices.max() < 1.0):
+        raise ConsistencyError(f"{label}: vertex coordinate out of [0, 1)")
+    expected = expected_color_count(frame.n_faces, frame.upsample)
+    if frame.n_colors != expected:
+        raise ConsistencyError(
+            f"{label}: color count {frame.n_colors} != N_f(U+1)(U+2)/2 = {expected}"
+        )
+    if frame.colors.size and not (frame.colors.min() >= 0.0
+                                  and frame.colors.max() <= 255.0):
+        raise ConsistencyError(f"{label}: color component out of [0, 255]")
+
+
 def validate_gof(gof: GroupOfFrames) -> GroupOfFrames:
     """Check every GOF invariant; return the GOF unchanged or raise ConsistencyError."""
     ref = gof.reference
     for t, frame in enumerate(gof.frames):
-        label = f"frame {t + 1}"
-        if frame.upsample != ref.upsample:
-            raise ConsistencyError(f"{label}: upsample factor mismatch")
-        if frame.faces.shape != ref.faces.shape or not np.array_equal(frame.faces, ref.faces):
-            raise ConsistencyError(f"{label}: face mismatch with the reference frame")
-        if frame.n_vertices != ref.n_vertices:
-            raise ConsistencyError(f"{label}: vertex count mismatch with the reference frame")
-        if frame.n_faces and (frame.faces.min() < 0 or frame.faces.max() >= frame.n_vertices):
-            raise ConsistencyError(f"{label}: face index out of range")
-        # written so that NaN, which fails every comparison, fails the check
-        if frame.vertices.size and not (frame.vertices.min() >= 0.0
-                                        and frame.vertices.max() < 1.0):
-            raise ConsistencyError(f"{label}: vertex coordinate out of [0, 1)")
-        expected = expected_color_count(frame.n_faces, frame.upsample)
-        if frame.n_colors != expected:
-            raise ConsistencyError(
-                f"{label}: color count {frame.n_colors} != N_f(U+1)(U+2)/2 = {expected}"
-            )
-        if frame.colors.size and not (frame.colors.min() >= 0.0
-                                      and frame.colors.max() <= 255.0):
-            raise ConsistencyError(f"{label}: color component out of [0, 255]")
+        check_frame(frame, t, ref.upsample, ref.faces, ref.n_vertices)
     return gof
 
 
@@ -261,8 +269,12 @@ def _read_exact(fp, n: int) -> bytes:
 
 def _colors_to_u8(colors: np.ndarray) -> np.ndarray:
     # round half away from zero, then clip; file colors are u8.  On [0, 255]
-    # rounding half up is rounding half away, so clipping first is the same
-    return np.floor(np.clip(colors, 0, 255) + 0.5).astype(np.uint8)
+    # rounding half up is rounding half away, so clipping first is the same.
+    # One float temporary: the clipped copy is rounded in place
+    rounded = np.clip(colors, 0, 255)
+    rounded += 0.5
+    np.floor(rounded, out=rounded)
+    return rounded.astype(np.uint8)
 
 
 def write_frame(fp, frame: TriangleCloudFrame, depth: int, include_faces: bool = True) -> None:
@@ -308,6 +320,23 @@ def read_frame(fp, faces: np.ndarray | None = None) -> tuple[TriangleCloudFrame,
     return frame, int(depth)
 
 
+@dataclass(frozen=True)
+class GofHeader:
+    """What a TCG1 container declares ahead of its frames: the frame count, the
+    grid depth and the upsample factor (both from the reference frame record)."""
+
+    n_frames: int
+    depth: int
+    upsample: int
+
+
+def _next_frame(frames, n_frames: int) -> TriangleCloudFrame:
+    frame = next(frames, None)
+    if frame is None:
+        raise ConsistencyError(f"fewer frames than the {n_frames} declared")
+    return frame
+
+
 def write_gof(fp, gof: GroupOfFrames, depth: int) -> None:
     """Write a TCG1 container (faces stored only in the first frame record)."""
     validate_gof(gof)
@@ -317,8 +346,36 @@ def write_gof(fp, gof: GroupOfFrames, depth: int) -> None:
         write_frame(fp, frame, depth, include_faces=(t == 0))
 
 
-def read_gof(fp) -> tuple[GroupOfFrames, int]:
-    """Read one TCG1 container; returns (validated GOF, depth)."""
+def write_gof_frames(fp, header: GofHeader, frames) -> None:
+    """Write a TCG1 container of ``header.n_frames`` frames as ``frames`` yields them.
+
+    Each frame is checked against the header and the first frame, then written
+    before the next one is asked for, so a caller that yields frames as it
+    makes them holds one at a time.  Faces are stored in the first record only.
+    """
+    fp.write(GOF_MAGIC)
+    fp.write(struct.pack("<I", header.n_frames))
+    frames = iter(frames)
+    for t in range(header.n_frames):
+        frame = _next_frame(frames, header.n_frames)
+        if t == 0:
+            faces, n_vertices = frame.faces, frame.n_vertices
+        check_frame(frame, t, header.upsample, faces, n_vertices)
+        write_frame(fp, frame, header.depth, include_faces=(t == 0))
+        del frame  # dropped before the next frame is made
+    if next(frames, None) is not None:
+        raise ConsistencyError(f"more frames than the {header.n_frames} declared")
+
+
+def read_gof_frames(fp):
+    """Read one TCG1 container a frame at a time; returns (GofHeader, frames).
+
+    The container header and the reference frame are read at once; ``frames``
+    yields the reference frame, then reads each predicted frame when it is
+    asked for.  Every frame is checked (:func:`check_frame`) as it is read, so
+    the frames need no :func:`validate_gof` after.  Only the reference frame's
+    faces are kept, not the frames themselves.
+    """
     magic = _read_exact(fp, 4)
     if magic != GOF_MAGIC:
         raise FormatError(f"bad container magic {magic!r}, expected {GOF_MAGIC!r}")
@@ -326,13 +383,30 @@ def read_gof(fp) -> tuple[GroupOfFrames, int]:
     if n_frames < 1:
         raise FormatError("TCG1 container with zero frames")
     first, depth = read_frame(fp)
-    frames = [first]
-    for _ in range(n_frames - 1):
-        frame, frame_depth = read_frame(fp, faces=first.faces)
-        if frame_depth != depth:
-            raise ConsistencyError("frames within a TCG1 container disagree on depth")
-        frames.append(frame)
-    return validate_gof(GroupOfFrames(tuple(frames))), depth
+    header = GofHeader(n_frames, depth, first.upsample)
+    faces, n_vertices = first.faces, first.n_vertices
+    check_frame(first, 0, header.upsample, faces, n_vertices)
+
+    def frames(frame):
+        yield frame
+        # each frame is dropped before the next is read: the consumer's
+        # reference is the only one left
+        del frame
+        for t in range(1, n_frames):
+            frame, frame_depth = read_frame(fp, faces=faces)
+            if frame_depth != depth:
+                raise ConsistencyError("frames within a TCG1 container disagree on depth")
+            check_frame(frame, t, header.upsample, faces, n_vertices)
+            yield frame
+            del frame
+
+    return header, frames(first)
+
+
+def read_gof(fp) -> tuple[GroupOfFrames, int]:
+    """Read one TCG1 container; returns (validated GOF, depth)."""
+    header, frames = read_gof_frames(fp)
+    return GroupOfFrames(tuple(frames)), header.depth
 
 
 def write_gof_file(path, gofs, depth: int) -> None:
@@ -344,18 +418,27 @@ def write_gof_file(path, gofs, depth: int) -> None:
             write_gof(fp, gof, depth)
 
 
-def read_gof_file(path) -> tuple[list[GroupOfFrames], int]:
-    """Read every TCG1 container in ``path``; all must agree on depth."""
-    gofs = []
+def iter_gof_file(path):
+    """Yield (GofHeader, frames) for each TCG1 container in ``path``, as
+    :func:`read_gof_frames` reads them; all containers must agree on depth.
+    Each container's frames must be read before the next container is asked for.
+    """
     depth = None
     with open(path, "rb") as fp:
         # peek needs no seek, so a pipe works as input
         while fp.peek(1):
-            gof, gof_depth = read_gof(fp)
-            if depth is not None and gof_depth != depth:
+            header, frames = read_gof_frames(fp)
+            if depth is not None and header.depth != depth:
                 raise ConsistencyError("containers in one file disagree on depth")
-            depth = gof_depth
-            gofs.append(gof)
-    if not gofs:
+            depth = header.depth
+            yield header, frames
+    if depth is None:
         raise TruncatedStreamError("no TCG1 container found in file")
-    return gofs, depth
+
+
+def read_gof_file(path) -> tuple[list[GroupOfFrames], int]:
+    """Read every TCG1 container in ``path``; all must agree on depth."""
+    gofs = []
+    for header, frames in iter_gof_file(path):
+        gofs.append(GroupOfFrames(tuple(frames)))
+    return gofs, header.depth

@@ -60,10 +60,25 @@ def quantize(values, step: float, mode: str) -> np.ndarray:
 
 def quantize_indices(values, step: float) -> np.ndarray:
     """Midstep quantizer bin indices (the integers the entropy coder sees)."""
+    return _bin_indices(np.array(values, dtype=np.float64), step)
+
+
+def _bin_indices(values: np.ndarray, step: float) -> np.ndarray:
+    """:func:`quantize_indices` of a float64 array it may overwrite.
+
+    The array is divided and rounded half away from zero in place, so the
+    only temporary is the sign mask; the integers are the same.
+    """
     step = float(step)
     if not (step > 0.0):
         raise ParameterError(f"step must be positive, got {step}")
-    return round_half_away(np.asarray(values, dtype=np.float64) / step).astype(np.int64)
+    values /= step
+    negative = values < 0
+    np.abs(values, out=values)
+    values += 0.5
+    np.floor(values, out=values)
+    np.negative(values, out=values, where=negative)
+    return values.astype(np.int64)
 
 
 def dequantize_indices(indices, step: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """End-to-end CLI runs against temporary files."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -8,11 +9,12 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from tricloud import cli, codec, core, metrics
+from tricloud import cli, codec, core, datagen, metrics
 
 
 def _run(argv):
@@ -379,3 +381,119 @@ def test_generate_validates_each_gof_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "validate_gof", counting, raising=False)
     _generate(tmp_path, frames=4, gof_size=2)
     assert len(calls) == 2
+
+
+def test_encode_checks_each_frame_once(tmp_path, monkeypatch):
+    # the streaming reader checks each frame as it arrives; the frame encoder
+    # does not check again
+    orig = _generate(tmp_path, frames=3, gof_size=3)
+    calls = []
+    check_frame = core.check_frame
+
+    def counting(frame, t, *args):
+        calls.append(t)
+        return check_frame(frame, t, *args)
+
+    monkeypatch.setattr(core, "check_frame", counting)
+    assert _run(["encode", str(orig), "-o", str(tmp_path / "seq.tcb")]) == 0
+    assert calls == [0, 1, 2]
+
+
+def test_decode_that_fails_after_output_started_exits_1_and_leaves_no_file(tmp_path, capsys):
+    # the second GOF record parses, but its reference frame does not decode;
+    # by then the first GOF has been written
+    orig = _generate(tmp_path, frames=4, gof_size=2)
+    bits = tmp_path / "seq.tcb"
+    assert _run(["encode", str(orig), "-o", str(bits)]) == 0
+    first, second = codec.read_bitstream_file(bits)
+    bad_reference = dataclasses.replace(
+        second.frames[0], n_refined_voxels=second.frames[0].n_refined_voxels + 1)
+    bad = dataclasses.replace(second, frames=(bad_reference,) + second.frames[1:])
+    codec.write_bitstream_file(bits, [first, bad])
+    capsys.readouterr()
+    out = tmp_path / "out.tcg"
+    assert _run(["decode", str(bits), "-o", str(out)]) == 1
+    assert "refined voxel count disagrees with the header" in capsys.readouterr().err
+    assert not out.exists()
+    # an output that is not a regular file is left where it is
+    assert _run(["decode", str(bits), "-o", os.devnull]) == 1
+    assert os.path.exists(os.devnull)
+
+
+def _peaks(tmp_path, gofs):
+    """tracemalloc peaks (bytes) of an in-process encode and decode of gofs."""
+    orig, bits, recon = (tmp_path / name for name in ("in.tcg", "seq.tcb", "out.tcg"))
+    core.write_gof_file(orig, gofs, 10)
+    peaks = []
+    for argv in (["encode", str(orig), "-o", str(bits), "--step-color-intra", "4",
+                  "--step-color-inter", "4"],
+                 ["decode", str(bits), "-o", str(recon)]):
+        tracemalloc.start()
+        try:
+            assert _run(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return peaks
+
+
+def test_memory_stays_flat_in_frames_and_in_gofs(tmp_path, capsys):
+    # one input or output frame is held at a time, beside the GOF's
+    # reference state and frame buffer, and one GOF at a time
+    def sphere(n_frames, gof_size):
+        return datagen.gen_sequence("sphere", n_frames, n_faces=2000, upsample=10, seed=1,
+                                    gof_size=gof_size)
+
+    two_frames = _peaks(tmp_path, sphere(2, 2))
+    four_frames = _peaks(tmp_path, sphere(4, 4))
+    four_gofs = _peaks(tmp_path, sphere(8, 2))
+    for stage, base, frames, gofs in zip(("encode", "decode"), two_frames, four_frames,
+                                         four_gofs):
+        assert frames <= 1.05 * base, (stage, frames, base)
+        assert gofs <= 1.05 * base, (stage, gofs, base)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("frames, gof_size, intra_only", [
+    (3, 3, False),  # hybrid
+    (3, 3, True),   # intra-only
+    (5, 2, False),  # three GOFs, the last a lone reference frame
+])
+def test_streamed_outputs_equal_the_collectors(tmp_path, frames, gof_size, intra_only, jobs):
+    orig = _generate(tmp_path, frames=frames, gof_size=gof_size)
+    bits, recon = tmp_path / "seq.tcb", tmp_path / "recon.tcg"
+    flags = ["--step-color-intra", "2", "--step-color-inter", "3", "--jobs", str(jobs)]
+    flags += ["--intra-only"] if intra_only else []
+    assert _run(["encode", str(orig), "-o", str(bits), *flags]) == 0
+    assert _run(["decode", str(bits), "-o", str(recon), "--jobs", str(jobs)]) == 0
+
+    gofs, depth = core.read_gof_file(orig)
+    params = core.CodecParams(depth, gofs[0].reference.upsample, step_color_intra=2.0,
+                              step_color_inter=3.0)
+    want_bits, want_recon = tmp_path / "want.tcb", tmp_path / "want.tcg"
+    codec.write_bitstream_file(want_bits, [codec.encode_gof(g, params, intra_only)
+                                           for g in gofs])
+    out = []
+    for enc in codec.read_bitstream_file(want_bits):
+        gof = codec.decode_gof(enc)
+        out.extend(core.GroupOfFrames((f,)) for f in gof) if intra_only else out.append(gof)
+    core.write_gof_file(want_recon, out, depth)
+    assert bits.read_bytes() == want_bits.read_bytes()
+    assert recon.read_bytes() == want_recon.read_bytes()
+
+
+def test_run_jobs_keeps_at_most_n_jobs_in_flight():
+    pulled = []
+
+    def jobs():
+        for k in range(7):
+            pulled.append(k)
+            yield -k
+
+    for n_workers in (1, 2, 3):
+        pulled.clear()
+        for done, result in enumerate(cli._run_jobs(abs, jobs(), n_workers)):
+            assert result == done
+            # pulled from the job list and not yet returned and done with
+            assert len(pulled) - done <= n_workers
+        assert pulled == list(range(7))

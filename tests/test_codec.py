@@ -444,3 +444,26 @@ def test_decoded_frame_gather_allocates_only_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= frame.vertices.nbytes + frame.colors.nbytes + (1 << 20)
+
+
+def test_encode_frames_equals_encode_gof_and_checks_the_count():
+    gof = _gof(n_frames=3, seed=5)
+    params = _params(step_color_intra=2.0)
+    for intra_only in (False, True):
+        want = codec.encode_gof(gof, params, intra_only)
+        got = codec.encode_frames(iter(gof.frames), 3, params, intra_only)
+        assert codec.serialize_gof_record(got) == codec.serialize_gof_record(want)
+        with pytest.raises(ConsistencyError, match="fewer frames than the 4 declared"):
+            codec.encode_frames(iter(gof.frames), 4, params, intra_only)
+        with pytest.raises(ConsistencyError, match="more frames than the 2 declared"):
+            codec.encode_frames(iter(gof.frames), 2, params, intra_only)
+
+
+def test_decode_frames_yields_decode_gof_one_frame_at_a_time():
+    encoded = codec.encode_gof(_gof(n_frames=3, seed=6), _params())
+    frames = codec.decode_frames(encoded)
+    for want in codec.decode_gof(encoded).frames:
+        got = next(frames)
+        for name in ("vertices", "faces", "colors"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    assert next(frames, None) is None

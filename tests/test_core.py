@@ -344,3 +344,56 @@ def test_mutated_gof_files_read_back_unchanged_or_raise(tmp_path):
     result = subprocess.run([sys.executable, "-c", _MUTATION_SWEEP, str(tmp_path / "m.tcg")],
                             env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
+
+
+def test_colors_to_u8_edges_map_as_before():
+    colors = np.array([[0.5, 1.5, 127.5], [254.5, -1.0, 255.5], [256.0, 0.49, 254.49]])
+    assert core._colors_to_u8(colors).tolist() == [[1, 2, 128], [255, 0, 255], [255, 0, 254]]
+
+
+def test_gof_frames_stream_through_reader_and_writer():
+    f1 = _frame(n_faces=4, upsample=3, seed=9)
+    f2 = core.TriangleCloudFrame(np.asarray(f1.vertices) * 0.5, f1.faces, f1.colors, 3)
+    gof = core.GroupOfFrames((f1, f2))
+    whole = io.BytesIO()
+    core.write_gof(whole, gof, depth=8)
+    streamed = io.BytesIO()
+    core.write_gof_frames(streamed, core.GofHeader(2, 8, 3), iter(gof.frames))
+    assert streamed.getvalue() == whole.getvalue()
+
+    streamed.seek(0)
+    header, frames = core.read_gof_frames(streamed)
+    assert header == core.GofHeader(2, 8, 3)
+    # the container header and the reference frame are read at once, each
+    # predicted frame when it is asked for
+    assert streamed.tell() < len(whole.getvalue())
+    assert [np.array_equal(a.colors, b.colors) for a, b in zip(frames, gof.frames)] == [
+        True, True]
+    assert streamed.tell() == len(whole.getvalue())
+
+
+def test_gof_frame_writer_checks_count_and_each_frame():
+    f1 = _frame(n_faces=4, upsample=3, seed=9)
+    header = core.GofHeader(2, 8, 3)
+    with pytest.raises(ConsistencyError, match="fewer frames than the 2 declared"):
+        core.write_gof_frames(io.BytesIO(), header, [f1])
+    with pytest.raises(ConsistencyError, match="more frames than the 2 declared"):
+        core.write_gof_frames(io.BytesIO(), header, [f1, f1, f1])
+    stranger = _frame(n_faces=4, upsample=3, seed=10)
+    with pytest.raises(ConsistencyError, match="frame 2: face mismatch"):
+        core.write_gof_frames(io.BytesIO(), header, [f1, stranger])
+    with pytest.raises(ConsistencyError, match="frame 1: upsample factor mismatch"):
+        core.write_gof_frames(io.BytesIO(), core.GofHeader(1, 8, 2), [f1])
+
+
+def test_gof_reader_checks_each_frame_as_it_arrives():
+    f1 = _frame(n_faces=4, upsample=3, seed=9)
+    f2 = core.TriangleCloudFrame(np.asarray(f1.vertices) + 0.5, f1.faces, f1.colors, 3)
+    buf = io.BytesIO()
+    core.write_frame(buf, f1, depth=8)
+    core.write_frame(buf, f2, depth=8, include_faces=False)
+    data = core.GOF_MAGIC + (2).to_bytes(4, "little") + buf.getvalue()
+    header, frames = core.read_gof_frames(io.BytesIO(data))
+    assert next(frames).n_faces == 4
+    with pytest.raises(ConsistencyError, match="frame 2: vertex coordinate out of"):
+        next(frames)

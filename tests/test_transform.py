@@ -241,3 +241,17 @@ def test_column_passes_match_row_wise_oracle(depth, seed, width, order):
     assert np.array_equal(rows, oracles.raht_inverse(plan, kept))
     assert rows.flags.c_contiguous
     assert np.array_equal(block, kept)  # the caller's array is left alone
+
+
+def test_quantize_indices_in_place_matches_round_half_away():
+    # the in-place rounding must give round_half_away's integers, halves and
+    # signed zeros included, and leave the caller's array alone
+    rng = np.random.default_rng(4)
+    values = np.concatenate([rng.normal(0, 50, 2000), np.arange(-40, 41) / 2,
+                             [0.0, -0.0, 1e-300, -1e-300]])
+    for step in (0.5, 1.0, 3.0, 4.0):
+        before = values.copy()
+        got = transform.quantize_indices(values, step)
+        assert np.array_equal(values, before)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, transform.round_half_away(values / step).astype(np.int64))
