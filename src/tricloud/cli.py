@@ -36,7 +36,7 @@ from .core import (
     write_gof_frames,
 )
 from .datagen import SHAPES, gen_sequence
-from .errors import CorruptStreamError, FormatError, TricloudError
+from .errors import ConsistencyError, CorruptStreamError, FormatError, TricloudError
 from .metrics import (
     _projection_psnr_of_sets,
     _render_voxel_pairs,
@@ -147,15 +147,10 @@ def _encode_job(job):
 
 def _rate_report(encoded) -> dict:
     """{"geometry" | "color" | "total": (bits, Mbps, bits per voxel)} of EncodedGofs."""
-    payloads = [p for enc in encoded for p in enc.frames]
-    counts = [c for enc in encoded for c in enc.refined_voxel_counts()]
-    geom_bits = sum(p.geometry_bits for p in payloads)
-    color_bits = sum(p.color_bits for p in payloads)
-    return {
-        kind: (bits, *rates(bits, len(payloads), counts))
-        for kind, bits in (("geometry", geom_bits), ("color", color_bits),
-                           ("total", geom_bits + color_bits))
-    }
+    counts = [c for enc in encoded for c in enc.refined_voxel_counts()]  # one per frame
+    gof_bits = [enc.payload_bits() for enc in encoded]
+    totals = {kind: sum(b[kind] for b in gof_bits) for kind in ("geometry", "color", "total")}
+    return {kind: (bits, *rates(bits, len(counts), counts)) for kind, bits in totals.items()}
 
 
 def _run_jobs(worker, jobs, n_workers: int):
@@ -225,13 +220,17 @@ def cmd_decode(args) -> int:
     encoded = read_bitstream_file(args.input)
     if not encoded:  # a TCG1 file holds at least one container
         raise CorruptStreamError(f"{args.input}: bitstream holds no GOF")
+    depth = encoded[0].params.depth
+    if any(enc.params.depth != depth for enc in encoded):
+        # a TCG1 file holds one depth, as its reader checks
+        raise ConsistencyError(f"{args.input}: GOF records disagree on depth")
     log.info("decoding %d GOF(s)", len(encoded))
     # this process decodes one frame at a time, a pool worker a whole GOF
     decoded = _run_jobs(decode_frames if args.jobs <= 1 else decode_gof, encoded, args.jobs)
     with open(args.output, "wb") as fp:
         try:
             for enc in encoded:
-                _write_decoded(fp, enc, next(decoded), encoded[0].params.depth)
+                _write_decoded(fp, enc, next(decoded), depth)
         except BaseException:
             # a decode that fails leaves no partial file behind
             if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):

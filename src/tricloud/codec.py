@@ -41,6 +41,7 @@ from .core import (
     VoxelSet,
     _next_frame,
     _read_exact,
+    _read_struct,
     validate_gof,
 )
 from .entropy import (
@@ -74,6 +75,10 @@ BITSTREAM_VERSION = 1
 
 _INTRA = 1
 _PREDICTED = 2
+
+# GOF record header: depth, upsample, frame count, intra-only flag, the three
+# stepsizes, vertex count, face count
+_GOF_HEADER = "<IIIB3dII"
 
 
 @dataclass(frozen=True)
@@ -127,16 +132,10 @@ class EncodedGof:
         return len(self.frames)
 
     def payload_bits(self) -> dict:
-        """Section accounting: per-frame and total geometry/color bits."""
-        per_frame = [
-            {"geometry": f.geometry_bits, "color": f.color_bits} for f in self.frames
-        ]
-        return {
-            "frames": per_frame,
-            "geometry": sum(f["geometry"] for f in per_frame),
-            "color": sum(f["color"] for f in per_frame),
-            "total": sum(f["geometry"] + f["color"] for f in per_frame),
-        }
+        """Section accounting: the GOF's geometry, color and total bits."""
+        geometry = sum(f.geometry_bits for f in self.frames)
+        color = sum(f.color_bits for f in self.frames)
+        return {"geometry": geometry, "color": color, "total": geometry + color}
 
     def refined_voxel_counts(self) -> list:
         """Occupied refined-voxel count per frame (predicted frames share the
@@ -452,7 +451,7 @@ def _pack_section(data: bytes) -> bytes:
 
 
 def _section(fp) -> bytes:
-    (length,) = struct.unpack("<I", _read_exact(fp, 4))
+    (length,) = _read_struct(fp, "<I")
     return _read_exact(fp, length)
 
 
@@ -461,7 +460,7 @@ def serialize_gof_record(encoded: EncodedGof) -> bytes:
     p = encoded.params
     parts = [
         struct.pack(
-            "<IIIB3dII",
+            _GOF_HEADER,
             p.depth,
             p.upsample,
             encoded.n_frames,
@@ -494,7 +493,7 @@ def serialize_gof_record(encoded: EncodedGof) -> bytes:
 def parse_gof_record(data: bytes) -> EncodedGof:
     fp = io.BytesIO(data)
     depth, upsample, n_frames, intra_flag, s_m, s_ci, s_cp, n_vertices, n_faces = (
-        struct.unpack("<IIIB3dII", _read_exact(fp, 45))
+        _read_struct(fp, _GOF_HEADER)
     )
     try:
         params = CodecParams(depth, upsample, s_m, s_ci, s_cp)
@@ -502,9 +501,9 @@ def parse_gof_record(data: bytes) -> EncodedGof:
         raise CorruptStreamError(f"bad GOF header: {exc}") from exc
     frames = []
     for _ in range(n_frames):
-        (kind,) = struct.unpack("<B", _read_exact(fp, 1))
+        (kind,) = _read_struct(fp, "<B")
         if kind == _INTRA:
-            n_voxels, n_refined = struct.unpack("<II", _read_exact(fp, 8))
+            n_voxels, n_refined = _read_struct(fp, "<II")
             octree_bytes = _section(fp)
             runs = _section(fp)
             faces = _section(fp)
@@ -544,13 +543,10 @@ def read_bitstream(fp) -> list:
     magic = _read_exact(fp, 4)
     if magic != BITSTREAM_MAGIC:
         raise FormatError(f"bad container magic {magic!r}, expected {BITSTREAM_MAGIC!r}")
-    version, n_gofs = struct.unpack("<HI", _read_exact(fp, 6))
+    version, n_gofs = _read_struct(fp, "<HI")
     if version != BITSTREAM_VERSION:
         raise FormatError(f"unsupported container version {version}")
-    records = []
-    for _ in range(n_gofs):
-        (length,) = struct.unpack("<I", _read_exact(fp, 4))
-        records.append(parse_gof_record(_read_exact(fp, length)))
+    records = [parse_gof_record(_section(fp)) for _ in range(n_gofs)]
     if fp.read(1):
         raise CorruptStreamError("trailing bytes after the last GOF record")
     return records

@@ -51,6 +51,32 @@ def expected_color_count(n_faces: int, upsample: int) -> int:
     return n_faces * (upsample + 1) * (upsample + 2) // 2
 
 
+def _check_depth(depth) -> int:
+    """The grid depth J as an int; its 3J-bit Morton codes fit an int64 for J <= 20."""
+    depth = int(depth)
+    if not (1 <= depth <= 20):
+        raise ParameterError(f"depth must be in 1..20, got {depth}")
+    return depth
+
+
+def _check_upsample(upsample) -> int:
+    """The refinement factor U as an int; U >= 1."""
+    upsample = int(upsample)
+    if upsample < 1:
+        raise ParameterError(f"upsample factor must be >= 1, got {upsample}")
+    return upsample
+
+
+def _as_rows(values, n: int, what: str) -> np.ndarray:
+    """``values`` as float64 rows, ``n`` of them; a 1-D array is one column."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 1:
+        arr = arr.reshape(-1, 1)
+    if arr.ndim != 2 or arr.shape[0] != n:
+        raise ConsistencyError(f"{what} must have {n} rows, got shape {arr.shape}")
+    return arr
+
+
 def _as_array(values, dtype, name: str, cols: int = 3) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.size == 0:
@@ -75,9 +101,7 @@ class TriangleCloudFrame:
         object.__setattr__(self, "vertices", _as_array(self.vertices, np.float64, "vertices"))
         object.__setattr__(self, "faces", _as_array(self.faces, np.int64, "faces"))
         object.__setattr__(self, "colors", _as_array(self.colors, np.float64, "colors"))
-        if int(self.upsample) < 1:
-            raise ParameterError(f"upsample factor must be >= 1, got {self.upsample}")
-        object.__setattr__(self, "upsample", int(self.upsample))
+        object.__setattr__(self, "upsample", _check_upsample(self.upsample))
 
     @property
     def n_vertices(self) -> int:
@@ -135,17 +159,13 @@ class CodecParams:
     step_color_inter: float = 1.0
 
     def __post_init__(self):
-        if not (1 <= int(self.depth) <= 20):
-            raise ParameterError(f"depth must be in 1..20, got {self.depth}")
-        if int(self.upsample) < 1:
-            raise ParameterError(f"upsample factor must be >= 1, got {self.upsample}")
+        object.__setattr__(self, "depth", _check_depth(self.depth))
+        object.__setattr__(self, "upsample", _check_upsample(self.upsample))
         for name in ("step_motion", "step_color_intra", "step_color_inter"):
             value = float(getattr(self, name))
             if not (value > 0.0) or not np.isfinite(value):
                 raise ParameterError(f"{name} must be a positive real, got {value}")
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "depth", int(self.depth))
-        object.__setattr__(self, "upsample", int(self.upsample))
 
 
 @dataclass(frozen=True)
@@ -161,9 +181,7 @@ class VoxelSet:
     attributes: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        depth = int(self.depth)
-        if not (1 <= depth <= 20):
-            raise ParameterError(f"depth must be in 1..20, got {self.depth}")
+        depth = _check_depth(self.depth)
         codes = np.ascontiguousarray(np.asarray(self.codes, dtype=np.int64).ravel())
         if codes.size and (codes[0] < 0 or codes[-1] >= 1 << (3 * depth)):
             raise RangeError(f"codes must lie in [0, 2^{3 * depth})")
@@ -173,13 +191,7 @@ class VoxelSet:
         object.__setattr__(self, "depth", depth)
         object.__setattr__(self, "codes", codes)
         if self.attributes is not None:
-            attrs = np.ascontiguousarray(np.asarray(self.attributes, dtype=np.float64))
-            if attrs.ndim == 1:
-                attrs = attrs.reshape(-1, 1)
-            if attrs.shape[0] != codes.size:
-                raise ConsistencyError(
-                    f"attribute rows ({attrs.shape[0]}) must match code count ({codes.size})"
-                )
+            attrs = np.ascontiguousarray(_as_rows(self.attributes, codes.size, "attributes"))
             attrs.flags.writeable = False
             object.__setattr__(self, "attributes", attrs)
 
@@ -267,6 +279,11 @@ def _read_exact(fp, n: int) -> bytes:
     return b"".join(chunks)
 
 
+def _read_struct(fp, layout: str) -> tuple:
+    """Read one fixed-size record laid out as the ``struct`` format ``layout``."""
+    return struct.unpack(layout, _read_exact(fp, struct.calcsize(layout)))
+
+
 def _colors_to_u8(colors: np.ndarray) -> np.ndarray:
     # round half away from zero, then clip; file colors are u8.  On [0, 255]
     # rounding half up is rounding half away, so clipping first is the same.
@@ -301,9 +318,12 @@ def read_frame(fp, faces: np.ndarray | None = None) -> tuple[TriangleCloudFrame,
     magic = _read_exact(fp, 4)
     if magic != FRAME_MAGIC:
         raise FormatError(f"bad frame magic {magic!r}, expected {FRAME_MAGIC!r}")
-    depth, upsample, n_p, n_f = struct.unpack("<IIII", _read_exact(fp, 16))
-    if not (1 <= depth <= 20) or upsample < 1:
-        raise FormatError(f"implausible TCF1 header (depth={depth}, upsample={upsample})")
+    depth, upsample, n_p, n_f = _read_struct(fp, "<IIII")
+    try:
+        _check_depth(depth)
+        _check_upsample(upsample)
+    except ParameterError as exc:
+        raise FormatError(f"implausible TCF1 header: {exc}") from exc
     vertices = np.frombuffer(_read_exact(fp, 12 * n_p), dtype="<f4").reshape(n_p, 3)
     if faces is None:
         faces = np.frombuffer(_read_exact(fp, 12 * n_f), dtype="<u4").reshape(n_f, 3)
@@ -339,11 +359,7 @@ def _next_frame(frames, n_frames: int) -> TriangleCloudFrame:
 
 def write_gof(fp, gof: GroupOfFrames, depth: int) -> None:
     """Write a TCG1 container (faces stored only in the first frame record)."""
-    validate_gof(gof)
-    fp.write(GOF_MAGIC)
-    fp.write(struct.pack("<I", gof.n_frames))
-    for t, frame in enumerate(gof.frames):
-        write_frame(fp, frame, depth, include_faces=(t == 0))
+    write_gof_frames(fp, GofHeader(gof.n_frames, depth, gof.reference.upsample), gof.frames)
 
 
 def write_gof_frames(fp, header: GofHeader, frames) -> None:
@@ -379,7 +395,7 @@ def read_gof_frames(fp):
     magic = _read_exact(fp, 4)
     if magic != GOF_MAGIC:
         raise FormatError(f"bad container magic {magic!r}, expected {GOF_MAGIC!r}")
-    (n_frames,) = struct.unpack("<I", _read_exact(fp, 4))
+    (n_frames,) = _read_struct(fp, "<I")
     if n_frames < 1:
         raise FormatError("TCG1 container with zero frames")
     first, depth = read_frame(fp)

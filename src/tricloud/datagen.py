@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GroupOfFrames, TriangleCloudFrame
+from .core import GroupOfFrames, TriangleCloudFrame, _check_upsample
 from .errors import ParameterError
 from .geom import refine
 
@@ -134,8 +134,7 @@ def gen_sequence(shape: str, n_frames: int, n_faces: int = 2000,
         raise ParameterError(f"need at least one frame, got {n_frames}")
     if n_faces < 2:
         raise ParameterError(f"need at least two faces, got {n_faces}")
-    if int(upsample) < 1:
-        raise ParameterError(f"upsample factor must be >= 1, got {upsample}")
+    upsample = _check_upsample(upsample)
     if not (0.0 <= amplitude <= _MAX_AMPLITUDE):
         raise ParameterError(
             f"amplitude must be in [0, {_MAX_AMPLITUDE}] cube units, got {amplitude}"
@@ -154,13 +153,13 @@ def gen_sequence(shape: str, n_frames: int, n_faces: int = 2000,
         "checker": rng.uniform(7.0, 11.0, size=3),
         "pulse": rng.uniform(0.3, 0.7),
     }
-    material = refine(base, faces, int(upsample))
+    material = refine(base, faces, upsample)
 
     frames = []
     for t in range(int(n_frames)):
         verts = base + _displacement(base, t, float(amplitude), freqs, speeds, phases)
         colors = _texture(material, t, float(amplitude), consts)
-        frames.append(TriangleCloudFrame(verts, faces, colors, int(upsample)))
+        frames.append(TriangleCloudFrame(verts, faces, colors, upsample))
 
     size = int(gof_size) if gof_size is not None else len(frames)
     return [

@@ -15,15 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VoxelSet
+from .core import VoxelSet, _as_rows, _check_depth, _check_upsample
 from .errors import ConsistencyError, ParameterError, RangeError
-
-
-def _check_depth(depth: int) -> int:
-    depth = int(depth)
-    if not (1 <= depth <= 20):
-        raise ParameterError(f"depth must be in 1..20, got {depth}")
-    return depth
 
 
 _FIELD = 20  # bits per coordinate field in a gathered word: one per level up to depth 20
@@ -119,9 +112,7 @@ def refine(vertices, faces, upsample: int) -> np.ndarray:
     grouped by (i, j) step first (the order of :func:`_steps`), faces within a
     step.
     """
-    upsample = int(upsample)
-    if upsample < 1:
-        raise ParameterError(f"upsample factor must be >= 1, got {upsample}")
+    upsample = _check_upsample(upsample)
     vertices = np.asarray(vertices, dtype=np.float64)
     faces = np.asarray(faces, dtype=np.int64)
     i, j = _steps(upsample)
@@ -138,9 +129,7 @@ def refined_faces(n_faces: int, upsample: int) -> np.ndarray:
     (i, j), (i+1, j), (i, j+1), then, when i + j < U - 1, the triangle
     (i+1, j), (i+1, j+1), (i, j+1).
     """
-    n_faces, upsample = int(n_faces), int(upsample)
-    if upsample < 1:
-        raise ParameterError(f"upsample factor must be >= 1, got {upsample}")
+    n_faces, upsample = int(n_faces), _check_upsample(upsample)
     steps = _steps(upsample)
     offset = np.zeros((upsample + 1, upsample + 1), dtype=np.int64)
     offset[steps] = np.arange(steps[0].size)
@@ -166,10 +155,9 @@ def interpolation_lattice(upsample: int, interp: int):
     vertex is its own copy (equal steps, fractions 0); any other point takes
     the blend of the first (local step, triangle) row that lands on it.
     """
-    upsample, interp = int(upsample), int(interp)
-    if upsample < 1 or interp < 1:
-        raise ParameterError(f"upsample and interpolation factors must be >= 1, "
-                             f"got {upsample} and {interp}")
+    upsample, interp = _check_upsample(upsample), int(interp)
+    if interp < 1:
+        raise ParameterError(f"interpolation factor must be >= 1, got {interp}")
     n = upsample * interp
     vi, vj = _steps(upsample)
     triangles = refined_faces(1, upsample)
@@ -239,11 +227,7 @@ def voxelize(points, attributes, depth: int) -> VoxelizationResult:
 
     means = None
     if attributes is not None:
-        attrs = np.asarray(attributes, dtype=np.float64)
-        if attrs.ndim == 1:
-            attrs = attrs.reshape(-1, 1)
-        if attrs.shape[0] != points.shape[0]:
-            raise ConsistencyError("attribute rows must match point count")
+        attrs = _as_rows(attributes, points.shape[0], "attributes")
         means = _group_means(attrs, inverse, np.bincount(inverse, minlength=unique_codes.size))
 
     voxel_set = VoxelSet(depth, unique_codes, means)

@@ -60,13 +60,20 @@ def _psnr(mse: float, peak_sq: float) -> float:
     return -10.0 * math.log10(mse / peak_sq)
 
 
-def _as_frame_list(arrays, name: str) -> list:
+def _pairs(refs, recons) -> list:
+    """[(reference, reconstruction)] of two non-empty sequences of equal length."""
+    refs, recons = list(refs), list(recons)
+    if not refs:
+        raise EmptySetError("no frames to compare")
+    if len(refs) != len(recons):
+        raise ShapeMismatchError(f"{len(refs)} reference frames vs {len(recons)} reconstructed")
+    return list(zip(refs, recons))
+
+
+def _as_frame_list(arrays) -> list:
     if isinstance(arrays, np.ndarray):
         arrays = [arrays]
-    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
-    if not arrays:
-        raise EmptySetError(f"{name} contains no frames")
-    return arrays
+    return [np.asarray(a, dtype=np.float64) for a in arrays]
 
 
 def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
@@ -77,16 +84,11 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
     3*N; kind "color" expects a single component of shape (N,) or (N,1)
     and normalizes by 255^2*N.  Frames are averaged in the MSE domain.
     """
-    refs = _as_frame_list(ref_attrs, "ref_attrs")
-    recons = _as_frame_list(recon_attrs, "recon_attrs")
-    if len(refs) != len(recons):
-        raise ShapeMismatchError(
-            f"{len(refs)} reference frames vs {len(recons)} reconstructed"
-        )
+    pairs = _pairs(_as_frame_list(ref_attrs), _as_frame_list(recon_attrs))
     if kind not in ("geometry", "color"):
         raise ParameterError(f"kind must be 'geometry' or 'color', got {kind!r}")
     total = 0.0
-    for t, (a, b) in enumerate(zip(refs, recons)):
+    for t, (a, b) in enumerate(pairs):
         if a.shape != b.shape:
             raise ShapeMismatchError(f"frame {t}: shapes {a.shape} vs {b.shape}")
         if kind == "geometry":
@@ -101,7 +103,7 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
                     f"frame {t}: color expects one component, got shape {a.shape}"
                 )
             total += float(np.sum((a - b) ** 2)) / (255.0 ** 2 * a.shape[0])
-    return _psnr(total / len(refs), 1.0)
+    return _psnr(total / len(pairs), 1.0)
 
 
 def render_cloud(frame, interp: int = 1):
@@ -113,8 +115,6 @@ def render_cloud(frame, interp: int = 1):
     the number of refined triangles that put it in the cloud.  Refined
     vertices (fractions 0) copy their refine rows; only the rest are blended.
     """
-    if int(interp) < 1:
-        raise ParameterError(f"interpolation factor must be >= 1, got {interp}")
     steps, fractions, weights = interpolation_lattice(frame.upsample, interp)
     v_r = refine(frame.vertices, frame.faces, frame.upsample)
     if frame.n_colors != v_r.shape[0]:
@@ -132,27 +132,15 @@ def render_cloud(frame, interp: int = 1):
     return clouds[0], clouds[1], np.repeat(weights, frame.n_faces)
 
 
-def _check_frame_pair(t, a, b) -> None:
-    if a.n_faces != b.n_faces or a.upsample != b.upsample or a.n_colors != b.n_colors:
-        raise ShapeMismatchError(
-            f"frame {t}: face/upsample/color counts differ "
-            f"({a.n_faces}/{a.upsample}/{a.n_colors} vs {b.n_faces}/{b.upsample}/{b.n_colors})"
-        )
-
-
 def _frame_pairs(ref_frames, recon_frames) -> list:
     """[(reference frame, reconstruction frame)], every pair checked."""
-    ref_frames = list(ref_frames)
-    recon_frames = list(recon_frames)
-    if not ref_frames:
-        raise EmptySetError("no frames to compare")
-    if len(ref_frames) != len(recon_frames):
-        raise ShapeMismatchError(
-            f"{len(ref_frames)} reference frames vs {len(recon_frames)} reconstructed"
-        )
-    pairs = list(zip(ref_frames, recon_frames))
+    pairs = _pairs(ref_frames, recon_frames)
     for t, (a, b) in enumerate(pairs):
-        _check_frame_pair(t, a, b)
+        if a.n_faces != b.n_faces or a.upsample != b.upsample or a.n_colors != b.n_colors:
+            raise ShapeMismatchError(
+                f"frame {t}: face/upsample/color counts differ ({a.n_faces}/{a.upsample}/"
+                f"{a.n_colors} vs {b.n_faces}/{b.upsample}/{b.n_colors})"
+            )
     return pairs
 
 
@@ -437,21 +425,14 @@ def matching_distortion(source: VoxelSet, target: VoxelSet):
 
 def matching_distortion_sequence(source_sets, target_sets):
     """Frame-averaged matching distortion: (d̄_G2, d̄_Y2, PSNR_G, PSNR_Y)."""
-    source_sets = list(source_sets)
-    target_sets = list(target_sets)
-    if not source_sets:
-        raise EmptySetError("no frames to compare")
-    if len(source_sets) != len(target_sets):
-        raise ShapeMismatchError(
-            f"{len(source_sets)} source frames vs {len(target_sets)} target"
-        )
+    pairs = _pairs(source_sets, target_sets)
     g_total = 0.0
     y_total = 0.0
-    for s, t in zip(source_sets, target_sets):
+    for s, t in pairs:
         d_g2, d_y2, _, _ = matching_distortion(s, t)
         g_total += d_g2
         y_total += d_y2
-    n = len(source_sets)
+    n = len(pairs)
     return (
         g_total / n,
         y_total / n,

@@ -12,13 +12,12 @@ import io
 
 import numpy as np
 
-from .core import VoxelSet
+from .core import VoxelSet, _check_depth
 from .entropy import deflate, inflate
 from .errors import (
     ConsistencyError,
     CorruptStreamError,
     EmptySetError,
-    ParameterError,
     TrailingBytesError,
     TruncatedStreamError,
 )
@@ -61,9 +60,7 @@ def octree_serialize(voxel_set: VoxelSet) -> bytes:
 
 def octree_parse(data: bytes, depth: int) -> VoxelSet:
     """Rebuild the voxel set from occupancy bytes; exact inverse of serialize."""
-    depth = int(depth)
-    if not (1 <= depth <= 20):
-        raise ParameterError(f"depth must be in 1..20, got {depth}")
+    depth = _check_depth(depth)
     if len(data) == 0:
         raise TruncatedStreamError("empty occupancy stream")
     pos = 0

@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import VoxelSet
-from .errors import ConsistencyError, EmptySetError, ParameterError
+from .core import VoxelSet, _as_rows
+from .errors import EmptySetError, ParameterError
 
 MIDSTEP = "midstep"
 MIDRISE = "midrise"
@@ -159,15 +159,6 @@ class CoefficientBlock:
     """Transformed attribute rows, in voxel order."""
 
     coefficients: np.ndarray
-
-
-def _as_rows(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
-    if arr.ndim != 2 or arr.shape[0] != n:
-        raise ConsistencyError(f"{what} must have one row per voxel ({n}), got {arr.shape}")
-    return arr
 
 
 def raht_forward(plan: RahtPlan, attributes) -> CoefficientBlock:

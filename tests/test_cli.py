@@ -369,18 +369,17 @@ def test_default_eval_builds_each_render_voxel_set_once(tmp_path, monkeypatch, c
 
 
 def test_generate_validates_each_gof_once(tmp_path, monkeypatch):
+    # the TCG1 writer checks each frame of each GOF as it writes it
     calls = []
-    validate_gof = core.validate_gof
+    check_frame = core.check_frame
 
-    def counting(gof):
-        calls.append(gof)
-        return validate_gof(gof)
+    def counting(frame, t, *args):
+        calls.append(t)
+        return check_frame(frame, t, *args)
 
-    monkeypatch.setattr(core, "validate_gof", counting)
-    # also counts calls through a name cli imports for itself
-    monkeypatch.setattr(cli, "validate_gof", counting, raising=False)
+    monkeypatch.setattr(core, "check_frame", counting)
     _generate(tmp_path, frames=4, gof_size=2)
-    assert len(calls) == 2
+    assert calls == [0, 1, 0, 1]
 
 
 def test_encode_checks_each_frame_once(tmp_path, monkeypatch):
@@ -418,6 +417,19 @@ def test_decode_that_fails_after_output_started_exits_1_and_leaves_no_file(tmp_p
     # an output that is not a regular file is left where it is
     assert _run(["decode", str(bits), "-o", os.devnull]) == 1
     assert os.path.exists(os.devnull)
+
+
+def test_decode_of_gofs_coded_at_two_depths_exits_1_and_writes_nothing(tmp_path, capsys):
+    # one TCG1 file holds one depth, so such a stream has no valid output
+    gofs = datagen.gen_sequence("sphere", 4, n_faces=60, upsample=2, seed=9, gof_size=2)
+    bits = tmp_path / "mixed.tcb"
+    codec.write_bitstream_file(bits, [codec.encode_gof(gofs[0], core.CodecParams(8, 2)),
+                                      codec.encode_gof(gofs[1], core.CodecParams(5, 2))])
+    capsys.readouterr()
+    out = tmp_path / "out.tcg"
+    assert _run(["decode", str(bits), "-o", str(out)]) == 1
+    assert "GOF records disagree on depth" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def _peaks(tmp_path, gofs):

@@ -305,8 +305,8 @@ def test_gof_record_round_trip():
 
 
 def test_gof_record_corruption_detected():
-    gof = _gof(n_frames=2, seed=17)
-    record = bytearray(codec.serialize_gof_record(codec.encode_gof(gof, _params())))
+    enc = codec.encode_gof(_gof(n_frames=2, seed=17), _params())
+    record = bytearray(codec.serialize_gof_record(enc))
     with pytest.raises(CorruptStreamError):
         codec.parse_gof_record(bytes(record) + b"\x00")  # trailing garbage
     mangled = bytearray(record)
@@ -315,6 +315,16 @@ def test_gof_record_corruption_detected():
         codec.parse_gof_record(bytes(mangled))
     with pytest.raises(TruncatedStreamError):
         codec.parse_gof_record(bytes(record[:50]))
+    depth_0 = bytearray(record)
+    struct.pack_into("<I", depth_0, 0, 0)
+    with pytest.raises(CorruptStreamError, match="bad GOF header"):
+        codec.parse_gof_record(bytes(depth_0))
+    for bad, message in ((dataclasses.replace(enc, frames=enc.frames[1:]),
+                          "does not start with an intra frame"),
+                         (dataclasses.replace(enc, intra_only=True),
+                          "intra-only GOF contains predicted frames")):
+        with pytest.raises(CorruptStreamError, match=message):
+            codec.parse_gof_record(codec.serialize_gof_record(bad))
 
 
 def test_bitstream_round_trip_and_file_io(tmp_path):
@@ -467,3 +477,26 @@ def test_decode_frames_yields_decode_gof_one_frame_at_a_time():
         for name in ("vertices", "faces", "colors"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
     assert next(frames, None) is None
+
+
+def test_octree_with_fewer_voxels_than_the_record_declares():
+    enc = codec.encode_gof(_gof(n_frames=2, seed=30), _params())
+    record = bytearray(codec.serialize_gof_record(enc))
+    # the reference frame's n_voxels follows the 45-byte header and its type tag
+    struct.pack_into("<I", record, 46, enc.frames[0].n_voxels + 1)
+    with pytest.raises(CorruptStreamError, match="octree decodes to"):
+        codec.decode_gof(codec.parse_gof_record(bytes(record)))
+
+
+def test_face_section_shorter_than_the_face_count():
+    ref = _gof(n_frames=1, seed=30).reference
+    payload, _, _ = codec.encode_reference(ref, _params())
+    short = dataclasses.replace(payload, face_bytes=entropy.deflate(b"\x00" * 12))
+    with pytest.raises(CorruptStreamError, match="face section length"):
+        codec.decode_reference(short, _params(), ref.n_vertices, ref.n_faces)
+
+
+def test_decode_frames_of_a_gof_starting_with_a_predicted_frame():
+    enc = codec.encode_gof(_gof(n_frames=2, seed=30), _params())
+    with pytest.raises(CorruptStreamError, match="predicted frame before any reference"):
+        list(codec.decode_frames(dataclasses.replace(enc, frames=enc.frames[1:])))

@@ -141,6 +141,8 @@ def test_voxel_set_validation():
         core.VoxelSet(1, np.array([8]))  # out of the 3-bit range
     with pytest.raises(ConsistencyError):
         core.VoxelSet(2, np.array([1, 2]), np.zeros((3, 1)))  # row mismatch
+    with pytest.raises(ParameterError, match="1..20"):
+        core.VoxelSet(21, np.array([0]))
 
 
 def test_voxel_set_centers():
@@ -229,6 +231,10 @@ def test_frame_bad_magic_and_truncation():
         core.read_frame(io.BytesIO(b"XXXX" + data[4:]))
     with pytest.raises(TruncatedStreamError):
         core.read_frame(io.BytesIO(data[:-3]))
+    deep = io.BytesIO()
+    core.write_frame(deep, f, depth=21)
+    with pytest.raises(FormatError, match="implausible"):
+        core.read_frame(io.BytesIO(deep.getvalue()))
 
 
 def test_read_exact_reads_in_bounded_chunks(monkeypatch):
@@ -295,6 +301,17 @@ def test_gof_file_error_paths(tmp_path):
     wrong.write_bytes(b"BOGUS123")
     with pytest.raises(FormatError):
         core.read_gof_file(wrong)
+    zero = tmp_path / "zero.tcg"
+    zero.write_bytes(core.GOF_MAGIC + (0).to_bytes(4, "little"))
+    with pytest.raises(FormatError, match="zero frames"):
+        core.read_gof_file(zero)
+    mixed = tmp_path / "mixed.tcg"
+    gof = core.GroupOfFrames((_frame(seed=10),))
+    with open(mixed, "wb") as fp:
+        core.write_gof(fp, gof, depth=8)
+        core.write_gof(fp, gof, depth=9)
+    with pytest.raises(ConsistencyError, match="containers in one file disagree"):
+        core.read_gof_file(mixed)
 
 
 # Runs in a child process capped at 1 GiB of address space: a reader that
@@ -397,3 +414,22 @@ def test_gof_reader_checks_each_frame_as_it_arrives():
     assert next(frames).n_faces == 4
     with pytest.raises(ConsistencyError, match="frame 2: vertex coordinate out of"):
         next(frames)
+
+
+def test_predicted_frame_record_with_another_face_count_rejected():
+    f1 = _frame(n_faces=4, upsample=3, seed=9)
+    buf = io.BytesIO()
+    core.write_frame(buf, f1, depth=8, include_faces=False)
+    buf.seek(0)
+    with pytest.raises(ConsistencyError, match="face count 4 does not match"):
+        core.read_frame(buf, faces=f1.faces[:3])
+
+
+def test_frames_of_one_container_at_two_depths_rejected():
+    f1 = _frame(n_faces=4, upsample=3, seed=9)
+    buf = io.BytesIO()
+    core.write_frame(buf, f1, depth=8)
+    core.write_frame(buf, f1, depth=9, include_faces=False)
+    data = core.GOF_MAGIC + (2).to_bytes(4, "little") + buf.getvalue()
+    with pytest.raises(ConsistencyError, match="frames within a TCG1 container disagree"):
+        core.read_gof(io.BytesIO(data))

@@ -323,6 +323,11 @@ def test_index_runs_corrupt_payloads():
     truncated = entropy.deflate(struct.pack("<I", 4) + b"\x01\x00\x00\x00")
     with pytest.raises(CorruptStreamError):
         entropy.index_runs_decode(truncated)
+    with pytest.raises(CorruptStreamError, match="shorter than its header"):
+        entropy.index_runs_decode(entropy.deflate(b"\x01\x00"))
+    zero_first = struct.pack("<I", 2) + np.array([0, 3], dtype="<u4").tobytes()
+    with pytest.raises(MalformedIndexMapError, match="does not start at 0"):
+        entropy.index_runs_decode(entropy.deflate(zero_first))
 
 
 def test_index_runs_decode_checks_expected_length():

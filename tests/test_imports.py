@@ -42,23 +42,37 @@ def _reads_one_byte(call):
             and isinstance(call.args[0], ast.Constant) and call.args[0].value == 1)
 
 
-def test_every_declared_length_is_read_through_read_exact():
-    # core._read_exact reads a declared length in bounded chunks; any other
-    # read takes one byte (the trailer checks)
+def _calls_outside(core_function, attr, allowed=lambda call: False):
+    """file:line of every ``<object>.<attr>(...)`` call in the package that is
+    neither inside ``core.<core_function>`` nor ``allowed``."""
     stray = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         exempt = {id(node)
                   for func in ast.walk(tree)
-                  if isinstance(func, ast.FunctionDef) and func.name == "_read_exact"
+                  if isinstance(func, ast.FunctionDef) and func.name == core_function
                   and path.name == "core.py"
                   for node in ast.walk(func)}
         stray += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                  and node.func.attr == "read" and id(node) not in exempt
-                  and not _reads_one_byte(node)]
+                  and node.func.attr == attr and id(node) not in exempt
+                  and not allowed(node)]
+    return stray
+
+
+def test_every_declared_length_is_read_through_read_exact():
+    # core._read_exact reads a declared length in bounded chunks; any other
+    # read takes one byte (the trailer checks)
+    stray = _calls_outside("_read_exact", "read", _reads_one_byte)
     assert not stray, f"reads outside core._read_exact: {stray}"
+
+
+def test_every_header_is_unpacked_through_read_struct():
+    # core._read_struct takes the byte count from the layout; unpack_from on
+    # bytes already in memory is left alone
+    stray = _calls_outside("_read_struct", "unpack")
+    assert not stray, f"struct.unpack outside core._read_struct: {stray}"
 
 
 def test_every_exported_name_resolves():
