@@ -20,7 +20,6 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 
 from .codec import (
-    IntraPayload,
     decode_frames,
     decode_gof,
     encode_frames,
@@ -193,7 +192,7 @@ def cmd_encode(args) -> int:
     print("frame  type  geometry_kbit  color_kbit")
     payloads = [p for enc in encoded for p in enc.frames]
     for frame_no, payload in enumerate(payloads, 1):
-        kind = "I" if isinstance(payload, IntraPayload) else "P"
+        kind = "I" if payload.INTRA else "P"
         print(f"{frame_no:5d}  {kind:>4}  {payload.geometry_bits / 1000:13.3f}"
               f"  {payload.color_bits / 1000:10.3f}")
     size = os.path.getsize(args.output)

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import io
 import struct
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .core import (
     _next_frame,
     _read_exact,
     _read_struct,
+    expected_color_count,
     validate_gof,
 )
 from .entropy import (
@@ -73,17 +74,43 @@ from .transform import (
 BITSTREAM_MAGIC = b"TCB1"
 BITSTREAM_VERSION = 1
 
-_INTRA = 1
-_PREDICTED = 2
-
 # GOF record header: depth, upsample, frame count, intra-only flag, the three
 # stepsizes, vertex count, face count
 _GOF_HEADER = "<IIIB3dII"
 
+# refined points per frame, n_faces (U+1)(U+2)/2, that a GOF may declare
+_MAX_REFINED_POINTS = 1 << 24
+
+
+class _FrameRecord:
+    """One frame record's layout, declared once by each payload class: KIND is
+    its type byte, INTRA whether it decodes without any frame before it, and
+    COUNTS the struct of the count fields that lead the dataclass.  SECTIONS
+    lists (field, planes, geometry) in stream order; a field of several planes
+    is a tuple of sections, and its bytes count as geometry bits or color bits.
+    """
+
+    def sections(self) -> list:
+        """(body, geometry) of every section, in stream order."""
+        return [(body, geometry) for name, planes, geometry in self.SECTIONS
+                for body in (getattr(self, name) if planes > 1 else (getattr(self, name),))]
+
+    @property
+    def geometry_bits(self) -> int:
+        return 8 * sum(len(body) for body, geometry in self.sections() if geometry)
+
+    @property
+    def color_bits(self) -> int:
+        return 8 * sum(len(body) for body, geometry in self.sections() if not geometry)
+
 
 @dataclass(frozen=True)
-class IntraPayload:
+class IntraPayload(_FrameRecord):
     """Bitstream sections of one intra-coded frame."""
+
+    KIND, INTRA, COUNTS = 1, True, "<II"
+    SECTIONS = (("octree_bytes", 1, True), ("index_run_bytes", 1, True),
+                ("face_bytes", 1, True), ("color_payloads", 3, False))
 
     n_voxels: int
     n_refined_voxels: int
@@ -92,29 +119,19 @@ class IntraPayload:
     face_bytes: bytes
     color_payloads: tuple
 
-    @property
-    def geometry_bits(self) -> int:
-        return 8 * (len(self.octree_bytes) + len(self.index_run_bytes) + len(self.face_bytes))
-
-    @property
-    def color_bits(self) -> int:
-        return 8 * sum(len(p) for p in self.color_payloads)
-
 
 @dataclass(frozen=True)
-class PredictedPayload:
+class PredictedPayload(_FrameRecord):
     """Bitstream sections of one predicted frame (residual coefficients only)."""
+
+    KIND, INTRA, COUNTS = 2, False, "<"
+    SECTIONS = (("motion_payloads", 3, True), ("color_payloads", 3, False))
 
     motion_payloads: tuple
     color_payloads: tuple
 
-    @property
-    def geometry_bits(self) -> int:
-        return 8 * sum(len(p) for p in self.motion_payloads)
 
-    @property
-    def color_bits(self) -> int:
-        return 8 * sum(len(p) for p in self.color_payloads)
+_RECORDS = {record.KIND: record for record in (IntraPayload, PredictedPayload)}
 
 
 @dataclass(frozen=True)
@@ -143,7 +160,7 @@ class EncodedGof:
         counts = []
         current = 0
         for payload in self.frames:
-            if isinstance(payload, IntraPayload):
+            if payload.INTRA:
                 current = payload.n_refined_voxels
             counts.append(current)
         return counts
@@ -229,6 +246,9 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
     index_map gives, for every vertex in canonical (spatial scan) order, its
     row in voxels; a quantized vertex is the center of its voxel.
     """
+    n_refined = expected_color_count(len(faces), params.upsample)
+    if n_refined > _MAX_REFINED_POINTS:
+        raise RangeError(f"{n_refined} refined points per frame exceed {_MAX_REFINED_POINTS}")
     centers = voxels.centers()
     quantized_vertices = centers[index_map]
     refined = refine(quantized_vertices, faces, params.upsample)
@@ -424,7 +444,7 @@ def decode_frames(encoded: EncodedGof):
     state = None
     buffer = None
     for payload in encoded.frames:
-        if isinstance(payload, IntraPayload):
+        if payload.INTRA:
             state = buffer = None  # a reference frame reads nothing decoded before it
             frame, state, buffer = decode_reference(
                 payload, params, encoded.n_vertices, encoded.n_faces
@@ -473,20 +493,9 @@ def serialize_gof_record(encoded: EncodedGof) -> bytes:
         )
     ]
     for payload in encoded.frames:
-        if isinstance(payload, IntraPayload):
-            parts.append(struct.pack("<BII", _INTRA, payload.n_voxels,
-                                     payload.n_refined_voxels))
-            parts.append(_pack_section(payload.octree_bytes))
-            parts.append(_pack_section(payload.index_run_bytes))
-            parts.append(_pack_section(payload.face_bytes))
-            for plane in payload.color_payloads:
-                parts.append(_pack_section(plane))
-        else:
-            parts.append(struct.pack("<B", _PREDICTED))
-            for plane in payload.motion_payloads:
-                parts.append(_pack_section(plane))
-            for plane in payload.color_payloads:
-                parts.append(_pack_section(plane))
+        counts = astuple(payload)[:-len(payload.SECTIONS)]  # the count fields lead
+        parts.append(struct.pack("<B", payload.KIND) + struct.pack(payload.COUNTS, *counts))
+        parts.extend(_pack_section(body) for body, _ in payload.sections())
     return b"".join(parts)
 
 
@@ -502,27 +511,18 @@ def parse_gof_record(data: bytes) -> EncodedGof:
     frames = []
     for _ in range(n_frames):
         (kind,) = _read_struct(fp, "<B")
-        if kind == _INTRA:
-            n_voxels, n_refined = _read_struct(fp, "<II")
-            octree_bytes = _section(fp)
-            runs = _section(fp)
-            faces = _section(fp)
-            planes = tuple(_section(fp) for _ in range(3))
-            frames.append(
-                IntraPayload(n_voxels, n_refined, octree_bytes, runs, faces, planes)
-            )
-        elif kind == _PREDICTED:
-            motion = tuple(_section(fp) for _ in range(3))
-            planes = tuple(_section(fp) for _ in range(3))
-            frames.append(PredictedPayload(motion, planes))
-        else:
+        if kind not in _RECORDS:
             raise CorruptStreamError(f"unknown frame record type {kind}")
+        record = _RECORDS[kind]
+        frames.append(record(*_read_struct(fp, record.COUNTS), **{
+            name: _section(fp) if planes == 1 else tuple(_section(fp) for _ in range(planes))
+            for name, planes, _ in record.SECTIONS}))
     if fp.read(1):
         raise CorruptStreamError("trailing bytes inside a GOF record")
-    if not frames or not isinstance(frames[0], IntraPayload):
+    if not frames or not frames[0].INTRA:
         raise CorruptStreamError("GOF record does not start with an intra frame")
     intra_only = bool(intra_flag)
-    if intra_only and not all(isinstance(f, IntraPayload) for f in frames):
+    if intra_only and not all(f.INTRA for f in frames):
         raise CorruptStreamError("intra-only GOF contains predicted frames")
     return EncodedGof(params, intra_only, n_vertices, n_faces, tuple(frames))
 

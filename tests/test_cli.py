@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
@@ -145,6 +146,18 @@ def _tcg1(upsample, n_p, n_f, body=b""):
             + struct.pack("<IIII", 8, upsample, n_p, n_f) + body)
 
 
+def _tcb1_with_upsample_byte(value):
+    """A 3-frame TCB1 (sphere, 60 faces, U = 3, depth 8) whose GOF header has
+    byte 2 of its upsample field set to ``value``."""
+    gof = datagen.gen_sequence("sphere", 3, n_faces=60, upsample=3, seed=1)[0]
+    bits = io.BytesIO()
+    codec.write_bitstream(bits, [codec.encode_gof(gof, core.CodecParams(8, 3))])
+    data = bytearray(bits.getvalue())
+    # after the magic, version, GOF count, record length and depth (18 bytes)
+    data[18 + 2] = value
+    return bytes(data)
+
+
 _HOSTILE = {
     # 2^32-1 vertices declared, none present
     "vertex-count": ("encode", _tcg1(2, 0xFFFFFFFF, 1)),
@@ -153,6 +166,8 @@ _HOSTILE = {
     # one GOF record that declares about 4 GiB and carries 10 bytes
     "record-length": ("decode", codec.BITSTREAM_MAGIC + struct.pack("<HI", 1, 1)
                       + struct.pack("<I", 0xFFFFFFF0) + bytes(10)),
+    # a GOF header whose U is about 8.3 million: 2 * 10^15 refined points
+    "gof-upsample": ("decode", _tcb1_with_upsample_byte(0x7F)),
 }
 
 
@@ -161,13 +176,15 @@ def test_hostile_declared_length_exits_1_within_a_memory_cap(tmp_path, name):
     command, data = _HOSTILE[name]
     path = tmp_path / "hostile.bin"
     path.write_bytes(data)
+    out = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, "-c", _CAPPED_CLI, command, str(path), "-o", str(tmp_path / "out")],
+        [sys.executable, "-c", _CAPPED_CLI, command, str(path), "-o", str(out)],
         env=_child_env(), capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 1, result.stderr
     assert "error:" in result.stderr
     assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_encode_and_decode_read_from_a_pipe(tmp_path):

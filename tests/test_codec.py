@@ -21,6 +21,7 @@ from tricloud.errors import (
     CorruptStreamError,
     FormatError,
     ParameterError,
+    RangeError,
     TruncatedStreamError,
 )
 
@@ -390,6 +391,18 @@ def test_encode_rejects_upsample_mismatch():
     gof = _gof(n_frames=1, upsample=2)
     with pytest.raises(ParameterError):
         codec.encode_gof(gof, CodecParams(8, 3))
+
+
+def test_refined_point_cap_raises_before_refine(monkeypatch):
+    # 60 faces at U = 2 refine to 360 points per frame; the encoder shares the
+    # decoder's check, so it cannot write a stream the decoder would refuse
+    def refine(*args):
+        raise AssertionError("refine ran past the cap")
+
+    monkeypatch.setattr(codec, "_MAX_REFINED_POINTS", 359)
+    monkeypatch.setattr(codec, "refine", refine)
+    with pytest.raises(RangeError, match="360 refined points per frame exceed 359"):
+        codec.encode_gof(_gof(n_frames=2), _params())
 
 
 def test_predicted_frame_count_mismatch_rejected():

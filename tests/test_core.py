@@ -363,6 +363,46 @@ def test_mutated_gof_files_read_back_unchanged_or_raise(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+# The same sweep over a TCB1 stream, in a child capped at 1 GiB: every mutated
+# stream is read and all its frames decoded.
+_BITSTREAM_MUTATION_SWEEP = """
+import random, resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from tricloud import codec, core, datagen
+from tricloud.errors import TricloudError
+
+path = sys.argv[1]
+gof = datagen.gen_sequence("sphere", 3, n_faces=60, upsample=3, seed=1)[0]
+codec.write_bitstream_file(path, [codec.encode_gof(gof, core.CodecParams(8, 3))])
+with open(path, "rb") as fp:
+    data = fp.read()
+rng = random.Random(1)
+for trial in range(400):
+    mutated = bytearray(data)
+    for _ in range(rng.randint(1, 3)):
+        mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+    with open(path, "wb") as fp:
+        fp.write(mutated)
+    try:
+        for encoded in codec.read_bitstream_file(path):
+            for frame in codec.decode_frames(encoded):
+                pass
+    except TricloudError:
+        pass
+"""
+
+
+def test_mutated_bitstreams_decode_or_raise(tmp_path):
+    # each mutated stream either decodes or raises a TricloudError; any other
+    # exception, a MemoryError above the cap included, fails the child
+    src = os.path.dirname(os.path.dirname(core.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _BITSTREAM_MUTATION_SWEEP, str(tmp_path / "m.tcb")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+
+
 def test_colors_to_u8_edges_map_as_before():
     colors = np.array([[0.5, 1.5, 127.5], [254.5, -1.0, 255.5], [256.0, 0.49, 254.49]])
     assert core._colors_to_u8(colors).tolist() == [[1, 2, 128], [255, 0, 255], [255, 0, 254]]

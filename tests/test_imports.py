@@ -1,12 +1,14 @@
 """Import hygiene of the package: no unused imports, no dangling exports."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 
 import pytest
 
 import tricloud
+from tricloud import codec
 
 SRC = pathlib.Path(tricloud.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -73,6 +75,30 @@ def test_every_header_is_unpacked_through_read_struct():
     # bytes already in memory is left alone
     stray = _calls_outside("_read_struct", "unpack")
     assert not stray, f"struct.unpack outside core._read_struct: {stray}"
+
+
+def test_frame_records_are_laid_out_once():
+    # the record writer and parser loop over the layout each payload class
+    # declares, and the bit counts are derived from it in one place
+    payloads = (codec.IntraPayload, codec.PredictedPayload)
+    layout = {cls.__name__ for cls in payloads} | {
+        field.name for cls in payloads for field in dataclasses.fields(cls)}
+    tree = ast.parse((SRC / "codec.py").read_text(encoding="utf-8"))
+    named = {f"{func.name} names {name}"
+             for func in ast.walk(tree)
+             if isinstance(func, ast.FunctionDef)
+             and func.name in ("serialize_gof_record", "parse_gof_record")
+             for node in ast.walk(func)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None),
+                          getattr(node, "arg", None), getattr(node, "value", None))
+             if isinstance(name, str) and name in layout}
+    assert not named, f"the record layout is spelled out by hand: {sorted(named)}"
+    definitions = [f"{path.name}:{node.lineno}"
+                   for path in sorted(SRC.glob("*.py"))
+                   for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name in ("geometry_bits", "color_bits")]
+    assert len(definitions) == 2, f"bit counts defined more than once: {definitions}"
 
 
 def test_every_exported_name_resolves():
