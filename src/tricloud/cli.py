@@ -16,12 +16,9 @@ import math
 import os
 import stat
 import sys
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 
 from .codec import (
     decode_frames,
-    decode_gof,
     encode_frames,
     read_bitstream_file,
     write_bitstream_file,
@@ -30,19 +27,17 @@ from .core import (
     CodecParams,
     GofHeader,
     iter_gof_file,
-    read_gof_file,
     write_gof_file,
     write_gof_frames,
 )
 from .datagen import SHAPES, gen_sequence
 from .errors import ConsistencyError, CorruptStreamError, FormatError, TricloudError
 from .metrics import (
-    _projection_psnr_of_sets,
-    _render_voxel_pairs,
-    matching_distortion_sequence,
+    _frame_errors,
+    _matching_mean,
+    _projection_psnr_from_errors,
     psnr_from_errors,
     rates,
-    triangle_cloud_errors,
 )
 
 log = logging.getLogger("tricloud")
@@ -93,17 +88,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step-color-inter", type=float, default=1.0)
     p.add_argument("--intra-only", action="store_true",
                    help="code every frame as a reference frame")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel GOF workers, at most N GOFs in flight (default 1: "
-                        "one frame held at a time)")
+    p.add_argument("--jobs", type=int, default=1, choices=[1],
+                   help="worker processes; only 1 is accepted")
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="decode a TCB1 bitstream to a TCG1 sequence")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel GOF workers, at most N GOFs in flight (default 1: "
-                        "one frame held at a time)")
+    p.add_argument("--jobs", type=int, default=1, choices=[1],
+                   help="worker processes; only 1 is accepted")
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("eval", help="compare two TCG1 sequences")
@@ -139,11 +132,6 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _encode_job(job):
-    frames, n_frames, params, intra_only = job
-    return encode_frames(frames, n_frames, params, intra_only)
-
-
 def _rate_report(encoded) -> dict:
     """{"geometry" | "color" | "total": (bits, Mbps, bits per voxel)} of EncodedGofs."""
     counts = [c for enc in encoded for c in enc.refined_voxel_counts()]  # one per frame
@@ -152,41 +140,16 @@ def _rate_report(encoded) -> dict:
     return {kind: (bits, *rates(bits, len(counts), counts)) for kind, bits in totals.items()}
 
 
-def _run_jobs(worker, jobs, n_workers: int):
-    """Yield ``worker(job)`` for each job, in order, as the caller asks for them.
-
-    With ``n_workers`` > 1 and at least two jobs, the jobs run in a pool of
-    that many processes, and at most ``n_workers`` are in flight: submitted,
-    or returned and not yet done with by the caller.
-    """
-    jobs = iter(jobs)
-    if n_workers > 1:
-        head = list(itertools.islice(jobs, 2))
-        if len(head) == 2:
-            with ProcessPoolExecutor(max_workers=n_workers) as pool:
-                pending = deque(pool.submit(worker, job) for job in head)
-                head.clear()
-                while pending:
-                    pending.extend(pool.submit(worker, job) for job in
-                                   itertools.islice(jobs, n_workers - len(pending)))
-                    yield pending.popleft().result()
-            return
-        jobs = iter(head)
-    yield from map(worker, jobs)
-
-
 def cmd_encode(args) -> int:
     containers = iter_gof_file(args.input)
     header, frames = next(containers)
     depth = args.depth if args.depth is not None else header.depth
     params = CodecParams(depth, header.upsample, args.step_motion,
                          args.step_color_intra, args.step_color_inter)
-    # one GOF at a time: this process encodes frames as it reads them, a pool
-    # worker gets the GOF's frames
-    jobs = ((tuple(frames) if args.jobs > 1 else frames, h.n_frames, params, args.intra_only)
-            for h, frames in itertools.chain([(header, frames)], containers))
     log.info("encoding at depth %d", depth)
-    encoded = list(_run_jobs(_encode_job, jobs, args.jobs))
+    # one GOF at a time, its frames encoded as they are read
+    encoded = [encode_frames(frames, h.n_frames, params, args.intra_only)
+               for h, frames in itertools.chain([(header, frames)], containers)]
     write_bitstream_file(args.output, encoded)
 
     print("frame  type  geometry_kbit  color_kbit")
@@ -224,12 +187,11 @@ def cmd_decode(args) -> int:
         # a TCG1 file holds one depth, as its reader checks
         raise ConsistencyError(f"{args.input}: GOF records disagree on depth")
     log.info("decoding %d GOF(s)", len(encoded))
-    # this process decodes one frame at a time, a pool worker a whole GOF
-    decoded = _run_jobs(decode_frames if args.jobs <= 1 else decode_gof, encoded, args.jobs)
     with open(args.output, "wb") as fp:
         try:
             for enc in encoded:
-                _write_decoded(fp, enc, next(decoded), depth)
+                # each frame is written as it is decoded
+                _write_decoded(fp, enc, decode_frames(enc), depth)
         except BaseException:
             # a decode that fails leaves no partial file behind
             if stat.S_ISREG(os.fstat(fp.fileno()).st_mode):
@@ -242,11 +204,12 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _flatten(gofs):
-    frames = []
-    for gof in gofs:
-        frames.extend(gof.frames)
-    return frames
+def _read_frames(path):
+    """(depth, frames): the depth of the TCG1 file at `path`, and its frames, read
+    one at a time as they are asked for."""
+    containers = iter_gof_file(path)
+    header, frames = next(containers)
+    return header.depth, itertools.chain(frames, (f for _, fs in containers for f in fs))
 
 
 def _fmt(value) -> str:
@@ -272,33 +235,30 @@ def cmd_eval(args) -> int:
             print(f"unknown metric {m!r}; choose from {', '.join(_EVAL_METRICS)}",
                   file=sys.stderr)
             return 2
-    orig_gofs, file_depth = read_gof_file(args.original)
-    recon_gofs, _ = read_gof_file(args.reconstruction)
+    file_depth, originals = _read_frames(args.original)
+    _, recons = _read_frames(args.reconstruction)
     depth = args.depth if args.depth is not None else file_depth
-    originals = _flatten(orig_gofs)
-    recons = _flatten(recon_gofs)
+    # one frame pair at a time: only the per-frame error rows are kept
+    rows = list(_frame_errors(originals, recons, wanted, depth, args.uinterp))
 
     report = {
         "sequence": os.path.splitext(os.path.basename(args.original))[0],
-        "n_frames": len(originals),
+        "n_frames": len(rows),
         "depth": depth,
         "uinterp": args.uinterp,
     }
 
     triangle_rows = None
     if "triangle" in wanted:
-        triangle_rows = triangle_cloud_errors(originals, recons, args.uinterp)
+        triangle_rows = [r["triangle"] for r in rows]
         g, y, u, v = psnr_from_errors(triangle_rows)
         report.update(psnr_g_triangle=g, psnr_y_triangle=y,
                       psnr_u_triangle=u, psnr_v_triangle=v)
-    if "projection" in wanted or "matching" in wanted:
-        # projection and matching share each frame's render voxel sets
-        pairs = _render_voxel_pairs(originals, recons, depth, args.uinterp)
     if "projection" in wanted:
-        y, u, v = _projection_psnr_of_sets(pairs, depth)
+        y, u, v = _projection_psnr_from_errors([r["projection"] for r in rows], depth)
         report.update(psnr_y_projection=y, psnr_u_projection=u, psnr_v_projection=v)
     if "matching" in wanted:
-        d_g2, d_y2, pg, py = matching_distortion_sequence(*zip(*pairs))
+        d_g2, d_y2, pg, py = _matching_mean([r["matching"] for r in rows])
         report.update(d_g2_matching=d_g2, d_y2_matching=d_y2,
                       psnr_g_matching=pg, psnr_y_matching=py)
 

@@ -214,14 +214,14 @@ def voxelize(points, attributes, depth: int) -> VoxelizationResult:
         raise ConsistencyError(f"points must be (N, 3), got shape {points.shape}")
     if points.size == 0:
         raise RangeError("cannot voxelize an empty point list")
-    if points.min() < 0.0 or points.max() >= 1.0:
+    # written so that NaN fails it
+    if not (points.min() >= 0.0 and points.max() < 1.0):
         raise RangeError("points must lie in [0, 1)^3")
-    scale = float(1 << depth)
-    ints = np.floor(points * scale).astype(np.int64)
-    # guard against float roundoff pushing a coordinate just below 1.0 onto the
-    # grid boundary
-    np.minimum(ints, (1 << depth) - 1, out=ints)
+    # scaling by 2^J is exact, so x < 1 gives x * 2^J < 2^J, and on x >= 0
+    # the cast's truncation is the floor
+    ints = (points * float(1 << depth)).astype(np.int64)
     codes = morton_encode(ints[:, 0], ints[:, 1], ints[:, 2], depth)
+    del ints  # so it does not sit beside the temporaries of np.unique
     unique_codes, inverse = np.unique(codes, return_inverse=True)
     inverse = inverse.ravel()
 

@@ -29,6 +29,7 @@ Geometry PSNRs are normalized per coordinate against the unit bounding cube
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -60,14 +61,17 @@ def _psnr(mse: float, peak_sq: float) -> float:
     return -10.0 * math.log10(mse / peak_sq)
 
 
-def _pairs(refs, recons) -> list:
-    """[(reference, reconstruction)] of two non-empty sequences of equal length."""
-    refs, recons = list(refs), list(recons)
-    if not refs:
+def _pairs(refs, recons):
+    """Yield (reference, reconstruction) from two non-empty sequences of equal
+    length, one pair at a time; a length mismatch is found when one side ends."""
+    t = 0
+    for t, (a, b) in enumerate(itertools.zip_longest(refs, recons), 1):
+        if a is None or b is None:
+            side = "reconstruction" if b is None else "reference"
+            raise ShapeMismatchError(f"the {side} ends after {t - 1} frames, before the other")
+        yield a, b
+    if t == 0:
         raise EmptySetError("no frames to compare")
-    if len(refs) != len(recons):
-        raise ShapeMismatchError(f"{len(refs)} reference frames vs {len(recons)} reconstructed")
-    return list(zip(refs, recons))
 
 
 def _as_frame_list(arrays) -> list:
@@ -84,7 +88,7 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
     3*N; kind "color" expects a single component of shape (N,) or (N,1)
     and normalizes by 255^2*N.  Frames are averaged in the MSE domain.
     """
-    pairs = _pairs(_as_frame_list(ref_attrs), _as_frame_list(recon_attrs))
+    pairs = list(_pairs(_as_frame_list(ref_attrs), _as_frame_list(recon_attrs)))
     if kind not in ("geometry", "color"):
         raise ParameterError(f"kind must be 'geometry' or 'color', got {kind!r}")
     total = 0.0
@@ -132,16 +136,50 @@ def render_cloud(frame, interp: int = 1):
     return clouds[0], clouds[1], np.repeat(weights, frame.n_faces)
 
 
-def _frame_pairs(ref_frames, recon_frames) -> list:
-    """[(reference frame, reconstruction frame)], every pair checked."""
-    pairs = _pairs(ref_frames, recon_frames)
-    for t, (a, b) in enumerate(pairs):
+def _frame_pairs(ref_frames, recon_frames):
+    """Yield (reference frame, reconstruction frame) pairs, each checked as it arrives."""
+    for t, (a, b) in enumerate(_pairs(ref_frames, recon_frames)):
         if a.n_faces != b.n_faces or a.upsample != b.upsample or a.n_colors != b.n_colors:
             raise ShapeMismatchError(
                 f"frame {t}: face/upsample/color counts differ ({a.n_faces}/{a.upsample}/"
                 f"{a.n_colors} vs {b.n_faces}/{b.upsample}/{b.n_colors})"
             )
-    return pairs
+        yield a, b
+
+
+def _frame_errors(ref_frames, recon_frames, wanted, depth: int | None, interp: int):
+    """Yield {metric: error row} for each frame pair, one pair at a time.
+
+    For each metric named in `wanted`: "triangle" gives the row of
+    :func:`triangle_cloud_errors`, "projection" the per-channel squared error
+    of :func:`_projection_sq_error` and "matching" the tuple of
+    :func:`matching_distortion`.  Projection and matching share the pair's
+    render voxel sets at `depth`, built once; the sets are dropped before
+    the next pair is read.
+    """
+    for a, b in _frame_pairs(ref_frames, recon_frames):
+        rows = {}
+        if "triangle" in wanted:
+            rows["triangle"] = _triangle_row(a, b, interp)
+        if "projection" in wanted or "matching" in wanted:
+            sets = _render_voxels(a, depth, interp), _render_voxels(b, depth, interp)
+            if "projection" in wanted:
+                rows["projection"] = _projection_sq_error(*sets)
+            if "matching" in wanted:
+                rows["matching"] = matching_distortion(*sets)
+            del sets
+        yield rows
+
+
+def _triangle_row(a, b, interp: int) -> np.ndarray:
+    """The (G, Y, U, V) row of :func:`triangle_cloud_errors` for one frame pair."""
+    va, ca, weights = render_cloud(a, interp)
+    vb, cb, _ = render_cloud(b, interp)
+    n = weights.sum()
+    row = np.empty(4)
+    row[0] = float(np.sum(weights @ (va - vb) ** 2)) / (3.0 * n)
+    row[1:] = weights @ (ca - cb) ** 2 / (255.0 ** 2 * n)
+    return row
 
 
 def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarray:
@@ -154,15 +192,8 @@ def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarr
     multiplicity, which equals comparing the expanded clouds row by row.
     Geometry is normalized per coordinate, colors by 255^2.
     """
-    pairs = _frame_pairs(ref_frames, recon_frames)
-    rows = np.empty((len(pairs), 4))
-    for t, (a, b) in enumerate(pairs):
-        va, ca, weights = render_cloud(a, interp)
-        vb, cb, _ = render_cloud(b, interp)
-        n = weights.sum()
-        rows[t, 0] = float(np.sum(weights @ (va - vb) ** 2)) / (3.0 * n)
-        rows[t, 1:] = weights @ (ca - cb) ** 2 / (255.0 ** 2 * n)
-    return rows
+    return np.array([rows["triangle"] for rows in
+                     _frame_errors(ref_frames, recon_frames, ("triangle",), None, interp)])
 
 
 def psnr_from_errors(rows):
@@ -278,20 +309,13 @@ def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
     return VoxelSet(depth, vox.voxel_set.codes, means)
 
 
-def _render_voxel_pairs(ref_frames, recon_frames, depth: int, interp: int):
-    """[(reference set, reconstruction set)]: :func:`_render_voxels` of each frame
-    pair; the frame lists are checked before any set is built."""
-    return [(_render_voxels(a, depth, interp), _render_voxels(b, depth, interp))
-            for a, b in _frame_pairs(ref_frames, recon_frames)]
-
-
-def _projection_psnr_of_sets(pairs, depth: int):
-    """(PSNR_Y, PSNR_U, PSNR_V) of the six-face renders of (reference, reconstruction)
-    voxel set pairs at `depth`, pooled over the pairs."""
+def _projection_psnr_from_errors(errors, depth: int):
+    """(PSNR_Y, PSNR_U, PSNR_V) of per-frame :func:`_projection_sq_error` rows at
+    `depth`, pooled over the frames, summed in frame order."""
     err = np.zeros(3)
-    for a, b in pairs:
-        err += _projection_sq_error(a, b)
-    mse = err / (len(pairs) * 6 * 4 ** depth)
+    for e in errors:
+        err += e
+    mse = err / (len(errors) * 6 * 4 ** depth)
     return tuple(_psnr(float(m), 255.0 ** 2) for m in mse)
 
 
@@ -303,8 +327,9 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
     frames before the PSNR.  Only pixels a voxel covers are visited, but the
     mean is over all 6 * 4^J pixels of every frame.
     """
-    return _projection_psnr_of_sets(
-        _render_voxel_pairs(ref_frames, recon_frames, depth, interp), depth)
+    return _projection_psnr_from_errors(
+        [rows["projection"] for rows in
+         _frame_errors(ref_frames, recon_frames, ("projection",), depth, interp)], depth)
 
 
 # ---------------------------------------------------------------------------
@@ -423,22 +448,26 @@ def matching_distortion(source: VoxelSet, target: VoxelSet):
     return d_g2, d_y2, _psnr(d_g2, 3.0), _psnr(d_y2, 255.0 ** 2)
 
 
-def matching_distortion_sequence(source_sets, target_sets):
-    """Frame-averaged matching distortion: (d̄_G2, d̄_Y2, PSNR_G, PSNR_Y)."""
-    pairs = _pairs(source_sets, target_sets)
+def _matching_mean(distortions):
+    """(d̄_G2, d̄_Y2, PSNR_G, PSNR_Y) of per-frame :func:`matching_distortion`
+    tuples, averaged over the frames, summed in frame order."""
     g_total = 0.0
     y_total = 0.0
-    for s, t in pairs:
-        d_g2, d_y2, _, _ = matching_distortion(s, t)
+    for d_g2, d_y2, _, _ in distortions:
         g_total += d_g2
         y_total += d_y2
-    n = len(pairs)
+    n = len(distortions)
     return (
         g_total / n,
         y_total / n,
         _psnr(g_total / n, 3.0),
         _psnr(y_total / n, 255.0 ** 2),
     )
+
+
+def matching_distortion_sequence(source_sets, target_sets):
+    """Frame-averaged matching distortion: (d̄_G2, d̄_Y2, PSNR_G, PSNR_Y)."""
+    return _matching_mean([matching_distortion(s, t) for s, t in _pairs(source_sets, target_sets)])
 
 
 def rates(bits: int, n_frames: int, voxel_counts=None):

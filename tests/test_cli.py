@@ -90,13 +90,31 @@ def test_eval_subset_of_metrics(tmp_path, capsys):
     assert "matching" not in out
 
 
-def test_parallel_encode_is_deterministic(tmp_path):
+def test_eval_of_sequences_that_differ_in_frame_count_exits_1(tmp_path, capsys):
+    # the pairs are read one at a time, so the mismatch shows when the
+    # reconstruction runs out, and nothing has been written by then
+    orig = _generate(tmp_path, frames=3, gof_size=3)
+    recon = _generate(tmp_path, name="recon.tcg", frames=2, gof_size=2)
+    outputs = [tmp_path / name for name in ("report.json", "report.csv", "trace.svg")]
+    capsys.readouterr()
+    rc = _run(["eval", "--original", str(orig), "--reconstruction", str(recon),
+               "--json", str(outputs[0]), "--csv", str(outputs[1]), "--svg", str(outputs[2])])
+    assert rc == 1
+    assert "the reconstruction ends after 2 frames" in capsys.readouterr().err
+    assert not any(path.exists() for path in outputs)
+
+
+def test_jobs_other_than_1_is_a_usage_error(tmp_path):
+    # encode and decode run in one process, frame by frame
     orig = _generate(tmp_path, frames=4, gof_size=2)
-    one = tmp_path / "serial.tcb"
-    two = tmp_path / "parallel.tcb"
-    assert _run(["encode", str(orig), "-o", str(one)]) == 0
-    assert _run(["encode", str(orig), "-o", str(two), "--jobs", "2"]) == 0
-    assert one.read_bytes() == two.read_bytes()
+    bits, recon = tmp_path / "seq.tcb", tmp_path / "recon.tcg"
+    assert _run(["encode", str(orig), "-o", str(bits)]) == 0
+    for command, source, out in (("encode", orig, tmp_path / "two.tcb"),
+                                 ("decode", bits, recon)):
+        with pytest.raises(SystemExit) as err:
+            _run([command, str(source), "-o", str(out), "--jobs", "2"])
+        assert err.value.code == 2
+        assert not out.exists()
 
 
 def test_intra_only_encode_decodes(tmp_path):
@@ -449,14 +467,20 @@ def test_decode_of_gofs_coded_at_two_depths_exits_1_and_writes_nothing(tmp_path,
     assert not out.exists()
 
 
+_STAGES = ("encode", "decode", "eval triangle", "eval projection", "eval matching")
+
+
 def _peaks(tmp_path, gofs):
-    """tracemalloc peaks (bytes) of an in-process encode and decode of gofs."""
+    """tracemalloc peaks (bytes) of an in-process encode and decode of gofs, and of
+    one eval per metric of the decoded frames against gofs."""
     orig, bits, recon = (tmp_path / name for name in ("in.tcg", "seq.tcb", "out.tcg"))
     core.write_gof_file(orig, gofs, 10)
     peaks = []
     for argv in (["encode", str(orig), "-o", str(bits), "--step-color-intra", "4",
                   "--step-color-inter", "4"],
-                 ["decode", str(bits), "-o", str(recon)]):
+                 ["decode", str(bits), "-o", str(recon)],
+                 *(["eval", "--original", str(orig), "--reconstruction", str(recon),
+                    "--metrics", metric] for metric in ("triangle", "projection", "matching"))):
         tracemalloc.start()
         try:
             assert _run(argv) == 0
@@ -467,8 +491,9 @@ def _peaks(tmp_path, gofs):
 
 
 def test_memory_stays_flat_in_frames_and_in_gofs(tmp_path, capsys):
-    # one input or output frame is held at a time, beside the GOF's
-    # reference state and frame buffer, and one GOF at a time
+    # encode and decode hold one input or output frame at a time, beside the
+    # GOF's reference state and frame buffer, and one GOF at a time; eval holds
+    # one frame pair and its render clouds or voxel sets at a time
     def sphere(n_frames, gof_size):
         return datagen.gen_sequence("sphere", n_frames, n_faces=2000, upsample=10, seed=1,
                                     gof_size=gof_size)
@@ -476,25 +501,23 @@ def test_memory_stays_flat_in_frames_and_in_gofs(tmp_path, capsys):
     two_frames = _peaks(tmp_path, sphere(2, 2))
     four_frames = _peaks(tmp_path, sphere(4, 4))
     four_gofs = _peaks(tmp_path, sphere(8, 2))
-    for stage, base, frames, gofs in zip(("encode", "decode"), two_frames, four_frames,
-                                         four_gofs):
+    for stage, base, frames, gofs in zip(_STAGES, two_frames, four_frames, four_gofs):
         assert frames <= 1.05 * base, (stage, frames, base)
         assert gofs <= 1.05 * base, (stage, gofs, base)
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("frames, gof_size, intra_only", [
     (3, 3, False),  # hybrid
     (3, 3, True),   # intra-only
     (5, 2, False),  # three GOFs, the last a lone reference frame
 ])
-def test_streamed_outputs_equal_the_collectors(tmp_path, frames, gof_size, intra_only, jobs):
+def test_streamed_outputs_equal_the_collectors(tmp_path, frames, gof_size, intra_only):
     orig = _generate(tmp_path, frames=frames, gof_size=gof_size)
     bits, recon = tmp_path / "seq.tcb", tmp_path / "recon.tcg"
-    flags = ["--step-color-intra", "2", "--step-color-inter", "3", "--jobs", str(jobs)]
+    flags = ["--step-color-intra", "2", "--step-color-inter", "3", "--jobs", "1"]
     flags += ["--intra-only"] if intra_only else []
     assert _run(["encode", str(orig), "-o", str(bits), *flags]) == 0
-    assert _run(["decode", str(bits), "-o", str(recon), "--jobs", str(jobs)]) == 0
+    assert _run(["decode", str(bits), "-o", str(recon), "--jobs", "1"]) == 0
 
     gofs, depth = core.read_gof_file(orig)
     params = core.CodecParams(depth, gofs[0].reference.upsample, step_color_intra=2.0,
@@ -510,19 +533,3 @@ def test_streamed_outputs_equal_the_collectors(tmp_path, frames, gof_size, intra
     assert bits.read_bytes() == want_bits.read_bytes()
     assert recon.read_bytes() == want_recon.read_bytes()
 
-
-def test_run_jobs_keeps_at_most_n_jobs_in_flight():
-    pulled = []
-
-    def jobs():
-        for k in range(7):
-            pulled.append(k)
-            yield -k
-
-    for n_workers in (1, 2, 3):
-        pulled.clear()
-        for done, result in enumerate(cli._run_jobs(abs, jobs(), n_workers)):
-            assert result == done
-            # pulled from the job list and not yet returned and done with
-            assert len(pulled) - done <= n_workers
-        assert pulled == list(range(7))

@@ -1,5 +1,7 @@
 """Morton codes, triangle refinement, and voxelization."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -269,6 +271,21 @@ def test_voxelize_rejects_out_of_cube():
     for bad in ([[1.0, 0.5, 0.5]], [[0.5, -0.01, 0.5]], [[0.5, 0.5, 7.0]]):
         with pytest.raises(RangeError):
             geom.voxelize(np.array(bad), None, 3)
+
+
+def test_voxelize_rejects_nan_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RangeError, match=r"\[0, 1\)\^3"):
+            geom.voxelize(np.array([[np.nan, 0.5, 0.5]]), None, 10)
+
+
+@pytest.mark.parametrize("depth", [1, 10, 20])
+def test_voxelize_puts_the_largest_coordinate_below_1_in_the_last_cell(depth):
+    # scaling by 2^J is exact, so no coordinate below 1 reaches cell 2^J
+    top = np.nextafter(1.0, 0.0)
+    res = geom.voxelize(np.array([[top, top, top]]), None, depth)
+    assert res.voxel_set.codes.tolist() == [geom.morton_encode(*[(1 << depth) - 1] * 3, depth)]
 
 
 def test_voxelize_without_attributes():

@@ -101,6 +101,22 @@ def test_frame_records_are_laid_out_once():
     assert len(definitions) == 2, f"bit counts defined more than once: {definitions}"
 
 
+def test_cli_runs_every_stage_one_frame_at_a_time():
+    # encode, decode and eval stream frames in one process: no worker pool,
+    # and none of the functions that hold a whole GOF
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) and node.module]
+    pools = [m for m in modules if m.split(".")[0] in ("concurrent", "multiprocessing")]
+    assert not pools, f"cli.py imports a worker pool: {pools}"
+    names = {name for name, _ in _imported_names(tree)} | {
+        getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(tree)}
+    whole = names & {"read_gof_file", "read_gof", "decode_gof", "encode_gof"}
+    assert not whole, f"cli.py binds functions that hold a whole GOF: {sorted(whole)}"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in tricloud.__all__ if not hasattr(tricloud, name)]
     assert not missing, f"tricloud.__all__ names what the package does not bind: {missing}"
