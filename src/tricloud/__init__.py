@@ -39,13 +39,11 @@ from .core import (
     expected_color_count,
     iter_gof_file,
     read_frame,
-    read_gof,
     read_gof_file,
     read_gof_frames,
     rgb_from_yuv,
     validate_gof,
     write_frame,
-    write_gof,
     write_gof_file,
     write_gof_frames,
     yuv_from_rgb,
@@ -83,6 +81,8 @@ from .geom import (
     voxelize,
 )
 from .metrics import (
+    METRICS,
+    evaluate,
     matching_distortion,
     matching_distortion_sequence,
     project_to_faces,

@@ -32,17 +32,9 @@ from .core import (
 )
 from .datagen import SHAPES, gen_sequence
 from .errors import ConsistencyError, CorruptStreamError, FormatError, TricloudError
-from .metrics import (
-    _frame_errors,
-    _matching_mean,
-    _projection_psnr_from_errors,
-    psnr_from_errors,
-    rates,
-)
+from .metrics import METRICS, evaluate, psnr_from_errors, rates
 
 log = logging.getLogger("tricloud")
-
-_EVAL_METRICS = ("triangle", "projection", "matching")
 
 _CSV_COLUMNS = [
     "sequence", "n_frames", "depth", "uinterp",
@@ -102,8 +94,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="compare two TCG1 sequences")
     p.add_argument("--original", required=True)
     p.add_argument("--reconstruction", required=True)
-    p.add_argument("--metrics", default="triangle,projection,matching",
-                   help="comma list from: " + ",".join(_EVAL_METRICS))
+    p.add_argument("--metrics", default=",".join(METRICS),
+                   help="comma list from: " + ",".join(METRICS))
     p.add_argument("--uinterp", type=int, default=1,
                    help="extra interpolation factor for the render clouds")
     p.add_argument("--depth", type=int, default=None,
@@ -178,10 +170,17 @@ def _write_decoded(fp, encoded, frames, depth: int) -> None:
         write_gof_frames(fp, GofHeader(encoded.n_frames, depth, upsample), frames)
 
 
+def _read_encoded(path) -> list:
+    """The GOF records of the TCB1 file at `path`, of which there must be one or
+    more: a TCG1 file holds at least one container, and a rate needs a frame."""
+    encoded = read_bitstream_file(path)
+    if not encoded:
+        raise CorruptStreamError(f"{path}: bitstream holds no GOF")
+    return encoded
+
+
 def cmd_decode(args) -> int:
-    encoded = read_bitstream_file(args.input)
-    if not encoded:  # a TCG1 file holds at least one container
-        raise CorruptStreamError(f"{args.input}: bitstream holds no GOF")
+    encoded = _read_encoded(args.input)
     depth = encoded[0].params.depth
     if any(enc.params.depth != depth for enc in encoded):
         # a TCG1 file holds one depth, as its reader checks
@@ -228,42 +227,39 @@ def _json_safe(value):
     return value
 
 
+def _eval_usage_error(args, wanted) -> str | None:
+    """What is wrong with eval's flags, found before either file is read; None
+    when nothing is."""
+    unknown = [m for m in wanted if m not in METRICS]
+    if unknown:
+        return f"unknown metric {unknown[0]!r}; choose from {', '.join(METRICS)}"
+    if not wanted:
+        return f"--metrics names no metric; choose from {', '.join(METRICS)}"
+    if args.svg and "triangle" not in wanted:
+        return "--svg plots the triangle metric, which --metrics leaves out"
+    return None
+
+
 def cmd_eval(args) -> int:
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
-    for m in wanted:
-        if m not in _EVAL_METRICS:
-            print(f"unknown metric {m!r}; choose from {', '.join(_EVAL_METRICS)}",
-                  file=sys.stderr)
-            return 2
+    usage_error = _eval_usage_error(args, wanted)
+    if usage_error:
+        print(usage_error, file=sys.stderr)
+        return 2
     file_depth, originals = _read_frames(args.original)
     _, recons = _read_frames(args.reconstruction)
     depth = args.depth if args.depth is not None else file_depth
     # one frame pair at a time: only the per-frame error rows are kept
-    rows = list(_frame_errors(originals, recons, wanted, depth, args.uinterp))
-
+    figures, rows = evaluate(originals, recons, wanted, depth, args.uinterp)
     report = {
         "sequence": os.path.splitext(os.path.basename(args.original))[0],
         "n_frames": len(rows),
         "depth": depth,
         "uinterp": args.uinterp,
+        **figures,
     }
-
-    triangle_rows = None
-    if "triangle" in wanted:
-        triangle_rows = [r["triangle"] for r in rows]
-        g, y, u, v = psnr_from_errors(triangle_rows)
-        report.update(psnr_g_triangle=g, psnr_y_triangle=y,
-                      psnr_u_triangle=u, psnr_v_triangle=v)
-    if "projection" in wanted:
-        y, u, v = _projection_psnr_from_errors([r["projection"] for r in rows], depth)
-        report.update(psnr_y_projection=y, psnr_u_projection=u, psnr_v_projection=v)
-    if "matching" in wanted:
-        d_g2, d_y2, pg, py = _matching_mean([r["matching"] for r in rows])
-        report.update(d_g2_matching=d_g2, d_y2_matching=d_y2,
-                      psnr_g_matching=pg, psnr_y_matching=py)
-
     if args.bitstream:
-        encoded = read_bitstream_file(args.bitstream)
+        encoded = _read_encoded(args.bitstream)
         params = encoded[0].params
         report.update(
             step_motion=params.step_motion,
@@ -287,10 +283,9 @@ def cmd_eval(args) -> int:
         with open(args.json_path, "w", encoding="utf-8") as fp:
             json.dump({k: _json_safe(v) for k, v in report.items()}, fp, indent=2)
             fp.write("\n")
-    if args.svg and triangle_rows is not None:
+    if args.svg:
         from .svgplot import write_line_plot
-        per_frame_traces = [psnr_from_errors(triangle_rows[t:t + 1])
-                            for t in range(len(triangle_rows))]
+        per_frame_traces = [psnr_from_errors([row["triangle"]]) for row in rows]
         xs = list(range(1, len(per_frame_traces) + 1))
         write_line_plot(
             args.svg,

@@ -357,18 +357,15 @@ def _next_frame(frames, n_frames: int) -> TriangleCloudFrame:
     return frame
 
 
-def write_gof(fp, gof: GroupOfFrames, depth: int) -> None:
-    """Write a TCG1 container (faces stored only in the first frame record)."""
-    write_gof_frames(fp, GofHeader(gof.n_frames, depth, gof.reference.upsample), gof.frames)
-
-
 def write_gof_frames(fp, header: GofHeader, frames) -> None:
     """Write a TCG1 container of ``header.n_frames`` frames as ``frames`` yields them.
 
     Each frame is checked against the header and the first frame, then written
     before the next one is asked for, so a caller that yields frames as it
     makes them holds one at a time.  Faces are stored in the first record only.
+    A depth that no reader accepts is refused before any byte is written.
     """
+    _check_depth(header.depth)
     fp.write(GOF_MAGIC)
     fp.write(struct.pack("<I", header.n_frames))
     frames = iter(frames)
@@ -419,19 +416,15 @@ def read_gof_frames(fp):
     return header, frames(first)
 
 
-def read_gof(fp) -> tuple[GroupOfFrames, int]:
-    """Read one TCG1 container; returns (validated GOF, depth)."""
-    header, frames = read_gof_frames(fp)
-    return GroupOfFrames(tuple(frames)), header.depth
-
-
 def write_gof_file(path, gofs, depth: int) -> None:
     """Write one or more GOFs to ``path``, concatenated TCG1 containers."""
     if isinstance(gofs, GroupOfFrames):
         gofs = [gofs]
+    _check_depth(depth)  # before the file is made
     with open(path, "wb") as fp:
         for gof in gofs:
-            write_gof(fp, gof, depth)
+            write_gof_frames(fp, GofHeader(gof.n_frames, depth, gof.reference.upsample),
+                             gof.frames)
 
 
 def iter_gof_file(path):

@@ -11,6 +11,8 @@ Four distortion families:
   voxelized clouds, geometry and luminance components.
 
 plus the two rate figures (megabits per second at 30 fps, bits per voxel).
+:func:`evaluate` computes the last three over two sequences and pools them
+over the frames; :data:`METRICS` names them and their report keys.
 
 The last three are taken over each frame's render cloud: the refined
 triangles upsampled once more by barycentric blending of positions and
@@ -147,30 +149,6 @@ def _frame_pairs(ref_frames, recon_frames):
         yield a, b
 
 
-def _frame_errors(ref_frames, recon_frames, wanted, depth: int | None, interp: int):
-    """Yield {metric: error row} for each frame pair, one pair at a time.
-
-    For each metric named in `wanted`: "triangle" gives the row of
-    :func:`triangle_cloud_errors`, "projection" the per-channel squared error
-    of :func:`_projection_sq_error` and "matching" the tuple of
-    :func:`matching_distortion`.  Projection and matching share the pair's
-    render voxel sets at `depth`, built once; the sets are dropped before
-    the next pair is read.
-    """
-    for a, b in _frame_pairs(ref_frames, recon_frames):
-        rows = {}
-        if "triangle" in wanted:
-            rows["triangle"] = _triangle_row(a, b, interp)
-        if "projection" in wanted or "matching" in wanted:
-            sets = _render_voxels(a, depth, interp), _render_voxels(b, depth, interp)
-            if "projection" in wanted:
-                rows["projection"] = _projection_sq_error(*sets)
-            if "matching" in wanted:
-                rows["matching"] = matching_distortion(*sets)
-            del sets
-        yield rows
-
-
 def _triangle_row(a, b, interp: int) -> np.ndarray:
     """The (G, Y, U, V) row of :func:`triangle_cloud_errors` for one frame pair."""
     va, ca, weights = render_cloud(a, interp)
@@ -180,6 +158,68 @@ def _triangle_row(a, b, interp: int) -> np.ndarray:
     row[0] = float(np.sum(weights @ (va - vb) ** 2)) / (3.0 * n)
     row[1:] = weights @ (ca - cb) ** 2 / (255.0 ** 2 * n)
     return row
+
+
+# The metrics :func:`evaluate` computes, by name, in report order: the report
+# keys of the pooled mean errors, the report keys of their PSNRs, and the
+# squared peak of each PSNR.
+METRICS = {
+    "triangle": ((), ("psnr_g_triangle", "psnr_y_triangle", "psnr_u_triangle",
+                      "psnr_v_triangle"), (1.0,) * 4),
+    "projection": ((), ("psnr_y_projection", "psnr_u_projection", "psnr_v_projection"),
+                   (255.0 ** 2,) * 3),
+    "matching": (("d_g2_matching", "d_y2_matching"), ("psnr_g_matching", "psnr_y_matching"),
+                 (3.0, 255.0 ** 2)),
+}
+
+
+def _pool(name: str, rows, depth: int | None) -> dict:
+    """{report key: figure} of metric `name` from its per-frame error rows: the
+    rows (a matching row without its PSNRs) summed in frame order, divided once
+    by the frame count (times the 6 * 4^J pixels a projection row sums over)."""
+    error_keys, psnr_keys, peaks = METRICS[name]
+    total = np.zeros(len(peaks))
+    for row in rows:
+        total += row[:len(peaks)]
+    mean = total / (len(rows) * (6 * 4 ** depth if name == "projection" else 1))
+    figures = dict(zip(error_keys, map(float, mean)))
+    figures.update((key, _psnr(float(m), peak)) for key, m, peak in zip(psnr_keys, mean, peaks))
+    return figures
+
+
+def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp: int = 1):
+    """(figures, rows) of the metrics named in `wanted`, keys of :data:`METRICS`.
+
+    Frame pairs are compared one at a time.  `rows` holds each pair's {metric:
+    error row}: the row of :func:`triangle_cloud_errors`, the per-channel sum
+    of :func:`_projection_sq_error`, the tuple of :func:`matching_distortion`.
+    `figures` maps the wanted report keys, in table order, to the figures
+    pooled over the frames.  Projection and matching share each pair's render
+    voxel sets at `depth`, which are dropped before the next pair is read.
+    """
+    unknown = [name for name in wanted if name not in METRICS]
+    if unknown:
+        raise ParameterError(f"unknown metric {unknown[0]!r}; choose from {', '.join(METRICS)}")
+    if depth is None and ("projection" in wanted or "matching" in wanted):
+        raise ParameterError("projection and matching need a voxel depth")
+    rows = []
+    for a, b in _frame_pairs(ref_frames, recon_frames):
+        row = {}
+        if "triangle" in wanted:
+            row["triangle"] = _triangle_row(a, b, interp)
+        if "projection" in wanted or "matching" in wanted:
+            sets = _render_voxels(a, depth, interp), _render_voxels(b, depth, interp)
+            if "projection" in wanted:
+                row["projection"] = _projection_sq_error(*sets)
+            if "matching" in wanted:
+                row["matching"] = matching_distortion(*sets)
+            del sets
+        rows.append(row)
+    figures = {}
+    for name in METRICS:
+        if name in wanted:
+            figures.update(_pool(name, [row[name] for row in rows], depth))
+    return figures, rows
 
 
 def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarray:
@@ -192,25 +232,20 @@ def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarr
     multiplicity, which equals comparing the expanded clouds row by row.
     Geometry is normalized per coordinate, colors by 255^2.
     """
-    return np.array([rows["triangle"] for rows in
-                     _frame_errors(ref_frames, recon_frames, ("triangle",), None, interp)])
+    _, rows = evaluate(ref_frames, recon_frames, ("triangle",), interp=interp)
+    return np.array([row["triangle"] for row in rows])
 
 
 def psnr_from_errors(rows):
-    """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) of MSE rows from :func:`triangle_cloud_errors`.
-
-    The rows are pooled by their mean, summed in frame order.
-    """
-    total = np.zeros(4)
-    for row in rows:
-        total += row
-    return tuple(_psnr(float(m), 1.0) for m in total / len(rows))
+    """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) of MSE rows from :func:`triangle_cloud_errors`,
+    pooled as :func:`evaluate` pools them."""
+    return tuple(_pool("triangle", rows, None).values())
 
 
 def psnr_triangle_cloud(ref_frames, recon_frames, interp: int = 1):
     """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) on refined + interpolated clouds, pooled
     over the frames in the MSE domain (see :func:`triangle_cloud_errors`)."""
-    return psnr_from_errors(triangle_cloud_errors(ref_frames, recon_frames, interp))
+    return tuple(evaluate(ref_frames, recon_frames, ("triangle",), interp=interp)[0].values())
 
 
 # ---------------------------------------------------------------------------
@@ -309,16 +344,6 @@ def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
     return VoxelSet(depth, vox.voxel_set.codes, means)
 
 
-def _projection_psnr_from_errors(errors, depth: int):
-    """(PSNR_Y, PSNR_U, PSNR_V) of per-frame :func:`_projection_sq_error` rows at
-    `depth`, pooled over the frames, summed in frame order."""
-    err = np.zeros(3)
-    for e in errors:
-        err += e
-    mse = err / (len(errors) * 6 * 4 ** depth)
-    return tuple(_psnr(float(m), 255.0 ** 2) for m in mse)
-
-
 def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
     """(PSNR_Y, PSNR_U, PSNR_V) of six-face renders, pooled over the sequence.
 
@@ -327,9 +352,7 @@ def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
     frames before the PSNR.  Only pixels a voxel covers are visited, but the
     mean is over all 6 * 4^J pixels of every frame.
     """
-    return _projection_psnr_from_errors(
-        [rows["projection"] for rows in
-         _frame_errors(ref_frames, recon_frames, ("projection",), depth, interp)], depth)
+    return tuple(evaluate(ref_frames, recon_frames, ("projection",), depth, interp)[0].values())
 
 
 # ---------------------------------------------------------------------------
@@ -448,26 +471,10 @@ def matching_distortion(source: VoxelSet, target: VoxelSet):
     return d_g2, d_y2, _psnr(d_g2, 3.0), _psnr(d_y2, 255.0 ** 2)
 
 
-def _matching_mean(distortions):
-    """(d̄_G2, d̄_Y2, PSNR_G, PSNR_Y) of per-frame :func:`matching_distortion`
-    tuples, averaged over the frames, summed in frame order."""
-    g_total = 0.0
-    y_total = 0.0
-    for d_g2, d_y2, _, _ in distortions:
-        g_total += d_g2
-        y_total += d_y2
-    n = len(distortions)
-    return (
-        g_total / n,
-        y_total / n,
-        _psnr(g_total / n, 3.0),
-        _psnr(y_total / n, 255.0 ** 2),
-    )
-
-
 def matching_distortion_sequence(source_sets, target_sets):
     """Frame-averaged matching distortion: (d̄_G2, d̄_Y2, PSNR_G, PSNR_Y)."""
-    return _matching_mean([matching_distortion(s, t) for s, t in _pairs(source_sets, target_sets)])
+    distortions = [matching_distortion(s, t) for s, t in _pairs(source_sets, target_sets)]
+    return tuple(_pool("matching", distortions, None).values())
 
 
 def rates(bits: int, n_frames: int, voxel_counts=None):

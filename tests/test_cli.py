@@ -236,6 +236,44 @@ def test_unknown_metric_exits_2(tmp_path, capsys):
     assert "unknown metric" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--metrics", ""], "names no metric"),
+    (["--metrics", " , "], "names no metric"),
+    (["--metrics", "projection,matching", "--svg", "trace.svg"], "--svg plots the triangle"),
+])
+def test_eval_flags_that_would_report_nothing_exit_2_before_reading(tmp_path, monkeypatch,
+                                                                   capsys, flags, message):
+    # neither file exists: a run that read them would exit 1
+    monkeypatch.chdir(tmp_path)
+    assert _run(["eval", "--original", "none.tcg", "--reconstruction", "none.tcg", *flags]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_of_a_stream_without_gofs_exits_1_and_writes_no_report(tmp_path, capsys):
+    orig = _generate(tmp_path, frames=2, gof_size=2)
+    bits = tmp_path / "empty.tcb"
+    codec.write_bitstream_file(bits, [])
+    outputs = [tmp_path / name for name in ("report.json", "report.csv", "trace.svg")]
+    capsys.readouterr()
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(orig),
+                 "--metrics", "triangle", "--bitstream", str(bits), "--json", str(outputs[0]),
+                 "--csv", str(outputs[1]), "--svg", str(outputs[2])]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no GOF" in err and "Traceback" not in err
+    assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("depth", ["0", "21", "-1"])
+def test_generate_at_a_depth_no_reader_accepts_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                                         depth):
+    out = tmp_path / "bad.tcg"
+    assert _run(["generate", "--shape", "sphere", "--frames", "1", "--faces", "20",
+                 "--upsample", "2", "--depth", depth, "-o", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: depth must be in 1..20")
+    assert not out.exists()
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         _run([])

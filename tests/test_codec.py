@@ -362,11 +362,12 @@ def test_readers_need_only_read():
     back = codec.read_bitstream(_ReadOnly(bits.getvalue()))
     assert [codec.serialize_gof_record(g) for g in back] == [codec.serialize_gof_record(enc)]
     frames = io.BytesIO()
-    core.write_gof(frames, gof, depth=8)
-    read, depth = core.read_gof(_ReadOnly(frames.getvalue()))
+    core.write_gof_frames(frames, core.GofHeader(gof.n_frames, 8, gof.reference.upsample),
+                          gof.frames)
+    header, read = core.read_gof_frames(_ReadOnly(frames.getvalue()))
     frames.seek(0)
-    seekable, _ = core.read_gof(frames)
-    assert depth == 8
+    _, seekable = core.read_gof_frames(frames)
+    assert header.depth == 8
     assert all(np.array_equal(getattr(a, name), getattr(b, name))
                for a, b in zip(read, seekable, strict=True)
                for name in ("vertices", "faces", "colors"))

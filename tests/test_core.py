@@ -30,6 +30,17 @@ def _frame(n_faces=2, upsample=2, seed=0, n_vertices=5):
     return core.TriangleCloudFrame(vertices, faces, colors.astype(float), upsample)
 
 
+def _write_gof(fp, gof, depth):
+    core.write_gof_frames(fp, core.GofHeader(gof.n_frames, depth, gof.reference.upsample),
+                          gof.frames)
+
+
+def _read_gof(fp):
+    """(GOF, depth) of the next TCG1 container in fp."""
+    header, frames = core.read_gof_frames(fp)
+    return core.GroupOfFrames(tuple(frames)), header.depth
+
+
 def test_expected_color_count_formula():
     assert core.expected_color_count(1, 1) == 3
     assert core.expected_color_count(2000, 10) == 2000 * 11 * 12 // 2
@@ -184,9 +195,9 @@ def test_vertex_just_below_one_survives_gof_round_trip():
     f = core.TriangleCloudFrame(vertices, f.faces, f.colors, f.upsample)
     gof = core.validate_gof(core.GroupOfFrames((f,)))
     buf = io.BytesIO()
-    core.write_gof(buf, gof, depth=8)
+    _write_gof(buf, gof, depth=8)
     buf.seek(0)
-    back, _ = core.read_gof(buf)
+    back, _ = _read_gof(buf)
     got = back.reference.vertices
     assert got.max() < 1.0
     assert got[1, 0] == np.nextafter(np.float32(1), np.float32(0))
@@ -264,13 +275,13 @@ def test_gof_container_round_trip_shares_faces():
     )
     gof = core.GroupOfFrames((f1, f2))
     buf = io.BytesIO()
-    core.write_gof(buf, gof, depth=8)
+    _write_gof(buf, gof, depth=8)
     single = io.BytesIO()
     core.write_frame(single, f1, depth=8)
     # only one face table is stored for the whole group
     assert len(buf.getvalue()) < 2 * len(single.getvalue())
     buf.seek(0)
-    back, depth = core.read_gof(buf)
+    back, depth = _read_gof(buf)
     assert depth == 8 and back.n_frames == 2
     assert np.array_equal(back.frames[1].faces, f1.faces)
 
@@ -308,8 +319,8 @@ def test_gof_file_error_paths(tmp_path):
     mixed = tmp_path / "mixed.tcg"
     gof = core.GroupOfFrames((_frame(seed=10),))
     with open(mixed, "wb") as fp:
-        core.write_gof(fp, gof, depth=8)
-        core.write_gof(fp, gof, depth=9)
+        _write_gof(fp, gof, depth=8)
+        _write_gof(fp, gof, depth=9)
     with pytest.raises(ConsistencyError, match="containers in one file disagree"):
         core.read_gof_file(mixed)
 
@@ -342,11 +353,12 @@ for trial in range(400):
         continue
     for read in gofs:
         buf = io.BytesIO()
-        core.write_gof(buf, read, depth)
+        core.write_gof_frames(buf, core.GofHeader(read.n_frames, depth, read.reference.upsample),
+                              read.frames)
         buf.seek(0)
-        back, back_depth = core.read_gof(buf)
-        assert back_depth == depth, trial
-        for a, b in zip(read.frames, back.frames, strict=True):
+        header, back = core.read_gof_frames(buf)
+        assert header.depth == depth, trial
+        for a, b in zip(read.frames, back, strict=True):
             assert a.upsample == b.upsample, trial
             for name in ("vertices", "faces", "colors"):
                 assert np.array_equal(getattr(a, name), getattr(b, name)), trial
@@ -408,12 +420,12 @@ def test_colors_to_u8_edges_map_as_before():
     assert core._colors_to_u8(colors).tolist() == [[1, 2, 128], [255, 0, 255], [255, 0, 254]]
 
 
-def test_gof_frames_stream_through_reader_and_writer():
+def test_gof_frames_stream_through_reader_and_writer(tmp_path):
     f1 = _frame(n_faces=4, upsample=3, seed=9)
     f2 = core.TriangleCloudFrame(np.asarray(f1.vertices) * 0.5, f1.faces, f1.colors, 3)
     gof = core.GroupOfFrames((f1, f2))
-    whole = io.BytesIO()
-    core.write_gof(whole, gof, depth=8)
+    core.write_gof_file(tmp_path / "whole.tcg", gof, depth=8)
+    whole = io.BytesIO((tmp_path / "whole.tcg").read_bytes())
     streamed = io.BytesIO()
     core.write_gof_frames(streamed, core.GofHeader(2, 8, 3), iter(gof.frames))
     assert streamed.getvalue() == whole.getvalue()
@@ -441,6 +453,21 @@ def test_gof_frame_writer_checks_count_and_each_frame():
         core.write_gof_frames(io.BytesIO(), header, [f1, stranger])
     with pytest.raises(ConsistencyError, match="frame 1: upsample factor mismatch"):
         core.write_gof_frames(io.BytesIO(), core.GofHeader(1, 8, 2), [f1])
+
+
+@pytest.mark.parametrize("depth", [0, 21, -1])
+def test_gof_frame_writer_refuses_a_depth_no_reader_accepts(depth, tmp_path):
+    # the readers take depths 1..20 only, so the writer writes no byte of
+    # a container they would reject, and no file
+    f1 = _frame(n_faces=4, upsample=3, seed=9)
+    buf = io.BytesIO()
+    with pytest.raises(ParameterError, match="depth must be in 1..20"):
+        core.write_gof_frames(buf, core.GofHeader(1, depth, 3), [f1])
+    assert buf.getvalue() == b""
+    path = tmp_path / "bad.tcg"
+    with pytest.raises(ParameterError, match="depth must be in 1..20"):
+        core.write_gof_file(path, core.GroupOfFrames((f1,)), depth)
+    assert not path.exists()
 
 
 def test_gof_reader_checks_each_frame_as_it_arrives():
@@ -472,4 +499,4 @@ def test_frames_of_one_container_at_two_depths_rejected():
     core.write_frame(buf, f1, depth=9, include_faces=False)
     data = core.GOF_MAGIC + (2).to_bytes(4, "little") + buf.getvalue()
     with pytest.raises(ConsistencyError, match="frames within a TCG1 container disagree"):
-        core.read_gof(io.BytesIO(data))
+        list(core.read_gof_frames(io.BytesIO(data))[1])

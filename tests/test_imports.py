@@ -117,6 +117,18 @@ def test_cli_runs_every_stage_one_frame_at_a_time():
     assert not whole, f"cli.py binds functions that hold a whole GOF: {sorted(whole)}"
 
 
+def test_cli_binds_no_private_name_of_another_module():
+    # the front end reads flags and writes reports; what a metric, a record
+    # or a check is stays behind each module's public names
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    private = [f"{'.' * node.level}{node.module}.{alias.name} (line {node.lineno})"
+               for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level > 0 or (node.module or "").startswith("tricloud"))
+               for alias in node.names if alias.name.startswith("_")]
+    assert not private, f"cli.py binds private names of tricloud modules: {private}"
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in tricloud.__all__ if not hasattr(tricloud, name)]
     assert not missing, f"tricloud.__all__ names what the package does not bind: {missing}"

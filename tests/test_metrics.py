@@ -134,6 +134,51 @@ def test_triangle_cloud_errors_pool_to_the_sequence_psnr():
                 == metrics.psnr_triangle_cloud([refs[t]], [recons[t]]))
 
 
+def _noisy_pairs(seeds=(6, 7, 8), n_faces=3):
+    rng = np.random.default_rng(seeds[0])
+    refs, recons = [], []
+    for seed in seeds:
+        f = _frame(seed=seed, n_faces=n_faces)
+        refs.append(f)
+        recons.append(core.TriangleCloudFrame(
+            np.clip(f.vertices + rng.normal(scale=1e-2, size=f.vertices.shape), 0, 0.999),
+            f.faces, np.clip(f.colors + rng.normal(scale=3.0, size=f.colors.shape), 0, 255),
+            f.upsample,
+        ))
+    return refs, recons
+
+
+def test_evaluate_reports_each_metric_under_its_table_keys():
+    refs, recons = _noisy_pairs()
+    figures, rows = metrics.evaluate(iter(refs), iter(recons), ["matching", "triangle",
+                                                                "projection"], depth=5)
+    # table order, whatever the order asked for
+    assert list(figures) == [key for error_keys, psnr_keys, _ in metrics.METRICS.values()
+                             for key in error_keys + psnr_keys]
+    assert len(rows) == 3 and all(set(row) == set(metrics.METRICS) for row in rows)
+    # the views and each metric alone give the same numbers, bit for bit
+    assert tuple(figures.values())[:4] == metrics.psnr_triangle_cloud(refs, recons)
+    assert tuple(figures.values())[4:7] == metrics.projection_psnr(refs, recons, depth=5)
+    sets = [[metrics._render_voxels(f, 5, 1) for f in side] for side in (refs, recons)]
+    assert tuple(figures.values())[7:] == metrics.matching_distortion_sequence(*sets)
+    for name in metrics.METRICS:
+        alone, _ = metrics.evaluate(refs, recons, [name], depth=5)
+        assert alone == {key: figures[key] for key in alone}
+    # matching pools the mean errors, not the per-frame PSNRs
+    d_g2 = sum(row["matching"][0] for row in rows) / 3
+    assert figures["d_g2_matching"] == d_g2
+    assert figures["psnr_g_matching"] == -10.0 * math.log10(d_g2 / 3.0)
+
+
+def test_evaluate_validation():
+    refs, recons = _noisy_pairs(seeds=(6,))
+    with pytest.raises(ParameterError, match="unknown metric 'hausdorff'"):
+        metrics.evaluate(refs, recons, ["triangle", "hausdorff"])
+    with pytest.raises(ParameterError, match="need a voxel depth"):
+        metrics.evaluate(refs, recons, ["matching"])
+    assert metrics.evaluate(refs, recons, []) == ({}, [{}])
+
+
 def test_psnr_triangle_cloud_validation():
     f = _frame(seed=5)
     other = _frame(seed=5, upsample=3)
