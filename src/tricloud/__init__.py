@@ -41,12 +41,10 @@ from .core import (
     read_frame,
     read_gof_file,
     read_gof_frames,
-    rgb_from_yuv,
     validate_gof,
     write_frame,
     write_gof_file,
     write_gof_frames,
-    yuv_from_rgb,
 )
 from .datagen import gen_sequence
 from .entropy import (
@@ -84,15 +82,12 @@ from .metrics import (
     METRICS,
     evaluate,
     matching_distortion,
-    matching_distortion_sequence,
     project_to_faces,
-    projection_psnr,
     psnr_from_errors,
     psnr_transform,
     psnr_triangle_cloud,
     rates,
     render_cloud,
-    triangle_cloud_errors,
 )
 from .octree import (
     baseline_decode_pointcloud,
@@ -107,7 +102,6 @@ from .transform import (
     RahtPlan,
     dequantize_indices,
     quantize,
-    quantize_indices,
     raht_forward,
     raht_inverse,
     raht_plan,

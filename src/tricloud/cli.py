@@ -36,12 +36,12 @@ from .metrics import METRICS, evaluate, psnr_from_errors, rates
 
 log = logging.getLogger("tricloud")
 
+# the report keys in stdout and CSV order; between the header and rate keys, each
+# metric of the METRICS table in its order, its error keys then its PSNR keys
 _CSV_COLUMNS = [
     "sequence", "n_frames", "depth", "uinterp",
     "step_motion", "step_color_intra", "step_color_inter",
-    "psnr_g_triangle", "psnr_y_triangle", "psnr_u_triangle", "psnr_v_triangle",
-    "psnr_y_projection", "psnr_u_projection", "psnr_v_projection",
-    "d_g2_matching", "d_y2_matching", "psnr_g_matching", "psnr_y_matching",
+    *(key for error_keys, psnr_keys, _ in METRICS.values() for key in error_keys + psnr_keys),
     "rate_mbps_geometry", "rate_bpv_geometry",
     "rate_mbps_color", "rate_bpv_color",
     "rate_mbps_total", "rate_bpv_total",
@@ -72,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="encode a TCG1 sequence to a TCB1 bitstream")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--depth", type=int, default=None,
-                   help="voxel grid depth (default: from the input file)")
     p.add_argument("--step-motion", type=float, default=1.0,
                    help="motion residual stepsize, voxel units")
     p.add_argument("--step-color-intra", type=float, default=1.0)
@@ -98,8 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list from: " + ",".join(METRICS))
     p.add_argument("--uinterp", type=int, default=1,
                    help="extra interpolation factor for the render clouds")
-    p.add_argument("--depth", type=int, default=None,
-                   help="voxel depth for projection/matching (default: from file)")
     p.add_argument("--bitstream", default=None,
                    help="TCB1 file to report rates and stepsizes from")
     p.add_argument("--csv", default=None, help="write the report row to this CSV")
@@ -135,10 +131,9 @@ def _rate_report(encoded) -> dict:
 def cmd_encode(args) -> int:
     containers = iter_gof_file(args.input)
     header, frames = next(containers)
-    depth = args.depth if args.depth is not None else header.depth
-    params = CodecParams(depth, header.upsample, args.step_motion,
+    params = CodecParams(header.depth, header.upsample, args.step_motion,
                          args.step_color_intra, args.step_color_inter)
-    log.info("encoding at depth %d", depth)
+    log.info("encoding at depth %d", header.depth)
     # one GOF at a time, its frames encoded as they are read
     encoded = [encode_frames(frames, h.n_frames, params, args.intra_only)
                for h, frames in itertools.chain([(header, frames)], containers)]
@@ -246,9 +241,8 @@ def cmd_eval(args) -> int:
     if usage_error:
         print(usage_error, file=sys.stderr)
         return 2
-    file_depth, originals = _read_frames(args.original)
+    depth, originals = _read_frames(args.original)
     _, recons = _read_frames(args.reconstruction)
-    depth = args.depth if args.depth is not None else file_depth
     # one frame pair at a time: only the per-frame error rows are kept
     figures, rows = evaluate(originals, recons, wanted, depth, args.uinterp)
     report = {

@@ -172,14 +172,14 @@ class ReferenceState:
 
     vertex_permutation maps canonical (coded) vertex rows to the caller's
     original rows; on the decoder side it is the identity.  faces and
-    quantized_vertices are stored in canonical order.  Each plan carries the
-    coefficient order its planes are coded in.
+    vertex_index_map are stored in canonical order: a vertex quantizes to the
+    center of its voxel, vertex_centers[vertex_index_map].  Each plan carries
+    the coefficient order its planes are coded in.
     """
 
     params: CodecParams
     vertex_permutation: np.ndarray
     faces: np.ndarray
-    quantized_vertices: np.ndarray
     vertex_voxels: VoxelSet
     vertex_centers: np.ndarray
     vertex_index_map: np.ndarray
@@ -250,14 +250,12 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
     if n_refined > _MAX_REFINED_POINTS:
         raise RangeError(f"{n_refined} refined points per frame exceed {_MAX_REFINED_POINTS}")
     centers = voxels.centers()
-    quantized_vertices = centers[index_map]
-    refined = refine(quantized_vertices, faces, params.upsample)
+    refined = refine(centers[index_map], faces, params.upsample)
     res_r = voxelize(refined, None, params.depth)
     return ReferenceState(
         params=params,
         vertex_permutation=vertex_permutation,
         faces=faces,
-        quantized_vertices=quantized_vertices,
         vertex_voxels=voxels,
         vertex_centers=centers,
         vertex_index_map=index_map,
@@ -533,9 +531,7 @@ def write_bitstream(fp, encoded_gofs) -> None:
     fp.write(BITSTREAM_MAGIC)
     fp.write(struct.pack("<HI", BITSTREAM_VERSION, len(encoded_gofs)))
     for encoded in encoded_gofs:
-        record = serialize_gof_record(encoded)
-        fp.write(struct.pack("<I", len(record)))
-        fp.write(record)
+        fp.write(_pack_section(serialize_gof_record(encoded)))
 
 
 def read_bitstream(fp) -> list:

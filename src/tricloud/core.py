@@ -31,17 +31,6 @@ from .errors import (
 FRAME_MAGIC = b"TCF1"
 GOF_MAGIC = b"TCG1"
 
-# Full-range BT.601 RGB -> YUV (rows: Y, U, V).  Offsets of (0, 128, 128) are
-# added after the matrix product.  Frozen so RGB ingestion is reproducible.
-BT601_MATRIX = np.array(
-    [
-        [0.299, 0.587, 0.114],
-        [-0.168735891647856, -0.331264108352144, 0.5],
-        [0.5, -0.418687589158345, -0.081312410841655],
-    ]
-)
-BT601_OFFSET = np.array([0.0, 128.0, 128.0])
-
 # the largest f32 below 1: file vertices must stay inside [0, 1)
 _F32_BELOW_ONE = np.nextafter(np.float32(1), np.float32(0))
 
@@ -243,18 +232,6 @@ def validate_gof(gof: GroupOfFrames) -> GroupOfFrames:
     for t, frame in enumerate(gof.frames):
         check_frame(frame, t, ref.upsample, ref.faces, ref.n_vertices)
     return gof
-
-
-def yuv_from_rgb(rgb) -> np.ndarray:
-    """Full-range BT.601 RGB -> YUV on (..., 3) arrays of 0..255 reals."""
-    rgb = np.asarray(rgb, dtype=np.float64)
-    return rgb @ BT601_MATRIX.T + BT601_OFFSET
-
-
-def rgb_from_yuv(yuv) -> np.ndarray:
-    """Inverse of :func:`yuv_from_rgb` (no clipping)."""
-    yuv = np.asarray(yuv, dtype=np.float64)
-    return (yuv - BT601_OFFSET) @ np.linalg.inv(BT601_MATRIX).T
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ Four distortion families:
   voxelized clouds, geometry and luminance components.
 
 plus the two rate figures (megabits per second at 30 fps, bits per voxel).
-:func:`evaluate` computes the last three over two sequences and pools them
-over the frames; :data:`METRICS` names them and their report keys.
+:func:`evaluate` is the one sequence-level entry point: it computes the last
+three over two sequences and pools them over the frames; :data:`METRICS`
+names them and their report keys.  :func:`psnr_triangle_cloud` is its
+triangle figures as a tuple, and :func:`psnr_from_errors` pools triangle rows
+it returned (one frame's, for a per-frame trace).
 
 The last three are taken over each frame's render cloud: the refined
 triangles upsampled once more by barycentric blending of positions and
@@ -150,7 +153,14 @@ def _frame_pairs(ref_frames, recon_frames):
 
 
 def _triangle_row(a, b, interp: int) -> np.ndarray:
-    """The (G, Y, U, V) row of :func:`triangle_cloud_errors` for one frame pair."""
+    """Normalized MSE row (G, Y, U, V) of one frame pair's render clouds.
+
+    Both sides are upsampled with the same interpolation factor and compared
+    row by row (correspondence is per face, so the two sides may order their
+    vertex lists differently).  Each distinct point of :func:`render_cloud`
+    counts with its multiplicity, which equals comparing the expanded clouds
+    row by row.  Geometry is normalized per coordinate, colors by 255^2.
+    """
     va, ca, weights = render_cloud(a, interp)
     vb, cb, _ = render_cloud(b, interp)
     n = weights.sum()
@@ -190,12 +200,14 @@ def _pool(name: str, rows, depth: int | None) -> dict:
 def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp: int = 1):
     """(figures, rows) of the metrics named in `wanted`, keys of :data:`METRICS`.
 
-    Frame pairs are compared one at a time.  `rows` holds each pair's {metric:
-    error row}: the row of :func:`triangle_cloud_errors`, the per-channel sum
-    of :func:`_projection_sq_error`, the tuple of :func:`matching_distortion`.
-    `figures` maps the wanted report keys, in table order, to the figures
-    pooled over the frames.  Projection and matching share each pair's render
-    voxel sets at `depth`, which are dropped before the next pair is read.
+    Frame pairs correspond index-wise and are compared one at a time.  `rows`
+    holds each pair's {metric: error row}: the (G, Y, U, V) MSE row of
+    :func:`_triangle_row`, the per-channel sum of :func:`_projection_sq_error`,
+    the tuple of :func:`matching_distortion`.  `figures` maps the wanted
+    report keys, in table order, to the figures pooled over the frames in the
+    MSE domain; a projection PSNR is the mean over all 6 * 4^J pixels of
+    every frame.  Projection and matching share each pair's render voxel sets
+    at `depth`, which are dropped before the next pair is read.
     """
     unknown = [name for name in wanted if name not in METRICS]
     if unknown:
@@ -222,29 +234,15 @@ def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp:
     return figures, rows
 
 
-def triangle_cloud_errors(ref_frames, recon_frames, interp: int = 1) -> np.ndarray:
-    """Per-frame normalized MSE rows (G, Y, U, V) on refined + interpolated clouds.
-
-    Frames correspond index-wise; both sides are upsampled with the same
-    interpolation factor and compared row by row (correspondence is per
-    face, so the two sides may order their vertex lists differently).
-    Each distinct point of :func:`render_cloud` counts with its
-    multiplicity, which equals comparing the expanded clouds row by row.
-    Geometry is normalized per coordinate, colors by 255^2.
-    """
-    _, rows = evaluate(ref_frames, recon_frames, ("triangle",), interp=interp)
-    return np.array([row["triangle"] for row in rows])
-
-
 def psnr_from_errors(rows):
-    """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) of MSE rows from :func:`triangle_cloud_errors`,
+    """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) of the "triangle" rows of :func:`evaluate`,
     pooled as :func:`evaluate` pools them."""
     return tuple(_pool("triangle", rows, None).values())
 
 
 def psnr_triangle_cloud(ref_frames, recon_frames, interp: int = 1):
     """(PSNR_G, PSNR_Y, PSNR_U, PSNR_V) on refined + interpolated clouds, pooled
-    over the frames in the MSE domain (see :func:`triangle_cloud_errors`)."""
+    over the frames in the MSE domain (see :func:`_triangle_row`)."""
     return tuple(evaluate(ref_frames, recon_frames, ("triangle",), interp=interp)[0].values())
 
 
@@ -278,8 +276,8 @@ def _face_winners(coords: np.ndarray, depth: int):
         yield sorted_pix[first], order[last], order[first]
 
 
-def project_to_faces(voxel_set: VoxelSet, depth: int | None = None) -> np.ndarray:
-    """Orthographic YUV renders on the six cube faces.
+def project_to_faces(voxel_set: VoxelSet) -> np.ndarray:
+    """Orthographic YUV renders on the six cube faces at the set's depth J.
 
     Returns a (6, 2^J, 2^J, 3) array ordered +x, -x, +y, -y, +z, -z.
     Rows/columns follow the cyclic axis convention: looking along x the
@@ -287,10 +285,7 @@ def project_to_faces(voxel_set: VoxelSet, depth: int | None = None) -> np.ndarra
     The voxel nearest each face wins; empty pixels are neutral gray.  Only
     the covered pixels are visited; the rest of the image is the gray fill.
     """
-    if depth is None:
-        depth = voxel_set.depth
-    elif depth != voxel_set.depth:
-        raise ConsistencyError(f"voxel set has depth {voxel_set.depth}, asked for {depth}")
+    depth = voxel_set.depth
     size = 1 << depth
     images = np.full((6, size, size, 3), NEUTRAL_GRAY)
     if len(voxel_set) == 0:
@@ -342,17 +337,6 @@ def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
     mass = np.bincount(vox.index_map, weights=weights, minlength=len(vox.voxel_set))
     means = _group_means(colors * weights[:, None], vox.index_map, mass)
     return VoxelSet(depth, vox.voxel_set.codes, means)
-
-
-def projection_psnr(ref_frames, recon_frames, depth: int, interp: int = 1):
-    """(PSNR_Y, PSNR_U, PSNR_V) of six-face renders, pooled over the sequence.
-
-    Each frame is refined + interpolated, voxelized at the given depth, and
-    projected; squared pixel error is pooled over the six faces and all
-    frames before the PSNR.  Only pixels a voxel covers are visited, but the
-    mean is over all 6 * 4^J pixels of every frame.
-    """
-    return tuple(evaluate(ref_frames, recon_frames, ("projection",), depth, interp)[0].values())
 
 
 # ---------------------------------------------------------------------------
@@ -469,12 +453,6 @@ def matching_distortion(source: VoxelSet, target: VoxelSet):
     d_g2 = max(fwd_g, bwd_g)
     d_y2 = max(fwd_y, bwd_y)
     return d_g2, d_y2, _psnr(d_g2, 3.0), _psnr(d_y2, 255.0 ** 2)
-
-
-def matching_distortion_sequence(source_sets, target_sets):
-    """Frame-averaged matching distortion: (d̄_G2, d̄_Y2, PSNR_G, PSNR_Y)."""
-    distortions = [matching_distortion(s, t) for s, t in _pairs(source_sets, target_sets)]
-    return tuple(_pool("matching", distortions, None).values())
 
 
 def rates(bits: int, n_frames: int, voxel_counts=None):

@@ -58,16 +58,13 @@ def quantize(values, step: float, mode: str) -> np.ndarray:
     raise ParameterError(f"unknown quantizer mode {mode!r}")
 
 
-def quantize_indices(values, step: float) -> np.ndarray:
-    """Midstep quantizer bin indices (the integers the entropy coder sees)."""
-    return _bin_indices(np.array(values, dtype=np.float64), step)
-
-
 def _bin_indices(values: np.ndarray, step: float) -> np.ndarray:
-    """:func:`quantize_indices` of a float64 array it may overwrite.
+    """Midstep quantizer bin indices (the integers the entropy coder sees) of
+    a float64 array it may overwrite.
 
     The array is divided and rounded half away from zero in place, so the
-    only temporary is the sign mask; the integers are the same.
+    only temporary is the sign mask; the integers equal those of
+    ``round_half_away(values / step)``.
     """
     step = float(step)
     if not (step > 0.0):

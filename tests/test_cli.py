@@ -274,6 +274,21 @@ def test_generate_at_a_depth_no_reader_accepts_exits_1_and_writes_nothing(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--original", "missing.tcg", "--reconstruction", "missing.tcg",
+     "--metrics", "triangle", "--depth", "0"],
+    ["encode", "missing.tcg", "-o", "out.tcb", "--depth", "9"],
+], ids=["eval", "encode"])
+def test_encode_and_eval_take_no_depth_flag(tmp_path, capsys, argv):
+    # the depth comes from the TCG1 file alone: a --depth is a usage error,
+    # found at argument parsing, before the (missing) input is opened
+    with pytest.raises(SystemExit) as err:
+        _run([str(tmp_path / a) if a.endswith((".tcg", ".tcb")) else a for a in argv])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --depth" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as err:
         _run([])

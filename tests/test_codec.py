@@ -114,15 +114,17 @@ def test_reference_groupings_match_fresh_voxelization():
     payload, e_state, _ = codec.encode_reference(ref, params)
     _, d_state, _ = codec.decode_reference(payload, params, ref.n_vertices, ref.n_faces)
     for state in (e_state, d_state):
-        res_v = geom.voxelize(state.quantized_vertices, None, params.depth)
+        quantized = state.vertex_centers[state.vertex_index_map]
+        res_v = geom.voxelize(quantized, None, params.depth)
         assert np.array_equal(res_v.voxel_set.codes, state.vertex_voxels.codes)
         assert np.array_equal(res_v.index_map, state.vertex_index_map)
         assert np.array_equal(res_v.voxel_set.centers(), state.vertex_centers)
-        refined = geom.refine(state.quantized_vertices, state.faces, params.upsample)
+        refined = geom.refine(quantized, state.faces, params.upsample)
         res_r = geom.voxelize(refined, None, params.depth)
         assert np.array_equal(res_r.voxel_set.codes, state.refined_voxels.codes)
         assert np.array_equal(res_r.index_map, state.refined_index_map)
-    assert np.array_equal(e_state.quantized_vertices, d_state.quantized_vertices)
+    assert np.array_equal(e_state.vertex_centers[e_state.vertex_index_map],
+                          d_state.vertex_centers[d_state.vertex_index_map])
     assert np.array_equal(e_state.faces, d_state.faces)
 
 

@@ -161,16 +161,6 @@ def test_voxel_set_centers():
     assert np.array_equal(vs.centers(), [[0.25, 0.25, 0.25], [0.75, 0.75, 0.75]])
 
 
-def test_yuv_rgb_round_trip():
-    rng = np.random.default_rng(6)
-    rgb = rng.random((40, 3)) * 255
-    back = core.rgb_from_yuv(core.yuv_from_rgb(rgb))
-    assert np.allclose(back, rgb, atol=1e-9)
-    # gray maps to neutral chroma
-    yuv = core.yuv_from_rgb(np.array([[128.0, 128.0, 128.0]]))
-    assert np.allclose(yuv, [[128.0, 128.0, 128.0]], atol=1e-9)
-
-
 # --- file formats -----------------------------------------------------------
 
 def test_frame_file_round_trip():

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import importlib
 import pathlib
+import types
 
 import pytest
 
@@ -12,6 +13,7 @@ from tricloud import codec
 
 SRC = pathlib.Path(tricloud.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = pathlib.Path(__file__).parent.parent
 
 
 def _imported_names(tree):
@@ -132,6 +134,28 @@ def test_cli_binds_no_private_name_of_another_module():
 def test_every_exported_name_resolves():
     missing = [name for name in tricloud.__all__ if not hasattr(tricloud, name)]
     assert not missing, f"tricloud.__all__ names what the package does not bind: {missing}"
+
+
+# exported without a caller: it shows that the octree baseline's rate is the
+# rate of a stream that decodes, which the unit tests check
+_EXPORTED_FOR_TESTS = {"baseline_decode_pointcloud"}
+
+
+def test_every_exported_name_has_a_caller():
+    # the package's callers are its own modules, the demos, the benchmark and
+    # the acceptance gate; a name only the unit tests reach is not surface.
+    # Names inside strings (such as the tracer's sites) do not count.
+    callers = [*MODULES, *sorted((ROOT / "demos").rglob("*.py")),
+               *sorted((ROOT / "perfbench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    used = set()
+    for path in callers:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used |= {name for name, _ in _imported_names(tree)} | _used_names(tree)
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = [name for name in tricloud.__all__
+              if not isinstance(getattr(tricloud, name), types.ModuleType)
+              and name not in used | _EXPORTED_FOR_TESTS]
+    assert not unused, f"tricloud exports names only unit tests use: {unused}"
 
 
 def test_oracles_bind_no_private_callable_of_the_package():

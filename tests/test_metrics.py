@@ -119,7 +119,8 @@ def test_triangle_cloud_errors_pool_to_the_sequence_psnr():
         )
         refs.append(f)
         recons.append(g)
-    rows = metrics.triangle_cloud_errors(refs, recons)
+    _, rows = metrics.evaluate(refs, recons, ["triangle"])
+    rows = np.array([row["triangle"] for row in rows])
     assert rows.shape == (3, 4)
     for row, f, g in zip(rows, refs, recons):
         va, ca = refined_interpolated_cloud(f)
@@ -156,11 +157,8 @@ def test_evaluate_reports_each_metric_under_its_table_keys():
     assert list(figures) == [key for error_keys, psnr_keys, _ in metrics.METRICS.values()
                              for key in error_keys + psnr_keys]
     assert len(rows) == 3 and all(set(row) == set(metrics.METRICS) for row in rows)
-    # the views and each metric alone give the same numbers, bit for bit
+    # the view and each metric alone give the same numbers, bit for bit
     assert tuple(figures.values())[:4] == metrics.psnr_triangle_cloud(refs, recons)
-    assert tuple(figures.values())[4:7] == metrics.projection_psnr(refs, recons, depth=5)
-    sets = [[metrics._render_voxels(f, 5, 1) for f in side] for side in (refs, recons)]
-    assert tuple(figures.values())[7:] == metrics.matching_distortion_sequence(*sets)
     for name in metrics.METRICS:
         alone, _ = metrics.evaluate(refs, recons, [name], depth=5)
         assert alone == {key: figures[key] for key in alone}
@@ -296,18 +294,21 @@ def test_project_empty_set_is_all_gray():
 
 
 def test_project_validation():
-    vs = core.VoxelSet(1, [0], np.array([[1.0, 2.0, 3.0]]))
-    with pytest.raises(ConsistencyError):
-        metrics.project_to_faces(vs, depth=2)
     with pytest.raises(ConsistencyError):
         metrics.project_to_faces(core.VoxelSet(1, [0]))
     with pytest.raises(ConsistencyError):
         metrics.project_to_faces(core.VoxelSet(1, [0], np.array([[1.0, 2.0]])))
 
 
+def _projection_psnr(refs, recons, depth):
+    """(PSNR_Y, PSNR_U, PSNR_V) of the projection metric of :func:`metrics.evaluate`."""
+    figures, _ = metrics.evaluate(refs, recons, ["projection"], depth=depth)
+    return tuple(figures.values())
+
+
 def test_projection_psnr_identical_is_infinite():
     f = _frame(seed=7)
-    assert metrics.projection_psnr([f], [f], depth=4) == (math.inf,) * 3
+    assert _projection_psnr([f], [f], depth=4) == (math.inf,) * 3
 
 
 def test_projection_psnr_detects_color_change():
@@ -315,7 +316,7 @@ def test_projection_psnr_detects_color_change():
     colors = f.colors.copy()
     colors[:, 0] = np.clip(colors[:, 0] + 10.0, 0.0, 255.0)
     g = core.TriangleCloudFrame(f.vertices, f.faces, colors, f.upsample)
-    psnr_y, psnr_u, psnr_v = metrics.projection_psnr([f], [g], depth=4)
+    psnr_y, psnr_u, psnr_v = _projection_psnr([f], [g], depth=4)
     assert psnr_y < math.inf
     assert psnr_u == math.inf and psnr_v == math.inf
 
@@ -354,9 +355,9 @@ def test_projection_psnr_matches_dense_renders():
         assert one_sided > 0
         mse = err / (len(refs) * 6 * 4 ** depth)
         want = tuple(-10 * math.log10(m / 255.0 ** 2) for m in mse)
-        got = metrics.projection_psnr(refs, recons, depth=depth)
+        got = _projection_psnr(refs, recons, depth=depth)
         assert got == pytest.approx(want, rel=1e-12)
-        assert metrics.projection_psnr(refs, refs, depth=depth) == (math.inf,) * 3
+        assert _projection_psnr(refs, refs, depth=depth) == (math.inf,) * 3
 
 
 def test_projection_sq_error_matches_dense_renders():
@@ -556,18 +557,28 @@ def test_matching_distortion_validation():
         metrics.matching_distortion(a, core.VoxelSet(2, [0]))
 
 
+def _corner_frame(corner, lum):
+    """A one-face frame inside the depth-2 voxel at `corner`, all luminance `lum`:
+    its render cloud voxelizes to that single voxel."""
+    vertices = (np.asarray(corner) + np.array([[0.1, 0.1, 0.1], [0.5, 0.1, 0.1],
+                                               [0.1, 0.5, 0.1]])) / 4
+    colors = np.tile([lum, 128.0, 128.0], (core.expected_color_count(1, 2), 1))
+    return core.TriangleCloudFrame(vertices, np.array([[0, 1, 2]]), colors, 2)
+
+
 def test_matching_distortion_sequence_averages():
-    a = _vset(2, [[0, 0, 0]], [0.0])
-    b = _vset(2, [[3, 3, 3]], [10.0])
-    d_g2, d_y2, psnr_g, psnr_y = metrics.matching_distortion_sequence([a, a], [b, a])
+    a = _corner_frame([0, 0, 0], 0.0)
+    b = _corner_frame([3, 3, 3], 10.0)
+    figures, _ = metrics.evaluate([a, a], [b, a], ["matching"], depth=2)
+    d_g2, d_y2, psnr_g, psnr_y = figures.values()
     assert d_g2 == 27 / 32
     assert d_y2 == 50.0
     assert psnr_g == pytest.approx(5.509074688805811, abs=1e-12)
     assert psnr_y == pytest.approx(31.141103565318918, abs=1e-12)
     with pytest.raises(ShapeMismatchError):
-        metrics.matching_distortion_sequence([a], [b, b])
+        metrics.evaluate([a], [b, b], ["matching"], depth=2)
     with pytest.raises(EmptySetError):
-        metrics.matching_distortion_sequence([], [])
+        metrics.evaluate([], [], ["matching"], depth=2)
 
 
 # ---------------------------------------------------------------------------
