@@ -76,6 +76,7 @@ from .geom import (
     morton_encode,
     refine,
     refined_faces,
+    voxel_coords,
     voxelize,
 )
 from .metrics import (

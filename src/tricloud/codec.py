@@ -60,7 +60,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .geom import _group_means, refine, voxelize
+from .geom import _group_means, refine, voxel_coords, voxelize
 from .octree import octree_parse, octree_serialize
 from .transform import (
     RahtPlan,
@@ -249,7 +249,7 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
     n_refined = expected_color_count(len(faces), params.upsample)
     if n_refined > _MAX_REFINED_POINTS:
         raise RangeError(f"{n_refined} refined points per frame exceed {_MAX_REFINED_POINTS}")
-    centers = voxels.centers()
+    centers = (voxel_coords(voxels) + 0.5) * (2.0 ** -params.depth)
     refined = refine(centers[index_map], faces, params.upsample)
     res_r = voxelize(refined, None, params.depth)
     return ReferenceState(

@@ -57,21 +57,19 @@ def _check_upsample(upsample) -> int:
 
 
 def _as_rows(values, n: int, what: str) -> np.ndarray:
-    """``values`` as float64 rows, ``n`` of them; a 1-D array is one column."""
+    """``values`` as a 2-D float64 array of ``n`` rows."""
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        arr = arr.reshape(-1, 1)
     if arr.ndim != 2 or arr.shape[0] != n:
         raise ConsistencyError(f"{what} must have {n} rows, got shape {arr.shape}")
     return arr
 
 
-def _as_array(values, dtype, name: str, cols: int = 3) -> np.ndarray:
+def _as_array(values, dtype, name: str) -> np.ndarray:
     arr = np.asarray(values, dtype=dtype)
     if arr.size == 0:
-        arr = arr.reshape(0, cols)
-    if arr.ndim != 2 or arr.shape[1] != cols:
-        raise ConsistencyError(f"{name} must be an (N, {cols}) array, got shape {arr.shape}")
+        arr = arr.reshape(0, 3)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ConsistencyError(f"{name} must be an (N, 3) array, got shape {arr.shape}")
     arr = np.ascontiguousarray(arr)
     arr.flags.writeable = False
     return arr
@@ -162,7 +160,8 @@ class VoxelSet:
     """Occupied voxels at a given depth: sorted unique Morton codes + attributes.
 
     ``attributes`` is an optional (N, K) float matrix carrying whatever signal
-    rides on the voxels (colors, coordinates, residuals...).
+    rides on the voxels (colors, coordinates, residuals...).  The integer
+    coordinates of the voxels are :func:`geom.voxel_coords`.
     """
 
     depth: int
@@ -189,13 +188,6 @@ class VoxelSet:
 
     def with_attributes(self, attributes) -> "VoxelSet":
         return VoxelSet(self.depth, self.codes, attributes)
-
-    def centers(self) -> np.ndarray:
-        """Voxel centers (N,3) in the unit cube: (integer coords + 0.5) * 2^-J."""
-        from .geom import morton_decode  # local import to avoid a cycle
-
-        x, y, z = morton_decode(self.codes, self.depth)
-        return (np.stack([x, y, z], axis=1) + 0.5) * (2.0 ** -self.depth)
 
 
 def check_frame(frame: TriangleCloudFrame, t: int, upsample: int, faces: np.ndarray,
@@ -394,9 +386,7 @@ def read_gof_frames(fp):
 
 
 def write_gof_file(path, gofs, depth: int) -> None:
-    """Write one or more GOFs to ``path``, concatenated TCG1 containers."""
-    if isinstance(gofs, GroupOfFrames):
-        gofs = [gofs]
+    """Write a sequence of GOFs to ``path``, one TCG1 container each, concatenated."""
     _check_depth(depth)  # before the file is made
     with open(path, "wb") as fp:
         for gof in gofs:

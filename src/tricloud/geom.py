@@ -50,8 +50,9 @@ _SPREAD, _GATHER = _morton_tables()
 def morton_encode(x, y, z, depth: int) -> np.ndarray:
     """Interleave coordinate bits into 3*depth-bit codes; x is most significant.
 
-    Bit k of x lands at bit 3k+2 of the code, y at 3k+1, z at 3k.  Accepts
-    scalars or arrays of integers in [0, 2^depth).  Each coordinate is spread
+    Bit k of x lands at bit 3k+2 of the code, y at 3k+1, z at 3k.  Takes
+    integer arrays (broadcast together) in [0, 2^depth) and returns an int64
+    array of their shape; scalars give a 0-d array.  Each coordinate is spread
     ten bits at a time through a lookup table.
     """
     depth = _check_depth(depth)
@@ -65,13 +66,12 @@ def morton_encode(x, y, z, depth: int) -> np.ndarray:
     code = (_SPREAD[x & 1023] << 2) | (_SPREAD[y & 1023] << 1) | _SPREAD[z & 1023]
     if depth > 10:
         code |= ((_SPREAD[x >> 10] << 2) | (_SPREAD[y >> 10] << 1) | _SPREAD[z >> 10]) << 30
-    if code.ndim == 0:
-        return code[()]
     return code
 
 
 def morton_decode(code, depth: int):
-    """Invert :func:`morton_encode`; returns (x, y, z).
+    """Invert :func:`morton_encode`; returns (x, y, z), int64 arrays of the
+    codes' shape (0-d for a scalar code).
 
     The code is read twelve bits (four levels) at a time through a lookup table.
     """
@@ -85,9 +85,12 @@ def morton_decode(code, depth: int):
     x = packed & _FIELD_MASK
     y = (packed >> _FIELD) & _FIELD_MASK
     z = packed >> (2 * _FIELD)
-    if code.ndim == 0:
-        return x[()], y[()], z[()]
     return x, y, z
+
+
+def voxel_coords(voxel_set: VoxelSet) -> np.ndarray:
+    """The integer coordinates (N, 3) of the voxels, in code order."""
+    return np.stack(morton_decode(voxel_set.codes, voxel_set.depth), axis=1)
 
 
 def _steps(n: int):

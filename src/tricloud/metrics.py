@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .core import VoxelSet
+from .core import VoxelSet, expected_color_count
 from .errors import (
     ConsistencyError,
     EmptySetError,
@@ -50,8 +50,8 @@ from .geom import (
     _blend,
     _group_means,
     interpolation_lattice,
-    morton_decode,
     refine,
+    voxel_coords,
     voxelize,
 )
 
@@ -79,25 +79,20 @@ def _pairs(refs, recons):
         raise EmptySetError("no frames to compare")
 
 
-def _as_frame_list(arrays) -> list:
-    if isinstance(arrays, np.ndarray):
-        arrays = [arrays]
-    return [np.asarray(a, dtype=np.float64) for a in arrays]
-
-
 def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
     """Voxel-domain PSNR between original and reconstructed attributes.
 
-    ref_attrs / recon_attrs: per-frame arrays (or a single array).  kind
+    ref_attrs / recon_attrs: sequences of per-frame arrays.  kind
     "geometry" expects (N,3) positions in the unit cube and normalizes by
     3*N; kind "color" expects a single component of shape (N,) or (N,1)
     and normalizes by 255^2*N.  Frames are averaged in the MSE domain.
     """
-    pairs = list(_pairs(_as_frame_list(ref_attrs), _as_frame_list(recon_attrs)))
+    pairs = list(_pairs(ref_attrs, recon_attrs))
     if kind not in ("geometry", "color"):
         raise ParameterError(f"kind must be 'geometry' or 'color', got {kind!r}")
     total = 0.0
     for t, (a, b) in enumerate(pairs):
+        a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
             raise ShapeMismatchError(f"frame {t}: shapes {a.shape} vs {b.shape}")
         if kind == "geometry":
@@ -128,7 +123,7 @@ def render_cloud(frame, interp: int = 1):
     v_r = refine(frame.vertices, frame.faces, frame.upsample)
     if frame.n_colors != v_r.shape[0]:
         raise ConsistencyError(f"{frame.n_colors} colors for {v_r.shape[0]} refined vertices")
-    n_steps = (frame.upsample + 1) * (frame.upsample + 2) // 2  # rows of refine per face
+    n_steps = expected_color_count(1, frame.upsample)  # rows of refine per face
     blended = np.flatnonzero(fractions.any(axis=1))
     a, b = (fractions[blended, k, None, None] for k in range(2))
     clouds = []
@@ -250,11 +245,6 @@ def psnr_triangle_cloud(ref_frames, recon_frames, interp: int = 1):
 # projection onto the six cube faces
 # ---------------------------------------------------------------------------
 
-def _voxel_coords(voxel_set: VoxelSet) -> np.ndarray:
-    x, y, z = morton_decode(voxel_set.codes, voxel_set.depth)
-    return np.stack([np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(z)], axis=1)
-
-
 def _face_winners(coords: np.ndarray, depth: int):
     """Visible voxels of the two cube faces on each axis, x then y then z.
 
@@ -293,7 +283,7 @@ def project_to_faces(voxel_set: VoxelSet) -> np.ndarray:
     if voxel_set.attributes is None or voxel_set.attributes.shape[1] != 3:
         raise ConsistencyError("projection needs a voxel set with 3-component colors")
     pixels = images.reshape(6, size * size, 3)
-    for axis, (keys, *winners) in enumerate(_face_winners(_voxel_coords(voxel_set), depth)):
+    for axis, (keys, *winners) in enumerate(_face_winners(voxel_coords(voxel_set), depth)):
         for face, rows in enumerate(winners, start=2 * axis):
             pixels[face, keys] = voxel_set.attributes.take(rows, axis=0)
     return images
@@ -309,8 +299,8 @@ def _projection_sq_error(a: VoxelSet, b: VoxelSet) -> np.ndarray:
     pixels, so the pixel keys of a and b are matched once per axis.
     """
     err = np.zeros(3)
-    axes_a = _face_winners(_voxel_coords(a), a.depth)
-    axes_b = _face_winners(_voxel_coords(b), b.depth)
+    axes_a = _face_winners(voxel_coords(a), a.depth)
+    axes_b = _face_winners(voxel_coords(b), b.depth)
     for (keys_a, *faces_a), (keys_b, *faces_b) in zip(axes_a, axes_b):
         pos = np.searchsorted(keys_b, keys_a)
         both = pos < keys_b.size
@@ -446,8 +436,8 @@ def matching_distortion(source: VoxelSet, target: VoxelSet):
     for vs, name in ((source, "source"), (target, "target")):
         if vs.attributes is None or vs.attributes.shape[1] < 1:
             raise ConsistencyError(f"{name} set has no luminance attribute")
-    source_xyz = _voxel_coords(source)
-    target_xyz = _voxel_coords(target)
+    source_xyz = voxel_coords(source)
+    target_xyz = voxel_coords(target)
     fwd_g, fwd_y = _one_way(source, source_xyz, target, target_xyz)
     bwd_g, bwd_y = _one_way(target, target_xyz, source, source_xyz)
     d_g2 = max(fwd_g, bwd_g)

@@ -39,8 +39,8 @@ def octree_serialize(voxel_set: VoxelSet) -> bytes:
     starts = []
     depths = []
     occupancy = []
+    parents = np.zeros(1, dtype=np.int64)  # the root; each level's children parent the next
     for d in range(depth):
-        parents = np.unique(codes >> np.int64(3 * (depth - d)))
         children = np.unique(codes >> np.int64(3 * (depth - d - 1)))
         rows = np.searchsorted(parents, children >> 3)
         bits = np.int64(0x80) >> (children & 7)
@@ -49,6 +49,7 @@ def octree_serialize(voxel_set: VoxelSet) -> bytes:
         starts.append(parents << np.int64(3 * (depth - d)))
         depths.append(np.full(parents.size, d, dtype=np.int64))
         occupancy.append(node_bytes)
+        parents = children
 
     starts = np.concatenate(starts)
     depths = np.concatenate(depths)

@@ -11,16 +11,17 @@ from xml.sax.saxutils import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
+_WIDTH, _HEIGHT = 640, 440
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 62, 16, 34, 46
+_N_TICKS = 5  # per axis, roughly: the step is rounded to 1, 2, 2.5 or 5 times a power of 10
 
 
 def _finite_points(xs, ys):
-    pts = [
+    return [
         (float(x), float(y))
         for x, y in zip(xs, ys)
         if math.isfinite(float(x)) and math.isfinite(float(y))
     ]
-    return pts
 
 
 def _axis_range(values):
@@ -34,11 +35,11 @@ def _axis_range(values):
     return lo - pad, hi + pad
 
 
-def _ticks(lo, hi, n=5):
+def _ticks(lo, hi):
     span = hi - lo
     if span <= 0:
         return [lo]
-    raw = span / n
+    raw = span / _N_TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -53,9 +54,8 @@ def _ticks(lo, hi, n=5):
     return ticks
 
 
-def write_line_plot(path, series, title: str = "", xlabel: str = "",
-                    ylabel: str = "", width: int = 640, height: int = 440) -> None:
-    """Write an SVG with one polyline per series.
+def write_line_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
+    """Write a 640 x 440 SVG with one polyline per series, a title and axis labels.
 
     series: iterable of (label, xs, ys) triples.
     """
@@ -63,8 +63,8 @@ def write_line_plot(path, series, title: str = "", xlabel: str = "",
     all_pts = [p for _, pts in series for p in pts]
     x_lo, x_hi = _axis_range([p[0] for p in all_pts])
     y_lo, y_hi = _axis_range([p[1] for p in all_pts])
-    plot_w = width - _MARGIN_L - _MARGIN_R
-    plot_h = height - _MARGIN_T - _MARGIN_B
+    plot_w = _WIDTH - _MARGIN_L - _MARGIN_R
+    plot_h = _HEIGHT - _MARGIN_T - _MARGIN_B
 
     def sx(x):
         return _MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -73,17 +73,14 @@ def write_line_plot(path, series, title: str = "", xlabel: str = "",
         return _MARGIN_T + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="11">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="sans-serif" font-size="11">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
+        f'font-size="14">{escape(title)}</text>',
     ]
-    if title:
-        out.append(
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
-            f'font-size="14">{escape(title)}</text>'
-        )
     for tx in _ticks(x_lo, x_hi):
         px = sx(tx)
         out.append(f'<line x1="{px:.1f}" y1="{_MARGIN_T + plot_h}" x2="{px:.1f}" '
@@ -96,13 +93,11 @@ def write_line_plot(path, series, title: str = "", xlabel: str = "",
                    f'y2="{py:.1f}" stroke="#333"/>')
         out.append(f'<text x="{_MARGIN_L - 7}" y="{py + 3:.1f}" '
                    f'text-anchor="end">{ty:g}</text>')
-    if xlabel:
-        out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{height - 10}" '
-                   f'text-anchor="middle">{escape(xlabel)}</text>')
-    if ylabel:
-        cy = _MARGIN_T + plot_h / 2
-        out.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
-                   f'transform="rotate(-90 14 {cy:.1f})">{escape(ylabel)}</text>')
+    out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
+               f'text-anchor="middle">{escape(xlabel)}</text>')
+    cy = _MARGIN_T + plot_h / 2
+    out.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
+               f'transform="rotate(-90 14 {cy:.1f})">{escape(ylabel)}</text>')
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:

@@ -96,13 +96,12 @@ class _PlanLevel:
 class RahtPlan:
     """Everything one voxel geometry implies for the transform (reusable across frames).
 
-    levels holds, bottom-up, only the bit-levels that pair siblings, each with
-    its butterfly gains.  weights is the propagated weight of every coefficient
-    row and order the decreasing-weight serialization order; both are
-    read-only.
+    n is the voxel count.  levels holds, bottom-up, only the bit-levels that
+    pair siblings, each with its butterfly gains.  weights is the propagated
+    weight of every coefficient row and order the decreasing-weight
+    serialization order; both are read-only.
     """
 
-    depth: int
     n: int
     levels: tuple
     weights: np.ndarray
@@ -148,7 +147,7 @@ def raht_plan(voxel_set: VoxelSet) -> RahtPlan:
     order = serialize_order(weights)
     weights.flags.writeable = False
     order.flags.writeable = False
-    return RahtPlan(depth=depth, n=n, levels=tuple(levels), weights=weights, order=order)
+    return RahtPlan(n=n, levels=tuple(levels), weights=weights, order=order)
 
 
 @dataclass(frozen=True)

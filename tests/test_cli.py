@@ -15,19 +15,19 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tricloud import cli, codec, core, datagen, metrics
+from tricloud import cli, codec, core, datagen, geom, metrics
 
 
 def _run(argv):
     return cli.main(argv)
 
 
-def _generate(tmp_path, name="orig.tcg", frames=4, gof_size=2):
+def _generate(tmp_path, name="orig.tcg", frames=4, gof_size=2, upsample=2, depth=8):
     path = tmp_path / name
     rc = _run([
         "generate", "--shape", "sphere", "--frames", str(frames),
-        "--faces", "60", "--upsample", "2", "--amplitude", "0.02",
-        "--seed", "9", "--gof-size", str(gof_size), "--depth", "8",
+        "--faces", "60", "--upsample", str(upsample), "--amplitude", "0.02",
+        "--seed", "9", "--gof-size", str(gof_size), "--depth", str(depth),
         "-o", str(path),
     ])
     assert rc == 0
@@ -102,6 +102,37 @@ def test_eval_of_sequences_that_differ_in_frame_count_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "the reconstruction ends after 2 frames" in capsys.readouterr().err
     assert not any(path.exists() for path in outputs)
+
+
+def test_containers_at_two_upsample_factors_each_code_under_their_own_header(tmp_path):
+    # a TCG1 file may hold GOFs at different U; each container's header sets it
+    parts = [_generate(tmp_path, name=f"u{u}.tcg", frames=2, gof_size=2, upsample=u)
+             for u in (3, 2)]
+    orig = tmp_path / "mixed.tcg"
+    orig.write_bytes(b"".join(path.read_bytes() for path in parts))
+    bits, recon = tmp_path / "mixed.tcb", tmp_path / "recon.tcg"
+    assert _run(["encode", str(orig), "-o", str(bits)]) == 0
+    assert _run(["decode", str(bits), "-o", str(recon)]) == 0
+    gofs, _ = core.read_gof_file(recon)
+    assert [gof.reference.upsample for gof in gofs] == [3, 2]
+    assert _run(["eval", "--metrics", "triangle", "--original", str(orig),
+                 "--reconstruction", str(recon)]) == 0
+
+
+@pytest.mark.parametrize("depths", [(8, 9), (9, 8)], ids=["8-vs-9", "9-vs-8"])
+def test_eval_of_files_at_two_depths_exits_1_naming_both(tmp_path, capsys, depths):
+    # the same scene at two depths is not the same voxelization, whichever
+    # file is the original
+    orig, recon = (_generate(tmp_path, name=f"d{d}.tcg", frames=2, gof_size=2, depth=d)
+                   for d in depths)
+    capsys.readouterr()
+    rc = _run(["eval", "--metrics", "matching", "--original", str(orig),
+               "--reconstruction", str(recon)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "psnr" not in captured.out
+    for path, depth in zip((orig, recon), depths):
+        assert f"{path} is at depth {depth}" in captured.err
 
 
 def test_jobs_other_than_1_is_a_usage_error(tmp_path):
@@ -371,7 +402,7 @@ def test_decode_accepts_streams_coded_at_coarse_steps(tmp_path):
     orig = tmp_path / "edge.tcg"
     bits = tmp_path / "edge.tcb"
     recon = tmp_path / "edge_recon.tcg"
-    core.write_gof_file(orig, core.GroupOfFrames(tuple(frames)), depth)
+    core.write_gof_file(orig, [core.GroupOfFrames(tuple(frames))], depth)
     assert _run(["encode", str(orig), "-o", str(bits), "--step-motion", "4",
                  "--step-color-intra", "64", "--step-color-inter", "64"]) == 0
     assert _run(["decode", str(bits), "-o", str(recon)]) == 0
@@ -429,7 +460,7 @@ def test_matching_on_the_pin_scene_render_voxels_matches_brute_force(tmp_path):
     d2_seen = set()
     for a, b in zip(originals, recons):
         sets = [metrics._render_voxels(f, 9, 1) for f in (a, b)]
-        xyz = [metrics._voxel_coords(vs) for vs in sets]
+        xyz = [geom.voxel_coords(vs) for vs in sets]
         for q, t in ((0, 1), (1, 0)):
             got = metrics._nearest(sets[q], xyz[q], sets[t], xyz[t])
             want = np.concatenate([metrics._nearest_brute(xyz[q][i:i + 256], xyz[t])

@@ -118,7 +118,8 @@ def test_reference_groupings_match_fresh_voxelization():
         res_v = geom.voxelize(quantized, None, params.depth)
         assert np.array_equal(res_v.voxel_set.codes, state.vertex_voxels.codes)
         assert np.array_equal(res_v.index_map, state.vertex_index_map)
-        assert np.array_equal(res_v.voxel_set.centers(), state.vertex_centers)
+        centers = (geom.voxel_coords(res_v.voxel_set) + 0.5) * 2.0 ** -params.depth
+        assert np.array_equal(centers, state.vertex_centers)
         refined = geom.refine(quantized, state.faces, params.upsample)
         res_r = geom.voxelize(refined, None, params.depth)
         assert np.array_equal(res_r.voxel_set.codes, state.refined_voxels.codes)

@@ -156,11 +156,6 @@ def test_voxel_set_validation():
         core.VoxelSet(21, np.array([0]))
 
 
-def test_voxel_set_centers():
-    vs = core.VoxelSet(1, np.array([0, 7]))
-    assert np.array_equal(vs.centers(), [[0.25, 0.25, 0.25], [0.75, 0.75, 0.75]])
-
-
 # --- file formats -----------------------------------------------------------
 
 def test_frame_file_round_trip():
@@ -327,7 +322,7 @@ from tricloud.errors import TricloudError
 
 path = sys.argv[1]
 gof = datagen.gen_sequence("sphere", 2, n_faces=20, upsample=2, seed=1)[0]
-core.write_gof_file(path, gof, depth=8)
+core.write_gof_file(path, [gof], depth=8)
 with open(path, "rb") as fp:
     data = fp.read()
 rng = random.Random(1)
@@ -414,7 +409,7 @@ def test_gof_frames_stream_through_reader_and_writer(tmp_path):
     f1 = _frame(n_faces=4, upsample=3, seed=9)
     f2 = core.TriangleCloudFrame(np.asarray(f1.vertices) * 0.5, f1.faces, f1.colors, 3)
     gof = core.GroupOfFrames((f1, f2))
-    core.write_gof_file(tmp_path / "whole.tcg", gof, depth=8)
+    core.write_gof_file(tmp_path / "whole.tcg", [gof], depth=8)
     whole = io.BytesIO((tmp_path / "whole.tcg").read_bytes())
     streamed = io.BytesIO()
     core.write_gof_frames(streamed, core.GofHeader(2, 8, 3), iter(gof.frames))
@@ -456,7 +451,7 @@ def test_gof_frame_writer_refuses_a_depth_no_reader_accepts(depth, tmp_path):
     assert buf.getvalue() == b""
     path = tmp_path / "bad.tcg"
     with pytest.raises(ParameterError, match="depth must be in 1..20"):
-        core.write_gof_file(path, core.GroupOfFrames((f1,)), depth)
+        core.write_gof_file(path, [core.GroupOfFrames((f1,))], depth)
     assert not path.exists()
 
 

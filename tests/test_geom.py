@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import barycentric_refine, refine_interpolate
 from tricloud import geom
+from tricloud.core import VoxelSet
 from tricloud.errors import ParameterError, RangeError
 
 
@@ -104,10 +105,11 @@ def test_morton_tables_match_bit_loop(depth):
 
 
 def test_morton_tables_scalars_and_broadcasting():
+    # scalars are 0-d arrays, like any other shape
     code = geom.morton_encode(5, 3, 6, 3)
-    assert isinstance(code, np.int64) and code == 350
+    assert code.shape == () and code.dtype == np.int64 and code == 350
     decoded = geom.morton_decode(350, 3)
-    assert all(isinstance(c, np.int64) for c in decoded) and decoded == (5, 3, 6)
+    assert all(c.shape == () and c.dtype == np.int64 for c in decoded) and decoded == (5, 3, 6)
     depth = 12
     rng = np.random.default_rng(7)
     x = rng.integers(0, 1 << depth, size=(4, 1))
@@ -134,6 +136,13 @@ def test_morton_tables_keep_range_checks(depth):
             geom.morton_decode(bad, depth)
         with pytest.raises(RangeError):
             geom.morton_decode(np.array([0, bad]), depth)
+
+
+def test_voxel_coords_decode_each_code_in_order():
+    vs = VoxelSet(1, np.array([0, 1, 7]))
+    coords = geom.voxel_coords(vs)
+    assert coords.dtype == np.int64 and coords.tolist() == [[0, 0, 0], [0, 0, 1], [1, 1, 1]]
+    assert geom.voxel_coords(VoxelSet(3, np.array([], dtype=np.int64))).shape == (0, 3)
 
 
 TRI = np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0], [0.0, 0.9, 0.0]])
@@ -262,9 +271,8 @@ def test_voxelize_hand_case():
     assert res.voxel_set.codes.tolist() == [0, 10, 36]
     assert res.index_map.tolist() == [2, 0, 0, 1]
     assert res.voxel_set.attributes[:, 0].tolist() == [2.0, 5.0, 8.0]
-    # centers are per sorted voxel row, at (cell + 0.5) / 2^J
-    expected_centers = (np.array([[0, 0, 0], [0, 1, 2], [3, 0, 0]]) + 0.5) / 4.0
-    assert np.array_equal(res.voxel_set.centers(), expected_centers)
+    # one integer cell per sorted voxel row
+    assert geom.voxel_coords(res.voxel_set).tolist() == [[0, 0, 0], [0, 1, 2], [3, 0, 0]]
 
 
 def test_voxelize_rejects_out_of_cube():
@@ -300,7 +308,7 @@ def test_voxelize_centers_are_fixed_points(depth, n, seed):
     rng = np.random.default_rng(seed)
     pts = rng.random((n, 3))
     res = geom.voxelize(pts, None, depth)
-    centers = res.voxel_set.centers()
+    centers = (geom.voxel_coords(res.voxel_set) + 0.5) * 2.0 ** -depth
     again = geom.voxelize(centers, None, depth)
     # per-voxel centers re-voxelize to the same sorted cells, one point each
     assert np.array_equal(again.voxel_set.codes, res.voxel_set.codes)

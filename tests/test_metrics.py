@@ -39,15 +39,15 @@ def _vset(depth, coords, lums):
 def test_psnr_transform_geometry_hand_value():
     ref = np.zeros((1, 3))
     rec = np.array([[0.1, 0.0, 0.0]])
-    got = metrics.psnr_transform(ref, rec, "geometry")
+    got = metrics.psnr_transform([ref], [rec], "geometry")
     assert got == pytest.approx(24.771212547196626, abs=1e-9)
 
 
 def test_psnr_transform_color_hand_value():
-    got = metrics.psnr_transform(np.array([100.0]), np.array([110.0]), "color")
+    got = metrics.psnr_transform([np.array([100.0])], [np.array([110.0])], "color")
     assert got == pytest.approx(28.130803608679106, abs=1e-9)
     # a trailing singleton axis means the same thing
-    got2 = metrics.psnr_transform(np.array([[100.0]]), np.array([[110.0]]), "color")
+    got2 = metrics.psnr_transform([np.array([[100.0]])], [np.array([[110.0]])], "color")
     assert got2 == got
 
 
@@ -60,7 +60,7 @@ def test_psnr_transform_averages_mse_over_frames():
 
 def test_psnr_transform_identical_is_infinite():
     a = np.random.default_rng(0).random((7, 3))
-    assert metrics.psnr_transform(a, a.copy(), "geometry") == math.inf
+    assert metrics.psnr_transform([a], [a.copy()], "geometry") == math.inf
 
 
 def test_psnr_transform_validation():
@@ -68,11 +68,11 @@ def test_psnr_transform_validation():
     with pytest.raises(ShapeMismatchError):
         metrics.psnr_transform([a], [a, a], "geometry")
     with pytest.raises(ShapeMismatchError):
-        metrics.psnr_transform(np.zeros((2, 2)), np.zeros((2, 2)), "geometry")
+        metrics.psnr_transform([np.zeros((2, 2))], [np.zeros((2, 2))], "geometry")
     with pytest.raises(ShapeMismatchError):
-        metrics.psnr_transform(np.zeros((2, 3)), np.zeros((2, 3)), "color")
+        metrics.psnr_transform([np.zeros((2, 3))], [np.zeros((2, 3))], "color")
     with pytest.raises(ParameterError):
-        metrics.psnr_transform(a, a, "luma")
+        metrics.psnr_transform([a], [a], "luma")
     with pytest.raises(EmptySetError):
         metrics.psnr_transform([], [], "geometry")
 
@@ -448,8 +448,8 @@ def test_matching_grid_path_matches_brute_force():
         cb = np.unique(rng.integers(0, side, size=(n_b, 3)), axis=0)
         a = _vset(depth, ca, rng.integers(0, 256, size=ca.shape[0]).astype(float))
         b = _vset(depth, cb, rng.integers(0, 256, size=cb.shape[0]).astype(float))
-        xyz_a = metrics._voxel_coords(a)
-        xyz_b = metrics._voxel_coords(b)
+        xyz_a = geom.voxel_coords(a)
+        xyz_b = geom.voxel_coords(b)
         for q, q_xyz, t, t_xyz in ((a, xyz_a, b, xyz_b), (b, xyz_b, a, xyz_a)):
             got = metrics._nearest(q, q_xyz, t, t_xyz)
             assert np.array_equal(got, metrics._nearest_brute(q_xyz, t_xyz))
@@ -466,8 +466,8 @@ def test_matching_ties_on_odd_and_even_lattices_match_brute_force(depth):
     even = grid[np.all(grid % 2 == 0, axis=1)]
     q = _vset(depth, odd, np.zeros(len(odd)))
     t = _vset(depth, even, np.zeros(len(even)))
-    q_xyz = metrics._voxel_coords(q)
-    t_xyz = metrics._voxel_coords(t)
+    q_xyz = geom.voxel_coords(q)
+    t_xyz = geom.voxel_coords(t)
     got = metrics._nearest(q, q_xyz, t, t_xyz)
     assert np.array_equal(got, metrics._nearest_brute(q_xyz, t_xyz))
     assert np.all(np.sum((q_xyz - t_xyz[got]) ** 2, axis=1) == 3)
@@ -487,8 +487,8 @@ def test_matching_grid_path_above_brute_force_threshold():
     a = _vset(depth, query, rng.integers(0, 256, size=len(query)).astype(float))
     b = _vset(depth, target, rng.integers(0, 256, size=len(target)).astype(float))
     assert len(a) * len(b) > metrics._BRUTE_FORCE_PAIRS
-    xyz_a = metrics._voxel_coords(a)
-    xyz_b = metrics._voxel_coords(b)
+    xyz_a = geom.voxel_coords(a)
+    xyz_b = geom.voxel_coords(b)
     for q, q_xyz, t, t_xyz in ((a, xyz_a, b, xyz_b), (b, xyz_b, a, xyz_a)):
         got = metrics._nearest(q, q_xyz, t, t_xyz)
         want = np.concatenate([metrics._nearest_brute(q_xyz[i:i + 256], t_xyz)
@@ -506,8 +506,8 @@ def test_matching_ring_search_stays_bounded_between_separated_clouds():
     a = _vset(depth, block, np.arange(len(block), dtype=float) % 256)
     b = _vset(depth, block + [19, 0, 0], np.arange(len(block), dtype=float) % 251)
     assert len(a) * len(b) > metrics._BRUTE_FORCE_PAIRS
-    xyz_a = metrics._voxel_coords(a)
-    xyz_b = metrics._voxel_coords(b)
+    xyz_a = geom.voxel_coords(a)
+    xyz_b = geom.voxel_coords(b)
     for q, q_xyz, t, t_xyz in ((a, xyz_a, b, xyz_b), (b, xyz_b, a, xyz_a)):
         tracemalloc.start()
         try:
@@ -531,8 +531,8 @@ def test_matching_between_separated_blocks_looks_up_few_keys(monkeypatch, shift)
     block = np.stack(np.meshgrid(*[np.arange(12)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
     q = _vset(8, block + 30, np.zeros(len(block)))
     t = _vset(8, block + 30 + np.array(shift), np.zeros(len(block)))
-    q_xyz = metrics._voxel_coords(q)
-    t_xyz = metrics._voxel_coords(t)
+    q_xyz = geom.voxel_coords(q)
+    t_xyz = geom.voxel_coords(t)
     keys = []
     searchsorted = np.searchsorted
 
