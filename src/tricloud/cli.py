@@ -33,6 +33,7 @@ from .core import (
 from .datagen import SHAPES, gen_sequence
 from .errors import ConsistencyError, CorruptStreamError, FormatError, TricloudError
 from .metrics import METRICS, evaluate, psnr_from_errors, rates
+from .svgplot import write_line_plot
 
 log = logging.getLogger("tricloud")
 
@@ -151,16 +152,14 @@ def cmd_encode(args) -> int:
 
 
 def _write_decoded(fp, encoded, frames, depth: int) -> None:
-    """Write the frames of one decoded GOF record as TCG1 containers."""
-    upsample = encoded.params.upsample
-    if encoded.intra_only:
-        # all-intra frames carry no shared vertex labeling, so each gets its
-        # own group in the output container
-        frames = iter(frames)
-        for _ in range(encoded.n_frames):
-            write_gof_frames(fp, GofHeader(1, depth, upsample), itertools.islice(frames, 1))
-    else:
-        write_gof_frames(fp, GofHeader(encoded.n_frames, depth, upsample), frames)
+    """Write the frames of one decoded GOF record as TCG1 containers: one for a
+    hybrid record, one per frame for an all-intra record, whose frames carry no
+    shared vertex labeling."""
+    n = 1 if encoded.intra_only else encoded.n_frames
+    header = GofHeader(n, depth, encoded.params.upsample)
+    frames = iter(frames)
+    for _ in range(encoded.n_frames // n):
+        write_gof_frames(fp, header, itertools.islice(frames, n))
 
 
 def _read_encoded(path) -> list:
@@ -279,8 +278,6 @@ def cmd_eval(args) -> int:
             json.dump({k: _json_safe(v) for k, v in report.items()}, fp, indent=2)
             fp.write("\n")
     if args.svg:
-        # not at module level: svgplot's xml.sax pulls in urllib.request (27 ms, 6.3 MB RSS)
-        from .svgplot import write_line_plot
         per_frame_traces = [psnr_from_errors([row["triangle"]]) for row in rows]
         xs = list(range(1, len(per_frame_traces) + 1))
         write_line_plot(

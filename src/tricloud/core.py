@@ -123,12 +123,6 @@ class GroupOfFrames:
     def n_frames(self) -> int:
         return len(self.frames)
 
-    def __iter__(self):
-        return iter(self.frames)
-
-    def __len__(self):
-        return len(self.frames)
-
 
 @dataclass(frozen=True)
 class CodecParams:
@@ -186,9 +180,6 @@ class VoxelSet:
     def __len__(self) -> int:
         return int(self.codes.size)
 
-    def with_attributes(self, attributes) -> "VoxelSet":
-        return VoxelSet(self.depth, self.codes, attributes)
-
 
 def check_frame(frame: TriangleCloudFrame, t: int, upsample: int, faces: np.ndarray,
                 n_vertices: int) -> None:
@@ -233,6 +224,9 @@ def validate_gof(gof: GroupOfFrames) -> GroupOfFrames:
 # a declared length is read this many bytes at a time, so a hostile length
 # costs no more memory than the bytes the stream really holds
 _READ_CHUNK = 16 << 20
+# colors are converted to u8 this many rows at a time, so a frame's float
+# temporaries stay small however many colors it has
+_COLOR_BLOCK = 1 << 16
 
 
 def _read_exact(fp, n: int) -> bytes:
@@ -274,7 +268,8 @@ def write_frame(fp, frame: TriangleCloudFrame, depth: int, include_faces: bool =
         if frame.n_faces and frame.faces.max() >= 1 << 32:
             raise RangeError("face indices exceed u32")
         fp.write(frame.faces.astype("<u4").tobytes())
-    fp.write(_colors_to_u8(frame.colors).tobytes())
+    for start in range(0, frame.n_colors, _COLOR_BLOCK):
+        fp.write(_colors_to_u8(frame.colors[start:start + _COLOR_BLOCK]).tobytes())
 
 
 def read_frame(fp, faces: np.ndarray | None = None) -> tuple[TriangleCloudFrame, int]:

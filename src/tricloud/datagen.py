@@ -16,8 +16,6 @@ from .core import GroupOfFrames, TriangleCloudFrame, _check_upsample
 from .errors import ParameterError
 from .geom import refine
 
-SHAPES = ("sphere", "wave-plane", "two-blobs")
-
 _MAX_AMPLITUDE = 0.1
 _JITTER = 2e-3
 
@@ -78,28 +76,21 @@ def _two_blobs(n_faces: int, center, radius: float):
     return verts, faces
 
 
+# shape -> (mesh builder, its radius or extent); the keys in order are SHAPES
+_MESHES = {
+    "sphere": (_band_sphere, 0.34),
+    "wave-plane": (_wave_plane, 0.7),
+    "two-blobs": (_two_blobs, 0.34),
+}
+SHAPES = tuple(_MESHES)
+
+
 def _base_mesh(shape: str, n_faces: int, rng: np.random.Generator):
-    center = (0.5, 0.5, 0.5)
-    if shape == "sphere":
-        verts, faces = _band_sphere(n_faces, center, 0.34)
-    elif shape == "wave-plane":
-        verts, faces = _wave_plane(n_faces, center, 0.7)
-    elif shape == "two-blobs":
-        verts, faces = _two_blobs(n_faces, center, 0.34)
-    else:
-        raise ParameterError(f"unknown shape {shape!r}, expected one of {SHAPES}")
+    build, size = _MESHES[shape]
+    verts, faces = build(n_faces, (0.5, 0.5, 0.5), size)
     # tiny jitter keeps vertex positions generic relative to any voxel grid
     verts = verts + rng.uniform(-_JITTER, _JITTER, size=verts.shape)
     return verts, faces
-
-
-def _displacement(base: np.ndarray, t: int, amplitude: float,
-                  freqs: np.ndarray, speeds: np.ndarray,
-                  phases: np.ndarray) -> np.ndarray:
-    if amplitude == 0.0:
-        return np.zeros_like(base)
-    arg = base @ freqs.T + speeds * t + phases
-    return amplitude * np.sin(arg)
 
 
 def _texture(points: np.ndarray, t: int, amplitude: float,
@@ -111,9 +102,8 @@ def _texture(points: np.ndarray, t: int, amplitude: float,
     colors[:, 2] = 127.5 + 50.0 * np.cos(grad[:, 2] + consts["phase"][2])
     cells = np.floor(points * consts["checker"]).astype(np.int64).sum(axis=1)
     colors[:, 0] += np.where(cells % 2 == 0, 24.0, -24.0)
-    if amplitude > 0.0:
-        breathe = np.sin(consts["pulse"] * t + grad[:, 0] * 0.25)
-        colors[:, 0] += 60.0 * amplitude * breathe
+    breathe = np.sin(consts["pulse"] * t + grad[:, 0] * 0.25)
+    colors[:, 0] += 60.0 * amplitude * breathe
     return colors
 
 
@@ -155,10 +145,11 @@ def gen_sequence(shape: str, n_frames: int, n_faces: int = 2000,
     }
     material = refine(base, faces, upsample)
 
+    amplitude = float(amplitude)
     frames = []
     for t in range(int(n_frames)):
-        verts = base + _displacement(base, t, float(amplitude), freqs, speeds, phases)
-        colors = _texture(material, t, float(amplitude), consts)
+        verts = base + amplitude * np.sin(base @ freqs.T + speeds * t + phases)
+        colors = _texture(material, t, amplitude, consts)
         frames.append(TriangleCloudFrame(verts, faces, colors, upsample))
 
     size = int(gof_size) if gof_size is not None else len(frames)

@@ -84,8 +84,8 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
 
     ref_attrs / recon_attrs: sequences of per-frame arrays.  kind
     "geometry" expects (N,3) positions in the unit cube and normalizes by
-    3*N; kind "color" expects a single component of shape (N,) or (N,1)
-    and normalizes by 255^2*N.  Frames are averaged in the MSE domain.
+    3*N; kind "color" expects a single component of shape (N,) and
+    normalizes by 255^2*N.  Frames are averaged in the MSE domain.
     """
     pairs = list(_pairs(ref_attrs, recon_attrs))
     if kind not in ("geometry", "color"):
@@ -100,8 +100,6 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
                 raise ShapeMismatchError(f"frame {t}: geometry must be (N,3), got {a.shape}")
             total += float(np.sum((a - b) ** 2)) / (3.0 * a.shape[0])
         else:
-            if a.ndim == 2 and a.shape[1] == 1:
-                a, b = a[:, 0], b[:, 0]
             if a.ndim != 1:
                 raise ShapeMismatchError(
                     f"frame {t}: color expects one component, got shape {a.shape}"

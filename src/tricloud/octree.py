@@ -119,4 +119,4 @@ def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
     voxel_set = octree_parse(inflate(geometry, depth * n_voxels), depth)
     plan = raht_plan(voxel_set)
     symbols = _decode_planes(planes, plan)
-    return voxel_set.with_attributes(_reconstruct(plan, symbols, step_color))
+    return VoxelSet(depth, voxel_set.codes, _reconstruct(plan, symbols, step_color))

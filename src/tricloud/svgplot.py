@@ -7,7 +7,7 @@ library.  Non-finite samples are dropped from their series.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
+from html import escape
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
@@ -36,10 +36,8 @@ def _axis_range(values):
 
 
 def _ticks(lo, hi):
-    span = hi - lo
-    if span <= 0:
-        return [lo]
-    raw = span / _N_TICKS
+    """Ticks over lo < hi, which _axis_range guarantees."""
+    raw = (hi - lo) / _N_TICKS
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -79,7 +77,7 @@ def write_line_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
         f'<rect x="{_MARGIN_L}" y="{_MARGIN_T}" width="{plot_w}" height="{plot_h}" '
         'fill="none" stroke="#333"/>',
         f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
-        f'font-size="14">{escape(title)}</text>',
+        f'font-size="14">{escape(title, quote=False)}</text>',
     ]
     for tx in _ticks(x_lo, x_hi):
         px = sx(tx)
@@ -94,10 +92,10 @@ def write_line_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
         out.append(f'<text x="{_MARGIN_L - 7}" y="{py + 3:.1f}" '
                    f'text-anchor="end">{ty:g}</text>')
     out.append(f'<text x="{_MARGIN_L + plot_w / 2:.1f}" y="{_HEIGHT - 10}" '
-               f'text-anchor="middle">{escape(xlabel)}</text>')
+               f'text-anchor="middle">{escape(xlabel, quote=False)}</text>')
     cy = _MARGIN_T + plot_h / 2
     out.append(f'<text x="14" y="{cy:.1f}" text-anchor="middle" '
-               f'transform="rotate(-90 14 {cy:.1f})">{escape(ylabel)}</text>')
+               f'transform="rotate(-90 14 {cy:.1f})">{escape(ylabel, quote=False)}</text>')
     for i, (label, pts) in enumerate(series):
         color = _PALETTE[i % len(_PALETTE)]
         if pts:
@@ -111,7 +109,7 @@ def write_line_plot(path, series, title: str, xlabel: str, ylabel: str) -> None:
         lx = _MARGIN_L + plot_w - 150
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
                    f'stroke="{color}" stroke-width="1.6"/>')
-        out.append(f'<text x="{lx + 27}" y="{ly}">{escape(label)}</text>')
+        out.append(f'<text x="{lx + 27}" y="{ly}">{escape(label, quote=False)}</text>')
     out.append("</svg>")
     with open(path, "w", encoding="utf-8") as fp:
         fp.write("\n".join(out) + "\n")

@@ -90,6 +90,25 @@ def test_eval_subset_of_metrics(tmp_path, capsys):
     assert "matching" not in out
 
 
+def test_lossless_eval_of_one_metric_writes_inf_and_empty_cells(tmp_path):
+    # a PSNR of identical frames is "inf" in the JSON and the CSV; the CSV
+    # leaves the columns of the metrics and rates not asked for empty; no
+    # PSNR is finite, so the plot draws no line
+    orig = _generate(tmp_path, frames=2, gof_size=2)
+    paths = [tmp_path / name for name in ("report.json", "report.csv", "trace.svg")]
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(orig),
+                 "--metrics", "triangle", "--json", str(paths[0]), "--csv", str(paths[1]),
+                 "--svg", str(paths[2])]) == 0
+    data = json.loads(paths[0].read_text())
+    assert data["psnr_g_triangle"] == data["psnr_y_triangle"] == "inf"
+    with open(paths[1], newline="") as fp:
+        header, row = csv.reader(fp)
+    report = dict(zip(header, row))
+    assert report["psnr_g_triangle"] == "inf"
+    assert report["psnr_g_matching"] == report["rate_bpv_total"] == report["step_motion"] == ""
+    assert "<polyline" not in paths[2].read_text()
+
+
 def test_eval_of_sequences_that_differ_in_frame_count_exits_1(tmp_path, capsys):
     # the pairs are read one at a time, so the mismatch shows when the
     # reconstruction runs out, and nothing has been written by then
@@ -455,8 +474,8 @@ def test_matching_on_the_pin_scene_render_voxels_matches_brute_force(tmp_path):
     # the render voxel sets an eval of the pin scene matches: the grid search
     # must give brute force's answers, over hits at squared distance 0, 1 and 2
     orig, recon = _pin_scene(tmp_path)
-    originals = [f for gof in core.read_gof_file(orig)[0] for f in gof]
-    recons = [f for gof in core.read_gof_file(recon)[0] for f in gof]
+    originals = [f for gof in core.read_gof_file(orig)[0] for f in gof.frames]
+    recons = [f for gof in core.read_gof_file(recon)[0] for f in gof.frames]
     d2_seen = set()
     for a, b in zip(originals, recons):
         sets = [metrics._render_voxels(f, 9, 1) for f in (a, b)]
@@ -612,7 +631,7 @@ def test_streamed_outputs_equal_the_collectors(tmp_path, frames, gof_size, intra
     out = []
     for enc in codec.read_bitstream_file(want_bits):
         gof = codec.decode_gof(enc)
-        out.extend(core.GroupOfFrames((f,)) for f in gof) if intra_only else out.append(gof)
+        out.extend(core.GroupOfFrames((f,)) for f in gof.frames) if intra_only else out.append(gof)
     core.write_gof_file(want_recon, out, depth)
     assert bits.read_bytes() == want_bits.read_bytes()
     assert recon.read_bytes() == want_recon.read_bytes()

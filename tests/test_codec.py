@@ -414,8 +414,24 @@ def test_predicted_frame_count_mismatch_rejected():
     params = _params()
     _, state, buf = codec.encode_reference(gof.reference, params)
     stranger = _gof(n_frames=1, n_faces=50, seed=24).reference
-    with pytest.raises(ConsistencyError):
+    with pytest.raises(ConsistencyError, match="vertex count differs"):
         codec.encode_predicted(stranger, state, buf)
+    frame = gof.frames[1]
+    short = TriangleCloudFrame(frame.vertices, frame.faces, frame.colors[:-1], frame.upsample)
+    with pytest.raises(ConsistencyError, match="color count differs"):
+        codec.encode_predicted(short, state, buf)
+
+
+class _FrameOfTooManyVertices(TriangleCloudFrame):
+    # a frame that reports 2^32 vertices without holding them
+    n_vertices = 1 << 32
+
+
+def test_encode_refuses_more_vertices_than_u32_face_indices_address():
+    ref = _gof(n_frames=1).reference
+    frame = _FrameOfTooManyVertices(ref.vertices, ref.faces, ref.colors, ref.upsample)
+    with pytest.raises(RangeError, match="face indices exceed u32"):
+        codec.encode_frames([frame], 1, _params())
 
 
 def test_decode_sequence_empty_stream():

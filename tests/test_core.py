@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -67,9 +68,9 @@ def test_frame_shape_validation():
 def test_gof_accessors():
     frames = (_frame(seed=1), _frame(seed=2))
     gof = core.GroupOfFrames(frames)
-    assert gof.n_frames == len(gof) == 2
+    assert gof.n_frames == 2
     assert gof.reference is frames[0]
-    assert list(gof) == list(frames)
+    assert gof.frames == frames
     with pytest.raises(ConsistencyError):
         core.GroupOfFrames(())
 
@@ -400,6 +401,26 @@ def test_mutated_bitstreams_decode_or_raise(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
+def test_write_frame_converts_colors_a_block_at_a_time(tmp_path):
+    # one face at U = 1447 carries 1,049,076 colors, about 2^20: the writer's
+    # float temporaries are one block, not a copy of the frame's 24 MiB
+    rng = np.random.default_rng(21)
+    upsample = 1447
+    n_colors = core.expected_color_count(1, upsample)
+    frame = core.TriangleCloudFrame(rng.random((3, 3)) * 0.99, [[0, 1, 2]],
+                                    rng.uniform(-10.0, 265.0, (n_colors, 3)), upsample)
+    path = tmp_path / "big.tcf"
+    with open(path, "wb") as fp:
+        tracemalloc.start()
+        try:
+            core.write_frame(fp, frame, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 4 << 20, f"write_frame peaked {peak / 2 ** 20:.1f} MiB above its input"
+    assert path.read_bytes()[-3 * n_colors:] == core._colors_to_u8(frame.colors).tobytes()
+
+
 def test_colors_to_u8_edges_map_as_before():
     colors = np.array([[0.5, 1.5, 127.5], [254.5, -1.0, 255.5], [256.0, 0.49, 254.49]])
     assert core._colors_to_u8(colors).tolist() == [[1, 2, 128], [255, 0, 255], [255, 0, 254]]
@@ -438,6 +459,19 @@ def test_gof_frame_writer_checks_count_and_each_frame():
         core.write_gof_frames(io.BytesIO(), header, [f1, stranger])
     with pytest.raises(ConsistencyError, match="frame 1: upsample factor mismatch"):
         core.write_gof_frames(io.BytesIO(), core.GofHeader(1, 8, 2), [f1])
+    grown = core.TriangleCloudFrame(np.vstack([f1.vertices, [[0.5, 0.5, 0.5]]]),
+                                    f1.faces, f1.colors, 3)
+    with pytest.raises(ConsistencyError, match="frame 2: vertex count mismatch"):
+        core.write_gof_frames(io.BytesIO(), header, [f1, grown])
+
+
+def test_write_frame_refuses_face_indices_beyond_u32():
+    # the record stores faces as u32; write_frame is the one check for a
+    # frame that no GOF check has seen
+    frame = core.TriangleCloudFrame(np.full((3, 3), 0.5), [[0, 1, 1 << 32]],
+                                    np.zeros((3, 3)), 1)
+    with pytest.raises(RangeError, match="face indices exceed u32"):
+        core.write_frame(io.BytesIO(), frame, 8)
 
 
 @pytest.mark.parametrize("depth", [0, 21, -1])

@@ -18,7 +18,7 @@ def test_each_shape_yields_a_valid_group(shape):
     gof = gofs[0]
     assert gof.n_frames == 3
     core.validate_gof(gof)
-    for frame in gof:
+    for frame in gof.frames:
         assert frame.n_colors == core.expected_color_count(frame.n_faces, 2)
         assert np.all(frame.colors >= 0.0) and np.all(frame.colors <= 255.0)
 
@@ -27,7 +27,7 @@ def test_same_seed_reproduces_bit_exact():
     kwargs = dict(n_faces=80, upsample=3, amplitude=0.03, seed=7)
     a = datagen.gen_sequence("sphere", 4, **kwargs)[0]
     b = datagen.gen_sequence("sphere", 4, **kwargs)[0]
-    for fa, fb in zip(a, b):
+    for fa, fb in zip(a.frames, b.frames):
         assert np.array_equal(fa.vertices, fb.vertices)
         assert np.array_equal(fa.faces, fb.faces)
         assert np.array_equal(fa.colors, fb.colors)
@@ -43,7 +43,7 @@ def test_zero_amplitude_freezes_the_sequence():
     gof = datagen.gen_sequence("wave-plane", 5, n_faces=40, upsample=2,
                                amplitude=0.0, seed=3)[0]
     ref = gof.reference
-    for frame in gof:
+    for frame in gof.frames:
         assert np.array_equal(frame.vertices, ref.vertices)
         assert np.array_equal(frame.colors, ref.colors)
 
@@ -62,7 +62,7 @@ def test_gof_size_splits_frames():
     faces = gofs[0].reference.faces
     for g in gofs:
         core.validate_gof(g)
-        for frame in g:
+        for frame in g.frames:
             assert np.array_equal(frame.faces, faces)
 
 

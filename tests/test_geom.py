@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from oracles import barycentric_refine, refine_interpolate
 from tricloud import geom
 from tricloud.core import VoxelSet
-from tricloud.errors import ParameterError, RangeError
+from tricloud.errors import ConsistencyError, ParameterError, RangeError
 
 
 def _morton_reference(x, y, z, depth):
@@ -279,6 +279,14 @@ def test_voxelize_rejects_out_of_cube():
     for bad in ([[1.0, 0.5, 0.5]], [[0.5, -0.01, 0.5]], [[0.5, 0.5, 7.0]]):
         with pytest.raises(RangeError):
             geom.voxelize(np.array(bad), None, 3)
+
+
+def test_voxelize_rejects_other_shapes_and_an_empty_list():
+    for bad in (np.zeros(3), np.zeros((4, 2)), np.zeros((1, 4))):
+        with pytest.raises(ConsistencyError, match="points must be"):
+            geom.voxelize(bad, None, 3)
+    with pytest.raises(RangeError, match="empty point list"):
+        geom.voxelize(np.zeros((0, 3)), None, 3)
 
 
 def test_voxelize_rejects_nan_without_a_warning():

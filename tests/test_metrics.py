@@ -46,9 +46,11 @@ def test_psnr_transform_geometry_hand_value():
 def test_psnr_transform_color_hand_value():
     got = metrics.psnr_transform([np.array([100.0])], [np.array([110.0])], "color")
     assert got == pytest.approx(28.130803608679106, abs=1e-9)
-    # a trailing singleton axis means the same thing
-    got2 = metrics.psnr_transform([np.array([[100.0]])], [np.array([[110.0]])], "color")
-    assert got2 == got
+    # one component is a 1-D array; an (N, 1) column is refused like any 2-D array
+    with pytest.raises(ShapeMismatchError, match="color expects one component"):
+        metrics.psnr_transform([np.array([[100.0]])], [np.array([[110.0]])], "color")
+    with pytest.raises(ShapeMismatchError, match=r"frame 0: shapes \(2,\) vs \(1,\)"):
+        metrics.psnr_transform([np.zeros(2)], [np.zeros(1)], "color")
 
 
 def test_psnr_transform_averages_mse_over_frames():
@@ -366,7 +368,7 @@ def test_projection_sq_error_matches_dense_renders():
     side = 1 << depth
     coords = np.unique(rng.integers(0, side, size=(40, 3)), axis=0)
     a = _vset(depth, coords, rng.integers(0, 256, size=coords.shape[0]))
-    a = a.with_attributes(rng.integers(0, 256, size=(len(a), 3)).astype(float))
+    a = core.VoxelSet(depth, a.codes, rng.integers(0, 256, size=(len(a), 3)).astype(float))
     empty = core.VoxelSet(depth, [], np.zeros((0, 3)))
     # one side's renders are all gray, the other's share no pixel with it
     far = _vset(depth, [[0, 0, 0]], [77.0])
@@ -388,7 +390,8 @@ def test_projection_sq_error_with_occlusion_on_every_axis():
     sets = []
     for coords in (box, box + [2, -1, 3]):
         vs = _vset(depth, coords, np.zeros(len(coords)))
-        sets.append(vs.with_attributes(rng.integers(0, 256, size=(len(vs), 3)).astype(float)))
+        sets.append(core.VoxelSet(depth, vs.codes,
+                                  rng.integers(0, 256, size=(len(vs), 3)).astype(float)))
     a, b = sets
     renders = [metrics.project_to_faces(vs) for vs in sets]
     for axis in range(3):

@@ -15,6 +15,7 @@ from tricloud.errors import (
     ConsistencyError,
     CorruptStreamError,
     EmptySetError,
+    ParameterError,
     TrailingBytesError,
     TruncatedStreamError,
 )
@@ -120,6 +121,12 @@ def test_baseline_needs_attributes():
     vs = VoxelSet(3, np.array([1, 2, 3]))
     with pytest.raises(ConsistencyError):
         octree.baseline_encode_pointcloud(vs, 1.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -1.0])
+def test_baseline_rejects_a_step_that_is_not_positive(step):
+    with pytest.raises(ParameterError, match="step must be positive"):
+        octree.baseline_encode_pointcloud(_colored_set(3, 20, 9), step)
 
 
 def test_baseline_rejects_mismatched_stream():

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from tricloud import transform
 from tricloud.core import VoxelSet
-from tricloud.errors import ConsistencyError, ParameterError
+from tricloud.errors import ConsistencyError, EmptySetError, ParameterError
 
 
 def test_round_half_away_frozen_vector():
@@ -121,6 +121,11 @@ def test_single_voxel_transform_is_identity():
     block = transform.raht_forward(plan, sig)
     assert np.allclose(block.coefficients, sig)
     assert plan.weights.tolist() == [1]
+
+
+def test_plan_of_an_empty_set_is_refused():
+    with pytest.raises(EmptySetError):
+        transform.raht_plan(VoxelSet(3, []))
 
 
 def test_forward_rejects_wrong_row_count():
