@@ -3,9 +3,10 @@
 Stand-ins for captured mesh sequences: a banded sphere, a rippling plane,
 and a pair of blobs, each animated by a smooth sinusoidal displacement field
 in material coordinates and textured procedurally (large-scale gradient plus
-a checker component) at the refined vertices.  Everything is a pure function
-of the arguments; amplitude 0 freezes both motion and texture so every frame
-is identical.
+a checker component) at the refined vertices.  The texture's still part is
+computed once per sequence; each frame adds only its breathing term.
+Everything is a pure function of the arguments; amplitude 0 freezes both
+motion and texture so every frame is identical.
 """
 
 from __future__ import annotations
@@ -93,8 +94,12 @@ def _base_mesh(shape: str, n_faces: int, rng: np.random.Generator):
     return verts, faces
 
 
-def _texture(points: np.ndarray, t: int, amplitude: float,
-             consts: dict) -> np.ndarray:
+def _still_texture(points: np.ndarray, consts: dict):
+    """The time-independent texture at points and the breathing phase.
+
+    Returns (colors, phase): the gradient, sine/cosine and checker colors, and
+    the per-point phase of the breathing term added to channel 0 per frame.
+    """
     colors = np.empty((points.shape[0], 3))
     grad = points @ consts["grad"]
     colors[:, 0] = 127.5 + 70.0 * np.sin(grad[:, 0] + consts["phase"][0])
@@ -102,9 +107,7 @@ def _texture(points: np.ndarray, t: int, amplitude: float,
     colors[:, 2] = 127.5 + 50.0 * np.cos(grad[:, 2] + consts["phase"][2])
     cells = np.floor(points * consts["checker"]).astype(np.int64).sum(axis=1)
     colors[:, 0] += np.where(cells % 2 == 0, 24.0, -24.0)
-    breathe = np.sin(consts["pulse"] * t + grad[:, 0] * 0.25)
-    colors[:, 0] += 60.0 * amplitude * breathe
-    return colors
+    return colors, grad[:, 0] * 0.25
 
 
 def gen_sequence(shape: str, n_frames: int, n_faces: int = 2000,
@@ -143,13 +146,14 @@ def gen_sequence(shape: str, n_frames: int, n_faces: int = 2000,
         "checker": rng.uniform(7.0, 11.0, size=3),
         "pulse": rng.uniform(0.3, 0.7),
     }
-    material = refine(base, faces, upsample)
+    still, phase = _still_texture(refine(base, faces, upsample), consts)
 
     amplitude = float(amplitude)
     frames = []
     for t in range(int(n_frames)):
         verts = base + amplitude * np.sin(base @ freqs.T + speeds * t + phases)
-        colors = _texture(material, t, amplitude, consts)
+        colors = still.copy()
+        colors[:, 0] += 60.0 * amplitude * np.sin(consts["pulse"] * t + phase)
         frames.append(TriangleCloudFrame(verts, faces, colors, upsample))
 
     size = int(gof_size) if gof_size is not None else len(frames)

@@ -195,6 +195,16 @@ def serialize_order(weights) -> np.ndarray:
     """Permutation putting coefficients in decreasing-weight order.
 
     Stable: ties keep ascending row order, so encoder and decoder derive the
-    same permutation from the weights alone.
+    same permutation from the weights alone.  A least-significant-digit radix
+    sort of max(w) - w over 16-bit digits, as many as the largest key needs:
+    ``np.lexsort`` runs numpy's stable indirect sort of each uint16 digit,
+    which is a radix sort.
     """
-    return np.argsort(-np.asarray(weights, dtype=np.int64), kind="stable")
+    weights = np.asarray(weights, dtype=np.int64)
+    keys = weights.max(initial=0) - weights
+    digits = [keys.astype(np.uint16)]
+    for _ in range(16, int(keys.max(initial=0)).bit_length(), 16):
+        keys >>= 16
+        digits.append(keys.astype(np.uint16))
+    del keys  # the sort holds only the digits and the permutation
+    return np.lexsort(digits)

@@ -520,6 +520,25 @@ def test_generate_validates_each_gof_once(tmp_path, monkeypatch):
     assert calls == [0, 1, 0, 1]
 
 
+def test_generate_builds_the_still_texture_once(tmp_path, monkeypatch):
+    # the time-independent texture is built per sequence; a frame only adds
+    # its breathing term
+    calls = []
+    still_texture = datagen._still_texture
+
+    def counting(points, consts):
+        calls.append(points.shape[0])
+        return still_texture(points, consts)
+
+    monkeypatch.setattr(datagen, "_still_texture", counting)
+    gofs = datagen.gen_sequence("sphere", 5, n_faces=60, upsample=2, seed=3, gof_size=2)
+    assert [g.n_frames for g in gofs] == [2, 2, 1]
+    assert len(calls) == 1
+    calls.clear()
+    _generate(tmp_path, frames=4, gof_size=2)
+    assert len(calls) == 1
+
+
 def test_encode_checks_each_frame_once(tmp_path, monkeypatch):
     # the streaming reader checks each frame as it arrives; the frame encoder
     # does not check again

@@ -1,5 +1,7 @@
 """Synthetic sequence generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -81,3 +83,37 @@ def test_parameter_validation():
         datagen.gen_sequence("sphere", 2, amplitude=0.5)
     with pytest.raises(ParameterError):
         datagen.gen_sequence("sphere", 2, gof_size=0)
+
+
+# SHA-256 of the float64 bytes of every frame's vertices, faces and colors,
+# in frame order; the generator must keep producing exactly these arrays
+_PIN_CASES = {
+    "default": dict(n_frames=3),
+    "breathing": dict(n_frames=5, amplitude=0.1, gof_size=2),
+}
+_PINNED = {
+    ("sphere", 1, "default"): "f448bed448e60d08c61870889aaf699d9a6075f0e94b5499fcb465206bd126ed",
+    ("sphere", 1, "breathing"): "9861ebeae7ba1fb47627e59928a10aff16ad9bb20bc002ae57dab06813b43441",
+    ("sphere", 7, "default"): "1592d2d53678d18c593c80b33ebe0e9ff59e90b84740c2ffbdfe8c5041d23b49",
+    ("sphere", 7, "breathing"): "80fca8e604900a12c2592bdc5c0a7e634d50bb00f254159de58e351407c6ef49",
+    ("wave-plane", 1, "default"): "49864f822705708e35e6e0f06c436ca80686d33698fb133b134ea6fb502fd255",
+    ("wave-plane", 1, "breathing"): "c8b43832e602b5232497d896a3f3edd9ca1405456ca83c6ddba0132ff3a7ed46",
+    ("wave-plane", 7, "default"): "52046dd9af38deb80037892f6dbf815e10267089371c0d4b4d2ce50eb9c0794b",
+    ("wave-plane", 7, "breathing"): "7daa5d943c6d50a80e31a90d7b0a986d8f9287e5b0e7b189b26574b084a5b72f",
+    ("two-blobs", 1, "default"): "8ad7a520c62d6c495ad5ceb57075e68dcdd571e7d6c9169e87c238e43c59c398",
+    ("two-blobs", 1, "breathing"): "849d5fc10ffcf0d543701fb8209b23f9ce8933f92a846979684f84bcd24778f0",
+    ("two-blobs", 7, "default"): "3333784350c99e6360147a5aef4a4c22ef1da5b28c8813cfb04de387c11d128b",
+    ("two-blobs", 7, "breathing"): "772dbf53bbee3291469433a799086286083dc86bd89eaebda41036f0cf18b4fb",
+}
+
+
+@pytest.mark.parametrize("shape, seed, case", sorted(_PINNED))
+def test_generated_arrays_are_pinned(shape, seed, case):
+    digest = hashlib.sha256()
+    gofs = datagen.gen_sequence(shape, n_faces=200, upsample=4, seed=seed,
+                                **_PIN_CASES[case])
+    for gof in gofs:
+        for frame in gof.frames:
+            for array in (frame.vertices, frame.faces, frame.colors):
+                digest.update(np.ascontiguousarray(array, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == _PINNED[shape, seed, case]

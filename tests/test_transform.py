@@ -1,6 +1,9 @@
 """Quantizers and the hierarchical orthonormal transform."""
 
+import importlib.util
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -8,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tricloud import transform
-from tricloud.core import VoxelSet
+from tricloud import codec, datagen, transform
+from tricloud.core import CodecParams, VoxelSet
 from tricloud.errors import ConsistencyError, EmptySetError, ParameterError
 
 
@@ -95,6 +98,70 @@ def test_serialize_order_descending_weight_stable():
     assert order.tolist() == [0, 2, 1]
     order = transform.serialize_order(np.array([1, 5, 5, 2]))
     assert order.tolist() == [1, 2, 3, 0]
+
+
+def _stable_descending(weights):
+    return np.argsort(-np.asarray(weights, dtype=np.int64), kind="stable")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_serialize_order_matches_stable_argsort_under_heavy_ties(seed):
+    rng = np.random.default_rng(seed)
+    weights = rng.integers(1, 6, size=5000)
+    assert np.array_equal(transform.serialize_order(weights), _stable_descending(weights))
+
+
+@pytest.mark.parametrize("top", [2 ** 16 - 1, 2 ** 16, 2 ** 40])
+def test_serialize_order_matches_stable_argsort_for_each_digit_count(top):
+    # keys max(w) - w need 1, 2 and 3 16-bit digits
+    rng = np.random.default_rng(0)
+    weights = np.concatenate([
+        rng.integers(0, top, size=3000, endpoint=True),
+        rng.integers(0, 40, size=3000),
+        [0, top, top, 1, top - 1],
+        top - np.array([0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 32]).clip(max=top),
+    ])
+    order = transform.serialize_order(weights)
+    assert np.array_equal(order, _stable_descending(weights))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_serialize_order_of_tiny_inputs(n):
+    weights = np.arange(n, dtype=np.int64) + 7
+    order = transform.serialize_order(weights)
+    assert order.tolist() == list(range(n))
+    assert order.dtype == _stable_descending(weights).dtype
+
+
+def _workloads(monkeypatch):
+    path = pathlib.Path(__file__).parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name", ["rd-point-S", "inter-L", "intra-W"])
+def test_serialize_order_of_every_plan_of_the_tiny_workload_scenes(name, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    w = workloads.WORKLOADS[name].tiny()
+    plans = []
+    raht_plan = codec.raht_plan
+
+    def recording(voxel_set):
+        plans.append(raht_plan(voxel_set))
+        return plans[-1]
+
+    monkeypatch.setattr(codec, "raht_plan", recording)
+    gof = datagen.gen_sequence(w.shape, w.frames, n_faces=w.faces, upsample=w.upsample,
+                               seed=w.default_seed)[0]
+    codec.encode_gof(gof, CodecParams(workloads.DEPTH, w.upsample), intra_only=w.intra_only)
+    # a vertex and a refined plan per reference frame
+    assert len(plans) == 2 * (w.frames if w.intra_only else 1)
+    for plan in plans:
+        assert np.array_equal(plan.order, _stable_descending(plan.weights))
 
 
 def test_constant_signal_concentrates_in_dc():
