@@ -78,7 +78,9 @@ BITSTREAM_VERSION = 1
 # stepsizes, vertex count, face count
 _GOF_HEADER = "<IIIB3dII"
 
-# refined points per frame, n_faces (U+1)(U+2)/2, that a GOF may declare
+# vertices, and refined points per frame, n_faces (U+1)(U+2)/2, that a GOF
+# may declare
+_MAX_VERTICES = 1 << 24
 _MAX_REFINED_POINTS = 1 << 24
 
 
@@ -174,18 +176,16 @@ class ReferenceState:
     original rows; on the decoder side it is the identity.  faces and
     vertex_index_map are stored in canonical order: a vertex quantizes to the
     center of its voxel, vertex_centers[vertex_index_map].  Each plan carries
-    the coefficient order its planes are coded in.
+    its voxel count and the coefficient order its planes are coded in.
     """
 
     params: CodecParams
     vertex_permutation: np.ndarray
     faces: np.ndarray
-    vertex_voxels: VoxelSet
     vertex_centers: np.ndarray
     vertex_index_map: np.ndarray
     vertex_counts: np.ndarray
     vertex_plan: RahtPlan
-    refined_voxels: VoxelSet
     refined_index_map: np.ndarray
     refined_counts: np.ndarray
     refined_plan: RahtPlan
@@ -238,6 +238,18 @@ def _decode_planes(payloads, plan: RahtPlan) -> np.ndarray:
     return symbols
 
 
+def _check_sizes(params: CodecParams, n_vertices: int, n_faces: int, n_voxels: int) -> None:
+    """Refuse a reference frame's declared sizes before any section is
+    inflated or any face refined; encoder and decoder run the same check."""
+    if n_vertices > _MAX_VERTICES:
+        raise RangeError(f"{n_vertices} vertices exceed {_MAX_VERTICES}")
+    n_refined = expected_color_count(n_faces, params.upsample)
+    if n_refined > _MAX_REFINED_POINTS:
+        raise RangeError(f"{n_refined} refined points per frame exceed {_MAX_REFINED_POINTS}")
+    if not 1 <= n_voxels <= n_vertices:
+        raise CorruptStreamError(f"{n_voxels} voxels declared for {n_vertices} vertices")
+
+
 def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
                            faces: np.ndarray, voxels: VoxelSet,
                            index_map: np.ndarray) -> ReferenceState:
@@ -246,9 +258,6 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
     index_map gives, for every vertex in canonical (spatial scan) order, its
     row in voxels; a quantized vertex is the center of its voxel.
     """
-    n_refined = expected_color_count(len(faces), params.upsample)
-    if n_refined > _MAX_REFINED_POINTS:
-        raise RangeError(f"{n_refined} refined points per frame exceed {_MAX_REFINED_POINTS}")
     centers = (voxel_coords(voxels) + 0.5) * (2.0 ** -params.depth)
     refined = refine(centers[index_map], faces, params.upsample)
     res_r = voxelize(refined, None, params.depth)
@@ -256,12 +265,10 @@ def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
         params=params,
         vertex_permutation=vertex_permutation,
         faces=faces,
-        vertex_voxels=voxels,
         vertex_centers=centers,
         vertex_index_map=index_map,
         vertex_counts=np.bincount(index_map, minlength=len(voxels)),
         vertex_plan=raht_plan(voxels),
-        refined_voxels=res_r.voxel_set,
         refined_index_map=res_r.index_map,
         refined_counts=np.bincount(res_r.index_map, minlength=len(res_r.voxel_set)),
         refined_plan=raht_plan(res_r.voxel_set),
@@ -278,6 +285,7 @@ def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
     # grows in unit/zero steps; faces re-indexed to the new rows.  Permuting
     # the points changes only the index map of their voxelization.
     res_v = voxelize(frame.vertices, None, params.depth)
+    _check_sizes(params, frame.n_vertices, frame.n_faces, len(res_v.voxel_set))
     perm = np.argsort(res_v.index_map, kind="stable")
     inverse_perm = np.empty_like(perm)
     inverse_perm[perm] = np.arange(perm.size)
@@ -289,12 +297,10 @@ def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
     colors_v = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
     symbols = _quantize(state.refined_plan, colors_v, params.step_color_intra)
 
-    if frame.n_vertices >= 1 << 32:
-        raise RangeError("face indices exceed u32")
     payload = IntraPayload(
-        n_voxels=len(state.vertex_voxels),
-        n_refined_voxels=len(state.refined_voxels),
-        octree_bytes=deflate(octree_serialize(state.vertex_voxels)),
+        n_voxels=state.vertex_plan.n,
+        n_refined_voxels=state.refined_plan.n,
+        octree_bytes=deflate(octree_serialize(res_v.voxel_set)),
         index_run_bytes=index_runs_encode(state.vertex_index_map),
         face_bytes=deflate(faces.astype("<u4").tobytes()),
         color_payloads=_code_planes(symbols, state.refined_plan),
@@ -312,16 +318,17 @@ def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
 def decode_reference(payload: IntraPayload, params: CodecParams,
                      n_vertices: int, n_faces: int):
     """Invert :func:`encode_reference`; returns (frame, ReferenceState, FrameBuffer)."""
+    _check_sizes(params, n_vertices, n_faces, payload.n_voxels)
     voxels = octree_parse(inflate(payload.octree_bytes, params.depth * payload.n_voxels),
                           params.depth)
     if len(voxels) != payload.n_voxels:
         raise CorruptStreamError(
             f"octree decodes to {len(voxels)} voxels, header says {payload.n_voxels}"
         )
-    # runs decode to steps of 0 or 1 from 0, so ending on the last voxel
-    # means every voxel holds a vertex
+    # runs decode to steps of 0 or 1 from 0, and to n_vertices >= 1 entries,
+    # so ending on the last voxel means every voxel holds a vertex
     index_map = index_runs_decode(payload.index_run_bytes, n_vertices)
-    if index_map.size == 0 or index_map[-1] != len(voxels) - 1:
+    if index_map[-1] != len(voxels) - 1:
         raise CorruptStreamError("duplicate-index map does not cover the voxel list")
 
     face_raw = inflate(payload.face_bytes, 12 * n_faces)
@@ -332,7 +339,7 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
         raise CorruptStreamError("face index out of range of the vertex count")
 
     state = _build_reference_state(params, np.arange(n_vertices), faces, voxels, index_map)
-    if len(state.refined_voxels) != payload.n_refined_voxels:
+    if state.refined_plan.n != payload.n_refined_voxels:
         raise CorruptStreamError("refined voxel count disagrees with the header")
 
     symbols = _decode_planes(payload.color_payloads, state.refined_plan)

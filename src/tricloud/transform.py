@@ -11,9 +11,9 @@ alone.  After the top level a single low-pass value remains: sqrt(sum of
 weights) times the weighted mean of the input rows.
 
 :func:`raht_plan` walks the levels once per geometry.  The resulting
-:class:`RahtPlan` carries each level's sibling rows and butterfly gains, the
-final weight of every coefficient row and the coefficient order, so forward
-and inverse passes over any number of frames only gather, combine and scatter.
+:class:`RahtPlan` carries each level's sibling rows and butterfly gains and
+the coefficient order the final weights give, so forward and inverse passes
+over any number of frames only gather, combine and scatter.
 Both passes run all levels over one contiguous column at a time, with 1-D
 gains: the forward pass on a column-major copy of its input, the inverse on a
 copy of each column, written back into row-major (C-ordered) rows.  A 1-D
@@ -97,14 +97,13 @@ class RahtPlan:
     """Everything one voxel geometry implies for the transform (reusable across frames).
 
     n is the voxel count.  levels holds, bottom-up, only the bit-levels that
-    pair siblings, each with its butterfly gains.  weights is the propagated
-    weight of every coefficient row and order the decreasing-weight
-    serialization order; both are read-only.
+    pair siblings, each with its butterfly gains.  order is the read-only
+    serialization order of the coefficient rows, by decreasing propagated
+    weight.
     """
 
     n: int
     levels: tuple
-    weights: np.ndarray
     order: np.ndarray
 
 
@@ -145,9 +144,8 @@ def raht_plan(voxel_set: VoxelSet) -> RahtPlan:
         )
         indices = np.delete(indices, pos + 1)
     order = serialize_order(weights)
-    weights.flags.writeable = False
     order.flags.writeable = False
-    return RahtPlan(n=n, levels=tuple(levels), weights=weights, order=order)
+    return RahtPlan(n=n, levels=tuple(levels), order=order)
 
 
 @dataclass(frozen=True)
@@ -160,8 +158,8 @@ class CoefficientBlock:
 def raht_forward(plan: RahtPlan, attributes) -> CoefficientBlock:
     """Transform attribute rows over the plan's voxel geometry.
 
-    Returns the coefficient rows in voxel order; their weights are
-    ``plan.weights``.  The map is orthonormal, so energies are preserved
+    Returns the coefficient rows in voxel order; ``plan.order`` lists them
+    by decreasing weight.  The map is orthonormal, so energies are preserved
     exactly.
     """
     ta = np.array(_as_rows(attributes, plan.n, "attributes"), order="F")

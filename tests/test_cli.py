@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -226,16 +227,58 @@ def _tcb1_with_upsample_byte(value):
     return bytes(data)
 
 
+def _small_intra_gof():
+    """One intra-only frame (sphere, 20 faces, U = 1, depth 4), encoded."""
+    gof = datagen.gen_sequence("sphere", 1, n_faces=20, upsample=1, seed=1)[0]
+    return codec.encode_gof(gof, core.CodecParams(4, 1), intra_only=True)
+
+
+def _small_intra_tcb1(gof_fields, frame_fields):
+    """A TCB1 of that GOF with fields of its GOF record and of its frame record
+    replaced."""
+    encoded = _small_intra_gof()
+    frame = dataclasses.replace(encoded.frames[0], **frame_fields)
+    bits = io.BytesIO()
+    codec.write_bitstream(bits, [dataclasses.replace(encoded, frames=(frame,), **gof_fields)])
+    return bits.getvalue()
+
+
+def _index_runs_padded_to(total):
+    """That frame's index runs, with the last zero run grown to ``total`` entries."""
+    body = bytearray(zlib.decompress(_small_intra_gof().frames[0].index_run_bytes))
+    runs = np.frombuffer(bytes(body[4:]), dtype="<u4")
+    body[-4:] = struct.pack("<I", total - int(runs[:-1].sum()))
+    return zlib.compress(bytes(body))
+
+
+def _deflated_zeros():
+    """600 MiB of zeros, deflated 1 MiB at a time to about 0.6 MB."""
+    deflater = zlib.compressobj()
+    zeros = bytes(1 << 20)
+    return b"".join([*(deflater.compress(zeros) for _ in range(600)), deflater.flush()])
+
+
+# each case is built when its test runs, so collecting the tests deflates nothing
 _HOSTILE = {
     # 2^32-1 vertices declared, none present
-    "vertex-count": ("encode", _tcg1(2, 0xFFFFFFFF, 1)),
+    "vertex-count": ("encode", lambda: _tcg1(2, 0xFFFFFFFF, 1)),
     # 3 vertices and 1 face, but (U+1)(U+2)/2 colors for U = 2^32-1
-    "upsample": ("encode", _tcg1(0xFFFFFFFF, 3, 1, bytes(36) + struct.pack("<3I", 0, 1, 2))),
+    "upsample": ("encode", lambda: _tcg1(0xFFFFFFFF, 3, 1,
+                                         bytes(36) + struct.pack("<3I", 0, 1, 2))),
     # one GOF record that declares about 4 GiB and carries 10 bytes
-    "record-length": ("decode", codec.BITSTREAM_MAGIC + struct.pack("<HI", 1, 1)
+    "record-length": ("decode", lambda: codec.BITSTREAM_MAGIC + struct.pack("<HI", 1, 1)
                       + struct.pack("<I", 0xFFFFFFF0) + bytes(10)),
     # a GOF header whose U is about 8.3 million: 2 * 10^15 refined points
-    "gof-upsample": ("decode", _tcb1_with_upsample_byte(0x7F)),
+    "gof-upsample": ("decode", lambda: _tcb1_with_upsample_byte(0x7F)),
+    # 2^32-1 vertices declared, and index runs that expand to as many
+    "gof-vertex-count": ("decode", lambda: _small_intra_tcb1(
+        {"n_vertices": 0xFFFFFFFF}, {"index_run_bytes": _index_runs_padded_to(0xFFFFFFFF)})),
+    # 2^32-1 faces declared, and a face section that inflates to 600 MiB
+    "face-count": ("decode", lambda: _small_intra_tcb1(
+        {"n_faces": 0xFFFFFFFF}, {"face_bytes": _deflated_zeros()})),
+    # 2^32-1 voxels declared, and an octree section that inflates to 600 MiB
+    "voxel-count": ("decode", lambda: _small_intra_tcb1(
+        {}, {"n_voxels": 0xFFFFFFFF, "octree_bytes": _deflated_zeros()})),
 }
 
 
@@ -243,7 +286,7 @@ _HOSTILE = {
 def test_hostile_declared_length_exits_1_within_a_memory_cap(tmp_path, name):
     command, data = _HOSTILE[name]
     path = tmp_path / "hostile.bin"
-    path.write_bytes(data)
+    path.write_bytes(data())
     out = tmp_path / "out"
     result = subprocess.run(
         [sys.executable, "-c", _CAPPED_CLI, command, str(path), "-o", str(out)],

@@ -105,6 +105,15 @@ def test_encoder_and_decoder_buffers_bit_exact():
         assert np.array_equal(e_buf.refined_colors, d_buf.refined_colors)
 
 
+def _assert_same_plan(plan, fresh):
+    assert plan.n == fresh.n
+    assert np.array_equal(plan.order, fresh.order)
+    assert len(plan.levels) == len(fresh.levels)
+    for level, want in zip(plan.levels, fresh.levels):
+        for name in ("left_rows", "right_rows", "a", "b"):
+            assert np.array_equal(getattr(level, name), getattr(want, name)), name
+
+
 def test_reference_groupings_match_fresh_voxelization():
     # both sides' reference state must equal a fresh voxelization of the
     # canonical quantized vertices and of their refinement
@@ -116,13 +125,13 @@ def test_reference_groupings_match_fresh_voxelization():
     for state in (e_state, d_state):
         quantized = state.vertex_centers[state.vertex_index_map]
         res_v = geom.voxelize(quantized, None, params.depth)
-        assert np.array_equal(res_v.voxel_set.codes, state.vertex_voxels.codes)
+        _assert_same_plan(state.vertex_plan, transform.raht_plan(res_v.voxel_set))
         assert np.array_equal(res_v.index_map, state.vertex_index_map)
         centers = (geom.voxel_coords(res_v.voxel_set) + 0.5) * 2.0 ** -params.depth
         assert np.array_equal(centers, state.vertex_centers)
         refined = geom.refine(quantized, state.faces, params.upsample)
         res_r = geom.voxelize(refined, None, params.depth)
-        assert np.array_equal(res_r.voxel_set.codes, state.refined_voxels.codes)
+        _assert_same_plan(state.refined_plan, transform.raht_plan(res_r.voxel_set))
         assert np.array_equal(res_r.index_map, state.refined_index_map)
     assert np.array_equal(e_state.vertex_centers[e_state.vertex_index_map],
                           d_state.vertex_centers[d_state.vertex_index_map])
@@ -175,9 +184,34 @@ def test_hostile_deflate_sections_rejected_while_inflating(section):
     assert peak < 8 << 20
 
 
+@pytest.mark.parametrize("declared, error, message", [
+    ({"n_vertices": (1 << 24) + 1}, RangeError, "16777217 vertices exceed 16777216"),
+    # 2796203 faces refine to 6 points each at U = 2
+    ({"n_faces": 2796203}, RangeError, "16777218 refined points per frame exceed 16777216"),
+    ({"n_voxels": 0}, CorruptStreamError, "0 voxels declared for 40 vertices"),
+    ({"n_voxels": 41}, CorruptStreamError, "41 voxels declared for 40 vertices"),
+])
+def test_declared_sizes_refused_before_any_section_is_inflated(monkeypatch, declared, error,
+                                                               message):
+    def inflate(*args):
+        raise AssertionError("a section was inflated before the size check")
+
+    ref = _gof(n_frames=1).reference
+    params = _params()
+    payload, _, _ = codec.encode_reference(ref, params)
+    assert ref.n_vertices == 40
+    sizes = {"n_vertices": ref.n_vertices, "n_faces": ref.n_faces, "n_voxels": payload.n_voxels}
+    sizes.update(declared)
+    monkeypatch.setattr(codec, "inflate", inflate)
+    with pytest.raises(error, match=message):
+        codec.decode_reference(dataclasses.replace(payload, n_voxels=sizes["n_voxels"]),
+                               params, sizes["n_vertices"], sizes["n_faces"])
+
+
 def test_reference_sections_out_of_range_rejected():
-    # a face index past the vertex count, and an empty index map, must raise a
-    # stream error rather than escape from the geometry kernels
+    # a face index past the vertex count, an empty index map and one that
+    # misses voxels must raise a stream error rather than escape from the
+    # geometry kernels
     gof = _gof(n_frames=1)
     params = _params()
     ref = gof.reference
@@ -190,8 +224,13 @@ def test_reference_sections_out_of_range_rejected():
         codec.decode_reference(bad_faces, params, ref.n_vertices, ref.n_faces)
     no_runs = dataclasses.replace(
         payload, index_run_bytes=entropy.deflate(struct.pack("<I", 0)))
-    with pytest.raises(CorruptStreamError, match="does not cover"):
+    # no vertex can hold the declared voxels
+    with pytest.raises(CorruptStreamError, match="voxels declared for 0 vertices"):
         codec.decode_reference(no_runs, params, 0, ref.n_faces)
+    one_voxel = dataclasses.replace(
+        payload, index_run_bytes=entropy.index_runs_encode(np.zeros(ref.n_vertices, int)))
+    with pytest.raises(CorruptStreamError, match="does not cover"):
+        codec.decode_reference(one_voxel, params, ref.n_vertices, ref.n_faces)
 
 
 def test_vertex_coordinates_at_zero_encode():
@@ -422,15 +461,22 @@ def test_predicted_frame_count_mismatch_rejected():
         codec.encode_predicted(short, state, buf)
 
 
+class _FrameOfManyVertices(TriangleCloudFrame):
+    # a frame that reports the vertex cap's count without holding it
+    n_vertices = 1 << 24
+
+
 class _FrameOfTooManyVertices(TriangleCloudFrame):
-    # a frame that reports 2^32 vertices without holding them
-    n_vertices = 1 << 32
+    n_vertices = (1 << 24) + 1
 
 
-def test_encode_refuses_more_vertices_than_u32_face_indices_address():
+def test_encode_refuses_more_vertices_than_the_cap():
+    # the decoder's cap, so the encoder never writes a stream it refuses
     ref = _gof(n_frames=1).reference
+    frame = _FrameOfManyVertices(ref.vertices, ref.faces, ref.colors, ref.upsample)
+    assert codec.encode_frames([frame], 1, _params()).n_vertices == 1 << 24
     frame = _FrameOfTooManyVertices(ref.vertices, ref.faces, ref.colors, ref.upsample)
-    with pytest.raises(RangeError, match="face indices exceed u32"):
+    with pytest.raises(RangeError, match="16777217 vertices exceed 16777216"):
         codec.encode_frames([frame], 1, _params())
 
 
@@ -479,7 +525,7 @@ def test_decoded_frame_gather_allocates_only_its_output():
     _, state, buffer = codec.decode_reference(encoded.frames[0], params,
                                               encoded.n_vertices, encoded.n_faces)
     _, buffer = codec.decode_predicted(encoded.frames[1], state, buffer)
-    assert len(state.refined_voxels) > 90_000
+    assert state.refined_plan.n > 90_000
     tracemalloc.start()
     try:
         frame = buffer.frame(state)
@@ -513,7 +559,10 @@ def test_decode_frames_yields_decode_gof_one_frame_at_a_time():
 
 
 def test_octree_with_fewer_voxels_than_the_record_declares():
-    enc = codec.encode_gof(_gof(n_frames=2, seed=30), _params())
+    # at depth 4 two vertices share a voxel, so one more voxel than the octree
+    # holds is still no more than the vertex count
+    enc = codec.encode_gof(_gof(n_frames=2, seed=30), _params(depth=4))
+    assert enc.frames[0].n_voxels < enc.n_vertices
     record = bytearray(codec.serialize_gof_record(enc))
     # the reference frame's n_voxels follows the 45-byte header and its type tag
     struct.pack_into("<I", record, 46, enc.frames[0].n_voxels + 1)

@@ -107,6 +107,21 @@ def test_frame_records_are_laid_out_once():
     assert len(definitions) == 2, f"bit counts defined more than once: {definitions}"
 
 
+def test_every_dataclass_field_is_read_in_the_package():
+    # a field that no module reads as an attribute is state kept for nothing;
+    # what the tests read does not count
+    reads = {node.attr for path in MODULES
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    unread = [f"{path.stem}.{cls.__name__}.{field.name}"
+              for path in MODULES
+              for cls in vars(importlib.import_module(f"tricloud.{path.stem}")).values()
+              if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+              and cls.__module__ == f"tricloud.{path.stem}"
+              for field in dataclasses.fields(cls) if field.name not in reads]
+    assert not unread, f"dataclass fields nothing in the package reads: {unread}"
+
+
 def test_cli_runs_every_stage_one_frame_at_a_time():
     # encode, decode and eval stream frames in one process: no worker pool,
     # and none of the functions that hold a whole GOF

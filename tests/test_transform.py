@@ -73,7 +73,8 @@ def test_two_voxel_butterfly_matrix():
     m = transform.raht_forward(plan, np.eye(2)).coefficients
     r = 1.0 / math.sqrt(2.0)
     assert np.allclose(m, [[r, r], [-r, r]], atol=1e-12)
-    assert plan.weights.tolist() == [2, 2]
+    assert _plan_weights(plan).tolist() == [2, 2]
+    assert plan.order.tolist() == [0, 1]
 
 
 def test_three_voxel_weighted_matrix():
@@ -90,7 +91,8 @@ def test_three_voxel_weighted_matrix():
         [-s6, -s6, 2.0 * s6],    # detail of the weighted x-level merge
     ])
     assert np.allclose(m, expected, atol=1e-12)
-    assert plan.weights.tolist() == [3, 2, 3]
+    assert _plan_weights(plan).tolist() == [3, 2, 3]
+    assert plan.order.tolist() == [0, 2, 1]
 
 
 def test_serialize_order_descending_weight_stable():
@@ -102,6 +104,15 @@ def test_serialize_order_descending_weight_stable():
 
 def _stable_descending(weights):
     return np.argsort(-np.asarray(weights, dtype=np.int64), kind="stable")
+
+
+def _plan_weights(plan):
+    """The final weight of every coefficient row, from the plan's pairs alone."""
+    weights = np.ones(plan.n, dtype=np.int64)
+    for level in plan.levels:
+        weights[level.left_rows] += weights[level.right_rows]
+        weights[level.right_rows] = weights[level.left_rows]
+    return weights
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -151,8 +162,8 @@ def test_serialize_order_of_every_plan_of_the_tiny_workload_scenes(name, monkeyp
     raht_plan = codec.raht_plan
 
     def recording(voxel_set):
-        plans.append(raht_plan(voxel_set))
-        return plans[-1]
+        plans.append((voxel_set, raht_plan(voxel_set)))
+        return plans[-1][1]
 
     monkeypatch.setattr(codec, "raht_plan", recording)
     gof = datagen.gen_sequence(w.shape, w.frames, n_faces=w.faces, upsample=w.upsample,
@@ -160,8 +171,9 @@ def test_serialize_order_of_every_plan_of_the_tiny_workload_scenes(name, monkeyp
     codec.encode_gof(gof, CodecParams(workloads.DEPTH, w.upsample), intra_only=w.intra_only)
     # a vertex and a refined plan per reference frame
     assert len(plans) == 2 * (w.frames if w.intra_only else 1)
-    for plan in plans:
-        assert np.array_equal(plan.order, _stable_descending(plan.weights))
+    for voxel_set, plan in plans:
+        weights, _ = _running_walk(voxel_set.codes, voxel_set.depth)
+        assert np.array_equal(plan.order, _stable_descending(weights))
 
 
 def test_constant_signal_concentrates_in_dc():
@@ -171,7 +183,8 @@ def test_constant_signal_concentrates_in_dc():
     assert np.allclose(coeffs[0], 9.0 * math.sqrt(5.0), atol=1e-12)
     assert np.allclose(coeffs[1:], 0.0, atol=1e-12)
     # DC weight equals the point count
-    assert plan.weights[0] == 5
+    assert _plan_weights(plan)[0] == 5
+    assert plan.order[0] == 0
 
 
 def test_forward_inverse_identity_small():
@@ -187,7 +200,8 @@ def test_single_voxel_transform_is_identity():
     sig = np.array([[1.5, -2.0, 3.0]])
     block = transform.raht_forward(plan, sig)
     assert np.allclose(block.coefficients, sig)
-    assert plan.weights.tolist() == [1]
+    assert _plan_weights(plan).tolist() == [1]
+    assert plan.levels == () and plan.order.tolist() == [0]
 
 
 def test_plan_of_an_empty_set_is_refused():
@@ -228,11 +242,12 @@ def test_weights_sum_invariant(depth, seed):
     n = int(rng.integers(1, min(60, 8 ** depth) + 1))
     codes = np.sort(rng.choice(8 ** depth, size=n, replace=False).astype(np.int64))
     plan = _plan(codes, depth)
-    weights = plan.weights
-    assert weights.shape == (n,)
+    weights = _plan_weights(plan)
+    assert plan.n == n and plan.order.shape == (n,)
     assert weights[0] == n
     assert weights.min() >= 1
-    assert transform.serialize_order(weights)[0] == 0
+    assert np.array_equal(plan.order, transform.serialize_order(weights))
+    assert plan.order[0] == 0
 
 
 def _running_walk(codes, depth):
@@ -271,10 +286,8 @@ def test_plan_matches_running_weight_walk(depth, seed):
     codes = np.sort(rng.choice(8 ** depth, size=n, replace=False).astype(np.int64))
     plan = _plan(codes, depth)
     weights, levels = _running_walk(codes, depth)
-    assert np.array_equal(plan.weights, weights)
-    assert np.array_equal(plan.weights, weights)
-    assert np.array_equal(plan.order, transform.serialize_order(plan.weights))
-    assert not plan.weights.flags.writeable and not plan.order.flags.writeable
+    assert np.array_equal(plan.order, transform.serialize_order(weights))
+    assert not plan.order.flags.writeable
     assert len(plan.levels) == len(levels)
     for level, pairs in zip(plan.levels, levels):
         i0, i1, w0, w1 = (np.array(col) for col in zip(*pairs))
