@@ -24,9 +24,9 @@ colors.  Neighboring refined triangles put rows on the same points, so
 multiplicity, and the metrics weight by it; this equals the expanded cloud,
 where shared points repeat once per triangle (``tests/oracles.py`` builds it
 as the oracle the metrics are checked against).  Known results are not
-recomputed: refined vertices are copied rather than blended, the two faces
-of an axis share one pixel match, and matching finds a query's own voxel
-by Morton code.
+recomputed: refined vertices are copied rather than blended (at factor 1 not
+even copied), the two faces of an axis share one pixel match, and matching
+finds a query's own voxel by Morton code.
 
 Geometry PSNRs are normalized per coordinate against the unit bounding cube
 (width 1); color PSNRs against peak 255.  Zero error returns +inf.
@@ -48,7 +48,6 @@ from .errors import (
 )
 from .geom import (
     _blend,
-    _group_means,
     interpolation_lattice,
     refine,
     voxel_coords,
@@ -68,15 +67,25 @@ def _psnr(mse: float, peak_sq: float) -> float:
 
 def _pairs(refs, recons):
     """Yield (reference, reconstruction) from two non-empty sequences of equal
-    length, one pair at a time; a length mismatch is found when one side ends."""
-    t = 0
-    for t, (a, b) in enumerate(itertools.zip_longest(refs, recons), 1):
+    length, one pair at a time; a length mismatch is found when one side ends.
+
+    Each pair is drawn with next() and dropped before the next is read.  Not
+    itertools.zip_longest under enumerate: both keep their result tuple for
+    reuse, and while enumerate's still points at zip_longest's, zip_longest
+    builds a fresh one, so the kept tuple holds a pair until two more are read.
+    """
+    refs, recons = iter(refs), iter(recons)
+    for t in itertools.count():
+        a, b = next(refs, None), next(recons, None)
         if a is None or b is None:
-            side = "reconstruction" if b is None else "reference"
-            raise ShapeMismatchError(f"the {side} ends after {t - 1} frames, before the other")
+            if a is not b:
+                side = "reconstruction" if b is None else "reference"
+                raise ShapeMismatchError(f"the {side} ends after {t} frames, before the other")
+            if t == 0:
+                raise EmptySetError("no frames to compare")
+            return
         yield a, b
-    if t == 0:
-        raise EmptySetError("no frames to compare")
+        del a, b
 
 
 def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
@@ -116,11 +125,15 @@ def render_cloud(frame, interp: int = 1):
     point (see :func:`geom.interpolation_lattice`) comes once, weighted by
     the number of refined triangles that put it in the cloud.  Refined
     vertices (fractions 0) copy their refine rows; only the rest are blended.
+    At interp 1 every point is a refined vertex in refine's order, so nothing
+    is copied: the points are refine's output and the colors the frame's own.
     """
     steps, fractions, weights = interpolation_lattice(frame.upsample, interp)
     v_r = refine(frame.vertices, frame.faces, frame.upsample)
     if frame.n_colors != v_r.shape[0]:
         raise ConsistencyError(f"{frame.n_colors} colors for {v_r.shape[0]} refined vertices")
+    if interp == 1:
+        return v_r, frame.colors, np.repeat(weights, frame.n_faces)
     n_steps = expected_color_count(1, frame.upsample)  # rows of refine per face
     blended = np.flatnonzero(fractions.any(axis=1))
     a, b = (fractions[blended, k, None, None] for k in range(2))
@@ -132,17 +145,6 @@ def render_cloud(frame, interp: int = 1):
         out[blended] = _blend(out[blended], c2, c3, a, b)
         clouds.append(out.reshape(-1, 3))
     return clouds[0], clouds[1], np.repeat(weights, frame.n_faces)
-
-
-def _frame_pairs(ref_frames, recon_frames):
-    """Yield (reference frame, reconstruction frame) pairs, each checked as it arrives."""
-    for t, (a, b) in enumerate(_pairs(ref_frames, recon_frames)):
-        if a.n_faces != b.n_faces or a.upsample != b.upsample or a.n_colors != b.n_colors:
-            raise ShapeMismatchError(
-                f"frame {t}: face/upsample/color counts differ ({a.n_faces}/{a.upsample}/"
-                f"{a.n_colors} vs {b.n_faces}/{b.upsample}/{b.n_colors})"
-            )
-        yield a, b
 
 
 def _triangle_row(a, b, interp: int) -> np.ndarray:
@@ -200,7 +202,8 @@ def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp:
     report keys, in table order, to the figures pooled over the frames in the
     MSE domain; a projection PSNR is the mean over all 6 * 4^J pixels of
     every frame.  Projection and matching share each pair's render voxel sets
-    at `depth`, which are dropped before the next pair is read.
+    at `depth`.  Each pair and its voxel sets are dropped before the next
+    pair is read (see :func:`_pairs`).
     """
     unknown = [name for name in wanted if name not in METRICS]
     if unknown:
@@ -208,7 +211,12 @@ def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp:
     if depth is None and ("projection" in wanted or "matching" in wanted):
         raise ParameterError("projection and matching need a voxel depth")
     rows = []
-    for a, b in _frame_pairs(ref_frames, recon_frames):
+    for a, b in _pairs(ref_frames, recon_frames):
+        if a.n_faces != b.n_faces or a.upsample != b.upsample or a.n_colors != b.n_colors:
+            raise ShapeMismatchError(
+                f"frame {len(rows)}: face/upsample/color counts differ ({a.n_faces}/"
+                f"{a.upsample}/{a.n_colors} vs {b.n_faces}/{b.upsample}/{b.n_colors})"
+            )
         row = {}
         if "triangle" in wanted:
             row["triangle"] = _triangle_row(a, b, interp)
@@ -220,6 +228,7 @@ def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp:
                 row["matching"] = matching_distortion(*sets)
             del sets
         rows.append(row)
+        del a, b
     figures = {}
     for name in METRICS:
         if name in wanted:
@@ -243,25 +252,24 @@ def psnr_triangle_cloud(ref_frames, recon_frames, interp: int = 1):
 # projection onto the six cube faces
 # ---------------------------------------------------------------------------
 
-def _face_winners(coords: np.ndarray, depth: int):
-    """Visible voxels of the two cube faces on each axis, x then y then z.
+def _face_winners(coords: np.ndarray, depth: int, axis: int):
+    """Visible voxels of the two cube faces on one axis (0, 1, 2 for x, y, z).
 
-    Yields (keys, plus_rows, minus_rows) per axis: the sorted pixel keys
+    Returns (keys, plus_rows, minus_rows): the sorted pixel keys
     row * 2^J + col that the voxels at `coords` cover, which the + and -
     faces share, and for each key the row of the voxel nearest the + face
     and of the one nearest the - face.  The work depends on the voxel count,
-    not on 4^J.
+    not on 4^J; the sort's intermediates are gone once it returns.
     """
     size = 1 << depth
-    for axis in range(3):
-        pix = coords[:, (axis + 1) % 3] * size + coords[:, (axis + 2) % 3]
-        # voxels are unique, so the composite keys are too: each pixel's
-        # voxels form one run, nearest the -face first, nearest the +face last
-        order = np.argsort(pix * size + coords[:, axis])
-        sorted_pix = pix[order]
-        first = np.flatnonzero(np.diff(sorted_pix, prepend=-1))
-        last = np.flatnonzero(np.diff(sorted_pix, append=size * size))
-        yield sorted_pix[first], order[last], order[first]
+    pix = coords[:, (axis + 1) % 3] * size + coords[:, (axis + 2) % 3]
+    # voxels are unique, so the composite keys are too: each pixel's
+    # voxels form one run, nearest the -face first, nearest the +face last
+    order = np.argsort(pix * size + coords[:, axis])
+    pix = pix[order]
+    first = np.flatnonzero(np.diff(pix, prepend=-1))
+    last = np.flatnonzero(np.diff(pix, append=size * size))
+    return pix[first], order[last], order[first]
 
 
 def project_to_faces(voxel_set: VoxelSet) -> np.ndarray:
@@ -281,49 +289,65 @@ def project_to_faces(voxel_set: VoxelSet) -> np.ndarray:
     if voxel_set.attributes is None or voxel_set.attributes.shape[1] != 3:
         raise ConsistencyError("projection needs a voxel set with 3-component colors")
     pixels = images.reshape(6, size * size, 3)
-    for axis, (keys, *winners) in enumerate(_face_winners(voxel_coords(voxel_set), depth)):
+    coords = voxel_coords(voxel_set)
+    for axis in range(3):
+        keys, *winners = _face_winners(coords, depth, axis)
         for face, rows in enumerate(winners, start=2 * axis):
             pixels[face, keys] = voxel_set.attributes.take(rows, axis=0)
     return images
+
+
+def _covered_differences(a: VoxelSet, xyz_a: np.ndarray, b: VoxelSet, xyz_b: np.ndarray,
+                         axis: int):
+    """Render differences on the two faces of `axis` at the pixels a or b covers.
+
+    Yields one (pixels, 3) array at a time, per face (+ then -): c_a - c_b
+    where both sets cover a pixel, c_a - gray and c_b - gray where one does.
+    The pixel keys of a and b are matched once for both faces.
+    """
+    keys_a, *faces_a = _face_winners(xyz_a, a.depth, axis)
+    keys_b, *faces_b = _face_winners(xyz_b, b.depth, axis)
+    pos = np.searchsorted(keys_b, keys_a)
+    both = pos < keys_b.size
+    both[both] = keys_b[pos[both]] == keys_a[both]
+    pos = pos[both]
+    only_b = np.ones(keys_b.size, dtype=bool)
+    only_b[pos] = False
+    for rows_a, rows_b in zip(faces_a, faces_b):
+        yield a.attributes.take(rows_a[both], axis=0) - b.attributes.take(rows_b[pos], axis=0)
+        yield a.attributes.take(rows_a[~both], axis=0) - NEUTRAL_GRAY
+        yield b.attributes.take(rows_b[only_b], axis=0) - NEUTRAL_GRAY
 
 
 def _projection_sq_error(a: VoxelSet, b: VoxelSet) -> np.ndarray:
     """Per-channel squared error between the six-face renders of a and b.
 
     Equals the sum over all 6 * 4^J pixels of (render_a - render_b)^2, but
-    visits only the pixels some voxel covers: a pixel both sets cover adds
-    (c_a - c_b)^2, one covered by a single set adds (c - gray)^2, and gray
-    against gray adds nothing.  The two faces of an axis cover the same
-    pixels, so the pixel keys of a and b are matched once per axis.
+    visits only the pixels some voxel covers (:func:`_covered_differences`);
+    gray against gray adds nothing.  Each axis's pixel matches are dropped
+    before the next axis is sorted.
     """
     err = np.zeros(3)
-    axes_a = _face_winners(voxel_coords(a), a.depth)
-    axes_b = _face_winners(voxel_coords(b), b.depth)
-    for (keys_a, *faces_a), (keys_b, *faces_b) in zip(axes_a, axes_b):
-        pos = np.searchsorted(keys_b, keys_a)
-        both = pos < keys_b.size
-        both[both] = keys_b[pos[both]] == keys_a[both]
-        pos = pos[both]
-        only_b = np.ones(keys_b.size, dtype=bool)
-        only_b[pos] = False
-        for rows_a, rows_b in zip(faces_a, faces_b):
-            for d in (a.attributes.take(rows_a[both], axis=0)
-                      - b.attributes.take(rows_b[pos], axis=0),
-                      a.attributes.take(rows_a[~both], axis=0) - NEUTRAL_GRAY,
-                      b.attributes.take(rows_b[only_b], axis=0) - NEUTRAL_GRAY):
-                err += np.einsum("ij,ij->j", d, d)
+    xyz_a, xyz_b = voxel_coords(a), voxel_coords(b)
+    for axis in range(3):
+        for d in _covered_differences(a, xyz_a, b, xyz_b, axis):
+            err += np.einsum("ij,ij->j", d, d)
     return err
 
 
 def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
     """The render cloud of a frame voxelized at `depth`, colors averaged per voxel.
 
-    Each point's color counts with its multiplicity in :func:`render_cloud`.
+    Each point's color counts with its multiplicity in :func:`render_cloud`;
+    the colors are weighted one column at a time, inside its bincount.
     """
     points, colors, weights = render_cloud(frame, interp)
     vox = voxelize(points, None, depth)
-    mass = np.bincount(vox.index_map, weights=weights, minlength=len(vox.voxel_set))
-    means = _group_means(colors * weights[:, None], vox.index_map, mass)
+    n = len(vox.voxel_set)
+    means = np.empty((n, 3))
+    for k in range(3):
+        means[:, k] = np.bincount(vox.index_map, weights=colors[:, k] * weights, minlength=n)
+    means /= np.bincount(vox.index_map, weights=weights, minlength=n)[:, None]
     return VoxelSet(depth, vox.voxel_set.codes, means)
 
 
@@ -371,13 +395,14 @@ def _nearest(query_set: VoxelSet, query: np.ndarray,
     """
     size = 1 << query_set.depth
     n_target = target.shape[0]
-    pos = np.minimum(np.searchsorted(target_set.codes, query_set.codes), n_target - 1)
-    hit = target_set.codes[pos] == query_set.codes
-    idx = np.where(hit, pos, n_target)
+    idx = np.minimum(np.searchsorted(target_set.codes, query_set.codes), n_target - 1)
+    hit = target_set.codes[idx] == query_set.codes
+    idx[~hit] = n_target
     key = np.array([size * size, size, 1], dtype=np.int64)
     query_keys = query @ key
-    order = np.argsort(target @ key)
-    target_keys = target[order] @ key
+    target_keys = target @ key
+    order = np.argsort(target_keys)
+    target_keys = target_keys[order]
     lo = [target[:, axis].min() for axis in range(3)]
     hi = [target[:, axis].max() for axis in range(3)]
     open_rows = np.flatnonzero(~hit)[np.argsort(query_keys[~hit])]
@@ -391,8 +416,10 @@ def _nearest(query_set: VoxelSet, query: np.ndarray,
             break
         inside = np.ones((offsets.shape[0], open_rows.size), dtype=bool)
         for axis in range(3):
-            cand = query[open_rows, axis] + offsets[:, axis, None]
-            inside &= (cand >= lo[axis]) & (cand <= hi[axis])
+            # lo <= coordinate + offset <= hi, with no (offsets, queries) sum
+            q = query[open_rows, axis]
+            inside &= offsets[:, axis, None] >= lo[axis] - q
+            inside &= offsets[:, axis, None] <= hi[axis] - q
         keys = query_keys[open_rows]
         for offset_key, offset_inside in zip(offsets @ key, inside):
             sel = np.flatnonzero(offset_inside)

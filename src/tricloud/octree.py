@@ -41,7 +41,9 @@ def octree_serialize(voxel_set: VoxelSet) -> bytes:
     occupancy = []
     parents = np.zeros(1, dtype=np.int64)  # the root; each level's children parent the next
     for d in range(depth):
-        children = np.unique(codes >> np.int64(3 * (depth - d - 1)))
+        prefixes = codes >> np.int64(3 * (depth - d - 1))
+        # codes are sorted, so each prefix is one run: its first row is the child
+        children = prefixes[np.flatnonzero(np.diff(prefixes, prepend=-1))]
         rows = np.searchsorted(parents, children >> 3)
         bits = np.int64(0x80) >> (children & 7)
         node_bytes = np.zeros(parents.size, dtype=np.int64)

@@ -1,13 +1,15 @@
 """Distortion and rate metrics, checked against hand-worked instances."""
 
+import dataclasses
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from oracles import blended_render_cloud, refine_interpolate, refined_interpolated_cloud
-from tricloud import core, geom, metrics
+from tricloud import core, datagen, geom, metrics
 from tricloud.errors import (
     ConsistencyError,
     EmptySetError,
@@ -170,6 +172,31 @@ def test_evaluate_reports_each_metric_under_its_table_keys():
     assert figures["psnr_g_matching"] == -10.0 * math.log10(d_g2 / 3.0)
 
 
+def _tracked(frames, side, alive, stale):
+    """Yield a fresh copy of each frame, holding none of them; as frame t is
+    drawn, record in `stale` every tracked frame of either side before t that
+    is still alive."""
+    def track(t, copy):
+        alive[side, t] = weakref.ref(copy)
+        return copy
+
+    for t, frame in enumerate(frames):
+        stale.extend(key for key, ref in alive.items() if key[1] < t and ref() is not None)
+        yield track(t, dataclasses.replace(frame))
+
+
+def test_evaluate_holds_one_frame_pair_at_a_time():
+    # drawing pair t finds every frame of pairs before t gone: no iterator
+    # keeps a pair it has handed on
+    refs, recons = _noisy_pairs(seeds=(6, 7, 8, 9, 10))
+    alive, stale = {}, []
+    _, rows = metrics.evaluate(_tracked(refs, "reference", alive, stale),
+                               _tracked(recons, "reconstruction", alive, stale),
+                               list(metrics.METRICS), depth=5)
+    assert len(rows) == 5 and len(alive) == 10
+    assert stale == []
+
+
 def test_evaluate_validation():
     refs, recons = _noisy_pairs(seeds=(6,))
     with pytest.raises(ParameterError, match="unknown metric 'hausdorff'"):
@@ -239,6 +266,30 @@ def test_render_cloud_is_the_blended_cloud_byte_for_byte(upsample, interp):
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
+
+
+def test_render_at_factor_one_copies_nothing():
+    # at factor one every point is a refined vertex: the cloud is refine's
+    # output and the frame's own colors, and the voxel means weight one color
+    # column at a time (about 130k points; the frame is made untraced)
+    f = datagen.gen_sequence("sphere", 1, n_faces=2000, upsample=10, seed=1)[0].reference
+
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            out = fn(*args)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    points, refine_peak = peak(geom.refine, f.vertices, f.faces, f.upsample)
+    _, voxelize_peak = peak(geom.voxelize, points, None, 10)
+    (got, colors, weights), render_peak = peak(metrics.render_cloud, f, 1)
+    assert render_peak <= refine_peak + weights.nbytes
+    assert colors is f.colors and got.tobytes() == points.tobytes()
+    _, voxels_peak = peak(metrics._render_voxels, f, 10, 1)
+    column = f.colors[:, 0].nbytes
+    assert voxels_peak <= points.nbytes + weights.nbytes + voxelize_peak + column
 
 
 def test_render_cloud_validation():
