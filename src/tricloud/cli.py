@@ -200,7 +200,8 @@ def _read_frames(path):
     one at a time as they are asked for."""
     containers = iter_gof_file(path)
     header, frames = next(containers)
-    return header.depth, itertools.chain(frames, (f for _, fs in containers for f in fs))
+    return header.depth, itertools.chain(frames, itertools.chain.from_iterable(
+        fs for _, fs in containers))
 
 
 def _fmt(value) -> str:

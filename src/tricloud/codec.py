@@ -19,11 +19,12 @@ by calling the decoder's step (:func:`_reconstruct`, :meth:`FrameBuffer.advance`
 on the same integers, which is what makes encoder and decoder buffers
 bit-identical.
 
-The duplicate-index run coder expects the vertex list in spatial scan order
-(nondecreasing voxel index), so the encoder reorders the GOF's vertices once
-by the Morton code of their quantized reference positions and re-indexes the
-faces to match.  Decoded frames come back in that canonical order; refined
-points and colors are unaffected because they are generated per face.
+The vertex order belongs to the stream: the intra payload codes the index map
+and the faces under a stable sort of the vertices by voxel index, so the
+duplicate-index run coder sees them in spatial scan order, and decoded frames
+come back in that canonical order.  Each side's reference state labels
+vertices as its own frames do; the sort keeps each voxel's vertices in input
+order, so per-voxel sums add the same floats either way.
 """
 
 from __future__ import annotations
@@ -172,22 +173,19 @@ class EncodedGof:
 class ReferenceState:
     """Geometry-derived context shared by every frame of a GOF (both sides).
 
-    vertex_permutation maps canonical (coded) vertex rows to the caller's
-    original rows; on the decoder side it is the identity.  faces and
-    vertex_index_map are stored in canonical order: a vertex quantizes to the
-    center of its voxel, vertex_centers[vertex_index_map].  Each plan carries
-    its voxel count and the coefficient order its planes are coded in.
+    faces and vertex_index_map label vertices as the frames on the state's
+    own side do: the encoder's in input order, the decoder's in the canonical
+    order of the stream.  A vertex quantizes to the center of its voxel,
+    vertex_centers[vertex_index_map].  Each plan carries its voxel count and
+    the coefficient order its planes are coded in.
     """
 
     params: CodecParams
-    vertex_permutation: np.ndarray
     faces: np.ndarray
     vertex_centers: np.ndarray
     vertex_index_map: np.ndarray
-    vertex_counts: np.ndarray
     vertex_plan: RahtPlan
     refined_index_map: np.ndarray
-    refined_counts: np.ndarray
     refined_plan: RahtPlan
 
 
@@ -250,27 +248,23 @@ def _check_sizes(params: CodecParams, n_vertices: int, n_faces: int, n_voxels: i
         raise CorruptStreamError(f"{n_voxels} voxels declared for {n_vertices} vertices")
 
 
-def _build_reference_state(params: CodecParams, vertex_permutation: np.ndarray,
-                           faces: np.ndarray, voxels: VoxelSet,
+def _build_reference_state(params: CodecParams, faces: np.ndarray, voxels: VoxelSet,
                            index_map: np.ndarray) -> ReferenceState:
     """Everything derivable from the vertex voxels, the index map and the faces.
 
-    index_map gives, for every vertex in canonical (spatial scan) order, its
-    row in voxels; a quantized vertex is the center of its voxel.
+    index_map gives every vertex's row in voxels, in the labeling of faces; a
+    quantized vertex is the center of its voxel.
     """
     centers = (voxel_coords(voxels) + 0.5) * (2.0 ** -params.depth)
     refined = refine(centers[index_map], faces, params.upsample)
     res_r = voxelize(refined, None, params.depth)
     return ReferenceState(
         params=params,
-        vertex_permutation=vertex_permutation,
         faces=faces,
         vertex_centers=centers,
         vertex_index_map=index_map,
-        vertex_counts=np.bincount(index_map, minlength=len(voxels)),
         vertex_plan=raht_plan(voxels),
         refined_index_map=res_r.index_map,
-        refined_counts=np.bincount(res_r.index_map, minlength=len(res_r.voxel_set)),
         refined_plan=raht_plan(res_r.voxel_set),
     )
 
@@ -281,28 +275,25 @@ def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
         raise ParameterError(
             f"frame upsample {frame.upsample} != codec upsample {params.upsample}"
         )
-    # canonicalize: vertices in spatial scan order so the duplicate-index map
-    # grows in unit/zero steps; faces re-indexed to the new rows.  Permuting
-    # the points changes only the index map of their voxelization.
     res_v = voxelize(frame.vertices, None, params.depth)
     _check_sizes(params, frame.n_vertices, frame.n_faces, len(res_v.voxel_set))
+    state = _build_reference_state(params, frame.faces, res_v.voxel_set, res_v.index_map)
+
+    # colors ride on the refined quantized vertices, averaged per voxel
+    colors_v = _group_means(frame.colors, state.refined_index_map, state.refined_plan.n)
+    symbols = _quantize(state.refined_plan, colors_v, params.step_color_intra)
+
+    # the stream's canonical order: vertices in spatial scan order, so the
+    # duplicate-index map grows in unit/zero steps, and faces re-indexed to it
     perm = np.argsort(res_v.index_map, kind="stable")
     inverse_perm = np.empty_like(perm)
     inverse_perm[perm] = np.arange(perm.size)
-    faces = inverse_perm[frame.faces]
-    state = _build_reference_state(params, perm, faces, res_v.voxel_set,
-                                   res_v.index_map[perm])
-
-    # colors ride on the refined quantized vertices, averaged per voxel
-    colors_v = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
-    symbols = _quantize(state.refined_plan, colors_v, params.step_color_intra)
-
     payload = IntraPayload(
         n_voxels=state.vertex_plan.n,
         n_refined_voxels=state.refined_plan.n,
         octree_bytes=deflate(octree_serialize(res_v.voxel_set)),
-        index_run_bytes=index_runs_encode(state.vertex_index_map),
-        face_bytes=deflate(faces.astype("<u4").tobytes()),
+        index_run_bytes=index_runs_encode(res_v.index_map[perm]),
+        face_bytes=deflate(inverse_perm[frame.faces].astype("<u4").tobytes()),
         color_payloads=_code_planes(symbols, state.refined_plan),
     )
     return payload, state, symbols
@@ -338,7 +329,7 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
     if faces.size and faces.max() >= n_vertices:
         raise CorruptStreamError("face index out of range of the vertex count")
 
-    state = _build_reference_state(params, np.arange(n_vertices), faces, voxels, index_map)
+    state = _build_reference_state(params, faces, voxels, index_map)
     if state.refined_plan.n != payload.n_refined_voxels:
         raise CorruptStreamError("refined voxel count disagrees with the header")
 
@@ -359,12 +350,11 @@ def _encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
         raise ConsistencyError("predicted frame color count differs from the reference")
 
     # the residuals are formed in place, in the per-voxel means' own arrays
-    motion = _group_means(frame.vertices[state.vertex_permutation],
-                          state.vertex_index_map, state.vertex_counts)
+    motion = _group_means(frame.vertices, state.vertex_index_map, state.vertex_plan.n)
     motion -= buffer.vertex_positions
     motion *= float(1 << params.depth)
     motion_symbols = _quantize(state.vertex_plan, motion, params.step_motion)
-    colors = _group_means(frame.colors, state.refined_index_map, state.refined_counts)
+    colors = _group_means(frame.colors, state.refined_index_map, state.refined_plan.n)
     colors -= buffer.refined_colors
     color_symbols = _quantize(state.refined_plan, colors, params.step_color_inter)
 
@@ -459,7 +449,7 @@ def decode_frames(encoded: EncodedGof):
                 raise CorruptStreamError("predicted frame before any reference frame")
             frame, buffer = decode_predicted(payload, state, buffer)
         yield frame
-        del frame  # the consumer's reference is the only one left
+        del frame  # dropped before the next frame is decoded, not while suspended
 
 
 def decode_gof(encoded: EncodedGof) -> GroupOfFrames:

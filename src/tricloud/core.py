@@ -344,6 +344,16 @@ def write_gof_frames(fp, header: GofHeader, frames) -> None:
         raise ConsistencyError(f"more frames than the {header.n_frames} declared")
 
 
+def _read_checked(fp, t: int, header: GofHeader, faces: np.ndarray,
+                  n_vertices: int) -> TriangleCloudFrame:
+    """Read frame ``t`` (from 1) of a TCG1 container, checked against its header."""
+    frame, depth = read_frame(fp, faces=faces)
+    if depth != header.depth:
+        raise ConsistencyError("frames within a TCG1 container disagree on depth")
+    check_frame(frame, t, header.upsample, faces, n_vertices)
+    return frame
+
+
 def read_gof_frames(fp):
     """Read one TCG1 container a frame at a time; returns (GofHeader, frames).
 
@@ -351,7 +361,7 @@ def read_gof_frames(fp):
     yields the reference frame, then reads each predicted frame when it is
     asked for.  Every frame is checked (:func:`check_frame`) as it is read, so
     the frames need no :func:`validate_gof` after.  Only the reference frame's
-    faces are kept, not the frames themselves.
+    faces are kept, and no frame once it is yielded, so a dropped frame is freed.
     """
     magic = _read_exact(fp, 4)
     if magic != GOF_MAGIC:
@@ -364,20 +374,12 @@ def read_gof_frames(fp):
     faces, n_vertices = first.faces, first.n_vertices
     check_frame(first, 0, header.upsample, faces, n_vertices)
 
-    def frames(frame):
-        yield frame
-        # each frame is dropped before the next is read: the consumer's
-        # reference is the only one left
-        del frame
+    def frames(pending):
+        yield pending.pop()  # the list lets go of the reference frame as it is yielded
         for t in range(1, n_frames):
-            frame, frame_depth = read_frame(fp, faces=faces)
-            if frame_depth != depth:
-                raise ConsistencyError("frames within a TCG1 container disagree on depth")
-            check_frame(frame, t, header.upsample, faces, n_vertices)
-            yield frame
-            del frame
+            yield _read_checked(fp, t, header, faces, n_vertices)
 
-    return header, frames(first)
+    return header, frames([first])
 
 
 def write_gof_file(path, gofs, depth: int) -> None:

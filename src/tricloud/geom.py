@@ -182,13 +182,13 @@ def interpolation_lattice(upsample: int, interp: int):
     return steps, fractions, weights
 
 
-def _group_means(values: np.ndarray, index_map: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-group arithmetic means of rows, groups given by index_map."""
-    n_groups = counts.size
+def _group_means(values: np.ndarray, index_map: np.ndarray, n_groups: int) -> np.ndarray:
+    """Per-group arithmetic means of rows, row i in group index_map[i] of
+    n_groups; each group's rows are summed in row order."""
     out = np.empty((n_groups, values.shape[1]))
     for k in range(values.shape[1]):
         out[:, k] = np.bincount(index_map, weights=values[:, k], minlength=n_groups)
-    out /= counts[:, None]
+    out /= np.bincount(index_map, minlength=n_groups)[:, None]
     return out
 
 
@@ -231,7 +231,7 @@ def voxelize(points, attributes, depth: int) -> VoxelizationResult:
     means = None
     if attributes is not None:
         attrs = _as_rows(attributes, points.shape[0], "attributes")
-        means = _group_means(attrs, inverse, np.bincount(inverse, minlength=unique_codes.size))
+        means = _group_means(attrs, inverse, unique_codes.size)
 
     voxel_set = VoxelSet(depth, unique_codes, means)
     return VoxelizationResult(voxel_set, inverse)

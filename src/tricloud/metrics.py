@@ -65,27 +65,17 @@ def _psnr(mse: float, peak_sq: float) -> float:
     return -10.0 * math.log10(mse / peak_sq)
 
 
-def _pairs(refs, recons):
-    """Yield (reference, reconstruction) from two non-empty sequences of equal
-    length, one pair at a time; a length mismatch is found when one side ends.
-
-    Each pair is drawn with next() and dropped before the next is read.  Not
-    itertools.zip_longest under enumerate: both keep their result tuple for
-    reuse, and while enumerate's still points at zip_longest's, zip_longest
-    builds a fresh one, so the kept tuple holds a pair until two more are read.
-    """
-    refs, recons = iter(refs), iter(recons)
-    for t in itertools.count():
-        a, b = next(refs, None), next(recons, None)
-        if a is None or b is None:
-            if a is not b:
-                side = "reconstruction" if b is None else "reference"
-                raise ShapeMismatchError(f"the {side} ends after {t} frames, before the other")
-            if t == 0:
-                raise EmptySetError("no frames to compare")
-            return
-        yield a, b
-        del a, b
+def _next_pair(refs, recons, t: int):
+    """(reference, reconstruction) of pair ``t`` (from 0) of two iterators, or
+    (None, None) once both end after one pair or more.  A function, not a
+    generator: a suspended generator holds the pair it yielded until resumed."""
+    a, b = next(refs, None), next(recons, None)
+    if (a is None or b is None) and a is not b:
+        side = "reconstruction" if b is None else "reference"
+        raise ShapeMismatchError(f"the {side} ends after {t} frames, before the other")
+    if a is None and t == 0:
+        raise EmptySetError("no frames to compare")
+    return a, b
 
 
 def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
@@ -96,11 +86,14 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
     3*N; kind "color" expects a single component of shape (N,) and
     normalizes by 255^2*N.  Frames are averaged in the MSE domain.
     """
-    pairs = list(_pairs(ref_attrs, recon_attrs))
     if kind not in ("geometry", "color"):
         raise ParameterError(f"kind must be 'geometry' or 'color', got {kind!r}")
+    refs, recons = iter(ref_attrs), iter(recon_attrs)
     total = 0.0
-    for t, (a, b) in enumerate(pairs):
+    for t in itertools.count():
+        a, b = _next_pair(refs, recons, t)
+        if a is None:
+            return _psnr(total / t, 1.0)
         a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
         if a.shape != b.shape:
             raise ShapeMismatchError(f"frame {t}: shapes {a.shape} vs {b.shape}")
@@ -114,7 +107,6 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
                     f"frame {t}: color expects one component, got shape {a.shape}"
                 )
             total += float(np.sum((a - b) ** 2)) / (255.0 ** 2 * a.shape[0])
-    return _psnr(total / len(pairs), 1.0)
 
 
 def render_cloud(frame, interp: int = 1):
@@ -202,16 +194,20 @@ def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp:
     report keys, in table order, to the figures pooled over the frames in the
     MSE domain; a projection PSNR is the mean over all 6 * 4^J pixels of
     every frame.  Projection and matching share each pair's render voxel sets
-    at `depth`.  Each pair and its voxel sets are dropped before the next
-    pair is read (see :func:`_pairs`).
+    at `depth`.  Each pair is dropped once its voxel sets are made, and the
+    sets before the next pair is read (see :func:`_next_pair`).
     """
     unknown = [name for name in wanted if name not in METRICS]
     if unknown:
         raise ParameterError(f"unknown metric {unknown[0]!r}; choose from {', '.join(METRICS)}")
     if depth is None and ("projection" in wanted or "matching" in wanted):
         raise ParameterError("projection and matching need a voxel depth")
+    refs, recons = iter(ref_frames), iter(recon_frames)
     rows = []
-    for a, b in _pairs(ref_frames, recon_frames):
+    while True:
+        a, b = _next_pair(refs, recons, len(rows))
+        if a is None:
+            break
         if a.n_faces != b.n_faces or a.upsample != b.upsample or a.n_colors != b.n_colors:
             raise ShapeMismatchError(
                 f"frame {len(rows)}: face/upsample/color counts differ ({a.n_faces}/"
@@ -220,15 +216,15 @@ def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp:
         row = {}
         if "triangle" in wanted:
             row["triangle"] = _triangle_row(a, b, interp)
-        if "projection" in wanted or "matching" in wanted:
-            sets = _render_voxels(a, depth, interp), _render_voxels(b, depth, interp)
-            if "projection" in wanted:
-                row["projection"] = _projection_sq_error(*sets)
-            if "matching" in wanted:
-                row["matching"] = matching_distortion(*sets)
-            del sets
+        sets = ((_render_voxels(a, depth, interp), _render_voxels(b, depth, interp))
+                if "projection" in wanted or "matching" in wanted else None)
+        del a, b  # projection and matching read the sets alone
+        if "projection" in wanted:
+            row["projection"] = _projection_sq_error(*sets)
+        if "matching" in wanted:
+            row["matching"] = matching_distortion(*sets)
         rows.append(row)
-        del a, b
+        del sets
     figures = {}
     for name in METRICS:
         if name in wanted:

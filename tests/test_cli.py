@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -653,6 +654,19 @@ def _peaks(tmp_path, gofs):
         finally:
             tracemalloc.stop()
     return peaks
+
+
+def test_readers_hold_no_frame_they_have_yielded(tmp_path):
+    # a frame the consumer drops is freed at once, while the reader is
+    # suspended; two containers, so the CLI reader crosses into a second one
+    path = tmp_path / "seq.tcg"
+    gofs = datagen.gen_sequence("sphere", 4, n_faces=20, upsample=2, seed=3, gof_size=2)
+    core.write_gof_file(path, gofs, 8)
+    drawn = []
+    for _, frames in core.iter_gof_file(path):
+        drawn += [ref() is None for ref in map(weakref.ref, frames)]
+    drawn += [ref() is None for ref in map(weakref.ref, cli._read_frames(path)[1])]
+    assert drawn == [True] * 8
 
 
 def test_memory_stays_flat_in_frames_and_in_gofs(tmp_path, capsys):

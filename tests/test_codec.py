@@ -115,8 +115,9 @@ def _assert_same_plan(plan, fresh):
 
 
 def test_reference_groupings_match_fresh_voxelization():
-    # both sides' reference state must equal a fresh voxelization of the
-    # canonical quantized vertices and of their refinement
+    # both sides' reference state must equal a fresh voxelization of its own
+    # quantized vertices (the encoder's in input order, the decoder's in
+    # canonical order) and of their refinement
     gof = _gof(n_frames=1, seed=6)
     params = _params()
     ref = gof.reference
@@ -133,9 +134,36 @@ def test_reference_groupings_match_fresh_voxelization():
         res_r = geom.voxelize(refined, None, params.depth)
         _assert_same_plan(state.refined_plan, transform.raht_plan(res_r.voxel_set))
         assert np.array_equal(res_r.index_map, state.refined_index_map)
-    assert np.array_equal(e_state.vertex_centers[e_state.vertex_index_map],
-                          d_state.vertex_centers[d_state.vertex_index_map])
-    assert np.array_equal(e_state.faces, d_state.faces)
+    # the labels differ, the corners of every face do not
+    assert np.array_equal(e_state.vertex_centers[e_state.vertex_index_map][e_state.faces],
+                          d_state.vertex_centers[d_state.vertex_index_map][d_state.faces])
+
+
+def _canonical(frame, perm):
+    """frame with its vertices relabeled so that canonical row i is input row perm[i]."""
+    inverse_perm = np.empty_like(perm)
+    inverse_perm[perm] = np.arange(perm.size)
+    return TriangleCloudFrame(frame.vertices[perm], inverse_perm[frame.faces], frame.colors,
+                              frame.upsample)
+
+
+def test_either_sides_state_codes_a_predicted_frame_alike():
+    # the encoder's state labels vertices in input order and the decoder's in
+    # canonical order; on the same frame in each labeling they code the same
+    # bytes and step to the same buffer
+    gof = _gof(n_frames=3, seed=12)
+    params = _params(step_motion=2.0, step_color_inter=4.0)
+    ref = gof.reference
+    payload, e_state, e_buf = codec.encode_reference(ref, params)
+    _, d_state, d_buf = codec.decode_reference(payload, params, ref.n_vertices, ref.n_faces)
+    perm = np.argsort(geom.voxelize(ref.vertices, None, params.depth).index_map, kind="stable")
+    assert not np.array_equal(perm, np.arange(perm.size))
+    for frame in gof.frames[1:]:
+        e_payload, e_buf = codec.encode_predicted(frame, e_state, e_buf)
+        d_payload, d_buf = codec.encode_predicted(_canonical(frame, perm), d_state, d_buf)
+        assert e_payload == d_payload
+        assert np.array_equal(e_buf.vertex_positions, d_buf.vertex_positions)
+        assert np.array_equal(e_buf.refined_colors, d_buf.refined_colors)
 
 
 def test_hostile_index_runs_rejected_before_expansion():
@@ -249,7 +277,9 @@ def test_vertex_coordinates_at_zero_encode():
     buf.seek(0)
     rec = codec.decode_gof(codec.read_bitstream(buf)[0])
     assert rec.n_frames == 2
-    perm = codec.encode_reference(gof.reference, params)[1].vertex_permutation
+    # the canonical order: a stable sort of the vertices by voxel index
+    perm = np.argsort(geom.voxelize(gof.reference.vertices, None, params.depth).index_map,
+                      kind="stable")
     vertices = np.asarray(rec.reference.vertices)
     center = 2.0 ** -(params.depth + 1)
     assert vertices[np.flatnonzero(perm == 0)[0], 0] == center

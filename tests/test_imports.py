@@ -122,6 +122,22 @@ def test_every_dataclass_field_is_read_in_the_package():
     assert not unread, f"dataclass fields nothing in the package reads: {unread}"
 
 
+def test_reference_state_holds_only_what_the_decoder_reads():
+    # both sides build the same state, so a field the decode path never reads
+    # is encoder-only state the decoder builds for nothing
+    tree = ast.parse((SRC / "codec.py").read_text(encoding="utf-8"))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    decode_path = [node for node in tree.body + classes["FrameBuffer"].body
+                   if isinstance(node, ast.FunctionDef) and node.name in (
+                       "decode_reference", "decode_predicted", "advance", "frame")]
+    assert len(decode_path) == 4
+    reads = {node.attr for func in decode_path for node in ast.walk(func)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [field.name for field in dataclasses.fields(codec.ReferenceState)]
+    unread = [name for name in fields if name not in reads]
+    assert not unread, f"ReferenceState fields the decode path never reads: {unread}"
+
+
 def test_cli_runs_every_stage_one_frame_at_a_time():
     # encode, decode and eval stream frames in one process: no worker pool,
     # and none of the functions that hold a whole GOF

@@ -197,6 +197,29 @@ def test_evaluate_holds_one_frame_pair_at_a_time():
     assert stale == []
 
 
+def test_evaluate_frees_a_pair_once_its_voxel_sets_are_built(monkeypatch):
+    # projection and matching read only the render voxel sets, so no frame
+    # of the pair may be alive while they run
+    refs, recons = _noisy_pairs(seeds=(6, 7))
+    alive, stale, held = {}, [], []
+
+    def check(name):
+        original = getattr(metrics, name)
+
+        def wrapper(*sets):
+            held.extend(key for key, ref in alive.items() if ref() is not None)
+            return original(*sets)
+        monkeypatch.setattr(metrics, name, wrapper)
+
+    check("_projection_sq_error")
+    check("matching_distortion")
+    _, rows = metrics.evaluate(_tracked(refs, "reference", alive, stale),
+                               _tracked(recons, "reconstruction", alive, stale),
+                               ["projection", "matching"], depth=5)
+    assert len(rows) == 2 and len(alive) == 4
+    assert held == []
+
+
 def test_evaluate_validation():
     refs, recons = _noisy_pairs(seeds=(6,))
     with pytest.raises(ParameterError, match="unknown metric 'hausdorff'"):
