@@ -101,7 +101,6 @@ from .transform import (
     MIDSTEP,
     CoefficientBlock,
     RahtPlan,
-    dequantize_indices,
     quantize,
     raht_forward,
     raht_inverse,

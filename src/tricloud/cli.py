@@ -230,6 +230,8 @@ def _eval_usage_error(args, wanted) -> str | None:
         return f"--metrics names no metric; choose from {', '.join(METRICS)}"
     if args.svg and "triangle" not in wanted:
         return "--svg plots the triangle metric, which --metrics leaves out"
+    if args.uinterp < 1:
+        return f"--uinterp must be >= 1, got {args.uinterp}"
     return None
 
 

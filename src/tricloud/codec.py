@@ -15,9 +15,9 @@ step_motion is expressed in voxels; colors stay in native 0..255 units.
 
 Everything the decoder derives (index maps, transform plans, weight order) is
 recomputed from decoded geometry, never transmitted.  The encoder reconstructs
-by calling the decoder's step (:func:`_reconstruct`, :meth:`FrameBuffer.advance`)
-on the same integers, which is what makes encoder and decoder buffers
-bit-identical.
+by calling the decoder's step (:meth:`FrameBuffer.advance`, and :func:`raht_inverse`
+with the step) on the same integers, which is what makes encoder and decoder
+buffers bit-identical.
 
 The vertex order belongs to the stream: the intra payload codes the index map
 and the faces under a stable sort of the vertices by voxel index, so the
@@ -66,7 +66,6 @@ from .octree import octree_parse, octree_serialize
 from .transform import (
     RahtPlan,
     _bin_indices,
-    dequantize_indices,
     raht_forward,
     raht_inverse,
     raht_plan,
@@ -200,8 +199,8 @@ class FrameBuffer:
                 color_symbols: np.ndarray) -> FrameBuffer:
         """The closed-loop step of a predicted frame: add the decoded residuals."""
         params = state.params
-        motion = _reconstruct(state.vertex_plan, motion_symbols, params.step_motion)
-        colors = _reconstruct(state.refined_plan, color_symbols, params.step_color_inter)
+        motion = raht_inverse(state.vertex_plan, motion_symbols, params.step_motion)
+        colors = raht_inverse(state.refined_plan, color_symbols, params.step_color_inter)
         return FrameBuffer(self.vertex_positions + motion / float(1 << params.depth),
                            self.refined_colors + colors)
 
@@ -218,11 +217,6 @@ def _quantize(plan: RahtPlan, values: np.ndarray, step: float) -> np.ndarray:
     """Transform rows over the plan's voxels, then quantize to bin indices."""
     # the coefficients are a fresh array, so they are quantized in place
     return _bin_indices(raht_forward(plan, values).coefficients, step)
-
-
-def _reconstruct(plan: RahtPlan, symbols: np.ndarray, step: float) -> np.ndarray:
-    """Dequantize bin indices, then inverse-transform them back to voxel rows."""
-    return raht_inverse(plan, dequantize_indices(symbols, step))
 
 
 def _code_planes(symbols: np.ndarray, plan: RahtPlan) -> tuple:
@@ -302,7 +296,7 @@ def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
 def encode_reference(frame: TriangleCloudFrame, params: CodecParams):
     """Intra-code one frame; returns (IntraPayload, ReferenceState, FrameBuffer)."""
     payload, state, symbols = _encode_intra(frame, params)
-    recon_colors = _reconstruct(state.refined_plan, symbols, params.step_color_intra)
+    recon_colors = raht_inverse(state.refined_plan, symbols, params.step_color_intra)
     return payload, state, FrameBuffer(state.vertex_centers, recon_colors)
 
 
@@ -335,7 +329,7 @@ def decode_reference(payload: IntraPayload, params: CodecParams,
 
     symbols = _decode_planes(payload.color_payloads, state.refined_plan)
     buffer = FrameBuffer(state.vertex_centers,
-                         _reconstruct(state.refined_plan, symbols, params.step_color_intra))
+                         raht_inverse(state.refined_plan, symbols, params.step_color_intra))
     return buffer.frame(state), state, buffer
 
 

@@ -34,6 +34,10 @@ GOF_MAGIC = b"TCG1"
 # the largest f32 below 1: file vertices must stay inside [0, 1)
 _F32_BELOW_ONE = np.nextafter(np.float32(1), np.float32(0))
 
+# symbols stay below 2^31, the inverse gains at most 2^12 and a GOF adds at most
+# 2^32 residuals, so at this largest step every reconstruction stays below 2^107
+_MAX_STEP = 2.0 ** 32
+
 
 def expected_color_count(n_faces: int, upsample: int) -> int:
     """Number of refined vertices (= colors) for ``n_faces`` faces at factor U."""
@@ -56,9 +60,9 @@ def _check_upsample(upsample) -> int:
     return upsample
 
 
-def _as_rows(values, n: int, what: str) -> np.ndarray:
-    """``values`` as a 2-D float64 array of ``n`` rows."""
-    arr = np.asarray(values, dtype=np.float64)
+def _as_rows(values, n: int, what: str, dtype=np.float64) -> np.ndarray:
+    """``values`` as a 2-D array of ``n`` rows of ``dtype`` (None keeps the input's)."""
+    arr = np.asarray(values, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] != n:
         raise ConsistencyError(f"{what} must have {n} rows, got shape {arr.shape}")
     return arr
@@ -130,7 +134,7 @@ class CodecParams:
 
     depth J sets the voxel grid (edge 2^-J).  step_motion is in voxel units
     (vertex coordinates are scaled by 2^J before residual quantization);
-    the color steps are in native 0..255 YUV units.
+    the color steps are in native 0..255 YUV units; every step is in (0, 2^32].
     """
 
     depth: int
@@ -144,8 +148,8 @@ class CodecParams:
         object.__setattr__(self, "upsample", _check_upsample(self.upsample))
         for name in ("step_motion", "step_color_intra", "step_color_inter"):
             value = float(getattr(self, name))
-            if not (value > 0.0) or not np.isfinite(value):
-                raise ParameterError(f"{name} must be a positive real, got {value}")
+            if not 0.0 < value <= _MAX_STEP:
+                raise ParameterError(f"{name} must be in (0, 2^32], got {value}")
             object.__setattr__(self, name, value)
 
 

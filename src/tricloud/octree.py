@@ -21,7 +21,7 @@ from .errors import (
     TrailingBytesError,
     TruncatedStreamError,
 )
-from .transform import raht_plan
+from .transform import raht_inverse, raht_plan
 
 # child sub-lists per occupancy byte, in increasing child index
 _CHILD_LISTS = tuple(
@@ -108,7 +108,7 @@ def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):
 def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
                                step_color: float) -> VoxelSet:
     """Invert :func:`baseline_encode_pointcloud` (colors up to quantization)."""
-    from .codec import _decode_planes, _reconstruct, _section  # codec imports octree
+    from .codec import _decode_planes, _section  # codec imports octree
 
     fp = io.BytesIO(color_bytes)
     planes = []
@@ -120,5 +120,5 @@ def baseline_decode_pointcloud(geometry: bytes, color_bytes: bytes, depth: int,
     n_voxels = int.from_bytes(planes[0][1:5], "little")
     voxel_set = octree_parse(inflate(geometry, depth * n_voxels), depth)
     plan = raht_plan(voxel_set)
-    symbols = _decode_planes(planes, plan)
-    return VoxelSet(depth, voxel_set.codes, _reconstruct(plan, symbols, step_color))
+    return VoxelSet(depth, voxel_set.codes,
+                    raht_inverse(plan, _decode_planes(planes, plan), step_color))

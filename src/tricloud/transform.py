@@ -16,7 +16,8 @@ the coefficient order the final weights give, so forward and inverse passes
 over any number of frames only gather, combine and scatter.
 Both passes run all levels over one contiguous column at a time, with 1-D
 gains: the forward pass on a column-major copy of its input, the inverse on a
-copy of each column, written back into row-major (C-ordered) rows.  A 1-D
+copy of each column scaled by the quantizer step (so bin indices need no float
+copy of the whole block), written back into row-major (C-ordered) rows.  A 1-D
 ``take`` and scatter over a contiguous column cost a fraction of 2-D row
 indexing, and every element goes through the same float operations in the
 same order as in a row-wise pass.
@@ -76,10 +77,6 @@ def _bin_indices(values: np.ndarray, step: float) -> np.ndarray:
     np.floor(values, out=values)
     np.negative(values, out=values, where=negative)
     return values.astype(np.int64)
-
-
-def dequantize_indices(indices, step: float) -> np.ndarray:
-    return np.asarray(indices, dtype=np.float64) * float(step)
 
 
 @dataclass(frozen=True)
@@ -173,12 +170,13 @@ def raht_forward(plan: RahtPlan, attributes) -> CoefficientBlock:
     return CoefficientBlock(coefficients=ta)
 
 
-def raht_inverse(plan: RahtPlan, coefficients) -> np.ndarray:
-    """Invert :func:`raht_forward`: coefficient rows back to attribute rows (C order)."""
-    coefficients = _as_rows(coefficients, plan.n, "coefficients")
+def raht_inverse(plan: RahtPlan, coefficients, step: float = 1.0) -> np.ndarray:
+    """Invert :func:`raht_forward` of coefficient rows times ``step`` (midstep
+    bin indices and their step dequantize here); returns attribute rows, C order."""
+    coefficients = _as_rows(coefficients, plan.n, "coefficients", dtype=None)
     rows = np.empty(coefficients.shape)
     for k in range(rows.shape[1]):
-        column = coefficients[:, k].copy()
+        column = np.multiply(coefficients[:, k], step, dtype=np.float64)
         for level in reversed(plan.levels):
             i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
             x0 = column.take(i0)

@@ -334,6 +334,7 @@ def test_unknown_metric_exits_2(tmp_path, capsys):
     (["--metrics", ""], "names no metric"),
     (["--metrics", " , "], "names no metric"),
     (["--metrics", "projection,matching", "--svg", "trace.svg"], "--svg plots the triangle"),
+    (["--uinterp", "0"], "--uinterp must be >= 1"),
 ])
 def test_eval_flags_that_would_report_nothing_exit_2_before_reading(tmp_path, monkeypatch,
                                                                    capsys, flags, message):

@@ -400,6 +400,24 @@ def test_gof_record_corruption_detected():
             codec.parse_gof_record(codec.serialize_gof_record(bad))
 
 
+@pytest.mark.parametrize("name", ["step_motion", "step_color_intra", "step_color_inter"])
+def test_gof_header_step_above_the_bound_is_corrupt(name):
+    # a 1e308 step overflows the dequantized coefficients, so without the
+    # bound the stream decodes to NaN frames and raises nothing
+    enc = codec.encode_gof(_gof(n_frames=2, n_faces=50, seed=1), _params())
+    bits = io.BytesIO()
+    codec.write_bitstream(bits, [enc])
+    data = bytearray(bits.getvalue())
+    # the record follows the 10-byte container header and its u32 length; its
+    # steps follow depth, upsample, n_frames and the intra-only flag
+    steps = ("step_motion", "step_color_intra", "step_color_inter")
+    struct.pack_into("<d", data, 14 + struct.calcsize("<IIIB") + 8 * steps.index(name), 1e308)
+    with pytest.raises(CorruptStreamError, match=f"bad GOF header: {name}"):
+        codec.read_bitstream(io.BytesIO(bytes(data)))
+    with pytest.raises(ParameterError, match=name):
+        _params(**{name: 1e308})
+
+
 def test_bitstream_round_trip_and_file_io(tmp_path):
     gofs = datagen.gen_sequence("two-blobs", 6, n_faces=40, upsample=2,
                                 amplitude=0.02, seed=19, gof_size=3)
@@ -520,9 +538,9 @@ def test_decode_sequence_empty_stream():
 def _counting_inverse(monkeypatch):
     calls = []
 
-    def inverse(plan, coefficients):
+    def inverse(plan, coefficients, step):
         calls.append(plan.n)
-        return transform.raht_inverse(plan, coefficients)
+        return transform.raht_inverse(plan, coefficients, step)
 
     monkeypatch.setattr(codec, "raht_inverse", inverse)
     return calls
@@ -546,16 +564,41 @@ def test_encoder_inverts_only_what_a_later_frame_reads(monkeypatch, intra_only, 
     assert hashlib.sha256(codec.serialize_gof_record(enc)).hexdigest() == digest
 
 
-def test_decoded_frame_gather_allocates_only_its_output():
-    # about 100k refined voxels; a column-major buffer would be copied to row
-    # order before the gather
+@cache
+def _decoded_sphere():
+    """A two-frame sphere of about 100k refined voxels: its encoded GOF, and
+    the reference state and frame buffer after its first frame decodes."""
     gof = datagen.gen_sequence("sphere", 2, n_faces=2000, upsample=10, seed=1)[0]
     params = CodecParams(10, 10, step_color_intra=4.0, step_color_inter=4.0)
     encoded = codec.encode_gof(gof, params)
     _, state, buffer = codec.decode_reference(encoded.frames[0], params,
                                               encoded.n_vertices, encoded.n_faces)
-    _, buffer = codec.decode_predicted(encoded.frames[1], state, buffer)
     assert state.refined_plan.n > 90_000
+    return encoded, state, buffer
+
+
+def test_buffer_update_holds_one_coefficient_block():
+    # the symbols are dequantized a column at a time inside the inverse: the
+    # update holds its output, one (n, 3) float block and one column, not a
+    # float copy of the symbols as well
+    encoded, state, buffer = _decoded_sphere()
+    motion = codec._decode_planes(encoded.frames[1].motion_payloads, state.vertex_plan)
+    colors = codec._decode_planes(encoded.frames[1].color_payloads, state.refined_plan)
+    tracemalloc.start()
+    try:
+        updated = buffer.advance(state, motion, colors)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    output = updated.vertex_positions.nbytes + updated.refined_colors.nbytes
+    assert peak <= output + 4 * 8 * state.refined_plan.n, f"peaked {peak / 2 ** 20:.2f} MiB"
+
+
+def test_decoded_frame_gather_allocates_only_its_output():
+    # about 100k refined voxels; a column-major buffer would be copied to row
+    # order before the gather
+    encoded, state, buffer = _decoded_sphere()
+    _, buffer = codec.decode_predicted(encoded.frames[1], state, buffer)
     tracemalloc.start()
     try:
         frame = buffer.frame(state)

@@ -142,6 +142,10 @@ def test_codec_params_validation():
         core.CodecParams(10, 3, step_color_intra=float("nan"))
     with pytest.raises(ParameterError):
         core.CodecParams(10, 3, step_color_inter=float("-inf"))
+    # the largest step: far above any useful one, far below overflow
+    assert core.CodecParams(10, 3, step_motion=2.0 ** 32).step_motion == 2.0 ** 32
+    with pytest.raises(ParameterError):
+        core.CodecParams(10, 3, step_color_inter=np.nextafter(2.0 ** 32, np.inf))
 
 
 def test_voxel_set_validation():
@@ -362,9 +366,10 @@ def test_mutated_gof_files_read_back_unchanged_or_raise(tmp_path):
 
 
 # The same sweep over a TCB1 stream, in a child capped at 1 GiB: every mutated
-# stream is read and all its frames decoded.
+# stream is read and all its frames decoded, each of them finite.
 _BITSTREAM_MUTATION_SWEEP = """
 import random, resource, sys
+import numpy as np
 resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 from tricloud import codec, core, datagen
 from tricloud.errors import TricloudError
@@ -384,7 +389,7 @@ for trial in range(400):
     try:
         for encoded in codec.read_bitstream_file(path):
             for frame in codec.decode_frames(encoded):
-                pass
+                assert np.isfinite(frame.vertices).all() and np.isfinite(frame.colors).all()
     except TricloudError:
         pass
 """

@@ -59,7 +59,9 @@ def test_quantize_indices_round_trip_scaling():
     vals = np.array([3.7, -3.7, 0.2, 5.0])
     idx = transform._bin_indices(vals, 2.0)
     assert idx.tolist() == [2, -2, 0, 3]  # 2.5 rounds away from zero
-    assert transform.dequantize_indices(idx, 2.0).tolist() == [4.0, -4.0, 0.0, 6.0]
+    # the inverse over one voxel is the identity, so it returns index * step
+    rows = transform.raht_inverse(_plan([5], 3), idx[None, :], 2.0)
+    assert rows.tolist() == [[4.0, -4.0, 0.0, 6.0]]
 
 
 def _plan(codes, depth):
@@ -325,6 +327,15 @@ def test_column_passes_match_row_wise_oracle(depth, seed, width, order):
     assert np.array_equal(rows, oracles.raht_inverse(plan, kept))
     assert rows.flags.c_contiguous
     assert np.array_equal(block, kept)  # the caller's array is left alone
+
+    # bin indices and their step: dequantized column by column, same floats
+    symbols = np.asarray(rng.integers(-1000, 1001, size=(plan.n, width)), order=order)
+    kept = symbols.copy()
+    step = float(rng.uniform(0.1, 64.0))
+    rows = transform.raht_inverse(plan, symbols, step)
+    assert np.array_equal(rows, oracles.raht_inverse(plan, symbols * step))
+    assert rows.flags.c_contiguous
+    assert np.array_equal(symbols, kept) and symbols.dtype == np.int64
 
 
 def test_quantize_indices_in_place_matches_round_half_away():
