@@ -65,7 +65,6 @@ from .geom import _group_means, refine, voxel_coords, voxelize
 from .octree import octree_parse, octree_serialize
 from .transform import (
     RahtPlan,
-    _bin_indices,
     raht_forward,
     raht_inverse,
     raht_plan,
@@ -213,12 +212,6 @@ class FrameBuffer:
         return TriangleCloudFrame(vertices, state.faces, colors, state.params.upsample)
 
 
-def _quantize(plan: RahtPlan, values: np.ndarray, step: float) -> np.ndarray:
-    """Transform rows over the plan's voxels, then quantize to bin indices."""
-    # the coefficients are a fresh array, so they are quantized in place
-    return _bin_indices(raht_forward(plan, values).coefficients, step)
-
-
 def _code_planes(symbols: np.ndarray, plan: RahtPlan) -> tuple:
     return tuple(rlgr_encode(symbols[plan.order, k]) for k in range(symbols.shape[1]))
 
@@ -275,7 +268,7 @@ def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
 
     # colors ride on the refined quantized vertices, averaged per voxel
     colors_v = _group_means(frame.colors, state.refined_index_map, state.refined_plan.n)
-    symbols = _quantize(state.refined_plan, colors_v, params.step_color_intra)
+    symbols = raht_forward(state.refined_plan, colors_v, params.step_color_intra).coefficients
 
     # the stream's canonical order: vertices in spatial scan order, so the
     # duplicate-index map grows in unit/zero steps, and faces re-indexed to it
@@ -347,10 +340,11 @@ def _encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
     motion = _group_means(frame.vertices, state.vertex_index_map, state.vertex_plan.n)
     motion -= buffer.vertex_positions
     motion *= float(1 << params.depth)
-    motion_symbols = _quantize(state.vertex_plan, motion, params.step_motion)
+    motion_symbols = raht_forward(state.vertex_plan, motion, params.step_motion).coefficients
     colors = _group_means(frame.colors, state.refined_index_map, state.refined_plan.n)
     colors -= buffer.refined_colors
-    color_symbols = _quantize(state.refined_plan, colors, params.step_color_inter)
+    color_symbols = raht_forward(state.refined_plan, colors,
+                                 params.step_color_inter).coefficients
 
     payload = PredictedPayload(
         motion_payloads=_code_planes(motion_symbols, state.vertex_plan),

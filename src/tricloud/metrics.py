@@ -116,7 +116,8 @@ def render_cloud(frame, interp: int = 1):
     refined triangle is interpolated by the extra factor.  Every distinct
     point (see :func:`geom.interpolation_lattice`) comes once, weighted by
     the number of refined triangles that put it in the cloud.  Refined
-    vertices (fractions 0) copy their refine rows; only the rest are blended.
+    vertices (fractions 0) copy their refine rows; only the rest are blended,
+    one lattice point at a time, so no gather of the whole cloud is made.
     At interp 1 every point is a refined vertex in refine's order, so nothing
     is copied: the points are refine's output and the colors the frame's own.
     """
@@ -127,14 +128,13 @@ def render_cloud(frame, interp: int = 1):
     if interp == 1:
         return v_r, frame.colors, np.repeat(weights, frame.n_faces)
     n_steps = expected_color_count(1, frame.upsample)  # rows of refine per face
-    blended = np.flatnonzero(fractions.any(axis=1))
-    a, b = (fractions[blended, k, None, None] for k in range(2))
     clouds = []
     for values in (v_r, frame.colors):
         per_step = values.reshape(n_steps, frame.n_faces, 3)
         out = per_step.take(steps[:, 0], axis=0)
-        c2, c3 = (per_step.take(steps[blended, k], axis=0) for k in (1, 2))
-        out[blended] = _blend(out[blended], c2, c3, a, b)
+        for p in np.flatnonzero(fractions.any(axis=1)):
+            s1, s2, s3 = steps[p]
+            out[p] = _blend(per_step[s1], per_step[s2], per_step[s3], *fractions[p])
         clouds.append(out.reshape(-1, 3))
     return clouds[0], clouds[1], np.repeat(weights, frame.n_faces)
 
@@ -213,6 +213,8 @@ def evaluate(ref_frames, recon_frames, wanted, depth: int | None = None, interp:
                 f"frame {len(rows)}: face/upsample/color counts differ ({a.n_faces}/"
                 f"{a.upsample}/{a.n_colors} vs {b.n_faces}/{b.upsample}/{b.n_colors})"
             )
+        if not a.n_faces:
+            raise EmptySetError(f"frame {len(rows)}: no faces to compare")
         row = {}
         if "triangle" in wanted:
             row["triangle"] = _triangle_row(a, b, interp)

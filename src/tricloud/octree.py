@@ -21,7 +21,7 @@ from .errors import (
     TrailingBytesError,
     TruncatedStreamError,
 )
-from .transform import raht_inverse, raht_plan
+from .transform import raht_forward, raht_inverse, raht_plan
 
 # child sub-lists per occupancy byte, in increasing child index
 _CHILD_LISTS = tuple(
@@ -92,16 +92,16 @@ def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):
     """Standalone coding of one voxelized colored cloud (the comparison baseline).
 
     Geometry is the deflated occupancy bytes; colors go through the intra
-    codec's plane path (``codec._quantize``, ``codec._code_planes``), each
-    plane framed by its u32 length.  Returns (geometry_bytes, color_bytes).
+    codec's plane path (``raht_forward`` with the step, ``codec._code_planes``),
+    each plane framed by its u32 length.  Returns (geometry_bytes, color_bytes).
     """
-    from .codec import _code_planes, _pack_section, _quantize  # codec imports octree
+    from .codec import _code_planes, _pack_section  # codec imports octree
 
     if voxel_set.attributes is None:
         raise ConsistencyError("baseline coding needs per-voxel attributes")
     geometry = deflate(octree_serialize(voxel_set))
     plan = raht_plan(voxel_set)
-    planes = _code_planes(_quantize(plan, voxel_set.attributes, step_color), plan)
+    planes = _code_planes(raht_forward(plan, voxel_set.attributes, step_color).coefficients, plan)
     return geometry, b"".join(_pack_section(plane) for plane in planes)
 
 

@@ -15,12 +15,15 @@ weights) times the weighted mean of the input rows.
 the coefficient order the final weights give, so forward and inverse passes
 over any number of frames only gather, combine and scatter.
 Both passes run all levels over one contiguous column at a time, with 1-D
-gains: the forward pass on a column-major copy of its input, the inverse on a
-copy of each column scaled by the quantizer step (so bin indices need no float
-copy of the whole block), written back into row-major (C-ordered) rows.  A 1-D
-``take`` and scatter over a contiguous column cost a fraction of 2-D row
-indexing, and every element goes through the same float operations in the
-same order as in a row-wise pass.
+gains.  The forward pass works on a column-major copy of its input; given the
+quantizer step, it rounds each finished column to midstep bin indices and
+casts them into the column's own bytes, so it returns the int64 view of that
+copy and makes no second block.  The inverse works on a copy of each column
+scaled by the step (so bin indices need no float copy of the whole block),
+written back into row-major (C-ordered) rows.  A 1-D ``take`` and scatter
+over a contiguous column cost a fraction of 2-D row indexing, and every
+element goes through the same float operations in the same order as in a
+row-wise pass.
 """
 
 from __future__ import annotations
@@ -57,26 +60,6 @@ def quantize(values, step: float, mode: str) -> np.ndarray:
     if mode == MIDRISE:
         return (round_half_away(values / step - 0.5) + 0.5) * step
     raise ParameterError(f"unknown quantizer mode {mode!r}")
-
-
-def _bin_indices(values: np.ndarray, step: float) -> np.ndarray:
-    """Midstep quantizer bin indices (the integers the entropy coder sees) of
-    a float64 array it may overwrite.
-
-    The array is divided and rounded half away from zero in place, so the
-    only temporary is the sign mask; the integers equal those of
-    ``round_half_away(values / step)``.
-    """
-    step = float(step)
-    if not (step > 0.0):
-        raise ParameterError(f"step must be positive, got {step}")
-    values /= step
-    negative = values < 0
-    np.abs(values, out=values)
-    values += 0.5
-    np.floor(values, out=values)
-    np.negative(values, out=values, where=negative)
-    return values.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -152,13 +135,17 @@ class CoefficientBlock:
     coefficients: np.ndarray
 
 
-def raht_forward(plan: RahtPlan, attributes) -> CoefficientBlock:
+def raht_forward(plan: RahtPlan, attributes, step: float | None = None) -> CoefficientBlock:
     """Transform attribute rows over the plan's voxel geometry.
 
-    Returns the coefficient rows in voxel order; ``plan.order`` lists them
-    by decreasing weight.  The map is orthonormal, so energies are preserved
-    exactly.
+    Returns the coefficient rows in voxel order, F-ordered; ``plan.order``
+    lists them by decreasing weight.  The map is orthonormal, so energies are
+    preserved exactly.  Given a ``step``, each finished column is divided by it,
+    rounded half away from zero and cast to int64 in place: the rows are then
+    the midstep bin indices the entropy coder sees.
     """
+    if step is not None and not float(step) > 0.0:
+        raise ParameterError(f"step must be positive, got {step}")
     ta = np.array(_as_rows(attributes, plan.n, "attributes"), order="F")
     for column in ta.T:
         for level in plan.levels:
@@ -167,7 +154,16 @@ def raht_forward(plan: RahtPlan, attributes) -> CoefficientBlock:
             x1 = column.take(i1)
             column[i0] = a * x0 + b * x1
             column[i1] = -b * x0 + a * x1
-    return CoefficientBlock(coefficients=ta)
+        if step is not None:  # round_half_away(column / step), the sign mask its only temporary
+            column /= step
+            negative = column < 0
+            np.abs(column, out=column)
+            column += 0.5
+            np.floor(column, out=column)
+            np.negative(column, out=column, where=negative)
+            # a 1-D cast onto the same bytes and strides reads each element first
+            column.view(np.int64)[:] = column
+    return CoefficientBlock(coefficients=ta if step is None else ta.view(np.int64))
 
 
 def raht_inverse(plan: RahtPlan, coefficients, step: float = 1.0) -> np.ndarray:

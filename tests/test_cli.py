@@ -92,6 +92,21 @@ def test_eval_subset_of_metrics(tmp_path, capsys):
     assert "matching" not in out
 
 
+@pytest.mark.parametrize("metric", ["triangle", "projection", "matching"])
+def test_eval_of_frames_with_no_faces_is_refused(tmp_path, capsys, metric):
+    # no face means no render cloud: every metric exits 1 and writes no
+    # report, rather than a NaN PSNR ("-inf" in the JSON) or voxelize's error
+    vertices = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.1, 0.2]])
+    frame = core.TriangleCloudFrame(vertices, np.zeros((0, 3), np.int64), np.zeros((0, 3)), 2)
+    orig = tmp_path / "empty.tcg"
+    core.write_gof_file(orig, [core.GroupOfFrames([frame, frame])], 8)
+    report = tmp_path / "report.json"
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(orig),
+                 "--metrics", metric, "--json", str(report)]) == 1
+    assert "frame 0: no faces to compare" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_lossless_eval_of_one_metric_writes_inf_and_empty_cells(tmp_path):
     # a PSNR of identical frames is "inf" in the JSON and the CSV; the CSV
     # leaves the columns of the metrics and rates not asked for empty; no

@@ -315,6 +315,21 @@ def test_render_at_factor_one_copies_nothing():
     assert voxels_peak <= points.nbytes + weights.nbytes + voxelize_peak + column
 
 
+@pytest.mark.parametrize("interp", [2, 3])
+def test_render_blends_one_lattice_point_at_a_time(interp):
+    # the blended points are made one lattice point at a time, so the call
+    # holds little beyond its three outputs (the frame is made untraced)
+    f = datagen.gen_sequence("sphere", 1, n_faces=600, upsample=6, seed=1)[0].reference
+    tracemalloc.start()
+    try:
+        cloud = metrics.render_cloud(f, interp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    ratio = peak / sum(part.nbytes for part in cloud)
+    assert ratio <= 1.5, f"peaked {ratio:.2f} times the outputs"
+
+
 def test_render_cloud_validation():
     f = _frame(n_faces=2, upsample=2, seed=6)
     with pytest.raises(ParameterError):

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import pathlib
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,7 +58,8 @@ def test_quantize_rejects_bad_arguments():
 
 def test_quantize_indices_round_trip_scaling():
     vals = np.array([3.7, -3.7, 0.2, 5.0])
-    idx = transform._bin_indices(vals, 2.0)
+    # the forward over one voxel is the identity, so it returns the bin indices
+    idx = transform.raht_forward(_plan([5], 3), vals[None, :], 2.0).coefficients[0]
     assert idx.tolist() == [2, -2, 0, 3]  # 2.5 rounds away from zero
     # the inverse over one voxel is the identity, so it returns index * step
     rows = transform.raht_inverse(_plan([5], 3), idx[None, :], 2.0)
@@ -211,6 +213,31 @@ def test_plan_of_an_empty_set_is_refused():
         transform.raht_plan(VoxelSet(3, []))
 
 
+@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
+def test_forward_refuses_a_step_that_is_not_positive(step):
+    with pytest.raises(ParameterError, match="step must be positive"):
+        transform.raht_forward(_plan([0, 1], 1), np.ones((2, 3)), step)
+
+
+def test_quantizing_forward_keeps_no_float_block():
+    # each column is rounded and cast to int64 in place: the call holds its
+    # output (the bytes of its one copy of the input) and the level
+    # temporaries, not a float block of the coefficients beside it
+    frame = datagen.gen_sequence("sphere", 1, n_faces=2000, upsample=10, seed=1)[0].reference
+    _, state, _ = codec.encode_reference(frame, CodecParams(10, 10))
+    plan = state.refined_plan
+    colors = codec._group_means(frame.colors, state.refined_index_map, plan.n)
+    assert plan.n > 90_000
+    tracemalloc.start()
+    try:
+        indices = transform.raht_forward(plan, colors, 4.0).coefficients
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = (peak - indices.nbytes) / (8 * plan.n)
+    assert columns <= 2.5, f"peaked {columns:.2f} float64 columns above the output"
+
+
 def test_forward_rejects_wrong_row_count():
     plan = _plan([0, 1], 1)
     with pytest.raises(ConsistencyError):
@@ -328,13 +355,23 @@ def test_column_passes_match_row_wise_oracle(depth, seed, width, order):
     assert rows.flags.c_contiguous
     assert np.array_equal(block, kept)  # the caller's array is left alone
 
+    # with a step, the forward quantizes column by column to int64 bin indices
+    step = float(rng.uniform(0.1, 64.0))
+    indices = transform.raht_forward(plan, block, step).coefficients
+    want = transform.round_half_away(oracles.raht_forward(plan, kept).coefficients / step)
+    assert indices.dtype == np.int64 and indices.flags.f_contiguous
+    assert np.array_equal(indices, want.astype(np.int64))
+    assert np.array_equal(block, kept)
+
     # bin indices and their step: dequantized column by column, same floats
     symbols = np.asarray(rng.integers(-1000, 1001, size=(plan.n, width)), order=order)
     kept = symbols.copy()
-    step = float(rng.uniform(0.1, 64.0))
     rows = transform.raht_inverse(plan, symbols, step)
     assert np.array_equal(rows, oracles.raht_inverse(plan, symbols * step))
     assert rows.flags.c_contiguous
+    # an int64 block quantizes as its float64 copy does
+    assert np.array_equal(transform.raht_forward(plan, symbols, step).coefficients,
+                          transform.raht_forward(plan, symbols.astype(float), step).coefficients)
     assert np.array_equal(symbols, kept) and symbols.dtype == np.int64
 
 
@@ -345,6 +382,6 @@ def test_quantize_indices_in_place_matches_round_half_away():
     values = np.concatenate([rng.normal(0, 50, 2000), np.arange(-40, 41) / 2,
                              [0.0, -0.0, 1e-300, -1e-300]])
     for step in (0.5, 1.0, 3.0, 4.0):
-        got = transform._bin_indices(values.copy(), step)
+        got = transform.raht_forward(_plan([5], 3), values[None, :], step).coefficients[0]
         assert got.dtype == np.int64
         assert np.array_equal(got, transform.round_half_away(values / step).astype(np.int64))
