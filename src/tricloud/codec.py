@@ -40,6 +40,7 @@ from .core import (
     GroupOfFrames,
     TriangleCloudFrame,
     VoxelSet,
+    _MAX_REFINED_POINTS,
     _next_frame,
     _read_exact,
     _read_struct,
@@ -77,10 +78,8 @@ BITSTREAM_VERSION = 1
 # stepsizes, vertex count, face count
 _GOF_HEADER = "<IIIB3dII"
 
-# vertices, and refined points per frame, n_faces (U+1)(U+2)/2, that a GOF
-# may declare
+# vertices that a GOF may declare
 _MAX_VERTICES = 1 << 24
-_MAX_REFINED_POINTS = 1 << 24
 
 
 class _FrameRecord:

@@ -38,6 +38,10 @@ _F32_BELOW_ONE = np.nextafter(np.float32(1), np.float32(0))
 # 2^32 residuals, so at this largest step every reconstruction stays below 2^107
 _MAX_STEP = 2.0 ** 32
 
+# refined points per frame, n_faces (U+1)(U+2)/2, that a GOF may declare, and
+# points of a render cloud, n_faces (UI+1)(UI+2)/2
+_MAX_REFINED_POINTS = 1 << 24
+
 
 def expected_color_count(n_faces: int, upsample: int) -> int:
     """Number of refined vertices (= colors) for ``n_faces`` faces at factor U."""

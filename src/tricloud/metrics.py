@@ -26,7 +26,9 @@ where shared points repeat once per triangle (``tests/oracles.py`` builds it
 as the oracle the metrics are checked against).  Known results are not
 recomputed: refined vertices are copied rather than blended (at factor 1 not
 even copied), the two faces of an axis share one pixel match, and matching
-finds a query's own voxel by Morton code.
+finds a query's own voxel by Morton code.  Above factor 1 the triangle metric
+compares the two frames one lattice point at a time and builds no cloud; no
+cloud of more than 2^24 points is made.
 
 Geometry PSNRs are normalized per coordinate against the unit bounding cube
 (width 1); color PSNRs against peak 255.  Zero error returns +inf.
@@ -39,7 +41,7 @@ import math
 
 import numpy as np
 
-from .core import VoxelSet, expected_color_count
+from .core import VoxelSet, _MAX_REFINED_POINTS, expected_color_count
 from .errors import (
     ConsistencyError,
     EmptySetError,
@@ -48,6 +50,7 @@ from .errors import (
 )
 from .geom import (
     _blend,
+    _sorted_rows,
     interpolation_lattice,
     refine,
     voxel_coords,
@@ -109,6 +112,33 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
             total += float(np.sum((a - b) ** 2)) / (255.0 ** 2 * a.shape[0])
 
 
+def _lattice(frame, interp: int):
+    """:func:`geom.interpolation_lattice` of a frame, refused with a
+    ParameterError before it is built when the frame's render cloud would
+    have more than _MAX_REFINED_POINTS points."""
+    points = expected_color_count(frame.n_faces, frame.upsample * int(interp))
+    if points > _MAX_REFINED_POINTS:
+        raise ParameterError(f"interpolation factor {interp} gives a render cloud of {points} "
+                             f"points, more than {_MAX_REFINED_POINTS}")
+    return interpolation_lattice(frame.upsample, interp)
+
+
+def _refine_steps(frame):
+    """(positions, colors) of a frame's refine rows, each (steps, faces, 3)."""
+    v_r = refine(frame.vertices, frame.faces, frame.upsample)
+    if frame.n_colors != v_r.shape[0]:
+        raise ConsistencyError(f"{frame.n_colors} colors for {v_r.shape[0]} refined vertices")
+    shape = (expected_color_count(1, frame.upsample), frame.n_faces, 3)
+    return v_r.reshape(shape), frame.colors.reshape(shape)
+
+
+def _lattice_rows(per_step, steps, fractions):
+    """Each lattice point's (faces, 3) rows of one refined signal, in lattice
+    order: a refined vertex's own refine rows, any other point's blend."""
+    for (s1, s2, s3), (a, b) in zip(steps, fractions):
+        yield _blend(per_step[s1], per_step[s2], per_step[s3], a, b) if a or b else per_step[s1]
+
+
 def render_cloud(frame, interp: int = 1):
     """(points, colors, weights) of the render cloud of one frame.
 
@@ -120,23 +150,20 @@ def render_cloud(frame, interp: int = 1):
     one lattice point at a time, so no gather of the whole cloud is made.
     At interp 1 every point is a refined vertex in refine's order, so nothing
     is copied: the points are refine's output and the colors the frame's own.
+    A cloud of more than 2^24 points is refused before anything is built.
     """
-    steps, fractions, weights = interpolation_lattice(frame.upsample, interp)
-    v_r = refine(frame.vertices, frame.faces, frame.upsample)
-    if frame.n_colors != v_r.shape[0]:
-        raise ConsistencyError(f"{frame.n_colors} colors for {v_r.shape[0]} refined vertices")
+    steps, fractions, weights = _lattice(frame, interp)
+    signals = _refine_steps(frame)
+    weights = np.repeat(weights, frame.n_faces)
     if interp == 1:
-        return v_r, frame.colors, np.repeat(weights, frame.n_faces)
-    n_steps = expected_color_count(1, frame.upsample)  # rows of refine per face
+        return signals[0].reshape(-1, 3), frame.colors, weights
     clouds = []
-    for values in (v_r, frame.colors):
-        per_step = values.reshape(n_steps, frame.n_faces, 3)
-        out = per_step.take(steps[:, 0], axis=0)
-        for p in np.flatnonzero(fractions.any(axis=1)):
-            s1, s2, s3 = steps[p]
-            out[p] = _blend(per_step[s1], per_step[s2], per_step[s3], *fractions[p])
+    for per_step in signals:
+        out = np.empty((steps.shape[0],) + per_step.shape[1:])
+        for p, rows in enumerate(_lattice_rows(per_step, steps, fractions)):
+            out[p] = rows
         clouds.append(out.reshape(-1, 3))
-    return clouds[0], clouds[1], np.repeat(weights, frame.n_faces)
+    return clouds[0], clouds[1], weights
 
 
 def _triangle_row(a, b, interp: int) -> np.ndarray:
@@ -146,14 +173,31 @@ def _triangle_row(a, b, interp: int) -> np.ndarray:
     row by row (correspondence is per face, so the two sides may order their
     vertex lists differently).  Each distinct point of :func:`render_cloud`
     counts with its multiplicity, which equals comparing the expanded clouds
-    row by row.  Geometry is normalized per coordinate, colors by 255^2.
+    row by row.  Geometry is normalized per coordinate, colors by 255^2.  At
+    interp 1 the clouds are the refine rows, compared whole; at a larger
+    factor the rows of both sides are made and compared one lattice point at
+    a time, so neither cloud is built.
     """
-    va, ca, weights = render_cloud(a, interp)
-    vb, cb, _ = render_cloud(b, interp)
-    n = weights.sum()
-    row = np.empty(4)
-    row[0] = float(np.sum(weights @ (va - vb) ** 2)) / (3.0 * n)
-    row[1:] = weights @ (ca - cb) ** 2 / (255.0 ** 2 * n)
+    if interp == 1:
+        va, ca, weights = render_cloud(a, interp)
+        vb, cb, _ = render_cloud(b, interp)
+        n = weights.sum()
+        row = np.empty(4)
+        row[0] = float(np.sum(weights @ (va - vb) ** 2)) / (3.0 * n)
+        row[1:] = weights @ (ca - cb) ** 2 / (255.0 ** 2 * n)
+        return row
+    steps, fractions, weights = _lattice(a, interp)
+    rows = (_lattice_rows(per_step, steps, fractions)
+            for per_step in _refine_steps(a) + _refine_steps(b))
+    row = np.zeros(4)
+    for w, pa, ca, pb, cb in zip(weights, *rows):
+        d = pa - pb
+        row[0] += w * np.einsum("ij,ij->", d, d)
+        d = ca - cb
+        row[1:] += w * np.einsum("ij,ij->j", d, d)
+    n = weights.sum() * a.n_faces
+    row[0] /= 3.0 * n
+    row[1:] /= 255.0 ** 2 * n
     return row
 
 
@@ -263,8 +307,8 @@ def _face_winners(coords: np.ndarray, depth: int, axis: int):
     pix = coords[:, (axis + 1) % 3] * size + coords[:, (axis + 2) % 3]
     # voxels are unique, so the composite keys are too: each pixel's
     # voxels form one run, nearest the -face first, nearest the +face last
-    order = np.argsort(pix * size + coords[:, axis])
-    pix = pix[order]
+    keys, order = _sorted_rows(pix * size + coords[:, axis], 3 * depth)
+    pix = keys >> depth
     first = np.flatnonzero(np.diff(pix, prepend=-1))
     last = np.flatnonzero(np.diff(pix, append=size * size))
     return pix[first], order[last], order[first]
@@ -398,12 +442,11 @@ def _nearest(query_set: VoxelSet, query: np.ndarray,
     idx[~hit] = n_target
     key = np.array([size * size, size, 1], dtype=np.int64)
     query_keys = query @ key
-    target_keys = target @ key
-    order = np.argsort(target_keys)
-    target_keys = target_keys[order]
+    target_keys, order = _sorted_rows(target @ key, 3 * query_set.depth)
     lo = [target[:, axis].min() for axis in range(3)]
     hi = [target[:, axis].max() for axis in range(3)]
-    open_rows = np.flatnonzero(~hit)[np.argsort(query_keys[~hit])]
+    open_rows = np.flatnonzero(~hit)
+    open_rows = open_rows[_sorted_rows(query_keys[open_rows], 3 * query_set.depth)[1]]
     searched, pairs = 1, query.shape[0]  # shell 0
     for offsets in _shells():
         if open_rows.size == 0 or searched > n_target:

@@ -20,6 +20,12 @@ direct construction the metrics are checked against, and the blend of every
 distinct point, refined vertices included, whose bytes the library's
 render cloud must equal.
 
+The index sorts: voxel grouping by ``np.unique`` and the visible voxels of
+a projection by ``np.argsort`` of their composite keys.  The library sorts
+each key packed above its row index as one int64 value
+(:func:`tricloud.geom.voxelize`, :func:`tricloud.metrics._face_winners`);
+these functions keep the index sorts its output is checked against.
+
 The row-wise RAHT passes: each level gathers, combines and scatters whole
 attribute rows with (m, 1) gains.  The library runs the same butterflies one
 contiguous column at a time (:func:`tricloud.transform.raht_forward`,
@@ -35,7 +41,7 @@ from tricloud.entropy import (
     _D0, _D1, _ESC, _INIT_KP, _INIT_KRP, _KP_MAX, _KRP_MAX, _L, _U0, _U1, RLGR_VERSION,
 )
 from tricloud.errors import ConsistencyError, CorruptStreamError, RangeError
-from tricloud.geom import interpolation_lattice, refine
+from tricloud.geom import interpolation_lattice, morton_encode, refine
 from tricloud.metrics import render_cloud
 from tricloud.transform import CoefficientBlock
 
@@ -102,6 +108,28 @@ def blended_render_cloud(frame, interp: int = 1):
     out += (c3 - c1) * fractions[:, 1, None, None]
     out = out.reshape(-1, 6)
     return out[:, :3], out[:, 3:], np.repeat(weights, frame.n_faces)
+
+
+def voxel_grouping(points, depth: int):
+    """(unique codes, index map) of points in [0, 1)^3 voxelized at depth,
+    grouped by ``np.unique``: codes[index_map[i]] is point i's Morton code."""
+    ints = (np.asarray(points, dtype=np.float64) * float(1 << depth)).astype(np.int64)
+    codes = morton_encode(ints[:, 0], ints[:, 1], ints[:, 2], depth)
+    unique_codes, inverse = np.unique(codes, return_inverse=True)
+    return unique_codes, inverse.ravel()
+
+
+def face_winners(coords, depth: int, axis: int):
+    """(keys, plus_rows, minus_rows) of the voxels at unique `coords` seen
+    along `axis`: the sorted pixel keys row * 2^J + col, and per key the row
+    of the voxel nearest the + face and of the one nearest the - face."""
+    size = 1 << depth
+    pix = coords[:, (axis + 1) % 3] * size + coords[:, (axis + 2) % 3]
+    order = np.argsort(pix * size + coords[:, axis])
+    pix = pix[order]
+    first = np.flatnonzero(np.diff(pix, prepend=-1))
+    last = np.flatnonzero(np.diff(pix, append=size * size))
+    return pix[first], order[last], order[first]
 
 
 def _adapt_krp(krp: int, p: int) -> int:

@@ -107,6 +107,22 @@ def test_eval_of_frames_with_no_faces_is_refused(tmp_path, capsys, metric):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("metric", ["triangle", "projection", "matching"])
+def test_eval_refuses_a_render_cloud_over_the_point_cap(tmp_path, capsys, metric):
+    # one face at U = 2 and I = 10^6 would render 2 * 10^12 points: refused
+    # before the lattice is built, with exit 1 and no report
+    vertices = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.1, 0.2]])
+    frame = core.TriangleCloudFrame(vertices, np.array([[0, 1, 2]]), np.zeros((6, 3)), 2)
+    orig = tmp_path / "one.tcg"
+    core.write_gof_file(orig, [core.GroupOfFrames([frame])], 8)
+    report = tmp_path / "report.json"
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(orig),
+                 "--metrics", metric, "--uinterp", "1000000", "--json", str(report)]) == 1
+    assert ("error: interpolation factor 1000000 gives a render cloud of 2000003000001 "
+            "points, more than 16777216") in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_lossless_eval_of_one_metric_writes_inf_and_empty_cells(tmp_path):
     # a PSNR of identical frames is "inf" in the JSON and the CSV; the CSV
     # leaves the columns of the metrics and rates not asked for empty; no

@@ -4,10 +4,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import barycentric_refine, refine_interpolate
+from oracles import barycentric_refine, refine_interpolate, voxel_grouping
 from tricloud import geom
 from tricloud.core import VoxelSet
 from tricloud.errors import ConsistencyError, ParameterError, RangeError
@@ -337,6 +337,50 @@ def test_voxelize_prefix_property(coarse, extra, n, seed):
     res_f = geom.voxelize(pts, None, fine)
     shifted = np.unique(res_f.voxel_set.codes >> (3 * extra))
     assert np.array_equal(shifted, res_c.voxel_set.codes)
+
+
+@pytest.mark.parametrize("key_bits, n, packed", [
+    (60, 8, True), (60, 9, False),  # depth 20: three bits of row index are left
+    (57, 64, True), (57, 65, False),  # depth 19: six
+    (30, 1, True), (30, 0, True),
+])
+def test_sorted_rows_packs_a_key_with_its_row_up_to_63_bits(monkeypatch, key_bits, n, packed):
+    argsort, calls = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *args, **kw: calls.append(kw) or argsort(*args, **kw))
+    rng = np.random.default_rng(n)
+    keys = rng.integers(0, 1 << key_bits, size=n, dtype=np.int64)
+    keys[n // 2:] = (1 << key_bits) - 1  # the widest key, tied; ties keep row order
+    got, order = geom._sorted_rows(keys, key_bits)
+    want = argsort(keys, kind="stable")
+    assert order.dtype == got.dtype == np.int64
+    assert np.array_equal(order, want) and np.array_equal(got, keys[want])
+    assert calls == ([] if packed else [{"kind": "stable"}])
+
+
+def _shared_cell_points(depth, n, seed):
+    """n points in [0, 1)^3, two or more in most of their voxels at depth, one
+    in the last voxel, whose code has all 3 * depth bits set."""
+    rng = np.random.default_rng(seed)
+    cells = rng.integers(0, 1 << depth, size=(max(1, n // 2), 3))
+    cells = cells[rng.integers(0, cells.shape[0], size=n)]
+    pts = np.minimum((cells + rng.random((n, 3))) * 2.0 ** -depth, np.nextafter(1.0, 0.0))
+    pts[-1] = np.nextafter(1.0, 0.0)
+    return pts
+
+
+@given(st.integers(1, 20), st.integers(1, 300), st.integers(0, 2 ** 31))
+@example(20, 9, 0)  # 60 + 4 bits: the argsort
+@example(20, 8, 0)
+@example(19, 64, 0)  # 57 + 6 bits: the packed sort
+@example(19, 65, 0)
+@settings(max_examples=60, deadline=None)
+def test_voxelize_groups_as_np_unique_does(depth, n, seed):
+    pts = _shared_cell_points(depth, n, seed)
+    res = geom.voxelize(pts, None, depth)
+    codes, index_map = voxel_grouping(pts, depth)
+    assert np.array_equal(res.voxel_set.codes, codes)
+    assert res.index_map.dtype == index_map.dtype
+    assert np.array_equal(res.index_map, index_map)
 
 
 def test_voxelize_means_match_hash_map_oracle():

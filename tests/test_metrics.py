@@ -7,8 +7,15 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import blended_render_cloud, refine_interpolate, refined_interpolated_cloud
+from oracles import (
+    blended_render_cloud,
+    face_winners,
+    refine_interpolate,
+    refined_interpolated_cloud,
+)
 from tricloud import core, datagen, geom, metrics
 from tricloud.errors import (
     ConsistencyError,
@@ -330,6 +337,47 @@ def test_render_blends_one_lattice_point_at_a_time(interp):
     assert ratio <= 1.5, f"peaked {ratio:.2f} times the outputs"
 
 
+@pytest.mark.parametrize("interp", [2, 3])
+def test_triangle_row_builds_no_render_cloud(interp):
+    # both sides' rows are made and compared one lattice point at a time, so
+    # the call holds both frames' refine rows and refine's own temporaries,
+    # not their render clouds (3.25 and 6.8 times as many points here; the
+    # frames are made untraced); the figures are those of the expanded clouds
+    f = datagen.gen_sequence("sphere", 1, n_faces=600, upsample=6, seed=1)[0].reference
+    rng = np.random.default_rng(interp)
+    g = core.TriangleCloudFrame(
+        np.clip(f.vertices + rng.normal(scale=1e-3, size=f.vertices.shape), 0, 0.999),
+        f.faces, np.clip(f.colors + rng.normal(scale=3.0, size=f.colors.shape), 0, 255),
+        f.upsample,
+    )
+    tracemalloc.start()
+    try:
+        row = metrics._triangle_row(f, g, interp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    refined = core.expected_color_count(f.n_faces, f.upsample) * 3 * 8
+    assert peak <= 4 * refined, f"peaked {peak / refined:.2f} times one frame's refine rows"
+    (va, ca), (vb, cb) = refined_interpolated_cloud(f, interp), refined_interpolated_cloud(g, interp)
+    n = va.shape[0]
+    assert row[0] == pytest.approx(np.sum((va - vb) ** 2) / (3 * n), rel=1e-12)
+    assert row[1:] == pytest.approx(np.sum((ca - cb) ** 2, axis=0) / (255 ** 2 * n), rel=1e-12)
+
+
+def test_render_cloud_over_the_point_cap_is_refused_before_it_is_built():
+    f = _frame(n_faces=1, upsample=1, seed=6)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match="cloud of 16782321 points, more than 16777216"):
+            metrics.render_cloud(f, 5792)  # 5793 * 5794 / 2 points; 5791 would fit
+        with pytest.raises(ParameterError, match="more than 16777216"):
+            metrics.render_cloud(f, 1 << 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 10
+
+
 def test_render_cloud_validation():
     f = _frame(n_faces=2, upsample=2, seed=6)
     with pytest.raises(ParameterError):
@@ -371,6 +419,24 @@ def test_project_occlusion_along_one_axis():
     # along z the image is (x, y)
     assert np.array_equal(imgs[4, 0, 0], a) and np.array_equal(imgs[4, 1, 0], b)
     assert np.array_equal(imgs[5, 0, 0], a) and np.array_equal(imgs[5, 1, 0], b)
+
+
+@given(st.integers(1, 20), st.integers(1, 120), st.integers(0, 2 ** 31))
+@example(20, 9, 0)  # 60 + 4 bits: the argsort
+@example(19, 64, 0)  # 57 + 6 bits: the packed sort
+@settings(max_examples=60, deadline=None)
+def test_face_winners_are_the_argsort_winners(depth, n, seed):
+    # four values per axis, the extremes among them, so most pixels are
+    # covered by several voxels and the keys take all 3 * depth bits
+    rng = np.random.default_rng(seed)
+    values = rng.integers(0, 1 << depth, size=(4, 3))
+    values[0], values[-1] = 0, (1 << depth) - 1
+    coords = np.unique(values[rng.integers(0, 4, size=(n, 3)), [0, 1, 2]], axis=0)
+    coords = coords[rng.permutation(coords.shape[0])]
+    for axis in range(3):
+        got = metrics._face_winners(coords, depth, axis)
+        for g, w in zip(got, face_winners(coords, depth, axis)):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
 
 
 def _two_voxel_set(color_a, color_b):
