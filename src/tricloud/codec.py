@@ -62,7 +62,7 @@ from .errors import (
     ParameterError,
     RangeError,
 )
-from .geom import _group_means, refine, voxel_coords, voxelize
+from .geom import _group_means, _sorted_rows, refine, voxel_coords, voxelize
 from .octree import octree_parse, octree_serialize
 from .transform import (
     RahtPlan,
@@ -271,7 +271,7 @@ def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
 
     # the stream's canonical order: vertices in spatial scan order, so the
     # duplicate-index map grows in unit/zero steps, and faces re-indexed to it
-    perm = np.argsort(res_v.index_map, kind="stable")
+    perm = _sorted_rows(res_v.index_map, (state.vertex_plan.n - 1).bit_length())[1]
     inverse_perm = np.empty_like(perm)
     inverse_perm[perm] = np.arange(perm.size)
     payload = IntraPayload(

@@ -3,9 +3,10 @@
 Voxelization quantizes points to the 2^J grid, merges duplicates (averaging
 their attribute rows in double precision), and orders the survivors by Morton
 code.  It sorts the codes once, each packed above its row index into one
-int64 value (:func:`_sorted_rows`, which the eval metrics' projection and
-matching orders share); keys too wide to share 63 bits with their rows fall
-back to a stable argsort.
+int64 value; keys too wide to share 63 bits with their rows fall back to a
+stable argsort.  That sort, :func:`_sorted_rows`, is the package's one stable
+integer sort: the transform's coefficient order, the intra stream's vertex
+order and the eval metrics' projection and matching orders take it too.
 
 The refinement order is normative: refined points are grouped by the
 barycentric step (i, j) of :func:`_steps` (i outer, j inner) and by face
@@ -214,13 +215,16 @@ def _sorted_rows(keys: np.ndarray, key_bits: int):
     return packed, order
 
 
-def _group_means(values: np.ndarray, index_map: np.ndarray, n_groups: int) -> np.ndarray:
+def _group_means(values: np.ndarray, index_map: np.ndarray, n_groups: int,
+                 weights: np.ndarray | None = None) -> np.ndarray:
     """Per-group arithmetic means of rows, row i in group index_map[i] of
-    n_groups; each group's rows are summed in row order."""
+    n_groups; each group's rows are summed in row order.  Given weights, row i
+    counts weights[i] times: each column is weighted inside its bincount."""
     out = np.empty((n_groups, values.shape[1]))
     for k in range(values.shape[1]):
-        out[:, k] = np.bincount(index_map, weights=values[:, k], minlength=n_groups)
-    out /= np.bincount(index_map, minlength=n_groups)[:, None]
+        out[:, k] = np.bincount(index_map, minlength=n_groups, weights=values[:, k]
+                                if weights is None else values[:, k] * weights)
+    out /= np.bincount(index_map, weights=weights, minlength=n_groups)[:, None]
     return out
 
 

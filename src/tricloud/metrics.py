@@ -26,9 +26,9 @@ where shared points repeat once per triangle (``tests/oracles.py`` builds it
 as the oracle the metrics are checked against).  Known results are not
 recomputed: refined vertices are copied rather than blended (at factor 1 not
 even copied), the two faces of an axis share one pixel match, and matching
-finds a query's own voxel by Morton code.  Above factor 1 the triangle metric
-compares the two frames one lattice point at a time and builds no cloud; no
-cloud of more than 2^24 points is made.
+finds a query's own voxel by Morton code.  The triangle metric compares the
+two frames one lattice point at a time and builds no cloud; no cloud of more
+than 2^24 points is made.
 
 Geometry PSNRs are normalized per coordinate against the unit bounding cube
 (width 1); color PSNRs against peak 255.  Zero error returns +inf.
@@ -50,6 +50,7 @@ from .errors import (
 )
 from .geom import (
     _blend,
+    _group_means,
     _sorted_rows,
     interpolation_lattice,
     refine,
@@ -87,7 +88,8 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
     ref_attrs / recon_attrs: sequences of per-frame arrays.  kind
     "geometry" expects (N,3) positions in the unit cube and normalizes by
     3*N; kind "color" expects a single component of shape (N,) and
-    normalizes by 255^2*N.  Frames are averaged in the MSE domain.
+    normalizes by 255^2*N.  Frames are averaged in the MSE domain; a frame
+    with no rows raises EmptySetError.
     """
     if kind not in ("geometry", "color"):
         raise ParameterError(f"kind must be 'geometry' or 'color', got {kind!r}")
@@ -103,13 +105,14 @@ def psnr_transform(ref_attrs, recon_attrs, kind: str) -> float:
         if kind == "geometry":
             if a.ndim != 2 or a.shape[1] != 3:
                 raise ShapeMismatchError(f"frame {t}: geometry must be (N,3), got {a.shape}")
-            total += float(np.sum((a - b) ** 2)) / (3.0 * a.shape[0])
-        else:
-            if a.ndim != 1:
-                raise ShapeMismatchError(
-                    f"frame {t}: color expects one component, got shape {a.shape}"
-                )
-            total += float(np.sum((a - b) ** 2)) / (255.0 ** 2 * a.shape[0])
+        elif a.ndim != 1:
+            raise ShapeMismatchError(
+                f"frame {t}: color expects one component, got shape {a.shape}"
+            )
+        if not a.size:
+            raise EmptySetError(f"frame {t}: no rows to compare")
+        peak_sq = 1.0 if kind == "geometry" else 255.0 ** 2
+        total += float(np.sum((a - b) ** 2)) / (peak_sq * a.size)
 
 
 def _lattice(frame, interp: int):
@@ -173,19 +176,10 @@ def _triangle_row(a, b, interp: int) -> np.ndarray:
     row by row (correspondence is per face, so the two sides may order their
     vertex lists differently).  Each distinct point of :func:`render_cloud`
     counts with its multiplicity, which equals comparing the expanded clouds
-    row by row.  Geometry is normalized per coordinate, colors by 255^2.  At
-    interp 1 the clouds are the refine rows, compared whole; at a larger
-    factor the rows of both sides are made and compared one lattice point at
-    a time, so neither cloud is built.
+    row by row.  Geometry is normalized per coordinate, colors by 255^2.  The
+    rows of both sides are made and compared one lattice point at a time (at
+    interp 1 they are refine's own rows), so neither cloud is built.
     """
-    if interp == 1:
-        va, ca, weights = render_cloud(a, interp)
-        vb, cb, _ = render_cloud(b, interp)
-        n = weights.sum()
-        row = np.empty(4)
-        row[0] = float(np.sum(weights @ (va - vb) ** 2)) / (3.0 * n)
-        row[1:] = weights @ (ca - cb) ** 2 / (255.0 ** 2 * n)
-        return row
     steps, fractions, weights = _lattice(a, interp)
     rows = (_lattice_rows(per_step, steps, fractions)
             for per_step in _refine_steps(a) + _refine_steps(b))
@@ -380,16 +374,12 @@ def _projection_sq_error(a: VoxelSet, b: VoxelSet) -> np.ndarray:
 def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
     """The render cloud of a frame voxelized at `depth`, colors averaged per voxel.
 
-    Each point's color counts with its multiplicity in :func:`render_cloud`;
-    the colors are weighted one column at a time, inside its bincount.
+    Each point's color counts with its multiplicity in :func:`render_cloud`
+    (:func:`geom._group_means` with weights).
     """
     points, colors, weights = render_cloud(frame, interp)
     vox = voxelize(points, None, depth)
-    n = len(vox.voxel_set)
-    means = np.empty((n, 3))
-    for k in range(3):
-        means[:, k] = np.bincount(vox.index_map, weights=colors[:, k] * weights, minlength=n)
-    means /= np.bincount(vox.index_map, weights=weights, minlength=n)[:, None]
+    means = _group_means(colors, vox.index_map, len(vox.voxel_set), weights)
     return VoxelSet(depth, vox.voxel_set.codes, means)
 
 

@@ -34,6 +34,7 @@ import numpy as np
 
 from .core import VoxelSet, _as_rows
 from .errors import EmptySetError, ParameterError
+from .geom import _sorted_rows
 
 MIDSTEP = "midstep"
 MIDRISE = "midrise"
@@ -187,16 +188,9 @@ def serialize_order(weights) -> np.ndarray:
     """Permutation putting coefficients in decreasing-weight order.
 
     Stable: ties keep ascending row order, so encoder and decoder derive the
-    same permutation from the weights alone.  A least-significant-digit radix
-    sort of max(w) - w over 16-bit digits, as many as the largest key needs:
-    ``np.lexsort`` runs numpy's stable indirect sort of each uint16 digit,
-    which is a radix sort.
+    same permutation from the weights alone.  The keys max(w) - w are sorted
+    by :func:`geom._sorted_rows`.
     """
     weights = np.asarray(weights, dtype=np.int64)
     keys = weights.max(initial=0) - weights
-    digits = [keys.astype(np.uint16)]
-    for _ in range(16, int(keys.max(initial=0)).bit_length(), 16):
-        keys >>= 16
-        digits.append(keys.astype(np.uint16))
-    del keys  # the sort holds only the digits and the permutation
-    return np.lexsort(digits)
+    return _sorted_rows(keys, int(keys.max(initial=0)).bit_length())[1]

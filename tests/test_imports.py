@@ -50,16 +50,16 @@ def _reads_one_byte(call):
             and isinstance(call.args[0], ast.Constant) and call.args[0].value == 1)
 
 
-def _calls_outside(core_function, attr, allowed=lambda call: False):
+def _calls_outside(homes, attr, allowed=lambda call: False):
     """file:line of every ``<object>.<attr>(...)`` call in the package that is
-    neither inside ``core.<core_function>`` nor ``allowed``."""
+    neither inside a function named in ``homes`` ("module.function") nor
+    ``allowed``."""
     stray = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         exempt = {id(node)
                   for func in ast.walk(tree)
-                  if isinstance(func, ast.FunctionDef) and func.name == core_function
-                  and path.name == "core.py"
+                  if isinstance(func, ast.FunctionDef) and f"{path.stem}.{func.name}" in homes
                   for node in ast.walk(func)}
         stray += [f"{path.name}:{node.lineno}"
                   for node in ast.walk(tree)
@@ -72,15 +72,29 @@ def _calls_outside(core_function, attr, allowed=lambda call: False):
 def test_every_declared_length_is_read_through_read_exact():
     # core._read_exact reads a declared length in bounded chunks; any other
     # read takes one byte (the trailer checks)
-    stray = _calls_outside("_read_exact", "read", _reads_one_byte)
+    stray = _calls_outside(("core._read_exact",), "read", _reads_one_byte)
     assert not stray, f"reads outside core._read_exact: {stray}"
 
 
 def test_every_header_is_unpacked_through_read_struct():
     # core._read_struct takes the byte count from the layout; unpack_from on
     # bytes already in memory is left alone
-    stray = _calls_outside("_read_struct", "unpack")
+    stray = _calls_outside(("core._read_struct",), "unpack")
     assert not stray, f"struct.unpack outside core._read_struct: {stray}"
+
+
+def _unstable(call):
+    return not {"stable", "mergesort"} & {getattr(arg, "value", None)
+                                          for arg in call.args + [kw.value for kw in call.keywords]}
+
+
+def test_integer_keys_are_ordered_through_sorted_rows():
+    # geom._sorted_rows is the one stable integer sort (its argsort is the
+    # fallback for keys too wide to pack); the octree's two-key preorder does
+    # not pack into 63 bits at depth 20
+    homes = ("geom._sorted_rows", "octree.octree_serialize")
+    stray = _calls_outside(homes, "lexsort") + _calls_outside(homes, "argsort", _unstable)
+    assert not stray, f"stable sorts outside geom._sorted_rows: {stray}"
 
 
 def test_frame_records_are_laid_out_once():

@@ -88,6 +88,13 @@ def test_psnr_transform_validation():
         metrics.psnr_transform([], [], "geometry")
 
 
+@pytest.mark.parametrize("kind, shape", [("geometry", (0, 3)), ("color", (0,))])
+def test_psnr_transform_refuses_a_frame_with_no_rows(kind, shape):
+    rows = np.zeros((2,) + shape[1:])
+    with pytest.raises(EmptySetError, match="frame 1: no rows to compare"):
+        metrics.psnr_transform([rows, np.zeros(shape)], [rows, np.zeros(shape)], kind)
+
+
 # ---------------------------------------------------------------------------
 # triangle-cloud PSNR on refined clouds
 # ---------------------------------------------------------------------------
@@ -337,12 +344,13 @@ def test_render_blends_one_lattice_point_at_a_time(interp):
     assert ratio <= 1.5, f"peaked {ratio:.2f} times the outputs"
 
 
-@pytest.mark.parametrize("interp", [2, 3])
+@pytest.mark.parametrize("interp", [1, 2, 3])
 def test_triangle_row_builds_no_render_cloud(interp):
     # both sides' rows are made and compared one lattice point at a time, so
     # the call holds both frames' refine rows and refine's own temporaries,
-    # not their render clouds (3.25 and 6.8 times as many points here; the
-    # frames are made untraced); the figures are those of the expanded clouds
+    # not their render clouds (1, 3.25 and 6.8 times as many points here; the
+    # frames are made untraced) or whole-cloud differences; the figures are
+    # those of the expanded clouds
     f = datagen.gen_sequence("sphere", 1, n_faces=600, upsample=6, seed=1)[0].reference
     rng = np.random.default_rng(interp)
     g = core.TriangleCloudFrame(
@@ -357,7 +365,7 @@ def test_triangle_row_builds_no_render_cloud(interp):
     finally:
         tracemalloc.stop()
     refined = core.expected_color_count(f.n_faces, f.upsample) * 3 * 8
-    assert peak <= 4 * refined, f"peaked {peak / refined:.2f} times one frame's refine rows"
+    assert peak <= 3.6 * refined, f"peaked {peak / refined:.2f} times one frame's refine rows"
     (va, ca), (vb, cb) = refined_interpolated_cloud(f, interp), refined_interpolated_cloud(g, interp)
     n = va.shape[0]
     assert row[0] == pytest.approx(np.sum((va - vb) ** 2) / (3 * n), rel=1e-12)

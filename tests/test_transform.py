@@ -128,7 +128,7 @@ def test_serialize_order_matches_stable_argsort_under_heavy_ties(seed):
 
 @pytest.mark.parametrize("top", [2 ** 16 - 1, 2 ** 16, 2 ** 40])
 def test_serialize_order_matches_stable_argsort_for_each_digit_count(top):
-    # keys max(w) - w need 1, 2 and 3 16-bit digits
+    # keys max(w) - w of 16, 17 and 41 bits, each packed above a 13-bit row index
     rng = np.random.default_rng(0)
     weights = np.concatenate([
         rng.integers(0, top, size=3000, endpoint=True),
@@ -137,6 +137,20 @@ def test_serialize_order_matches_stable_argsort_for_each_digit_count(top):
         top - np.array([0, 1, 2 ** 16 - 1, 2 ** 16, 2 ** 16 + 1, 2 ** 32]).clip(max=top),
     ])
     order = transform.serialize_order(weights)
+    assert np.array_equal(order, _stable_descending(weights))
+
+
+def test_serialize_order_of_keys_too_wide_to_pack(monkeypatch):
+    # 62-bit keys leave no room for the row index of three or more rows, so
+    # the order comes from the stable argsort
+    argsort, calls = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *args, **kw: calls.append(kw) or argsort(*args, **kw))
+    rng = np.random.default_rng(3)
+    weights = np.concatenate([rng.integers(0, 2 ** 62, size=1000, endpoint=True),
+                              [0, 2 ** 62, 0, 2 ** 62, 2 ** 61, 2 ** 61]])
+    order = transform.serialize_order(weights)
+    monkeypatch.undo()
+    assert calls == [{"kind": "stable"}]
     assert np.array_equal(order, _stable_descending(weights))
 
 
