@@ -248,6 +248,13 @@ def cmd_eval(args) -> int:
                                f"{args.reconstruction} is at depth {recon_depth}")
     # one frame pair at a time: only the per-frame error rows are kept
     figures, rows = evaluate(originals, recons, wanted, depth, args.uinterp)
+    encoded = _read_encoded(args.bitstream) if args.bitstream else []
+    n_coded = sum(enc.n_frames for enc in encoded)
+    coded_depths = {enc.params.depth for enc in encoded}
+    if encoded and (coded_depths != {depth} or n_coded != len(rows)):
+        raise ConsistencyError(f"{args.bitstream} holds {n_coded} frames at depth "
+                               f"{max(coded_depths - {depth}, default=depth)}, but "
+                               f"{len(rows)} frame pairs at depth {depth} were compared")
     report = {
         "sequence": os.path.splitext(os.path.basename(args.original))[0],
         "n_frames": len(rows),
@@ -255,8 +262,7 @@ def cmd_eval(args) -> int:
         "uinterp": args.uinterp,
         **figures,
     }
-    if args.bitstream:
-        encoded = _read_encoded(args.bitstream)
+    if encoded:
         params = encoded[0].params
         report.update(
             step_motion=params.step_motion,

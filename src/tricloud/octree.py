@@ -30,35 +30,28 @@ _CHILD_LISTS = tuple(
 
 
 def octree_serialize(voxel_set: VoxelSet) -> bytes:
-    """Occupancy bytes for the voxel set, one per internal node, preorder."""
-    codes = voxel_set.codes
-    depth = voxel_set.depth
+    """Occupancy bytes for the voxel set, one per internal node, preorder: the
+    nonzero bytes, row by row, of an (n_leaves, J) grid holding each node's byte
+    at (its first leaf, its depth).  A node's eldest child is the next byte in
+    its row; each later child's subtree starts a row after the earlier ones'."""
+    codes, depth = voxel_set.codes, voxel_set.depth
     if codes.size == 0:
         raise EmptySetError("cannot serialize an empty voxel set")
 
-    starts = []
-    depths = []
-    occupancy = []
-    parents = np.zeros(1, dtype=np.int64)  # the root; each level's children parent the next
+    grid = np.zeros((codes.size, depth), dtype=np.uint8)
+    # a leaf starts a node at depth d iff its code and its predecessor's differ
+    # above their last 3 * (depth - d) bits; the first leaf starts every node
+    change = codes ^ np.roll(codes, 1)
+    change[0] = np.iinfo(np.int64).max
     for d in range(depth):
-        prefixes = codes >> np.int64(3 * (depth - d - 1))
-        # codes are sorted, so each prefix is one run: its first row is the child
-        children = prefixes[np.flatnonzero(np.diff(prefixes, prepend=-1))]
-        rows = np.searchsorted(parents, children >> 3)
-        bits = np.int64(0x80) >> (children & 7)
-        node_bytes = np.zeros(parents.size, dtype=np.int64)
-        np.bitwise_or.at(node_bytes, rows, bits)
-        starts.append(parents << np.int64(3 * (depth - d)))
-        depths.append(np.full(parents.size, d, dtype=np.int64))
-        occupancy.append(node_bytes)
-        parents = children
-
-    starts = np.concatenate(starts)
-    depths = np.concatenate(depths)
-    occupancy = np.concatenate(occupancy)
-    # preorder = ascending code range start, parents before their first child
-    order = np.lexsort((depths, starts))
-    return occupancy[order].astype(np.uint8).tobytes()
+        shift = np.int64(3 * (depth - d - 1))
+        children = np.flatnonzero(change >= np.int64(1) << shift)  # depth d + 1 first leaves
+        bits = np.uint8(0x80) >> (codes[children] >> shift & 7).astype(np.uint8)
+        # a depth-d node's first leaf starts its eldest child, and its children
+        # run from there to the next node's eldest
+        eldest = np.flatnonzero(change[children] >= np.int64(8) << shift)
+        grid[children[eldest], d] = np.bitwise_or.reduceat(bits, eldest)
+    return grid[grid != 0].tobytes()
 
 
 def octree_parse(data: bytes, depth: int) -> VoxelSet:

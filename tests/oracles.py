@@ -31,6 +31,12 @@ attribute rows with (m, 1) gains.  The library runs the same butterflies one
 contiguous column at a time (:func:`tricloud.transform.raht_forward`,
 :func:`tricloud.transform.raht_inverse`); these functions keep the row-wise
 form its output is checked against bit for bit.
+
+The recursive octree preorder: one byte per internal node, written as the
+depth-first walk reaches it, straight from the rule in ``docs/bitstream.md``.
+The library lays every node's byte out on a per-leaf grid and reads it row by
+row (:func:`tricloud.octree.octree_serialize`); this function keeps the walk
+its bytes are checked against.
 """
 
 import struct
@@ -338,3 +344,24 @@ def raht_inverse(plan, coefficients) -> np.ndarray:
         ta[i0] = a * x0 - b * x1
         ta[i1] = b * x0 + a * x1
     return ta
+
+
+def octree_preorder(codes, depth: int) -> bytes:
+    """Occupancy bytes of the Morton codes at `depth`, one per internal node in
+    depth-first preorder, children visited in increasing 3-bit child index:
+    bit 7 - k of a node's byte is set iff its child k is occupied."""
+    out = bytearray()
+
+    def visit(level: int, leaves: list) -> None:
+        # leaves: the codes under one node at `level`, split by child index
+        shift = 3 * (depth - level - 1)
+        children = {}
+        for code in leaves:
+            children.setdefault((code >> shift) & 7, []).append(code)
+        out.append(sum(0x80 >> k for k in children))
+        if level + 1 < depth:
+            for k in sorted(children):
+                visit(level + 1, children[k])
+
+    visit(0, sorted({int(code) for code in codes}))
+    return bytes(out)

@@ -390,6 +390,26 @@ def test_eval_of_a_stream_without_gofs_exits_1_and_writes_no_report(tmp_path, ca
     assert not any(path.exists() for path in outputs)
 
 
+@pytest.mark.parametrize("frames, depth", [(3, 7), (2, 7), (3, 6)])
+def test_eval_with_the_bitstream_of_another_sequence_exits_1_and_writes_no_report(
+        tmp_path, capsys, frames, depth):
+    # its steps and rates would be reported beside PSNRs they did not produce
+    orig = _generate(tmp_path, frames=2, gof_size=2, depth=6)
+    other = _generate(tmp_path, name="other.tcg", frames=frames, gof_size=frames, depth=depth)
+    bits = tmp_path / "other.tcb"
+    assert _run(["encode", str(other), "-o", str(bits)]) == 0
+    outputs = [tmp_path / name for name in ("report.json", "report.csv", "trace.svg")]
+    capsys.readouterr()
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(orig),
+                 "--metrics", "triangle", "--bitstream", str(bits), "--json", str(outputs[0]),
+                 "--csv", str(outputs[1]), "--svg", str(outputs[2])]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {bits} holds {frames} frames at depth {depth}, but "
+                            "2 frame pairs at depth 6 were compared\n")
+    assert "rate_" not in captured.out
+    assert not any(path.exists() for path in outputs)
+
+
 @pytest.mark.parametrize("depth", ["0", "21", "-1"])
 def test_generate_at_a_depth_no_reader_accepts_exits_1_and_writes_nothing(tmp_path, capsys,
                                                                          depth):

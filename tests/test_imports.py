@@ -90,9 +90,8 @@ def _unstable(call):
 
 def test_integer_keys_are_ordered_through_sorted_rows():
     # geom._sorted_rows is the one stable integer sort (its argsort is the
-    # fallback for keys too wide to pack); the octree's two-key preorder does
-    # not pack into 63 bits at depth 20
-    homes = ("geom._sorted_rows", "octree.octree_serialize")
+    # fallback for keys too wide to pack)
+    homes = ("geom._sorted_rows",)
     stray = _calls_outside(homes, "lexsort") + _calls_outside(homes, "argsort", _unstable)
     assert not stray, f"stable sorts outside geom._sorted_rows: {stray}"
 

@@ -6,10 +6,11 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from tricloud import octree
+import oracles
+from tricloud import datagen, octree
 from tricloud.core import VoxelSet
 from tricloud.errors import (
     ConsistencyError,
@@ -19,6 +20,7 @@ from tricloud.errors import (
     TrailingBytesError,
     TruncatedStreamError,
 )
+from tricloud.geom import voxelize
 
 
 def test_serialize_single_voxel_depth_one():
@@ -77,6 +79,46 @@ def test_octree_round_trip_random(depth, seed):
     data = octree.octree_serialize(VoxelSet(depth, codes))
     back = octree.octree_parse(data, depth)
     assert np.array_equal(back.codes, codes)
+
+
+@st.composite
+def _voxel_sets(draw):
+    """(depth, sorted unique codes): random leaves anywhere up to 2^(3J) - 1,
+    plus nodes at random levels with all 8 children occupied."""
+    depth = draw(st.integers(1, 20))
+    codes = set(draw(st.lists(st.integers(0, 8 ** depth - 1), min_size=1, max_size=30)))
+    for level in draw(st.lists(st.integers(0, depth - 1), max_size=3)):
+        below = 8 ** (depth - level - 1)  # leaf codes under one child
+        prefix = draw(st.integers(0, 8 ** level - 1))
+        suffix = draw(st.integers(0, below - 1))
+        codes.update((prefix * 8 + k) * below + suffix for k in range(8))
+    return depth, np.array(sorted(codes), dtype=np.int64)
+
+
+@given(_voxel_sets())
+@settings(max_examples=200, deadline=None)
+@example((1, np.arange(8)))
+@example((20, np.array([0])))
+@example((20, np.array([8 ** 20 - 1])))
+@example((20, np.array([0, 8 ** 20 - 1])))
+def test_serialize_is_the_recursive_preorder(voxels):
+    depth, codes = voxels
+    data = oracles.octree_preorder(codes, depth)
+    assert octree.octree_serialize(VoxelSet(depth, codes)) == data
+    assert np.array_equal(octree.octree_parse(data, depth).codes, codes)
+
+
+def test_serialize_peak_memory_per_voxel_is_bounded():
+    # the (n_voxels, J) byte grid and one level's index arrays at a time
+    frame = datagen.gen_sequence("sphere", 1, n_faces=2000, upsample=2, seed=1)[0].reference
+    voxel_set = voxelize(frame.vertices, None, 10).voxel_set
+    tracemalloc.start()
+    try:
+        octree.octree_serialize(voxel_set)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 100 * len(voxel_set), f"{peak / len(voxel_set):.0f} B per voxel"
 
 
 def test_byte_count_matches_internal_nodes():
