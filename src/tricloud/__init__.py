@@ -88,7 +88,6 @@ from .metrics import (
     psnr_transform,
     psnr_triangle_cloud,
     rates,
-    render_cloud,
 )
 from .octree import (
     baseline_decode_pointcloud,

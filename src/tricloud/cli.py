@@ -246,15 +246,18 @@ def cmd_eval(args) -> int:
     if recon_depth != depth:
         raise ConsistencyError(f"{args.original} is at depth {depth} but "
                                f"{args.reconstruction} is at depth {recon_depth}")
-    # one frame pair at a time: only the per-frame error rows are kept
-    figures, rows = evaluate(originals, recons, wanted, depth, args.uinterp)
+    # the stream is read and its depth checked before any metric runs
     encoded = _read_encoded(args.bitstream) if args.bitstream else []
     n_coded = sum(enc.n_frames for enc in encoded)
-    coded_depths = {enc.params.depth for enc in encoded}
-    if encoded and (coded_depths != {depth} or n_coded != len(rows)):
+    other_depths = {enc.params.depth for enc in encoded} - {depth}
+    if other_depths:
         raise ConsistencyError(f"{args.bitstream} holds {n_coded} frames at depth "
-                               f"{max(coded_depths - {depth}, default=depth)}, but "
-                               f"{len(rows)} frame pairs at depth {depth} were compared")
+                               f"{max(other_depths)}, but {args.original} is at depth {depth}")
+    # one frame pair at a time: only the per-frame error rows are kept
+    figures, rows = evaluate(originals, recons, wanted, depth, args.uinterp)
+    if encoded and n_coded != len(rows):
+        raise ConsistencyError(f"{args.bitstream} holds {n_coded} frames at depth {depth}, "
+                               f"but {len(rows)} frame pairs at depth {depth} were compared")
     report = {
         "sequence": os.path.splitext(os.path.basename(args.original))[0],
         "n_frames": len(rows),

@@ -215,16 +215,13 @@ def _sorted_rows(keys: np.ndarray, key_bits: int):
     return packed, order
 
 
-def _group_means(values: np.ndarray, index_map: np.ndarray, n_groups: int,
-                 weights: np.ndarray | None = None) -> np.ndarray:
+def _group_means(values: np.ndarray, index_map: np.ndarray, n_groups: int) -> np.ndarray:
     """Per-group arithmetic means of rows, row i in group index_map[i] of
-    n_groups; each group's rows are summed in row order.  Given weights, row i
-    counts weights[i] times: each column is weighted inside its bincount."""
+    n_groups; each group's rows are summed in row order."""
     out = np.empty((n_groups, values.shape[1]))
     for k in range(values.shape[1]):
-        out[:, k] = np.bincount(index_map, minlength=n_groups, weights=values[:, k]
-                                if weights is None else values[:, k] * weights)
-    out /= np.bincount(index_map, weights=weights, minlength=n_groups)[:, None]
+        out[:, k] = np.bincount(index_map, values[:, k], n_groups)
+    out /= np.bincount(index_map, minlength=n_groups)[:, None]
     return out
 
 

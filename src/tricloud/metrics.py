@@ -19,16 +19,18 @@ it returned (one frame's, for a per-frame trace).
 
 The last three are taken over each frame's render cloud: the refined
 triangles upsampled once more by barycentric blending of positions and
-colors.  Neighboring refined triangles put rows on the same points, so
-:func:`render_cloud` returns each distinct lattice point once with its
-multiplicity, and the metrics weight by it; this equals the expanded cloud,
-where shared points repeat once per triangle (``tests/oracles.py`` builds it
-as the oracle the metrics are checked against).  Known results are not
-recomputed: refined vertices are copied rather than blended (at factor 1 not
-even copied), the two faces of an axis share one pixel match, and matching
-finds a query's own voxel by Morton code.  The triangle metric compares the
-two frames one lattice point at a time and builds no cloud; no cloud of more
-than 2^24 points is made.
+colors.  Neighboring refined triangles put rows on the same points, so each
+metric walks the distinct lattice points of
+:func:`geom.interpolation_lattice` one at a time, weighted by their
+multiplicity; this equals the expanded cloud, where shared points repeat
+once per triangle (``tests/oracles.py`` builds it as the oracle the metrics
+are checked against).  The triangle metric compares the two frames' rows
+and builds no cloud; projection and matching voxelize the walked positions
+and add each point's colors into its voxel's sums, and build no colors of
+the whole cloud.  Known results are not recomputed: refined vertices are
+copied rather than blended, the two faces of an axis share one pixel match,
+and matching finds a query's own voxel by Morton code.  A render cloud of
+more than 2^24 points is refused before anything is built.
 
 Geometry PSNRs are normalized per coordinate against the unit bounding cube
 (width 1); color PSNRs against peak 255.  Zero error returns +inf.
@@ -50,7 +52,6 @@ from .errors import (
 )
 from .geom import (
     _blend,
-    _group_means,
     _sorted_rows,
     interpolation_lattice,
     refine,
@@ -142,39 +143,12 @@ def _lattice_rows(per_step, steps, fractions):
         yield _blend(per_step[s1], per_step[s2], per_step[s3], a, b) if a or b else per_step[s1]
 
 
-def render_cloud(frame, interp: int = 1):
-    """(points, colors, weights) of the render cloud of one frame.
-
-    The triangle cloud is refined to its native color resolution, then each
-    refined triangle is interpolated by the extra factor.  Every distinct
-    point (see :func:`geom.interpolation_lattice`) comes once, weighted by
-    the number of refined triangles that put it in the cloud.  Refined
-    vertices (fractions 0) copy their refine rows; only the rest are blended,
-    one lattice point at a time, so no gather of the whole cloud is made.
-    At interp 1 every point is a refined vertex in refine's order, so nothing
-    is copied: the points are refine's output and the colors the frame's own.
-    A cloud of more than 2^24 points is refused before anything is built.
-    """
-    steps, fractions, weights = _lattice(frame, interp)
-    signals = _refine_steps(frame)
-    weights = np.repeat(weights, frame.n_faces)
-    if interp == 1:
-        return signals[0].reshape(-1, 3), frame.colors, weights
-    clouds = []
-    for per_step in signals:
-        out = np.empty((steps.shape[0],) + per_step.shape[1:])
-        for p, rows in enumerate(_lattice_rows(per_step, steps, fractions)):
-            out[p] = rows
-        clouds.append(out.reshape(-1, 3))
-    return clouds[0], clouds[1], weights
-
-
 def _triangle_row(a, b, interp: int) -> np.ndarray:
     """Normalized MSE row (G, Y, U, V) of one frame pair's render clouds.
 
     Both sides are upsampled with the same interpolation factor and compared
     row by row (correspondence is per face, so the two sides may order their
-    vertex lists differently).  Each distinct point of :func:`render_cloud`
+    vertex lists differently).  Each distinct lattice point (:func:`_lattice`)
     counts with its multiplicity, which equals comparing the expanded clouds
     row by row.  Geometry is normalized per coordinate, colors by 255^2.  The
     rows of both sides are made and compared one lattice point at a time (at
@@ -374,13 +348,30 @@ def _projection_sq_error(a: VoxelSet, b: VoxelSet) -> np.ndarray:
 def _render_voxels(frame, depth: int, interp: int) -> VoxelSet:
     """The render cloud of a frame voxelized at `depth`, colors averaged per voxel.
 
-    Each point's color counts with its multiplicity in :func:`render_cloud`
-    (:func:`geom._group_means` with weights).
+    The lattice is walked as :func:`_triangle_row` walks it, twice: the
+    positions into the points :func:`geom.voxelize` groups, then the colors,
+    each lattice point's rows times its multiplicity added into their voxels'
+    sums in lattice order.  That adds the same floats in the same order as
+    one weighted bincount over the whole cloud's colors, which are never built.
     """
-    points, colors, weights = render_cloud(frame, interp)
-    vox = voxelize(points, None, depth)
-    means = _group_means(colors, vox.index_map, len(vox.voxel_set), weights)
-    return VoxelSet(depth, vox.voxel_set.codes, means)
+    steps, fractions, weights = _lattice(frame, interp)
+    positions, colors = _refine_steps(frame)
+    points = np.empty((steps.shape[0],) + positions.shape[1:])
+    for p, rows in enumerate(_lattice_rows(positions, steps, fractions)):
+        points[p] = rows
+    del positions, rows  # refine's rows do not sit beside the voxelization
+    vox = voxelize(points.reshape(-1, 3), None, depth)
+    n = len(vox.voxel_set)
+    sums = np.zeros((n, 3))
+    # freed after the sums are made: freed before, their pages went back to
+    # the system and the sums faulted in fresh ones
+    del points
+    groups = vox.index_map.reshape(steps.shape[0], -1)
+    for w, voxels, rows in zip(weights, groups, _lattice_rows(colors, steps, fractions)):
+        for k in range(3):
+            np.add.at(sums[:, k], voxels, rows[:, k] * w)
+    sums /= np.bincount(vox.index_map, np.repeat(weights, frame.n_faces), n)[:, None]
+    return VoxelSet(depth, vox.voxel_set.codes, sums)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ construction their bytes are checked against.
 
 The expanded render cloud: every refined triangle upsampled again, with a
 point shared by neighboring triangles repeated once per triangle.  The
-library computes each distinct point once (:func:`tricloud.metrics.render_cloud`,
-:func:`tricloud.geom.interpolation_lattice`); these functions keep the
-direct construction the metrics are checked against, and the blend of every
-distinct point, refined vertices included, whose bytes the library's
-render cloud must equal.
+library walks each distinct point once (:func:`tricloud.geom.interpolation_lattice`,
+:func:`tricloud.metrics._render_voxels`) and builds no cloud; these
+functions keep the direct construction the metrics are checked against, and
+the whole cloud of every distinct point blended, refined vertices included,
+whose voxel means the library's must equal byte for byte.
 
 The index sorts: voxel grouping by ``np.unique`` and the visible voxels of
 a projection by ``np.argsort`` of their composite keys.  The library sorts
@@ -48,7 +48,6 @@ from tricloud.entropy import (
 )
 from tricloud.errors import ConsistencyError, CorruptStreamError, RangeError
 from tricloud.geom import interpolation_lattice, morton_encode, refine
-from tricloud.metrics import render_cloud
 from tricloud.transform import CoefficientBlock
 
 
@@ -90,16 +89,18 @@ def refine_interpolate(vertices_r, colors_r, faces_r, upsample: int):
 def refined_interpolated_cloud(frame, interp: int = 1):
     """(points, colors) of the upsampled render cloud of one frame.
 
-    The rows of :func:`render_cloud`, each repeated by its multiplicity: the
-    cloud of every refined triangle interpolated by the extra factor, with
-    points shared by neighboring triangles once per triangle.
+    The rows of :func:`blended_render_cloud`, each repeated by its
+    multiplicity: the cloud of every refined triangle interpolated by the
+    extra factor, with points shared by neighboring triangles once per
+    triangle.
     """
-    points, colors, weights = render_cloud(frame, interp)
+    points, colors, weights = blended_render_cloud(frame, interp)
     return np.repeat(points, weights, axis=0), np.repeat(colors, weights, axis=0)
 
 
 def blended_render_cloud(frame, interp: int = 1):
-    """(points, colors, weights) of :func:`render_cloud`, every point blended.
+    """(points, colors, weights) of the render cloud of one frame: each point
+    of :func:`interpolation_lattice` once, on every face, with its multiplicity.
 
     Each lattice point gathers its three refine steps' rows and blends them,
     a refined vertex (equal steps, fractions 0) included.

@@ -404,10 +404,34 @@ def test_eval_with_the_bitstream_of_another_sequence_exits_1_and_writes_no_repor
                  "--metrics", "triangle", "--bitstream", str(bits), "--json", str(outputs[0]),
                  "--csv", str(outputs[1]), "--svg", str(outputs[2])]) == 1
     captured = capsys.readouterr()
-    assert captured.err == (f"error: {bits} holds {frames} frames at depth {depth}, but "
-                            "2 frame pairs at depth 6 were compared\n")
+    # another depth is refused before the metrics run, another frame total after
+    compared = f"{orig} is at depth 6" if depth != 6 else "2 frame pairs at depth 6 were compared"
+    assert captured.err == f"error: {bits} holds {frames} frames at depth {depth}, but {compared}\n"
     assert "rate_" not in captured.out
     assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("stream, code", [("depth", 1), ("magic", 2)])
+def test_eval_refuses_a_bad_bitstream_before_any_metric_runs(tmp_path, capsys, monkeypatch,
+                                                            stream, code):
+    # a stream at another depth (exit 1) or a TCG1 file in its place (exit 2)
+    # is refused before the metrics spend their time
+    orig = _generate(tmp_path, frames=2, gof_size=2, depth=6)
+    bits = orig
+    if stream == "depth":
+        other = _generate(tmp_path, name="other.tcg", frames=2, gof_size=2, depth=7)
+        bits = tmp_path / "other.tcb"
+        assert _run(["encode", str(other), "-o", str(bits)]) == 0
+
+    def evaluate(*args, **kwargs):
+        raise AssertionError("evaluate ran")
+
+    monkeypatch.setattr(cli, "evaluate", evaluate)
+    capsys.readouterr()
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(orig),
+                 "--metrics", "triangle", "--bitstream", str(bits)]) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and not captured.out
 
 
 @pytest.mark.parametrize("depth", ["0", "21", "-1"])

@@ -408,18 +408,3 @@ def test_voxelize_means_match_bincount():
         sums = np.bincount(res.index_map, weights=attrs[:, k], minlength=n_vox)
         counts = np.bincount(res.index_map, minlength=n_vox)
         assert np.allclose(res.voxel_set.attributes[:, k], sums / counts)
-
-
-@given(st.integers(1, 8), st.integers(0, 40), st.integers(0, 2 ** 31))
-@settings(max_examples=60, deadline=None)
-def test_group_means_weights_count_as_repeated_rows(n_groups, extra, seed):
-    # integer values and weights keep both sides' sums exact, so the means are equal
-    rng = np.random.default_rng(seed)
-    n = n_groups + extra
-    index_map = rng.permutation(np.arange(n) % n_groups)
-    values = rng.integers(-1000, 1000, size=(n, 3)).astype(np.float64)
-    weights = rng.integers(1, 5, size=n)
-    got = geom._group_means(values, index_map, n_groups, weights)
-    want = geom._group_means(np.repeat(values, weights, axis=0),
-                             np.repeat(index_map, weights), n_groups)
-    assert np.array_equal(got, want)

@@ -15,12 +15,14 @@ from oracles import (
     face_winners,
     refine_interpolate,
     refined_interpolated_cloud,
+    voxel_grouping,
 )
 from tricloud import core, datagen, geom, metrics
 from tricloud.errors import (
     ConsistencyError,
     EmptySetError,
     ParameterError,
+    RangeError,
     ShapeMismatchError,
 )
 
@@ -274,7 +276,7 @@ def _sorted_rows(rows):
 @pytest.mark.parametrize("interp", [1, 2, 3, 4])
 def test_render_cloud_is_the_interpolated_cloud_once_per_point(upsample, interp):
     f = _frame(n_faces=7, upsample=upsample, seed=10 * upsample + interp, n_vertices=9)
-    points, colors, weights = metrics.render_cloud(f, interp)
+    points, colors, weights = blended_render_cloud(f, interp)
     n = upsample * interp
     assert points.shape == (7 * (n + 1) * (n + 2) // 2, 3)
     assert colors.shape == points.shape and weights.shape == points.shape[:1]
@@ -296,52 +298,39 @@ def test_render_cloud_is_the_interpolated_cloud_once_per_point(upsample, interp)
 @pytest.mark.parametrize("upsample", [1, 2, 3, 6])
 @pytest.mark.parametrize("interp", [1, 2, 3, 4])
 def test_render_cloud_is_the_blended_cloud_byte_for_byte(upsample, interp):
-    for n_faces in (0, 1, 7):
+    # the lattice walk's voxel means are those of the whole blended cloud
+    # grouped by np.unique, with one weighted bincount per color column: the
+    # same floats added in the same order
+    for n_faces, depth in ((1, 10), (7, 3), (7, 10)):
         f = _frame(n_faces=n_faces, upsample=upsample, seed=upsample + 5 * interp, n_vertices=9)
-        got = metrics.render_cloud(f, interp)
-        want = blended_render_cloud(f, interp)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape and g.dtype == w.dtype
-            assert g.tobytes() == w.tobytes()
+        points, colors, weights = blended_render_cloud(f, interp)
+        codes, index_map = voxel_grouping(points, depth)
+        means = np.stack([np.bincount(index_map, colors[:, k] * weights, codes.size)
+                          for k in range(3)], axis=1)
+        means /= np.bincount(index_map, weights, codes.size)[:, None]
+        got = metrics._render_voxels(f, depth, interp)
+        assert got.codes.tobytes() == codes.tobytes()
+        assert got.attributes.dtype == means.dtype
+        assert got.attributes.tobytes() == means.tobytes()
 
 
-def test_render_at_factor_one_copies_nothing():
-    # at factor one every point is a refined vertex: the cloud is refine's
-    # output and the frame's own colors, and the voxel means weight one color
-    # column at a time (about 130k points; the frame is made untraced)
-    f = datagen.gen_sequence("sphere", 1, n_faces=2000, upsample=10, seed=1)[0].reference
-
-    def peak(fn, *args):
-        tracemalloc.start()
-        try:
-            out = fn(*args)
-            return out, tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
-    points, refine_peak = peak(geom.refine, f.vertices, f.faces, f.upsample)
-    _, voxelize_peak = peak(geom.voxelize, points, None, 10)
-    (got, colors, weights), render_peak = peak(metrics.render_cloud, f, 1)
-    assert render_peak <= refine_peak + weights.nbytes
-    assert colors is f.colors and got.tobytes() == points.tobytes()
-    _, voxels_peak = peak(metrics._render_voxels, f, 10, 1)
-    column = f.colors[:, 0].nbytes
-    assert voxels_peak <= points.nbytes + weights.nbytes + voxelize_peak + column
-
-
-@pytest.mark.parametrize("interp", [2, 3])
+@pytest.mark.parametrize("interp", [1, 2, 3])
 def test_render_blends_one_lattice_point_at_a_time(interp):
-    # the blended points are made one lattice point at a time, so the call
-    # holds little beyond its three outputs (the frame is made untraced)
+    # the positions are walked into one array for voxelize and the colors
+    # added into their voxels' sums point by point, so no whole-cloud colors
+    # or refine rows sit beside the voxelization (the frame is made untraced).
+    # Peak per render point at I = 1, 2, 3: 72.2, 72.1, 72.1 B; building the
+    # whole cloud and averaging it with one weighted bincount took 80.1,
+    # 104.0, 106.3 B.
     f = datagen.gen_sequence("sphere", 1, n_faces=600, upsample=6, seed=1)[0].reference
     tracemalloc.start()
     try:
-        cloud = metrics.render_cloud(f, interp)
+        metrics._render_voxels(f, 10, interp)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    ratio = peak / sum(part.nbytes for part in cloud)
-    assert ratio <= 1.5, f"peaked {ratio:.2f} times the outputs"
+    points = core.expected_color_count(f.n_faces, f.upsample * interp)
+    assert peak <= 76 * points, f"peaked {peak / points:.1f} B per render point"
 
 
 @pytest.mark.parametrize("interp", [1, 2, 3])
@@ -377,9 +366,9 @@ def test_render_cloud_over_the_point_cap_is_refused_before_it_is_built():
     tracemalloc.start()
     try:
         with pytest.raises(ParameterError, match="cloud of 16782321 points, more than 16777216"):
-            metrics.render_cloud(f, 5792)  # 5793 * 5794 / 2 points; 5791 would fit
+            metrics._render_voxels(f, 10, 5792)  # 5793 * 5794 / 2 points; 5791 would fit
         with pytest.raises(ParameterError, match="more than 16777216"):
-            metrics.render_cloud(f, 1 << 40)
+            metrics._render_voxels(f, 10, 1 << 40)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -389,14 +378,14 @@ def test_render_cloud_over_the_point_cap_is_refused_before_it_is_built():
 def test_render_cloud_validation():
     f = _frame(n_faces=2, upsample=2, seed=6)
     with pytest.raises(ParameterError):
-        metrics.render_cloud(f, 0)
+        metrics._render_voxels(f, 6, 0)
     short = core.TriangleCloudFrame(f.vertices, f.faces, f.colors[:-1], 2)
     with pytest.raises(ConsistencyError):
-        metrics.render_cloud(short, 1)
+        metrics._render_voxels(short, 6, 1)
     empty = core.TriangleCloudFrame(np.zeros((0, 3)), np.zeros((0, 3), dtype=int),
                                     np.zeros((0, 3)), 3)
-    points, colors, weights = metrics.render_cloud(empty, 2)
-    assert points.shape == colors.shape == (0, 3) and weights.shape == (0,)
+    with pytest.raises(RangeError, match="empty point list"):
+        metrics._render_voxels(empty, 6, 2)
 
 
 # ---------------------------------------------------------------------------
