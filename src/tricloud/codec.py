@@ -72,7 +72,7 @@ from .transform import (
 )
 
 BITSTREAM_MAGIC = b"TCB1"
-BITSTREAM_VERSION = 1
+BITSTREAM_VERSION = 2  # 2 codes octree occupancy level by level; 1 (preorder) is refused
 
 # GOF record header: depth, upsample, frame count, intra-only flag, the three
 # stepsizes, vertex count, face count

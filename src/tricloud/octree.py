@@ -1,9 +1,9 @@
 """Octree occupancy coding of voxel sets, plus the standalone point-cloud baseline.
 
 A voxel set at depth J is described by one byte per internal octree node,
-emitted in depth-first (preorder) order with children visited in increasing
-3-bit Morton child index.  Bit (7-k) of a byte is set iff child k is occupied,
-so a parse in stream order emits leaf codes already sorted.
+emitted level by level from the root, each level's nodes in Morton order.
+Bit (7-k) of a byte is set iff child k is occupied, so a level holds as many
+bytes as the level above sets bits, and a parse emits leaf codes already sorted.
 """
 
 from __future__ import annotations
@@ -23,62 +23,46 @@ from .errors import (
 )
 from .transform import raht_forward, raht_inverse, raht_plan
 
-# child sub-lists per occupancy byte, in increasing child index
-_CHILD_LISTS = tuple(
-    tuple(k for k in range(8) if byte & (0x80 >> k)) for byte in range(256)
-)
+# [byte, k] is True iff the byte's bit 7 - k marks child k occupied
+_CHILDREN = (np.arange(256)[:, None] & (0x80 >> np.arange(8))) != 0
 
 
 def octree_serialize(voxel_set: VoxelSet) -> bytes:
-    """Occupancy bytes for the voxel set, one per internal node, preorder: the
-    nonzero bytes, row by row, of an (n_leaves, J) grid holding each node's byte
-    at (its first leaf, its depth).  A node's eldest child is the next byte in
-    its row; each later child's subtree starts a row after the earlier ones'."""
+    """Occupancy bytes for the voxel set, one per internal node, level by level
+    from the root and in Morton order within a level."""
     codes, depth = voxel_set.codes, voxel_set.depth
     if codes.size == 0:
         raise EmptySetError("cannot serialize an empty voxel set")
 
-    grid = np.zeros((codes.size, depth), dtype=np.uint8)
-    # a leaf starts a node at depth d iff its code and its predecessor's differ
-    # above their last 3 * (depth - d) bits; the first leaf starts every node
-    change = codes ^ np.roll(codes, 1)
-    change[0] = np.iinfo(np.int64).max
-    for d in range(depth):
-        shift = np.int64(3 * (depth - d - 1))
-        children = np.flatnonzero(change >= np.int64(1) << shift)  # depth d + 1 first leaves
-        bits = np.uint8(0x80) >> (codes[children] >> shift & 7).astype(np.uint8)
-        # a depth-d node's first leaf starts its eldest child, and its children
-        # run from there to the next node's eldest
-        eldest = np.flatnonzero(change[children] >= np.int64(8) << shift)
-        grid[children[eldest], d] = np.bitwise_or.reduceat(bits, eldest)
-    return grid[grid != 0].tobytes()
+    levels = []
+    for _ in range(depth):  # bottom-up: the nodes at one depth become their parents' bytes
+        parents = codes >> 3
+        first = np.flatnonzero(np.diff(parents, prepend=-1))  # first child of each parent
+        bits = np.uint8(0x80) >> (codes & 7).astype(np.uint8)
+        levels.append(np.bitwise_or.reduceat(bits, first))
+        codes = parents[first]
+    return b"".join(level.tobytes() for level in reversed(levels))
 
 
 def octree_parse(data: bytes, depth: int) -> VoxelSet:
     """Rebuild the voxel set from occupancy bytes; exact inverse of serialize."""
     depth = _check_depth(depth)
-    if len(data) == 0:
-        raise TruncatedStreamError("empty occupancy stream")
-    pos = 0
-    out = []
-    stack = [(0, 0)]  # (prefix, node depth)
-    while stack:
-        prefix, d = stack.pop()
-        if pos >= len(data):
-            raise TruncatedStreamError("occupancy stream ended mid-traversal")
-        kids = _CHILD_LISTS[data[pos]]
-        pos += 1
-        if not kids:
+    stream = np.frombuffer(data, dtype=np.uint8)
+    codes = np.zeros(1, dtype=np.int64)
+    for d in range(depth):
+        # one byte per node at depth d, checked before anything is allocated
+        level, stream = stream[:codes.size], stream[codes.size:]
+        if level.size < codes.size:
+            raise TruncatedStreamError(f"occupancy level {d} ends after {level.size} bytes")
+        if not level.all():
             raise CorruptStreamError("occupancy byte with no children")
-        base = prefix << 3
-        if d == depth - 1:
-            out.extend(base + k for k in kids)
-        else:
-            for k in reversed(kids):
-                stack.append((base + k, d + 1))
-    if pos != len(data):
-        raise TrailingBytesError(f"{len(data) - pos} bytes after a complete traversal")
-    return VoxelSet(depth, np.array(out, dtype=np.int64))
+        parents, children = np.nonzero(_CHILDREN[level])
+        codes = codes[parents]
+        codes <<= 3
+        codes |= children
+    if stream.size:
+        raise TrailingBytesError(f"{stream.size} bytes after a complete traversal")
+    return VoxelSet(depth, codes)
 
 
 def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):

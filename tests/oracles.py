@@ -32,11 +32,11 @@ contiguous column at a time (:func:`tricloud.transform.raht_forward`,
 :func:`tricloud.transform.raht_inverse`); these functions keep the row-wise
 form its output is checked against bit for bit.
 
-The recursive octree preorder: one byte per internal node, written as the
-depth-first walk reaches it, straight from the rule in ``docs/bitstream.md``.
-The library lays every node's byte out on a per-leaf grid and reads it row by
-row (:func:`tricloud.octree.octree_serialize`); this function keeps the walk
-its bytes are checked against.
+The octree levels, one node at a time: each level's bytes built in a dict
+keyed by node, straight from the rule in ``docs/bitstream.md``.  The library
+turns each level into bytes with one numpy pass
+(:func:`tricloud.octree.octree_serialize`); this function keeps the
+node-by-node construction its bytes are checked against.
 """
 
 import struct
@@ -347,22 +347,16 @@ def raht_inverse(plan, coefficients) -> np.ndarray:
     return ta
 
 
-def octree_preorder(codes, depth: int) -> bytes:
-    """Occupancy bytes of the Morton codes at `depth`, one per internal node in
-    depth-first preorder, children visited in increasing 3-bit child index:
-    bit 7 - k of a node's byte is set iff its child k is occupied."""
+def octree_levels(codes, depth: int) -> bytes:
+    """Occupancy bytes of the Morton codes at `depth`, level by level from the
+    root: level d holds one byte per depth-d node, nodes in increasing Morton
+    order, and bit 7 - k of a node's byte is set iff its child k is occupied."""
+    leaves = {int(code) for code in codes}
     out = bytearray()
-
-    def visit(level: int, leaves: list) -> None:
-        # leaves: the codes under one node at `level`, split by child index
-        shift = 3 * (depth - level - 1)
-        children = {}
+    for level in range(depth):
+        nodes = {}  # depth-`level` node -> its byte
         for code in leaves:
-            children.setdefault((code >> shift) & 7, []).append(code)
-        out.append(sum(0x80 >> k for k in children))
-        if level + 1 < depth:
-            for k in sorted(children):
-                visit(level + 1, children[k])
-
-    visit(0, sorted({int(code) for code in codes}))
+            child = code >> 3 * (depth - level - 1)  # the leaf's depth-(level + 1) ancestor
+            nodes[child >> 3] = nodes.get(child >> 3, 0) | 0x80 >> (child & 7)
+        out.extend(nodes[node] for node in sorted(nodes))
     return bytes(out)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from tricloud import cli, codec, core, datagen, geom, metrics
+from tricloud.errors import FormatError
 
 
 def _run(argv):
@@ -298,7 +299,8 @@ _HOSTILE = {
     "upsample": ("encode", lambda: _tcg1(0xFFFFFFFF, 3, 1,
                                          bytes(36) + struct.pack("<3I", 0, 1, 2))),
     # one GOF record that declares about 4 GiB and carries 10 bytes
-    "record-length": ("decode", lambda: codec.BITSTREAM_MAGIC + struct.pack("<HI", 1, 1)
+    "record-length": ("decode", lambda: codec.BITSTREAM_MAGIC
+                      + struct.pack("<HI", codec.BITSTREAM_VERSION, 1)
                       + struct.pack("<I", 0xFFFFFFF0) + bytes(10)),
     # a GOF header whose U is about 8.3 million: 2 * 10^15 refined points
     "gof-upsample": ("decode", lambda: _tcb1_with_upsample_byte(0x7F)),
@@ -432,6 +434,28 @@ def test_eval_refuses_a_bad_bitstream_before_any_metric_runs(tmp_path, capsys, m
                  "--metrics", "triangle", "--bitstream", str(bits)]) == code
     captured = capsys.readouterr()
     assert captured.err.startswith("error:") and not captured.out
+
+
+def test_a_version_1_stream_is_refused_by_the_reader_decode_and_eval(tmp_path, capsys):
+    # version 1 coded the octree in preorder; no reader parses it any more
+    orig = _generate(tmp_path, frames=2, gof_size=2)
+    bits = tmp_path / "seq.tcb"
+    assert _run(["encode", str(orig), "-o", str(bits)]) == 0
+    data = bytearray(bits.read_bytes())
+    assert data[4:6] == struct.pack("<H", codec.BITSTREAM_VERSION)
+    data[4:6] = struct.pack("<H", 1)
+    bits.write_bytes(data)
+    with pytest.raises(FormatError, match="unsupported container version 1"):
+        codec.read_bitstream(io.BytesIO(data))
+    recon = tmp_path / "recon.tcg"
+    capsys.readouterr()
+    assert _run(["decode", str(bits), "-o", str(recon)]) == 2
+    assert not recon.exists()
+    assert _run(["eval", "--original", str(orig), "--reconstruction", str(orig),
+                 "--metrics", "triangle", "--bitstream", str(bits)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 2 and "Traceback" not in captured.err
+    assert not captured.out
 
 
 @pytest.mark.parametrize("depth", ["0", "21", "-1"])

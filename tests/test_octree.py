@@ -10,14 +10,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from tricloud import datagen, octree
-from tricloud.core import VoxelSet
+from test_transform import _workloads
+from tricloud import codec, datagen, octree
+from tricloud.core import CodecParams, VoxelSet
+from tricloud.entropy import inflate
 from tricloud.errors import (
     ConsistencyError,
     CorruptStreamError,
     EmptySetError,
     ParameterError,
     TrailingBytesError,
+    TricloudError,
     TruncatedStreamError,
 )
 from tricloud.geom import voxelize
@@ -35,7 +38,8 @@ def test_serialize_full_root():
 
 def test_serialize_depth_two_preorder():
     # codes 0 (child 0 / child 0) and 9 (child 1 / child 1): root byte 0xC0,
-    # then the two depth-1 nodes in start order
+    # then the two depth-1 nodes in Morton order; at depth 2 that is also the
+    # preorder
     data = octree.octree_serialize(VoxelSet(2, np.array([0, 9])))
     assert data == b"\xc0\x80\x40"
 
@@ -44,6 +48,14 @@ def test_parse_inverts_hand_case():
     back = octree.octree_parse(b"\xc0\x80\x40", 2)
     assert back.depth == 2
     assert back.codes.tolist() == [0, 9]
+
+
+def test_depth_three_is_coded_level_by_level():
+    # paths 0/0/0, 0/1/1 and 1/0/0: the root, then both depth-1 nodes, then
+    # the three depth-2 nodes; the preorder would give c0 c0 80 40 80 80
+    data = bytes.fromhex("c0c080804080")
+    assert octree.octree_serialize(VoxelSet(3, np.array([0, 9, 64]))) == data
+    assert octree.octree_parse(data, 3).codes.tolist() == [0, 9, 64]
 
 
 def test_parse_emits_sorted_codes():
@@ -68,6 +80,78 @@ def test_parse_error_paths():
         octree.octree_parse(b"\x04\xff", 1)  # bytes left after the last leaf
     with pytest.raises(TruncatedStreamError):
         octree.octree_parse(b"", 1)
+
+
+def test_parse_refuses_a_short_last_level_a_deep_zero_byte_and_trailing_bytes():
+    codes = np.unique(np.random.default_rng(11).integers(0, 8 ** 12, size=500))
+    data = octree.octree_serialize(VoxelSet(12, codes))
+    with pytest.raises(TruncatedStreamError, match="level 11"):
+        octree.octree_parse(data[:-1], 12)
+    with pytest.raises(CorruptStreamError, match="no children"):
+        octree.octree_parse(data[:-5] + b"\x00" + data[-4:], 12)
+    with pytest.raises(TrailingBytesError, match="1 bytes"):
+        octree.octree_parse(data + b"\x80", 12)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+# 10^4 and 10^6 bytes, and two lengths that end on a complete level, where a
+# string of 0xFF holds the most bytes per node of the last level it expands
+@pytest.mark.parametrize("n_bytes", [10 ** 4, (8 ** 6 - 1) // 7, (8 ** 7 - 1) // 7, 10 ** 6])
+def test_parse_refuses_a_string_of_0xff_within_256_bytes_per_input_byte(n_bytes):
+    data = b"\xff" * n_bytes
+    _, peak = _traced_peak(lambda: pytest.raises(TruncatedStreamError,
+                                                 octree.octree_parse, data, 20))
+    assert peak <= 256 * n_bytes, f"{peak / n_bytes:.0f} B per input byte"
+
+
+def test_parse_of_a_complete_depth_8_tree_is_within_256_bytes_per_input_byte():
+    data = b"\xff" * ((8 ** 8 - 1) // 7)  # every node of levels 0 to 7
+    back, peak = _traced_peak(lambda: octree.octree_parse(data, 8))
+    assert peak <= 256 * len(data), f"{peak / len(data):.0f} B per input byte"
+    # the codes increase strictly, so these three facts make them 0 .. 8^8 - 1
+    assert back.codes.size == 8 ** 8
+    assert back.codes[0] == 0 and back.codes[-1] == 8 ** 8 - 1
+
+
+def _mutations(data):
+    """Every bit flip, every byte zeroed or set to 0xFF, every truncation, and
+    one byte appended."""
+    for i in range(len(data)):
+        for byte in [data[i] ^ 1 << bit for bit in range(8)] + [0x00, 0xFF]:
+            yield data[:i] + bytes([byte]) + data[i + 1:]
+        yield data[:i]
+    yield data + b"\x80"
+
+
+@pytest.mark.parametrize("name", ["rd-point-S", "inter-L", "intra-W"])
+def test_every_mutation_of_a_tiny_workload_octree_parses_or_is_refused(name, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    w, depth = workloads.WORKLOADS[name].tiny(), workloads.DEPTH
+    gof = datagen.gen_sequence(w.shape, 1, n_faces=w.faces, upsample=w.upsample,
+                               seed=w.default_seed)[0]
+    frame = codec.encode_gof(gof, CodecParams(depth, w.upsample)).frames[0]
+    data = inflate(frame.octree_bytes)
+    assert octree.octree_parse(data, depth).codes.size == frame.n_voxels
+    n_parsed = 0
+    for mutated in _mutations(data):
+        try:
+            back = octree.octree_parse(mutated, depth)
+        except TricloudError:
+            continue
+        # a stream that parses is the serialization of what it parses to
+        assert isinstance(back, VoxelSet) and back.depth == depth
+        assert octree.octree_serialize(back) == mutated
+        n_parsed += 1
+    assert n_parsed > 0
 
 
 @given(st.integers(1, 7), st.integers(0, 2 ** 31))
@@ -101,15 +185,15 @@ def _voxel_sets(draw):
 @example((20, np.array([0])))
 @example((20, np.array([8 ** 20 - 1])))
 @example((20, np.array([0, 8 ** 20 - 1])))
-def test_serialize_is_the_recursive_preorder(voxels):
+def test_serialize_is_the_level_order(voxels):
     depth, codes = voxels
-    data = oracles.octree_preorder(codes, depth)
+    data = oracles.octree_levels(codes, depth)
     assert octree.octree_serialize(VoxelSet(depth, codes)) == data
     assert np.array_equal(octree.octree_parse(data, depth).codes, codes)
 
 
 def test_serialize_peak_memory_per_voxel_is_bounded():
-    # the (n_voxels, J) byte grid and one level's index arrays at a time
+    # one level's arrays at a time, and the bytes of the levels done
     frame = datagen.gen_sequence("sphere", 1, n_faces=2000, upsample=2, seed=1)[0].reference
     voxel_set = voxelize(frame.vertices, None, 10).voxel_set
     tracemalloc.start()
@@ -199,13 +283,14 @@ def test_baseline_hostile_geometry_rejected_while_inflating():
 
 
 @pytest.mark.parametrize("columns, step, geometry_sha, color_sha", [
-    (1, 1.0, "5aaa9285ceb245d2356991f7d13f1120bd08983e5a7d8b902fb966f8571bd29a",
+    (1, 1.0, "60e72a480bdfa68c005a023b277ee70010ffcb5f90da4aa179c2f419cc305dc9",
      "771ab02fe59652e30dafdfa467606a597b710997ae09df77e3da6ae93dc89c8b"),
-    (3, 4.0, "32cd007cb534d15f6ddd822676306f6190f78e9b6d39b23b737150a1fc01d016",
+    (3, 4.0, "e84fd5bcb1d0b5ccca33882469170f0414cd9521738296e683a6bdb6ada8ad38",
      "d0b455872c89b46e6b4492658656dba6d0c05aa5d89789033b3f55e21d41e5e1"),
 ])
 def test_baseline_bytes_are_pinned(columns, step, geometry_sha, color_sha):
-    # recorded before the baseline moved onto the codec's plane helpers
+    # colors recorded before the baseline moved onto the codec's plane helpers,
+    # geometry when the octree was first coded level by level
     rng = np.random.default_rng(20 + columns)
     codes = np.sort(rng.choice(8 ** 6, size=900, replace=False).astype(np.int64))
     vs = VoxelSet(6, codes, rng.random((900, columns)) * 255)
