@@ -38,11 +38,9 @@ from .core import (
     check_frame,
     expected_color_count,
     iter_gof_file,
-    read_frame,
     read_gof_file,
     read_gof_frames,
     validate_gof,
-    write_frame,
     write_gof_file,
     write_gof_frames,
 )

@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", help="write a synthetic TCG1 sequence")
+    p = sub.add_parser("generate", help="write a synthetic TCG2 sequence")
     p.add_argument("--shape", required=True, choices=SHAPES)
     p.add_argument("--frames", required=True, type=int)
     p.add_argument("--faces", type=int, default=2000)
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("encode", help="encode a TCG1 sequence to a TCB1 bitstream")
+    p = sub.add_parser("encode", help="encode a TCG2 sequence to a TCB1 bitstream")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--step-motion", type=float, default=1.0,
@@ -83,14 +83,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes; only 1 is accepted")
     p.set_defaults(func=cmd_encode)
 
-    p = sub.add_parser("decode", help="decode a TCB1 bitstream to a TCG1 sequence")
+    p = sub.add_parser("decode", help="decode a TCB1 bitstream to a TCG2 sequence")
     p.add_argument("input")
     p.add_argument("-o", "--output", required=True)
     p.add_argument("--jobs", type=int, default=1, choices=[1],
                    help="worker processes; only 1 is accepted")
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("eval", help="compare two TCG1 sequences")
+    p = sub.add_parser("eval", help="compare two TCG2 sequences")
     p.add_argument("--original", required=True)
     p.add_argument("--reconstruction", required=True)
     p.add_argument("--metrics", default=",".join(METRICS),
@@ -152,7 +152,7 @@ def cmd_encode(args) -> int:
 
 
 def _write_decoded(fp, encoded, frames, depth: int) -> None:
-    """Write the frames of one decoded GOF record as TCG1 containers: one for a
+    """Write the frames of one decoded GOF record as TCG2 containers: one for a
     hybrid record, one per frame for an all-intra record, whose frames carry no
     shared vertex labeling."""
     n = 1 if encoded.intra_only else encoded.n_frames
@@ -164,7 +164,7 @@ def _write_decoded(fp, encoded, frames, depth: int) -> None:
 
 def _read_encoded(path) -> list:
     """The GOF records of the TCB1 file at `path`, of which there must be one or
-    more: a TCG1 file holds at least one container, and a rate needs a frame."""
+    more: a TCG2 file holds at least one container, and a rate needs a frame."""
     encoded = read_bitstream_file(path)
     if not encoded:
         raise CorruptStreamError(f"{path}: bitstream holds no GOF")
@@ -175,7 +175,7 @@ def cmd_decode(args) -> int:
     encoded = _read_encoded(args.input)
     depth = encoded[0].params.depth
     if any(enc.params.depth != depth for enc in encoded):
-        # a TCG1 file holds one depth, as its reader checks
+        # a TCG2 file holds one depth, as its reader checks
         raise ConsistencyError(f"{args.input}: GOF records disagree on depth")
     log.info("decoding %d GOF(s)", len(encoded))
     with open(args.output, "wb") as fp:
@@ -196,7 +196,7 @@ def cmd_decode(args) -> int:
 
 
 def _read_frames(path):
-    """(depth, frames): the depth of the TCG1 file at `path`, and its frames, read
+    """(depth, frames): the depth of the TCG2 file at `path`, and its frames, read
     one at a time as they are asked for."""
     containers = iter_gof_file(path)
     header, frames = next(containers)
@@ -313,15 +313,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (TricloudError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TricloudError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, FormatError) else 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Domain types for dynamic triangle clouds, plus the TCF1/TCG1 file formats.
+"""Domain types for dynamic triangle clouds, plus the TCG2 file format.
 
 A *triangle cloud* is an unordered set of triangles: no manifold or
 connectivity constraints, degenerate triangles allowed.  A frame holds
@@ -28,8 +28,7 @@ from .errors import (
     TruncatedStreamError,
 )
 
-FRAME_MAGIC = b"TCF1"
-GOF_MAGIC = b"TCG1"
+GOF_MAGIC = b"TCG2"
 
 # the largest f32 below 1: file vertices must stay inside [0, 1)
 _F32_BELOW_ONE = np.nextafter(np.float32(1), np.float32(0))
@@ -201,6 +200,8 @@ def check_frame(frame: TriangleCloudFrame, t: int, upsample: int, faces: np.ndar
         raise ConsistencyError(f"{label}: face mismatch with the reference frame")
     if frame.n_vertices != n_vertices:
         raise ConsistencyError(f"{label}: vertex count mismatch with the reference frame")
+    if frame.n_vertices == 0:  # so each stored frame holds at least 12 bytes
+        raise ConsistencyError(f"{label}: no vertices")
     if frame.n_faces and (frame.faces.min() < 0 or frame.faces.max() >= frame.n_vertices):
         raise ConsistencyError(f"{label}: face index out of range")
     # written so that NaN, which fails every comparison, fails the check
@@ -226,7 +227,7 @@ def validate_gof(gof: GroupOfFrames) -> GroupOfFrames:
 
 
 # ---------------------------------------------------------------------------
-# TCF1 / TCG1 binary formats (little-endian; see docs/bitstream.md)
+# TCG2 binary format (little-endian; see docs/bitstream.md)
 # ---------------------------------------------------------------------------
 
 # a declared length is read this many bytes at a time, so a hostile length
@@ -265,57 +266,11 @@ def _colors_to_u8(colors: np.ndarray) -> np.ndarray:
     return rounded.astype(np.uint8)
 
 
-def write_frame(fp, frame: TriangleCloudFrame, depth: int, include_faces: bool = True) -> None:
-    """Write one TCF1 frame record to a binary file object."""
-    fp.write(FRAME_MAGIC)
-    fp.write(struct.pack("<IIII", depth, frame.upsample, frame.n_vertices, frame.n_faces))
-    vertices = frame.vertices.astype("<f4")
-    vertices[(vertices >= 1.0) & (frame.vertices < 1.0)] = _F32_BELOW_ONE
-    fp.write(vertices.tobytes())
-    if include_faces:
-        if frame.n_faces and frame.faces.max() >= 1 << 32:
-            raise RangeError("face indices exceed u32")
-        fp.write(frame.faces.astype("<u4").tobytes())
-    for start in range(0, frame.n_colors, _COLOR_BLOCK):
-        fp.write(_colors_to_u8(frame.colors[start:start + _COLOR_BLOCK]).tobytes())
-
-
-def read_frame(fp, faces: np.ndarray | None = None) -> tuple[TriangleCloudFrame, int]:
-    """Read one TCF1 frame record.
-
-    If ``faces`` is given the record is expected to omit its face array (the
-    layout used for frames 2..N inside a TCG1 container) and the given faces
-    are attached instead.  Returns (frame, depth).
-    """
-    magic = _read_exact(fp, 4)
-    if magic != FRAME_MAGIC:
-        raise FormatError(f"bad frame magic {magic!r}, expected {FRAME_MAGIC!r}")
-    depth, upsample, n_p, n_f = _read_struct(fp, "<IIII")
-    try:
-        _check_depth(depth)
-        _check_upsample(upsample)
-    except ParameterError as exc:
-        raise FormatError(f"implausible TCF1 header: {exc}") from exc
-    vertices = np.frombuffer(_read_exact(fp, 12 * n_p), dtype="<f4").reshape(n_p, 3)
-    if faces is None:
-        faces = np.frombuffer(_read_exact(fp, 12 * n_f), dtype="<u4").reshape(n_f, 3)
-    elif faces.shape[0] != n_f:
-        raise ConsistencyError(f"face count {n_f} does not match the reference frame")
-    n_c = expected_color_count(n_f, upsample)
-    colors = np.frombuffer(_read_exact(fp, 3 * n_c), dtype=np.uint8).reshape(n_c, 3)
-    frame = TriangleCloudFrame(
-        vertices.astype(np.float64),
-        np.asarray(faces, dtype=np.int64),
-        colors.astype(np.float64),
-        upsample,
-    )
-    return frame, int(depth)
-
-
 @dataclass(frozen=True)
 class GofHeader:
-    """What a TCG1 container declares ahead of its frames: the frame count, the
-    grid depth and the upsample factor (both from the reference frame record)."""
+    """What a caller declares ahead of a GOF's frames: the frame count, the grid
+    depth and the upsample factor.  A TCG2 container stores these, then the
+    first frame's vertex count and faces, which every frame shares."""
 
     n_frames: int
     depth: int
@@ -330,68 +285,78 @@ def _next_frame(frames, n_frames: int) -> TriangleCloudFrame:
 
 
 def write_gof_frames(fp, header: GofHeader, frames) -> None:
-    """Write a TCG1 container of ``header.n_frames`` frames as ``frames`` yields them.
+    """Write a TCG2 container of ``header.n_frames`` frames as ``frames`` yields them.
 
     Each frame is checked against the header and the first frame, then written
     before the next one is asked for, so a caller that yields frames as it
-    makes them holds one at a time.  Faces are stored in the first record only.
+    makes them holds one at a time.  The first frame's vertex count and faces
+    go into the container header, so only vertices and colors follow per frame.
     A depth that no reader accepts is refused before any byte is written.
     """
     _check_depth(header.depth)
-    fp.write(GOF_MAGIC)
-    fp.write(struct.pack("<I", header.n_frames))
     frames = iter(frames)
     for t in range(header.n_frames):
         frame = _next_frame(frames, header.n_frames)
         if t == 0:
             faces, n_vertices = frame.faces, frame.n_vertices
         check_frame(frame, t, header.upsample, faces, n_vertices)
-        write_frame(fp, frame, header.depth, include_faces=(t == 0))
-        del frame  # dropped before the next frame is made
+        if t == 0:  # checked faces lie below n_vertices, a u32, so they fit u32
+            fp.write(GOF_MAGIC + struct.pack("<IIIII", header.n_frames, header.depth,
+                                             header.upsample, n_vertices, frame.n_faces))
+            fp.write(faces.astype("<u4").tobytes())
+        vertices = frame.vertices.astype("<f4")
+        vertices[(vertices >= 1.0) & (frame.vertices < 1.0)] = _F32_BELOW_ONE
+        fp.write(vertices.tobytes())
+        for start in range(0, frame.n_colors, _COLOR_BLOCK):
+            fp.write(_colors_to_u8(frame.colors[start:start + _COLOR_BLOCK]).tobytes())
+        del frame, vertices  # dropped before the next frame is made
     if next(frames, None) is not None:
         raise ConsistencyError(f"more frames than the {header.n_frames} declared")
 
 
-def _read_checked(fp, t: int, header: GofHeader, faces: np.ndarray,
-                  n_vertices: int) -> TriangleCloudFrame:
-    """Read frame ``t`` (from 1) of a TCG1 container, checked against its header."""
-    frame, depth = read_frame(fp, faces=faces)
-    if depth != header.depth:
-        raise ConsistencyError("frames within a TCG1 container disagree on depth")
+def _read_frame(fp, t: int, header: GofHeader, faces: np.ndarray,
+                n_vertices: int) -> TriangleCloudFrame:
+    """Read frame ``t`` (from 0) of a TCG2 container, checked against its header."""
+    vertices = np.frombuffer(_read_exact(fp, 12 * n_vertices), dtype="<f4")
+    n_c = expected_color_count(faces.shape[0], header.upsample)
+    colors = np.frombuffer(_read_exact(fp, 3 * n_c), dtype=np.uint8)
+    frame = TriangleCloudFrame(vertices.reshape(n_vertices, 3).astype(np.float64), faces,
+                               colors.reshape(n_c, 3).astype(np.float64), header.upsample)
     check_frame(frame, t, header.upsample, faces, n_vertices)
     return frame
 
 
 def read_gof_frames(fp):
-    """Read one TCG1 container a frame at a time; returns (GofHeader, frames).
+    """Read one TCG2 container a frame at a time; returns (GofHeader, frames).
 
-    The container header and the reference frame are read at once; ``frames``
-    yields the reference frame, then reads each predicted frame when it is
-    asked for.  Every frame is checked (:func:`check_frame`) as it is read, so
-    the frames need no :func:`validate_gof` after.  Only the reference frame's
-    faces are kept, and no frame once it is yielded, so a dropped frame is freed.
+    The container header and the shared faces are read at once; ``frames``
+    reads each frame when it is asked for.  Every frame is checked
+    (:func:`check_frame`) as it is read, so the frames need no
+    :func:`validate_gof` after.  No frame is kept once it is yielded, so a
+    dropped frame is freed.
     """
     magic = _read_exact(fp, 4)
     if magic != GOF_MAGIC:
         raise FormatError(f"bad container magic {magic!r}, expected {GOF_MAGIC!r}")
-    (n_frames,) = _read_struct(fp, "<I")
+    n_frames, depth, upsample, n_vertices, n_faces = _read_struct(fp, "<IIIII")
     if n_frames < 1:
-        raise FormatError("TCG1 container with zero frames")
-    first, depth = read_frame(fp)
-    header = GofHeader(n_frames, depth, first.upsample)
-    faces, n_vertices = first.faces, first.n_vertices
-    check_frame(first, 0, header.upsample, faces, n_vertices)
+        raise FormatError("TCG2 container with zero frames")
+    try:
+        header = GofHeader(n_frames, _check_depth(depth), _check_upsample(upsample))
+    except ParameterError as exc:
+        raise FormatError(f"implausible TCG2 header: {exc}") from exc
+    faces = np.frombuffer(_read_exact(fp, 12 * n_faces), dtype="<u4")
+    faces = faces.reshape(n_faces, 3).astype(np.int64)
 
-    def frames(pending):
-        yield pending.pop()  # the list lets go of the reference frame as it is yielded
-        for t in range(1, n_frames):
-            yield _read_checked(fp, t, header, faces, n_vertices)
+    def frames():
+        for t in range(n_frames):
+            yield _read_frame(fp, t, header, faces, n_vertices)
 
-    return header, frames([first])
+    return header, frames()
 
 
 def write_gof_file(path, gofs, depth: int) -> None:
-    """Write a sequence of GOFs to ``path``, one TCG1 container each, concatenated."""
+    """Write a sequence of GOFs to ``path``, one TCG2 container each, concatenated."""
     _check_depth(depth)  # before the file is made
     with open(path, "wb") as fp:
         for gof in gofs:
@@ -400,7 +365,7 @@ def write_gof_file(path, gofs, depth: int) -> None:
 
 
 def iter_gof_file(path):
-    """Yield (GofHeader, frames) for each TCG1 container in ``path``, as
+    """Yield (GofHeader, frames) for each TCG2 container in ``path``, as
     :func:`read_gof_frames` reads them; all containers must agree on depth.
     Each container's frames must be read before the next container is asked for.
     """
@@ -414,11 +379,11 @@ def iter_gof_file(path):
             depth = header.depth
             yield header, frames
     if depth is None:
-        raise TruncatedStreamError("no TCG1 container found in file")
+        raise TruncatedStreamError("no TCG2 container found in file")
 
 
 def read_gof_file(path) -> tuple[list[GroupOfFrames], int]:
-    """Read every TCG1 container in ``path``; all must agree on depth."""
+    """Read every TCG2 container in ``path``; all must agree on depth."""
     gofs = []
     for header, frames in iter_gof_file(path):
         gofs.append(GroupOfFrames(tuple(frames)))

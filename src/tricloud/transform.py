@@ -40,10 +40,18 @@ MIDSTEP = "midstep"
 MIDRISE = "midrise"
 
 
-def round_half_away(values) -> np.ndarray:
-    """Round to nearest integer, halves away from zero (np.round is banker's)."""
+def round_half_away(values, out=None) -> np.ndarray:
+    """Round to nearest integer, halves away from zero (np.round is banker's).
+
+    The result goes to ``out`` if given (``values`` itself rounds in place);
+    the sign mask is the only temporary.
+    """
     values = np.asarray(values, dtype=np.float64)
-    return np.floor(np.abs(values) + 0.5) * np.sign(values)
+    negative = values < 0
+    out = np.abs(values, out=np.empty_like(values) if out is None else out)
+    out += 0.5
+    np.floor(out, out=out)
+    return np.negative(out, out=out, where=negative)
 
 
 def quantize(values, step: float, mode: str) -> np.ndarray:
@@ -155,13 +163,9 @@ def raht_forward(plan: RahtPlan, attributes, step: float | None = None) -> Coeff
             x1 = column.take(i1)
             column[i0] = a * x0 + b * x1
             column[i1] = -b * x0 + a * x1
-        if step is not None:  # round_half_away(column / step), the sign mask its only temporary
+        if step is not None:
             column /= step
-            negative = column < 0
-            np.abs(column, out=column)
-            column += 0.5
-            np.floor(column, out=column)
-            np.negative(column, out=column, where=negative)
+            round_half_away(column, out=column)
             # a 1-D cast onto the same bytes and strides reads each element first
             column.view(np.int64)[:] = column
     return CoefficientBlock(coefficients=ta if step is None else ta.view(np.int64))

@@ -158,7 +158,7 @@ def test_eval_of_sequences_that_differ_in_frame_count_exits_1(tmp_path, capsys):
 
 
 def test_containers_at_two_upsample_factors_each_code_under_their_own_header(tmp_path):
-    # a TCG1 file may hold GOFs at different U; each container's header sets it
+    # a TCG2 file may hold GOFs at different U; each container's header sets it
     parts = [_generate(tmp_path, name=f"u{u}.tcg", frames=2, gof_size=2, upsample=u)
              for u in (3, 2)]
     orig = tmp_path / "mixed.tcg"
@@ -242,10 +242,9 @@ _CAPPED_CLI = (
 )
 
 
-def _tcg1(upsample, n_p, n_f, body=b""):
-    """One TCG1 container of one depth-8 frame."""
-    return (core.GOF_MAGIC + struct.pack("<I", 1) + core.FRAME_MAGIC
-            + struct.pack("<IIII", 8, upsample, n_p, n_f) + body)
+def _tcg2(upsample, n_p, n_f, body=b""):
+    """The header of one TCG2 container of one depth-8 frame, then ``body``."""
+    return core.GOF_MAGIC + struct.pack("<IIIII", 1, 8, upsample, n_p, n_f) + body
 
 
 def _tcb1_with_upsample_byte(value):
@@ -293,11 +292,16 @@ def _deflated_zeros():
 
 # each case is built when its test runs, so collecting the tests deflates nothing
 _HOSTILE = {
-    # 2^32-1 vertices declared, none present
-    "vertex-count": ("encode", lambda: _tcg1(2, 0xFFFFFFFF, 1)),
+    # one face, then 2^32-1 vertices declared, none present
+    "vertex-count": ("encode", lambda: _tcg2(2, 0xFFFFFFFF, 1, struct.pack("<3I", 0, 1, 2))),
     # 3 vertices and 1 face, but (U+1)(U+2)/2 colors for U = 2^32-1
-    "upsample": ("encode", lambda: _tcg1(0xFFFFFFFF, 3, 1,
-                                         bytes(36) + struct.pack("<3I", 0, 1, 2))),
+    "upsample": ("encode", lambda: _tcg2(0xFFFFFFFF, 3, 1,
+                                         struct.pack("<3I", 0, 1, 2) + bytes(36))),
+    # 2^32-1 shared faces declared, none present
+    "tcg-face-count": ("encode", lambda: _tcg2(2, 3, 0xFFFFFFFF)),
+    # 2^32-1 frames of no vertices and no faces, which would store no bytes
+    "tcg-frame-count": ("encode", lambda: core.GOF_MAGIC
+                        + struct.pack("<IIIII", 0xFFFFFFFF, 8, 1, 0, 0)),
     # one GOF record that declares about 4 GiB and carries 10 bytes
     "record-length": ("decode", lambda: codec.BITSTREAM_MAGIC
                       + struct.pack("<HI", codec.BITSTREAM_VERSION, 1)
@@ -346,7 +350,7 @@ def test_encode_and_decode_read_from_a_pipe(tmp_path):
 
 
 def test_decode_of_a_stream_without_gofs_exits_1_and_writes_nothing(tmp_path, capsys):
-    # a TCG1 file needs at least one container, so there is nothing to write
+    # a TCG2 file needs at least one container, so there is nothing to write
     bits = tmp_path / "empty.tcb"
     codec.write_bitstream_file(bits, [])
     out = tmp_path / "out.tcg"
@@ -416,7 +420,7 @@ def test_eval_with_the_bitstream_of_another_sequence_exits_1_and_writes_no_repor
 @pytest.mark.parametrize("stream, code", [("depth", 1), ("magic", 2)])
 def test_eval_refuses_a_bad_bitstream_before_any_metric_runs(tmp_path, capsys, monkeypatch,
                                                             stream, code):
-    # a stream at another depth (exit 1) or a TCG1 file in its place (exit 2)
+    # a stream at another depth (exit 1) or a TCG2 file in its place (exit 2)
     # is refused before the metrics spend their time
     orig = _generate(tmp_path, frames=2, gof_size=2, depth=6)
     bits = orig
@@ -458,6 +462,33 @@ def test_a_version_1_stream_is_refused_by_the_reader_decode_and_eval(tmp_path, c
     assert not captured.out
 
 
+def _tcg1(frames, depth):
+    """A TCG1 file of one container, the layout before TCG2: each frame record
+    repeated the magic, depth, U and counts, and only the first held faces."""
+    records = [b"TCF1" + struct.pack("<IIII", depth, f.upsample, f.n_vertices, f.n_faces)
+               + f.vertices.astype("<f4").tobytes()
+               + (f.faces.astype("<u4").tobytes() if t == 0 else b"")
+               + f.colors.astype(np.uint8).tobytes() for t, f in enumerate(frames)]
+    return b"TCG1" + struct.pack("<I", len(frames)) + b"".join(records)
+
+
+def test_a_tcg1_file_is_refused_by_the_reader_encode_and_eval(tmp_path, capsys):
+    # no reader parses TCG1 any more: its magic alone refuses it
+    (gof,), depth = core.read_gof_file(_generate(tmp_path, frames=2, gof_size=2))
+    old = tmp_path / "old.tcg"
+    old.write_bytes(_tcg1(gof.frames, depth))
+    with open(old, "rb") as fp, pytest.raises(FormatError, match="magic b'TCG1'"):
+        core.read_gof_frames(fp)
+    bits, report = tmp_path / "old.tcb", tmp_path / "old.json"
+    capsys.readouterr()
+    assert _run(["encode", str(old), "-o", str(bits)]) == 2
+    assert _run(["eval", "--original", str(old), "--reconstruction", str(old),
+                 "--metrics", "triangle", "--json", str(report)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("error:") == 2 and "Traceback" not in captured.err
+    assert not captured.out and not bits.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("depth", ["0", "21", "-1"])
 def test_generate_at_a_depth_no_reader_accepts_exits_1_and_writes_nothing(tmp_path, capsys,
                                                                          depth):
@@ -474,7 +505,7 @@ def test_generate_at_a_depth_no_reader_accepts_exits_1_and_writes_nothing(tmp_pa
     ["encode", "missing.tcg", "-o", "out.tcb", "--depth", "9"],
 ], ids=["eval", "encode"])
 def test_encode_and_eval_take_no_depth_flag(tmp_path, capsys, argv):
-    # the depth comes from the TCG1 file alone: a --depth is a usage error,
+    # the depth comes from the TCG2 file alone: a --depth is a usage error,
     # found at argument parsing, before the (missing) input is opened
     with pytest.raises(SystemExit) as err:
         _run([str(tmp_path / a) if a.endswith((".tcg", ".tcb")) else a for a in argv])
@@ -547,13 +578,13 @@ def test_eval_report_is_pinned(tmp_path, capsys):
     assert hashlib.sha256(planes).hexdigest() == (
         "3dae95cd95bf8578139094978ff239aac4b77cf933bceec5829c894000c998d8")
     assert hashlib.sha256(recon.read_bytes()).hexdigest() == (
-        "529e4fb9725cdc54f5ee24dd4174a1a23ca689e3b8484c6cdcf775e0f9ff41ac")
+        "08b0242abb6e683f5924b038cd0ff37039170826746f2eb68bb90c661aeb4c02")
 
 
 def test_decode_accepts_streams_coded_at_coarse_steps(tmp_path):
     # saturated colors on a sphere stretched to touch the unit cube: at these
     # steps the reconstruction overshoots [0, 255] and [0, 1), and decode
-    # must still write a valid TCG1 file
+    # must still write a valid TCG2 file
     (gof,), depth = core.read_gof_file(_generate(tmp_path, frames=2, gof_size=2))
     rng = np.random.default_rng(0)
     frames = []
@@ -651,7 +682,7 @@ def test_default_eval_builds_each_render_voxel_set_once(tmp_path, monkeypatch, c
 
 
 def test_generate_validates_each_gof_once(tmp_path, monkeypatch):
-    # the TCG1 writer checks each frame of each GOF as it writes it
+    # the TCG2 writer checks each frame of each GOF as it writes it
     calls = []
     check_frame = core.check_frame
 
@@ -721,7 +752,7 @@ def test_decode_that_fails_after_output_started_exits_1_and_leaves_no_file(tmp_p
 
 
 def test_decode_of_gofs_coded_at_two_depths_exits_1_and_writes_nothing(tmp_path, capsys):
-    # one TCG1 file holds one depth, so such a stream has no valid output
+    # one TCG2 file holds one depth, so such a stream has no valid output
     gofs = datagen.gen_sequence("sphere", 4, n_faces=60, upsample=2, seed=9, gof_size=2)
     bits = tmp_path / "mixed.tcb"
     codec.write_bitstream_file(bits, [codec.encode_gof(gofs[0], core.CodecParams(8, 2)),

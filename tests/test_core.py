@@ -1,7 +1,8 @@
-"""Domain types, validation, and the TCF1/TCG1 raw file formats."""
+"""Domain types, validation, and the TCG2 raw file format."""
 
 import io
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -37,7 +38,7 @@ def _write_gof(fp, gof, depth):
 
 
 def _read_gof(fp):
-    """(GOF, depth) of the next TCG1 container in fp."""
+    """(GOF, depth) of the next TCG2 container in fp."""
     header, frames = core.read_gof_frames(fp)
     return core.GroupOfFrames(tuple(frames)), header.depth
 
@@ -166,14 +167,31 @@ def test_voxel_set_validation():
 def test_frame_file_round_trip():
     f = _frame(n_faces=3, upsample=2, seed=7)
     buf = io.BytesIO()
-    core.write_frame(buf, f, depth=9)
+    _write_gof(buf, core.GroupOfFrames((f,)), depth=9)
     buf.seek(0)
-    back, depth = core.read_frame(buf)
+    gof, depth = _read_gof(buf)
+    (back,) = gof.frames
     assert depth == 9
     assert back.upsample == f.upsample
     assert np.allclose(back.vertices, f.vertices, atol=1e-6)  # stored as f32
     assert np.array_equal(back.faces, f.faces)
     assert np.array_equal(back.colors, f.colors)  # integer colors survive
+
+
+def test_gof_container_bytes_follow_the_documented_layout():
+    # docs/bitstream.md, TCG2: the header and the faces once, then each
+    # frame's f32 vertices and u8 colors
+    vertices = [[0.0, 0.5, 0.25], [0.75, 0.0, 0.0], [0.0, 0.0, 0.5]]
+    colors = [[1, 2, 3], [4, 5, 6], [7, 8, 9]]
+    f1 = core.TriangleCloudFrame(vertices, [[0, 1, 2]], colors, 1)
+    f2 = core.TriangleCloudFrame(np.array(vertices) / 2, [[0, 1, 2]], colors[::-1], 1)
+    buf = io.BytesIO()
+    _write_gof(buf, core.GroupOfFrames((f1, f2)), depth=8)
+    assert buf.getvalue() == (
+        b"TCG2" + struct.pack("<5I", 2, 8, 1, 3, 1) + struct.pack("<3I", 0, 1, 2)
+        + struct.pack("<9f", 0, 0.5, 0.25, 0.75, 0, 0, 0, 0, 0.5) + bytes(range(1, 10))
+        + struct.pack("<9f", 0, 0.25, 0.125, 0.375, 0, 0, 0, 0, 0.25)
+        + bytes([7, 8, 9, 4, 5, 6, 1, 2, 3]))
 
 
 def test_vertex_just_below_one_survives_gof_round_trip():
@@ -196,14 +214,15 @@ def test_vertex_just_below_one_survives_gof_round_trip():
 
 def test_frame_colors_clip_to_bytes():
     v = np.array([[0.1, 0.1, 0.1], [0.2, 0.1, 0.1], [0.1, 0.2, 0.1]])
-    colors = np.array([[300.0, -5.0, 127.5], [254.6, 0.4, 1.0]])
+    colors = np.array([[254.6, 0.4, 127.5], [254.5, 0.5, 1.0]])
     f = core.TriangleCloudFrame(v, np.array([[0, 1, 2]]), colors.repeat(2, axis=0)[:3], 1)
     buf = io.BytesIO()
-    core.write_frame(buf, f, depth=4)
+    _write_gof(buf, core.GroupOfFrames((f,)), depth=4)
     buf.seek(0)
-    back, _ = core.read_frame(buf)
-    # round half away from zero, then clip
-    assert back.colors[0].tolist() == [255.0, 0.0, 128.0]
+    back, _ = _read_gof(buf)
+    # round half away from zero; the writer's frame check keeps colors in [0, 255]
+    assert back.reference.colors[[0, 2]].tolist() == [[255.0, 0.0, 128.0],
+                                                      [255.0, 1.0, 1.0]]
 
 
 def _round_half_away_then_clip(colors):
@@ -223,19 +242,24 @@ def test_colors_to_u8_matches_round_half_away_then_clip(colors):
     assert np.array_equal(core._colors_to_u8(colors), _round_half_away_then_clip(colors))
 
 
+def _with_header_field(data, k, value):
+    """A TCG2 container with u32 field ``k`` of its header (n_frames, depth,
+    upsample, n_vertices, n_faces) set to ``value``."""
+    return data[:4 + 4 * k] + struct.pack("<I", value) + data[8 + 4 * k:]
+
+
 def test_frame_bad_magic_and_truncation():
-    f = _frame(seed=8)
     buf = io.BytesIO()
-    core.write_frame(buf, f, depth=5)
+    _write_gof(buf, core.GroupOfFrames((_frame(seed=8),)), depth=5)
     data = buf.getvalue()
-    with pytest.raises(FormatError):
-        core.read_frame(io.BytesIO(b"XXXX" + data[4:]))
+    with pytest.raises(FormatError, match="bad container magic"):
+        core.read_gof_frames(io.BytesIO(b"XXXX" + data[4:]))
     with pytest.raises(TruncatedStreamError):
-        core.read_frame(io.BytesIO(data[:-3]))
-    deep = io.BytesIO()
-    core.write_frame(deep, f, depth=21)
-    with pytest.raises(FormatError, match="implausible"):
-        core.read_frame(io.BytesIO(deep.getvalue()))
+        list(core.read_gof_frames(io.BytesIO(data[:-3]))[1])
+    # a depth or U that no frame may have is refused with the header
+    for k, value in ((1, 21), (1, 0), (2, 0)):
+        with pytest.raises(FormatError, match="implausible TCG2 header"):
+            core.read_gof_frames(io.BytesIO(_with_header_field(data, k, value)))
 
 
 def test_read_exact_reads_in_bounded_chunks(monkeypatch):
@@ -266,10 +290,9 @@ def test_gof_container_round_trip_shares_faces():
     gof = core.GroupOfFrames((f1, f2))
     buf = io.BytesIO()
     _write_gof(buf, gof, depth=8)
-    single = io.BytesIO()
-    core.write_frame(single, f1, depth=8)
-    # only one face table is stored for the whole group
-    assert len(buf.getvalue()) < 2 * len(single.getvalue())
+    # the header and one face table for the whole group, then each frame's
+    # f32 vertices and u8 colors
+    assert len(buf.getvalue()) == 24 + 12 * 4 + 2 * (12 * f1.n_vertices + 3 * f1.n_colors)
     buf.seek(0)
     back, depth = _read_gof(buf)
     assert depth == 8 and back.n_frames == 2
@@ -291,7 +314,7 @@ def test_gof_file_round_trip_multiple_groups(tmp_path):
 
 def test_gof_file_error_paths(tmp_path):
     path = tmp_path / "bad.tcg"
-    path.write_bytes(b"TCG1\x01\x00\x00\x00TCF1")
+    path.write_bytes(core.GOF_MAGIC + struct.pack("<II", 1, 8))
     with pytest.raises(TruncatedStreamError):
         core.read_gof_file(path)
     empty = tmp_path / "empty.tcg"
@@ -303,7 +326,7 @@ def test_gof_file_error_paths(tmp_path):
     with pytest.raises(FormatError):
         core.read_gof_file(wrong)
     zero = tmp_path / "zero.tcg"
-    zero.write_bytes(core.GOF_MAGIC + (0).to_bytes(4, "little"))
+    zero.write_bytes(core.GOF_MAGIC + struct.pack("<IIIII", 0, 8, 2, 3, 1))
     with pytest.raises(FormatError, match="zero frames"):
         core.read_gof_file(zero)
     mixed = tmp_path / "mixed.tcg"
@@ -313,6 +336,20 @@ def test_gof_file_error_paths(tmp_path):
         _write_gof(fp, gof, depth=9)
     with pytest.raises(ConsistencyError, match="containers in one file disagree"):
         core.read_gof_file(mixed)
+
+
+def test_a_frame_without_vertices_is_refused_by_reader_and_writer():
+    # such a frame would store no bytes, so 24 bytes could declare 2^32-1 of them
+    data = core.GOF_MAGIC + struct.pack("<IIIII", 0xFFFFFFFF, 8, 1, 0, 0)
+    _, frames = core.read_gof_frames(io.BytesIO(data))
+    with pytest.raises(ConsistencyError, match="no vertices"):
+        next(frames)
+    empty = core.TriangleCloudFrame(np.zeros((0, 3)), np.zeros((0, 3), np.int64),
+                                    np.zeros((0, 3)), 1)
+    buf = io.BytesIO()
+    with pytest.raises(ConsistencyError, match="no vertices"):
+        core.write_gof_frames(buf, core.GofHeader(1, 8, 1), [empty])
+    assert buf.getvalue() == b""
 
 
 # Runs in a child process capped at 1 GiB of address space: a reader that
@@ -331,10 +368,14 @@ core.write_gof_file(path, [gof], depth=8)
 with open(path, "rb") as fp:
     data = fp.read()
 rng = random.Random(1)
-for trial in range(400):
+trials = [[(rng.randrange(len(data)), rng.randrange(256)) for _ in range(rng.randint(1, 3))]
+          for _ in range(400)]
+# and each byte of the header's five u32 fields set to a few telling values
+trials += [[(at, value)] for at in range(4, 24) for value in (0, 1, 0x7F, 0xFF)]
+for trial, edits in enumerate(trials):
     mutated = bytearray(data)
-    for _ in range(rng.randint(1, 3)):
-        mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+    for at, value in edits:
+        mutated[at] = value
     with open(path, "wb") as fp:
         fp.write(mutated)
     try:
@@ -380,10 +421,12 @@ codec.write_bitstream_file(path, [codec.encode_gof(gof, core.CodecParams(8, 3))]
 with open(path, "rb") as fp:
     data = fp.read()
 rng = random.Random(1)
-for trial in range(400):
+trials = [[(rng.randrange(len(data)), rng.randrange(256)) for _ in range(rng.randint(1, 3))]
+          for _ in range(400)]
+for trial, edits in enumerate(trials):
     mutated = bytearray(data)
-    for _ in range(rng.randint(1, 3)):
-        mutated[rng.randrange(len(mutated))] = rng.randrange(256)
+    for at, value in edits:
+        mutated[at] = value
     with open(path, "wb") as fp:
         fp.write(mutated)
     try:
@@ -406,23 +449,23 @@ def test_mutated_bitstreams_decode_or_raise(tmp_path):
     assert result.returncode == 0, result.stderr
 
 
-def test_write_frame_converts_colors_a_block_at_a_time(tmp_path):
+def test_gof_writer_converts_colors_a_block_at_a_time(tmp_path):
     # one face at U = 1447 carries 1,049,076 colors, about 2^20: the writer's
     # float temporaries are one block, not a copy of the frame's 24 MiB
     rng = np.random.default_rng(21)
     upsample = 1447
     n_colors = core.expected_color_count(1, upsample)
     frame = core.TriangleCloudFrame(rng.random((3, 3)) * 0.99, [[0, 1, 2]],
-                                    rng.uniform(-10.0, 265.0, (n_colors, 3)), upsample)
-    path = tmp_path / "big.tcf"
+                                    rng.uniform(0.0, 255.0, (n_colors, 3)), upsample)
+    path = tmp_path / "big.tcg"
     with open(path, "wb") as fp:
         tracemalloc.start()
         try:
-            core.write_frame(fp, frame, 10)
+            core.write_gof_frames(fp, core.GofHeader(1, 10, upsample), [frame])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert peak < 4 << 20, f"write_frame peaked {peak / 2 ** 20:.1f} MiB above its input"
+    assert peak < 4 << 20, f"write_gof_frames peaked {peak / 2 ** 20:.1f} MiB above its input"
     assert path.read_bytes()[-3 * n_colors:] == core._colors_to_u8(frame.colors).tobytes()
 
 
@@ -444,9 +487,9 @@ def test_gof_frames_stream_through_reader_and_writer(tmp_path):
     streamed.seek(0)
     header, frames = core.read_gof_frames(streamed)
     assert header == core.GofHeader(2, 8, 3)
-    # the container header and the reference frame are read at once, each
-    # predicted frame when it is asked for
-    assert streamed.tell() < len(whole.getvalue())
+    # the container header and the faces are read at once, each frame when it
+    # is asked for
+    assert streamed.tell() == 24 + 12 * 4
     assert [np.array_equal(a.colors, b.colors) for a, b in zip(frames, gof.frames)] == [
         True, True]
     assert streamed.tell() == len(whole.getvalue())
@@ -470,13 +513,15 @@ def test_gof_frame_writer_checks_count_and_each_frame():
         core.write_gof_frames(io.BytesIO(), header, [f1, grown])
 
 
-def test_write_frame_refuses_face_indices_beyond_u32():
-    # the record stores faces as u32; write_frame is the one check for a
-    # frame that no GOF check has seen
+def test_gof_writer_refuses_face_indices_beyond_its_vertices():
+    # the container stores faces as u32: the frame check bounds them by the
+    # vertex count, a u32 header field, before the header or a face is written
     frame = core.TriangleCloudFrame(np.full((3, 3), 0.5), [[0, 1, 1 << 32]],
                                     np.zeros((3, 3)), 1)
-    with pytest.raises(RangeError, match="face indices exceed u32"):
-        core.write_frame(io.BytesIO(), frame, 8)
+    buf = io.BytesIO()
+    with pytest.raises(ConsistencyError, match="frame 1: face index out of range"):
+        core.write_gof_frames(buf, core.GofHeader(1, 8, 1), [frame])
+    assert buf.getvalue() == b""
 
 
 @pytest.mark.parametrize("depth", [0, 21, -1])
@@ -496,31 +541,13 @@ def test_gof_frame_writer_refuses_a_depth_no_reader_accepts(depth, tmp_path):
 
 def test_gof_reader_checks_each_frame_as_it_arrives():
     f1 = _frame(n_faces=4, upsample=3, seed=9)
-    f2 = core.TriangleCloudFrame(np.asarray(f1.vertices) + 0.5, f1.faces, f1.colors, 3)
     buf = io.BytesIO()
-    core.write_frame(buf, f1, depth=8)
-    core.write_frame(buf, f2, depth=8, include_faces=False)
-    data = core.GOF_MAGIC + (2).to_bytes(4, "little") + buf.getvalue()
+    _write_gof(buf, core.GroupOfFrames((f1, f1)), depth=8)
+    data = bytearray(buf.getvalue())
+    # the first x of frame 2, after the header, the faces and frame 1
+    at = 24 + 12 * 4 + 12 * f1.n_vertices + 3 * f1.n_colors
+    data[at:at + 4] = struct.pack("<f", 1.5)
     header, frames = core.read_gof_frames(io.BytesIO(data))
     assert next(frames).n_faces == 4
     with pytest.raises(ConsistencyError, match="frame 2: vertex coordinate out of"):
         next(frames)
-
-
-def test_predicted_frame_record_with_another_face_count_rejected():
-    f1 = _frame(n_faces=4, upsample=3, seed=9)
-    buf = io.BytesIO()
-    core.write_frame(buf, f1, depth=8, include_faces=False)
-    buf.seek(0)
-    with pytest.raises(ConsistencyError, match="face count 4 does not match"):
-        core.read_frame(buf, faces=f1.faces[:3])
-
-
-def test_frames_of_one_container_at_two_depths_rejected():
-    f1 = _frame(n_faces=4, upsample=3, seed=9)
-    buf = io.BytesIO()
-    core.write_frame(buf, f1, depth=8)
-    core.write_frame(buf, f1, depth=9, include_faces=False)
-    data = core.GOF_MAGIC + (2).to_bytes(4, "little") + buf.getvalue()
-    with pytest.raises(ConsistencyError, match="frames within a TCG1 container disagree"):
-        list(core.read_gof_frames(io.BytesIO(data))[1])
