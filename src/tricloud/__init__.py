@@ -5,9 +5,9 @@ triangle mesh; a dynamic sequence groups frames that share connectivity and
 index-wise correspondence.  This package voxelizes such sequences, codes
 reference-frame geometry with octrees plus duplicate-index runs, transform
 codes colors and per-frame motion/color residuals with a region-adaptive
-hierarchical transform, and entropy codes the quantized coefficients with an
-adaptive run-length Golomb-Rice coder.  Evaluation metrics, a synthetic data
-generator, and a command-line front end round out the toolkit.
+hierarchical transform, and entropy codes the coefficients in partitioned
+Rice / Exp-Golomb or run-length Golomb-Rice codes.  Evaluation metrics, a
+synthetic data generator, and a command-line front end round out the toolkit.
 """
 
 from .codec import (
@@ -50,6 +50,8 @@ from .entropy import (
     index_runs_decode,
     index_runs_encode,
     inflate,
+    partitioned_decode,
+    partitioned_encode,
     rlgr_decode,
     rlgr_encode,
 )

@@ -48,10 +48,13 @@ from .core import (
     validate_gof,
 )
 from .entropy import (
+    RLGR_VERSION,
     deflate,
     index_runs_decode,
     index_runs_encode,
     inflate,
+    partitioned_decode,
+    partitioned_encode,
     rlgr_decode,
     rlgr_encode,
 )
@@ -72,7 +75,7 @@ from .transform import (
 )
 
 BITSTREAM_MAGIC = b"TCB1"
-BITSTREAM_VERSION = 2  # 2 codes octree occupancy level by level; 1 (preorder) is refused
+BITSTREAM_VERSION = 3  # 3 leads each plane with its coder id; 1 and 2 are refused
 
 # GOF record header: depth, upsample, frame count, intra-only flag, the three
 # stepsizes, vertex count, face count
@@ -211,14 +214,16 @@ class FrameBuffer:
         return TriangleCloudFrame(vertices, state.faces, colors, state.params.upsample)
 
 
-def _code_planes(symbols: np.ndarray, plan: RahtPlan) -> tuple:
-    return tuple(rlgr_encode(symbols[plan.order, k]) for k in range(symbols.shape[1]))
+def _code_planes(symbols: np.ndarray, plan: RahtPlan, encode) -> tuple:
+    return tuple(encode(symbols[plan.order, k]) for k in range(symbols.shape[1]))
 
 
 def _decode_planes(payloads, plan: RahtPlan) -> np.ndarray:
+    """Each plane by the coder its first byte names: 1 is RLGR, 2 partitioned."""
     symbols = np.empty((plan.n, len(payloads)), dtype=np.int64, order="F")
     for k, payload in enumerate(payloads):
-        symbols[plan.order, k] = rlgr_decode(payload, plan.n)
+        decode = rlgr_decode if payload[:1] == bytes([RLGR_VERSION]) else partitioned_decode
+        symbols[plan.order, k] = decode(payload, plan.n)
     return symbols
 
 
@@ -280,7 +285,7 @@ def _encode_intra(frame: TriangleCloudFrame, params: CodecParams):
         octree_bytes=deflate(octree_serialize(res_v.voxel_set)),
         index_run_bytes=index_runs_encode(res_v.index_map[perm]),
         face_bytes=deflate(inverse_perm[frame.faces].astype("<u4").tobytes()),
-        color_payloads=_code_planes(symbols, state.refined_plan),
+        color_payloads=_code_planes(symbols, state.refined_plan, partitioned_encode),
     )
     return payload, state, symbols
 
@@ -346,8 +351,8 @@ def _encode_predicted(frame: TriangleCloudFrame, state: ReferenceState,
                                  params.step_color_inter).coefficients
 
     payload = PredictedPayload(
-        motion_payloads=_code_planes(motion_symbols, state.vertex_plan),
-        color_payloads=_code_planes(color_symbols, state.refined_plan),
+        motion_payloads=_code_planes(motion_symbols, state.vertex_plan, rlgr_encode),
+        color_payloads=_code_planes(color_symbols, state.refined_plan, rlgr_encode),
     )
     return payload, motion_symbols, color_symbols
 

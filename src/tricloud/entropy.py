@@ -1,5 +1,7 @@
-"""Entropy layer: adaptive Run-Length Golomb-Rice coding, duplicate-index runs,
-and DEFLATE wrapping.
+"""Entropy layer: the two coefficient-plane coders, duplicate-index runs, and
+DEFLATE wrapping.  A plane payload's first byte names its coder: 1 is the
+adaptive Run-Length Golomb-Rice coder (RLGR), 2 the partitioned Rice /
+Exp-Golomb coder.
 
 The RLGR coder is backward-adaptive: encoder and decoder maintain identical
 state (a run parameter k and a Golomb-Rice parameter kR, both in fixed-point),
@@ -19,7 +21,9 @@ and complete runs), then '1' and the k-bit gap of a broken run, the unary
 prefix, and kR low bits or a 32-bit escape.  A cumulative sum places the
 fields, and each kind of field is added into big-endian 32-bit words in one
 pass.  The decoder keeps one loop over codewords, since a codeword's
-position depends on every codeword before it.
+position depends on every codeword before it.  The partitioned coder keeps
+no state, so both its sides are array operations: its decoder finds every
+unary prefix with one ``flatnonzero`` and reads every remainder at once.
 """
 
 from __future__ import annotations
@@ -41,6 +45,12 @@ _KRP_MAX = 30 << _L       # kR <= 30
 _INIT_KP = 0
 _INIT_KRP = 1 << _L
 _ESC = 24                 # unary prefixes of >= 24 switch to a raw 32-bit value
+
+PARTITIONED_CODER = 2     # a plane payload's first byte: 1 is RLGR, 2 this coder
+_PARTITION = 128          # values per partition, each with its own family and k
+# the (Exp-Golomb?, k - b) pairs the encoder tries per partition, first on a
+# tie, where b = floor(log2(mean + 1)) of its values; k is clipped to 0..31
+_CANDIDATES = ((0, -1), (0, 0), (1, -4), (1, -3), (1, -2), (1, -1), (1, 0))
 
 
 def _adapt_krp(krp: int, p: int) -> int:
@@ -272,6 +282,139 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
     sign = out & 1
     out >>= 1
     out ^= np.negative(sign, out=sign)
+    return out
+
+
+def _bit_length(q: np.ndarray) -> np.ndarray:
+    """floor(log2(q)) + 1 of integers 1 <= q < 2^53."""
+    return np.frexp(q.astype(np.float64))[1]
+
+
+def _packed(widths: np.ndarray, fields: np.ndarray) -> bytes:
+    """Fields of at most 32 bits back to back, MSB first, zero-padded to a byte."""
+    ends = np.cumsum(widths)
+    n_bits = int(ends[-1]) if ends.size else 0
+    words = np.zeros(((n_bits + 31) >> 5) + 2)  # a field of width 0 may sit at n_bits
+    _place(words, ends - widths, widths, fields)
+    return words[:-2].astype(">u4").tobytes()[:(n_bits + 7) >> 3]
+
+
+def _read_fields(part: np.ndarray, offsets: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Invert :func:`_packed` at once: each field of at most 32 bits lies in
+    the 64-bit big-endian window of the two words from its first word on."""
+    padded = np.zeros(((part.size + 3) & ~3) + 8, dtype=np.uint8)
+    padded[:part.size] = part
+    words = padded.view(">u4").astype(np.uint64)
+    windows = words[offsets >> 5] << np.uint64(32)
+    windows |= words[(offsets >> 5) + 1]
+    windows <<= (offsets & 31).astype(np.uint64)
+    return ((windows >> np.uint64(32)) >> (32 - widths).astype(np.uint64)).astype(np.int64)
+
+
+def _check_part(part: np.ndarray, n_bits: int, name: str) -> None:
+    """Refuse a part that is not n_bits padded to a byte with zero bits."""
+    if part.size != (n_bits + 7) >> 3 or (n_bits & 7 and part[-1] & 0xFF >> (n_bits & 7)):
+        raise CorruptStreamError(f"{name} part does not end in zero padding within its last byte")
+
+
+def _partition_sizes(counts) -> np.ndarray:
+    """Values per partition of each stream in turn, streams of ``counts`` values."""
+    return np.concatenate([np.minimum(c - _PARTITION * np.arange(-(-c // _PARTITION)), _PARTITION)
+                           for c in counts])
+
+
+def partitioned_encode(symbols) -> bytes:
+    """Encode signed integers as plane coder 2: the gaps before the nonzeros,
+    their magnitudes and the gaps between sign changes, in partitioned Rice /
+    Exp-Golomb codes."""
+    arr = np.asarray(symbols, dtype=np.int64).ravel()
+    if arr.size and (arr.min() < -(1 << 31) or arr.max() > (1 << 31) - 1):
+        raise RangeError("symbols must fit in signed 32 bits")
+    positions = np.flatnonzero(arr)
+    signed = arr[positions]
+    changes = np.flatnonzero(np.diff(signed < 0, prepend=False))
+    streams = (np.diff(positions, prepend=-1) - 1, np.abs(signed) - 1,
+               np.diff(changes, prepend=-1) - 1)
+    sizes = _partition_sizes([stream.size for stream in streams])
+    # each stream zero-padded to whole partitions; a padded zero costs no bits
+    grid = np.concatenate([np.pad(stream, (0, -stream.size % _PARTITION))
+                           for stream in streams]).reshape(-1, _PARTITION)
+    base = _bit_length(grid.sum(axis=1) // sizes + 1) - 1
+    least = np.full(sizes.size, np.iinfo(np.int64).max)
+    family, k = np.zeros((2, sizes.size), dtype=np.int64)
+    for golomb, offset in _CANDIDATES:
+        k_try = np.clip(base + offset, 0, 31)
+        q = grid >> k_try[:, None]
+        bits = (2 * _bit_length(q + 1) - 2 if golomb else q).sum(axis=1) + sizes * (k_try + 1)
+        take = bits < least
+        least[take], family[take], k[take] = bits[take], golomb, k_try[take]
+
+    values = np.concatenate(streams)
+    golomb, k_v = np.repeat(family, sizes).astype(bool), np.repeat(k, sizes)
+    q = values >> k_v
+    u = np.where(golomb, _bit_length(q + 1) - 1, q)
+    widths = np.where(golomb, u + k_v, k_v)
+    stops = np.cumsum(u + 1) - 1
+    n_bits = int(stops[-1]) + 1 if stops.size else 0
+    unary = np.zeros((n_bits + 7) & ~7, dtype=bool)
+    unary[:n_bits] = True
+    unary[stops] = False
+    return b"".join([
+        struct.pack("<BIIII", PARTITIONED_CODER, arr.size, positions.size, changes.size,
+                    unary.size >> 3),
+        _packed(np.full(sizes.size, 6), family << 5 | k),
+        np.packbits(unary).tobytes(),
+        _packed(widths, np.where(golomb, values + (1 << k_v), values) & ((1 << widths) - 1)),
+    ])
+
+
+def partitioned_decode(data: bytes, count: int | None = None) -> np.ndarray:
+    """Decode a plane coder 2 payload back to signed integers with array
+    operations; ``count``, when given, must match its symbol count."""
+    if len(data) < 17:
+        raise CorruptStreamError("partitioned payload shorter than its header")
+    coder, n, m, r, n_unary = struct.unpack_from("<BIIII", data)
+    if coder != PARTITIONED_CODER:
+        raise CorruptStreamError(f"unknown plane coder {coder}")
+    if count is not None and n != count:
+        raise CorruptStreamError(f"symbol count mismatch: payload {n}, expected {count}")
+    if not r <= m <= n:
+        raise CorruptStreamError(f"{m} nonzeros and {r} sign changes declared for {n} symbols")
+    n_parts = 2 * -(-m // _PARTITION) + -(-r // _PARTITION)
+    head_end = 17 + ((6 * n_parts + 7) >> 3)
+    if head_end + n_unary > len(data):
+        raise CorruptStreamError("partitioned payload shorter than its parts")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    _check_part(buf[17:head_end], 6 * n_parts, "header")
+    # each value holds a bit of the unary part, so this bounds every array below
+    unary = buf[head_end:head_end + n_unary]
+    stops = np.flatnonzero(np.unpackbits(~unary))[:2 * m + r]
+    if stops.size < 2 * m + r:
+        raise CorruptStreamError("unary part holds fewer prefixes than values")
+    _check_part(unary, int(stops[-1]) + 1 if m else 0, "unary")
+    u = np.diff(stops, prepend=-1) - 1
+    headers = np.repeat(_read_fields(buf[17:head_end], 6 * np.arange(n_parts),
+                                      np.full(n_parts, 6)), _partition_sizes((m, m, r)))
+    golomb, k = headers >= 32, headers & 31
+    if np.where(golomb, u + k > 32, u >> (32 - k) > 0).any():
+        raise CorruptStreamError("a coded value does not fit in 32 bits")
+    widths = np.where(golomb, u + k, k)
+    ends = np.cumsum(widths)
+    _check_part(buf[head_end + n_unary:], int(ends[-1]) if m else 0, "remainder")
+    fields = _read_fields(buf[head_end + n_unary:], ends - widths, widths)
+    values = np.where(golomb, fields + (1 << widths) - (1 << k), (u << k) + fields)
+
+    gaps, magnitudes, changes = values[:m], values[m:2 * m] + 1, values[2 * m:]
+    # float sums are exact below 2^53, and above it far past n
+    if gaps.sum(dtype=np.float64) + m > n or changes.sum(dtype=np.float64) + r > m:
+        raise CorruptStreamError("nonzero positions or sign changes run past their count")
+    negative = np.zeros(m, dtype=np.int64)
+    negative[np.cumsum(changes + 1) - 1] = 1
+    np.bitwise_xor.accumulate(negative, out=negative)
+    if m and (magnitudes - negative).max() >= 1 << 31:
+        raise CorruptStreamError("a symbol does not fit in signed 32 bits")
+    out = np.zeros(n, dtype=np.int64)
+    out[np.cumsum(gaps + 1) - 1] = np.where(negative, -magnitudes, magnitudes)
     return out
 
 

@@ -74,8 +74,12 @@ def morton_encode(x, y, z, depth: int) -> np.ndarray:
 
 def _interleave(x, y, z, depth: int) -> np.ndarray:
     """The codes of :func:`morton_encode` for int64 coordinates its caller
-    has already bounded to [0, 2^depth)."""
-    code = (_SPREAD[x & 1023] << 2) | (_SPREAD[y & 1023] << 1) | _SPREAD[z & 1023]
+    has already bounded to [0, 2^depth).  The low 30 bits are built in place,
+    a coordinate at a time, so one table gather sits beside the codes."""
+    code = np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(z)), dtype=np.int64)
+    for c in (x, y, z):
+        code <<= 1
+        code |= _SPREAD[c & 1023 if depth > 10 else c]
     if depth > 10:
         code |= ((_SPREAD[x >> 10] << 2) | (_SPREAD[y >> 10] << 1) | _SPREAD[z >> 10]) << 30
     return code
@@ -254,15 +258,19 @@ def voxelize(points, attributes, depth: int) -> VoxelizationResult:
     if not (points.min() >= 0.0 and points.max() < 1.0):
         raise RangeError("points must lie in [0, 1)^3")
     # scaling by 2^J is exact, so x < 1 gives x * 2^J < 2^J, and on x >= 0
-    # the cast's truncation is the floor
-    ints = (points * float(1 << depth)).astype(np.int64)
-    codes = _interleave(ints[:, 0], ints[:, 1], ints[:, 2], depth)
+    # the cast's truncation is the floor; one pass scales and casts per axis
+    ints = np.empty((3, points.shape[0]), dtype=np.int64)
+    np.multiply(points.T, float(1 << depth), out=ints, casting="unsafe")
+    codes = _interleave(ints[0], ints[1], ints[2], depth)
     del ints  # so it does not sit beside the sort
     codes, order = _sorted_rows(codes, 3 * depth)
-    starts = np.diff(codes, prepend=-1) != 0
+    starts = np.ones(codes.size, dtype=bool)
+    np.not_equal(codes[1:], codes[:-1], out=starts[1:])
     unique_codes = codes[starts]
+    np.cumsum(starts, out=codes)  # each sorted row's voxel, counted from 1
+    codes -= 1
     inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(starts) - 1  # each sorted row's voxel, put back in input order
+    inverse[order] = codes  # put back in input order
     del codes, order, starts  # so they do not sit beside the means
 
     means = None

@@ -13,7 +13,7 @@ import io
 import numpy as np
 
 from .core import VoxelSet, _check_depth
-from .entropy import deflate, inflate
+from .entropy import deflate, inflate, rlgr_encode
 from .errors import (
     ConsistencyError,
     CorruptStreamError,
@@ -68,8 +68,8 @@ def octree_parse(data: bytes, depth: int) -> VoxelSet:
 def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):
     """Standalone coding of one voxelized colored cloud (the comparison baseline).
 
-    Geometry is the deflated occupancy bytes; colors go through the intra
-    codec's plane path (``raht_forward`` with the step, ``codec._code_planes``),
+    Geometry is the deflated occupancy bytes; colors go through the codec's
+    plane path (``raht_forward`` with the step, ``codec._code_planes`` in RLGR),
     each plane framed by its u32 length.  Returns (geometry_bytes, color_bytes).
     """
     from .codec import _code_planes, _pack_section  # codec imports octree
@@ -78,7 +78,8 @@ def baseline_encode_pointcloud(voxel_set: VoxelSet, step_color: float):
         raise ConsistencyError("baseline coding needs per-voxel attributes")
     geometry = deflate(octree_serialize(voxel_set))
     plan = raht_plan(voxel_set)
-    planes = _code_planes(raht_forward(plan, voxel_set.attributes, step_color).coefficients, plan)
+    symbols = raht_forward(plan, voxel_set.attributes, step_color).coefficients
+    planes = _code_planes(symbols, plan, rlgr_encode)
     return geometry, b"".join(_pack_section(plane) for plane in planes)
 
 

@@ -43,15 +43,14 @@ MIDRISE = "midrise"
 def round_half_away(values, out=None) -> np.ndarray:
     """Round to nearest integer, halves away from zero (np.round is banker's).
 
-    The result goes to ``out`` if given (``values`` itself rounds in place);
-    the sign mask is the only temporary.
+    trunc(v + 0.5) or trunc(v - 0.5) by the sign of v (a zero takes + 0.5),
+    in unmasked passes.  The result goes to ``out`` if given (``values``
+    itself rounds in place); the halves are the only temporary.
     """
     values = np.asarray(values, dtype=np.float64)
-    negative = values < 0
-    out = np.abs(values, out=np.empty_like(values) if out is None else out)
-    out += 0.5
-    np.floor(out, out=out)
-    return np.negative(out, out=out, where=negative)
+    half = np.subtract(0.5, values < 0, out=np.empty_like(values))
+    out = np.add(values, half, out=half if out is None else out)
+    return np.trunc(out, out=out)
 
 
 def quantize(values, step: float, mode: str) -> np.ndarray:

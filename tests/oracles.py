@@ -12,6 +12,15 @@ decoder reads one string of '0'/'1' characters
 (:func:`tricloud.entropy.rlgr_decode`).  These functions keep the direct
 construction their bytes are checked against.
 
+The bit-by-bit partitioned coder (plane coder 2): the gaps and magnitudes of
+the nonzeros and the gaps between their sign changes, every partition's
+family and k chosen by trying each candidate on each value, and every prefix
+and remainder written and read one field at a time through the same bit
+writer and reader, from the payload table of ``docs/bitstream.md`` alone.  The library codes and reads
+every field of a plane with array operations
+(:func:`tricloud.entropy.partitioned_encode`,
+:func:`tricloud.entropy.partitioned_decode`).
+
 The expanded render cloud: every refined triangle upsampled again, with a
 point shared by neighboring triangles repeated once per triangle.  The
 library walks each distinct point once (:func:`tricloud.geom.interpolation_lattice`,
@@ -312,6 +321,113 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
         raise CorruptStreamError("unconsumed bytes after the last symbol")
     # undo the sign interleave
     return np.where(out % 2 == 0, out // 2, -(out + 1) // 2)
+
+
+# (Exp-Golomb?, k - b) per partition, in the order docs/bitstream.md lists them
+_PARTITION_CANDIDATES = ((0, -1), (0, 0), (1, -4), (1, -3), (1, -2), (1, -1), (1, 0))
+
+
+def _prefix_and_remainder(value: int, golomb: int, k: int):
+    """(unary prefix u, remainder width, remainder) of one value."""
+    if golomb:
+        width = (value + (1 << k)).bit_length() - 1
+        return width - k, width, value + (1 << k) - (1 << width)
+    return value >> k, k, value & ((1 << k) - 1)
+
+
+def partitioned_encode(symbols) -> bytes:
+    """Plane coder 2: coder id, n, m, r, unary length, then the header, unary
+    and remainder parts, each zero-padded to a byte."""
+    xs = [int(x) for x in np.asarray(symbols, dtype=np.int64).ravel()]
+    if any(x < -(1 << 31) or x > (1 << 31) - 1 for x in xs):
+        raise RangeError("symbols must fit in signed 32 bits")
+    positions = [i for i, x in enumerate(xs) if x]
+    signs = [int(xs[i] < 0) for i in positions]
+    changes = [i for i, sign in enumerate(signs) if sign != ([0] + signs)[i]]
+    streams = [[i - previous - 1 for i, previous in zip(stream, [-1] + stream)]
+               for stream in (positions, changes)]
+    streams.insert(1, [abs(xs[i]) - 1 for i in positions])
+    head, unary, remainders = _BitWriter(), _BitWriter(), _BitWriter()
+    for stream in streams:  # the gaps, the magnitudes, then the sign-change gaps
+        for start in range(0, len(stream), 128):
+            part = stream[start:start + 128]
+            b = (sum(part) // len(part) + 1).bit_length() - 1
+            best = None
+            for golomb, offset in _PARTITION_CANDIDATES:
+                k = min(max(b + offset, 0), 31)
+                bits = sum(u + 1 + w for u, w, _ in
+                           (_prefix_and_remainder(v, golomb, k) for v in part))
+                if best is None or bits < best[0]:
+                    best = (bits, golomb, k)
+            _, golomb, k = best
+            head.write(golomb, 1)
+            head.write(k, 5)
+            for u, width, remainder in (_prefix_and_remainder(v, golomb, k) for v in part):
+                for _ in range(u):
+                    unary.write(1, 1)
+                unary.write(0, 1)
+                remainders.write(remainder, width)
+    unary_bytes = unary.getvalue()
+    return (struct.pack("<BIIII", 2, len(xs), len(positions), len(changes), len(unary_bytes))
+            + head.getvalue() + unary_bytes + remainders.getvalue())
+
+
+def _drained(reader: _BitReader, size: int) -> bool:
+    """Whether a part's reader has used every byte and left only zero bits."""
+    return reader.bytes_consumed() == size and reader.acc == 0
+
+
+def partitioned_decode(data: bytes, count: int | None = None) -> np.ndarray:
+    """Invert :func:`partitioned_encode`, with every check of docs/bitstream.md."""
+    if len(data) < 17:
+        raise CorruptStreamError("partitioned payload shorter than its header")
+    coder, n, m, r, n_unary = struct.unpack_from("<BIIII", data)
+    if coder != 2 or (count is not None and n != count) or not r <= m <= n:
+        raise CorruptStreamError("bad coder id, symbol count, nonzero or sign-change count")
+    n_parts = 2 * -(-m // 128) + -(-r // 128)
+    head_end = 17 + (6 * n_parts + 7) // 8
+    if head_end + n_unary > len(data):
+        raise CorruptStreamError("partitioned payload shorter than its parts")
+    head = _BitReader(data[17:head_end])
+    unary = _BitReader(data[head_end:head_end + n_unary])
+    remainders = _BitReader(data[head_end + n_unary:])
+    streams = []
+    for size in (m, m, r):
+        stream = []
+        for start in range(0, size, 128):
+            golomb, k = head.read(1), head.read(5)
+            for _ in range(min(128, size - start)):
+                u = 0
+                while unary.read(1):
+                    u += 1
+                if (golomb and u + k > 32) or (not golomb and u >= 1 << (32 - k)):
+                    raise CorruptStreamError("a coded value does not fit in 32 bits")
+                if golomb:
+                    stream.append((1 << (u + k)) + remainders.read(u + k) - (1 << k))
+                else:
+                    stream.append((u << k) + remainders.read(k))
+        streams.append(stream)
+    if not (_drained(head, head_end - 17) and _drained(unary, n_unary)
+            and _drained(remainders, len(data) - head_end - n_unary)):
+        raise CorruptStreamError("a part does not end in zero padding within its last byte")
+    gaps, magnitudes, change_gaps = streams
+    changes, position = set(), -1
+    for gap in change_gaps:
+        position += gap + 1
+        if position >= m:
+            raise CorruptStreamError("sign changes run past the nonzero count")
+        changes.add(position)
+    out = np.zeros(n, dtype=np.int64)
+    position, negative = -1, 0
+    for i, (gap, magnitude) in enumerate(zip(gaps, magnitudes)):
+        position += gap + 1
+        if position >= n:
+            raise CorruptStreamError("nonzero positions run past the symbol count")
+        negative ^= i in changes
+        if magnitude + 1 - negative > (1 << 31) - 1:
+            raise CorruptStreamError("a symbol does not fit in signed 32 bits")
+        out[position] = -(magnitude + 1) if negative else magnitude + 1
+    return out
 
 
 def _as_matrix(values, n: int, what: str) -> np.ndarray:

@@ -283,6 +283,14 @@ def _index_runs_padded_to(total):
     return zlib.compress(bytes(body))
 
 
+def _hostile_plane():
+    """That frame's first color plane declaring n nonzeros of its n symbols
+    and a unary part of 2^32-1 bytes, and carrying none of them."""
+    plane = _small_intra_gof().frames[0].color_payloads[0]
+    (n,) = struct.unpack_from("<I", plane, 1)
+    return plane[:5] + struct.pack("<II", n, 0xFFFFFFFF)
+
+
 def _deflated_zeros():
     """600 MiB of zeros, deflated 1 MiB at a time to about 0.6 MB."""
     deflater = zlib.compressobj()
@@ -317,6 +325,10 @@ _HOSTILE = {
     # 2^32-1 voxels declared, and an octree section that inflates to 600 MiB
     "voxel-count": ("decode", lambda: _small_intra_tcb1(
         {}, {"n_voxels": 0xFFFFFFFF, "octree_bytes": _deflated_zeros()})),
+    # a coder-2 color plane whose every symbol is a nonzero, with a unary
+    # part of 2^32-1 bytes
+    "plane-unary-length": ("decode", lambda: _small_intra_tcb1({}, {"color_payloads": (
+        _hostile_plane(), *_small_intra_gof().frames[0].color_payloads[1:])})),
 }
 
 
@@ -440,16 +452,16 @@ def test_eval_refuses_a_bad_bitstream_before_any_metric_runs(tmp_path, capsys, m
     assert captured.err.startswith("error:") and not captured.out
 
 
-def test_a_version_1_stream_is_refused_by_the_reader_decode_and_eval(tmp_path, capsys):
-    # version 1 coded the octree in preorder; no reader parses it any more
+def _refused_version(tmp_path, capsys, version):
+    """A stream relabeled as ``version``: the reader, decode and eval refuse it."""
     orig = _generate(tmp_path, frames=2, gof_size=2)
     bits = tmp_path / "seq.tcb"
     assert _run(["encode", str(orig), "-o", str(bits)]) == 0
     data = bytearray(bits.read_bytes())
     assert data[4:6] == struct.pack("<H", codec.BITSTREAM_VERSION)
-    data[4:6] = struct.pack("<H", 1)
+    data[4:6] = struct.pack("<H", version)
     bits.write_bytes(data)
-    with pytest.raises(FormatError, match="unsupported container version 1"):
+    with pytest.raises(FormatError, match=f"unsupported container version {version}"):
         codec.read_bitstream(io.BytesIO(data))
     recon = tmp_path / "recon.tcg"
     capsys.readouterr()
@@ -460,6 +472,16 @@ def test_a_version_1_stream_is_refused_by_the_reader_decode_and_eval(tmp_path, c
     captured = capsys.readouterr()
     assert captured.err.count("error:") == 2 and "Traceback" not in captured.err
     assert not captured.out
+
+
+def test_a_version_1_stream_is_refused_by_the_reader_decode_and_eval(tmp_path, capsys):
+    # version 1 coded the octree in preorder; no reader parses it any more
+    _refused_version(tmp_path, capsys, 1)
+
+
+def test_a_version_2_stream_is_refused_by_the_reader_decode_and_eval(tmp_path, capsys):
+    # version 2 coded every plane in RLGR; no reader parses it any more
+    _refused_version(tmp_path, capsys, 2)
 
 
 def _tcg1(frames, depth):
@@ -570,13 +592,14 @@ def test_eval_report_is_pinned(tmp_path, capsys):
         "psnr_g_matching = 61.807326",
         "psnr_y_matching = 46.918688",
     ]
-    # the RLGR plane payloads of every frame, in stream order, and the decoded
-    # file: unlike the deflated sections, neither depends on the zlib build
+    # the plane payloads of every frame (coder 2 intra, RLGR predicted), in
+    # stream order, and the decoded file: unlike the deflated sections,
+    # neither depends on the zlib build
     planes = b"".join(plane for enc in codec.read_bitstream_file(bits)
                       for frame in enc.frames
                       for plane in getattr(frame, "motion_payloads", ()) + frame.color_payloads)
     assert hashlib.sha256(planes).hexdigest() == (
-        "3dae95cd95bf8578139094978ff239aac4b77cf933bceec5829c894000c998d8")
+        "cd199aba49a67c35c84b01276bcb1ee04ac78c6c82b8bae6dba6a366b081e343")
     assert hashlib.sha256(recon.read_bytes()).hexdigest() == (
         "08b0242abb6e683f5924b038cd0ff37039170826746f2eb68bb90c661aeb4c02")
 

@@ -400,6 +400,30 @@ def test_gof_record_corruption_detected():
             codec.parse_gof_record(codec.serialize_gof_record(bad))
 
 
+def test_each_plane_decodes_by_the_coder_its_first_byte_names():
+    # intra color planes are coder 2 and predicted planes RLGR, but the
+    # decoder reads either coder in any plane; any other id is corrupt
+    enc = codec.encode_gof(_gof(n_frames=2, seed=17), _params())
+    intra, predicted = enc.frames
+    assert {p[0] for p in intra.color_payloads} == {entropy.PARTITIONED_CODER}
+    assert {p[0] for p in predicted.motion_payloads + predicted.color_payloads} == {
+        entropy.RLGR_VERSION}
+    swapped = dataclasses.replace(enc, frames=(
+        dataclasses.replace(intra, color_payloads=tuple(
+            entropy.rlgr_encode(entropy.partitioned_decode(p)) for p in intra.color_payloads)),
+        dataclasses.replace(predicted, motion_payloads=tuple(
+            entropy.partitioned_encode(entropy.rlgr_decode(p))
+            for p in predicted.motion_payloads))))
+    for want, got in zip(codec.decode_gof(enc).frames, codec.decode_gof(swapped).frames):
+        assert np.array_equal(want.vertices, got.vertices)
+        assert np.array_equal(want.colors, got.colors)
+    for plane, message in ((b"\x03" + intra.color_payloads[0][1:], "unknown plane coder 3"),
+                           (b"", "shorter than its header")):
+        bad = dataclasses.replace(intra, color_payloads=(plane, *intra.color_payloads[1:]))
+        with pytest.raises(CorruptStreamError, match=message):
+            codec.decode_gof(dataclasses.replace(enc, frames=(bad,)))
+
+
 @pytest.mark.parametrize("name", ["step_motion", "step_color_intra", "step_color_inter"])
 def test_gof_header_step_above_the_bound_is_corrupt(name):
     # a 1e308 step overflows the dequantized coefficients, so without the
@@ -548,12 +572,12 @@ def _counting_inverse(monkeypatch):
 
 @pytest.mark.parametrize("intra_only, n_inverses, digest, n_frames", [
     # no frame reads an intra-only frame's reconstruction
-    (True, 0, "709df84d06bec16341fefa9573154fc544094da7a385d63177601026f257da5d", 4),
+    (True, 0, "b969f676e938e257f3dd01b98f602bf5a80df2d01809ed1bcefc3cf1789b2115", 4),
     # the reference's colors, then motion and colors of each predicted frame
     # but the last
-    (False, 1 + 2 * 2, "16caf01538d1bc7b95ba3c967f36d522f9379231a547777faa20d7d1b6d3029d", 4),
+    (False, 1 + 2 * 2, "17ba2b1362de4ea0819e38f6e2ab869994caa03d2a7b36cb3ec021d2ffabce53", 4),
     # no frame follows a lone reference frame
-    (False, 0, "4c52afb66fe13b2381fa725f9a448989702644dbe87fdc185cafd199916b22b0", 1),
+    (False, 0, "2309f78827a827a45b235aca41cc8217eac95a720b40aa80933182c32496c398", 1),
 ])
 def test_encoder_inverts_only_what_a_later_frame_reads(monkeypatch, intra_only, n_inverses,
                                                         digest, n_frames):

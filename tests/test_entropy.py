@@ -261,17 +261,23 @@ def test_rlgr_tabulated_edges_match_the_bitwise_oracle():
 
 @pytest.mark.parametrize("intra_only", [False, True])
 def test_rlgr_every_plane_of_a_small_gof_matches_the_bitwise_oracle(intra_only):
+    # intra color planes are coder 2 and predicted planes RLGR; each plane
+    # matches the bitwise oracle of the coder its first byte names
     gof = datagen.gen_sequence("sphere", 3, n_faces=200, upsample=4, seed=3)[0]
     params = CodecParams(9, 4, step_color_intra=4.0, step_color_inter=4.0)
     encoded = codec.encode_gof(gof, params, intra_only=intra_only)
     planes = [plane for frame in encoded.frames for plane in (
         frame.color_payloads if isinstance(frame, codec.IntraPayload)
         else frame.motion_payloads + frame.color_payloads)]
-    assert len(planes) == (9 if intra_only else 15)
+    assert [plane[0] for plane in planes] == [2] * 9 if intra_only else [2] * 3 + [1] * 12
+    coders = {1: (oracles.rlgr_encode, oracles.rlgr_decode, entropy.rlgr_decode),
+              2: (oracles.partitioned_encode, oracles.partitioned_decode,
+                  entropy.partitioned_decode)}
     for payload in planes:
-        symbols = oracles.rlgr_decode(payload)
-        assert oracles.rlgr_encode(symbols) == payload
-        assert np.array_equal(entropy.rlgr_decode(payload), symbols)
+        encode, decode, library_decode = coders[payload[0]]
+        symbols = decode(payload)
+        assert encode(symbols) == payload
+        assert np.array_equal(library_decode(payload), symbols)
 
 
 def test_rlgr_encode_touches_only_the_nonzeros():
@@ -287,6 +293,185 @@ def test_rlgr_encode_touches_only_the_nonzeros():
         tracemalloc.stop()
     assert peak <= 1 << 20
     assert np.array_equal(entropy.rlgr_decode(payload), plane)
+
+
+# --- plane coder 2: partitioned Rice / Exp-Golomb ---------------------------
+
+def _coded(count, nonzeros, changes, unary_bytes, parts_hex):
+    return struct.pack("<BIIII", 2, count, nonzeros, changes, unary_bytes) + bytes.fromhex(parts_hex)
+
+
+# worked by hand from docs/bitstream.md: (symbols, payload)
+_FROZEN_PLANES = [
+    ([], _coded(0, 0, 0, 0, "")),
+    # gaps [2, 1], magnitudes - 1 [4, 0] and one sign change, at nonzero 1:
+    # its gap [1].  b = 1 in every partition, where Rice k = 0 ties Rice k = 1
+    # and comes first: three headers 000000, prefixes 110 10 | 11110 0 | 10
+    # and no remainder bits
+    ([0, 0, 5, 0, -1], _coded(5, 2, 1, 2, "000000" "d790" "")),
+    # the gap 300 (b = 8) in Rice k = 7: '110' and 0101100; the magnitude 6
+    # (b = 2) in Rice k = 2: '10' and 10; no sign change
+    ([0] * 300 + [7], _coded(301, 1, 0, 1, "1c20" "d0" "5900")),
+    # four zero gaps in Rice k = 0; magnitudes - 1 [0, 0, 0, 40] (b = 3) in
+    # Exp-Golomb k = 0: '0' '0' '0', then '111110' and 01001 (41 - 32)
+    ([1, 1, 1, 41], _coded(4, 4, 0, 2, "0200" "01f0" "48")),
+    # signs - - + -: changes at nonzeros 0, 2 and 3, gaps [0, 1, 0]; every
+    # partition in Rice k = 0: 0000 | 0 0 10 110 | 0 10 0
+    ([-1, -1, 2, -3], _coded(4, 4, 3, 2, "000000" "02c8")),
+]
+
+
+@pytest.mark.parametrize("symbols, payload", _FROZEN_PLANES)
+def test_partitioned_frozen_payloads(symbols, payload):
+    assert entropy.partitioned_encode(symbols) == payload
+    assert entropy.partitioned_decode(payload, len(symbols)).tolist() == symbols
+    assert oracles.partitioned_encode(symbols) == payload
+
+
+_EXTREMES = [(1 << 31) - 1, -(1 << 31) + 1, -(1 << 31)]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([0, 1, 2, 127, 128, 129, 256, 257, 300]),
+       st.integers(0, 31), st.integers(0, 3000), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_partitioned_matches_the_bitwise_oracle(seed, m, magnitude, zeros, extremes):
+    # m nonzeros fill partitions of exactly 128 and 129 values, among zeros
+    # at random, with magnitudes up to 2^magnitude and the 32-bit extremes
+    rng = np.random.default_rng(seed)
+    symbols = np.zeros(m + zeros, dtype=np.int64)
+    values = rng.integers(-(1 << magnitude), 1 << magnitude, size=m)
+    values[values == 0] = 1
+    if extremes:
+        values[:3] = _EXTREMES[:m]
+    symbols[rng.choice(symbols.size, size=m, replace=False)] = values
+    payload = oracles.partitioned_encode(symbols)
+    assert entropy.partitioned_encode(symbols) == payload
+    assert np.array_equal(entropy.partitioned_decode(payload), symbols)
+    assert np.array_equal(oracles.partitioned_decode(payload), symbols)
+
+
+@pytest.mark.parametrize("symbols", [
+    np.zeros(1000, dtype=np.int64),
+    np.array([0] * 999 + [-3]),
+    np.array(_EXTREMES + [0, 0] + _EXTREMES[::-1]),
+    np.arange(1, 129), np.arange(-129, 0),
+    np.random.default_rng(4).integers(-(1 << 31), 1 << 31, size=700),
+], ids=["all-zero", "one-at-the-end", "extremes", "128", "129", "dense"])
+def test_partitioned_round_trips_edge_planes(symbols):
+    assert np.array_equal(entropy.partitioned_decode(entropy.partitioned_encode(symbols)), symbols)
+
+
+@given(st.lists(st.integers(-(1 << 31), (1 << 31) - 1), max_size=400), st.integers(0, 9))
+@settings(max_examples=80, deadline=None)
+def test_partitioned_round_trip_random(values, sparsity):
+    symbols = np.array(values, dtype=np.int64)
+    if sparsity:
+        symbols[::sparsity] = 0
+    assert np.array_equal(entropy.partitioned_decode(entropy.partitioned_encode(symbols)),
+                          symbols)
+
+
+def test_partitioned_rejects_out_of_range_symbols():
+    for bad in ([1 << 31], [-(1 << 31) - 1]):
+        with pytest.raises(RangeError):
+            entropy.partitioned_encode(bad)
+
+
+def _partitioned_sweep_payloads():
+    # Rice and Exp-Golomb partitions, a partition of 129 values, and the
+    # 32-bit extremes
+    rng = np.random.default_rng(8)
+    mixed = rng.integers(-60, 60, 400) * (rng.random(400) < 0.35)
+    mixed[::97] = _EXTREMES + [1 << 20, -(1 << 12)]
+    return [entropy.partitioned_encode(s) for s in (
+        *(symbols for symbols, _ in _FROZEN_PLANES[1:]), np.arange(1, 130), mixed)]
+
+
+def test_partitioned_every_prefix_cut_is_a_stream_error():
+    for payload in _partitioned_sweep_payloads():
+        for cut in range(len(payload)):
+            with pytest.raises(CorruptStreamError):
+                entropy.partitioned_decode(payload[:cut])
+
+
+def _decoded_or_error(decode, payload):
+    try:
+        return decode(payload).tolist()
+    except CorruptStreamError:
+        return "error"
+
+
+def test_partitioned_every_bit_flip_decodes_or_is_a_stream_error():
+    # past the coder id and the symbol count: the flipped payload decodes or
+    # raises CorruptStreamError, as the bitwise oracle does
+    for payload in _partitioned_sweep_payloads():
+        n = struct.unpack_from("<I", payload, 1)[0]
+        for bit in range(40, 8 * len(payload)):
+            flipped = bytearray(payload)
+            flipped[bit // 8] ^= 0x80 >> (bit % 8)
+            got = _decoded_or_error(entropy.partitioned_decode, bytes(flipped))
+            assert got == _decoded_or_error(oracles.partitioned_decode, bytes(flipped)), bit
+            assert got == "error" or len(got) == n
+
+
+def test_partitioned_decoder_checks():
+    payload = entropy.partitioned_encode([0, 0, 5, 0, -1])
+    cases = [
+        ("unknown plane coder 1", b"\x01" + payload[1:]),
+        ("3 nonzeros and 0 sign changes declared for 2 symbols", _coded(2, 3, 0, 0, "")),
+        ("2 nonzeros and 3 sign changes", _coded(5, 2, 3, 0, "")),
+        ("shorter than its parts", _coded(5, 2, 1, 0xFFFFFFFF, "000000d790")),
+        # eight ones and no zero: no prefix ends
+        ("fewer prefixes than values", _coded(5, 2, 1, 1, "000000" "ff")),
+        # a prefix of 2 under Exp-Golomb k = 31, then under Rice k = 31
+        ("does not fit in 32 bits", _coded(1, 1, 0, 1, "fc00" "c0" "00000000")),
+        ("does not fit in 32 bits", _coded(1, 1, 0, 1, "7c00" "c0" "00000000")),
+        # the gap 2 of [0, 0, 5] in a plane of 2 symbols
+        ("nonzero positions or sign changes run past",
+         b"\x02\x02" + entropy.partitioned_encode([0, 0, 5])[2:]),
+        # a sign change at nonzero 1 of a single nonzero: prefixes 0 0 10
+        ("nonzero positions or sign changes run past",
+         _coded(1, 1, 1, 1, "000000" "20" "")),
+        # -2^31 without its sign change: +2^31
+        ("does not fit in signed 32 bits", _coded(1, 1, 0, 1, "01e0" "40" "fffffffc")),
+        ("remainder part does not end", entropy.partitioned_encode([0] * 300 + [7]) + b"\x00"),
+    ]
+    # -2^31: the magnitude 2^31 - 1 in Rice k = 30, '10' and thirty ones
+    assert entropy.partitioned_encode([-(1 << 31)]) == _coded(1, 1, 1, 1, "01e000" "40" "fffffffc")
+    for message, data in cases:
+        with pytest.raises(CorruptStreamError, match=message):
+            entropy.partitioned_decode(data)
+        with pytest.raises(CorruptStreamError):
+            oracles.partitioned_decode(data)
+    with pytest.raises(CorruptStreamError, match="symbol count mismatch"):
+        entropy.partitioned_decode(payload, 6)
+
+
+def test_partitioned_rejects_set_padding_bits():
+    # [0, 0, 5, 0, -1]: 18 header bits and 13 prefix bits, each part padded
+    # with zeros to its last byte
+    payload = entropy.partitioned_encode([0, 0, 5, 0, -1])
+    for bit in [*range(17 * 8 + 18, 20 * 8), *range(20 * 8 + 13, 22 * 8)]:
+        flipped = bytearray(payload)
+        flipped[bit // 8] ^= 0x80 >> (bit % 8)
+        with pytest.raises(CorruptStreamError, match="zero padding"):
+            entropy.partitioned_decode(bytes(flipped))
+    with pytest.raises(CorruptStreamError, match="remainder part does not end in zero padding"):
+        entropy.partitioned_decode(entropy.partitioned_encode([0] * 300 + [7])[:-1] + b"\x01")
+
+
+def test_partitioned_hostile_counts_are_refused_before_allocation():
+    # 2^32 - 1 nonzeros declared: their headers alone would take 96 MiB of
+    # the 1 MiB present
+    hostile = _coded(0xFFFFFFFF, 0xFFFFFFFF, 0, 0, "") + bytes(1 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorruptStreamError, match="shorter than its parts"):
+            entropy.partitioned_decode(hostile)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # --- duplicate-index runs -------------------------------------------------

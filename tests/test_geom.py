@@ -1,5 +1,6 @@
 """Morton codes, triangle refinement, and voxelization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -380,6 +381,22 @@ def test_voxelize_groups_as_np_unique_does(depth, n, seed):
     codes, index_map = voxel_grouping(pts, depth)
     assert np.array_equal(res.voxel_set.codes, codes)
     assert res.index_map.dtype == index_map.dtype
+    assert np.array_equal(res.index_map, index_map)
+
+
+def test_voxelize_peaks_at_40_bytes_a_point():
+    # the int64 coordinates, the codes and one table gather at most: a float
+    # copy of the scaled points or a rank temporary would show here
+    pts = np.random.default_rng(3).random((1 << 19, 3))
+    tracemalloc.start()
+    try:
+        res = geom.voxelize(pts, None, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 * len(pts) + 4096, f"peaked {peak / len(pts):.2f} B a point"
+    codes, index_map = voxel_grouping(pts, 10)
+    assert np.array_equal(res.voxel_set.codes, codes)
     assert np.array_equal(res.index_map, index_map)
 
 

@@ -22,6 +22,25 @@ def test_round_half_away_frozen_vector():
     assert transform.round_half_away(vals).tolist() == [-3, -2, -1, 0, 0, 0, 1, 2, 3]
 
 
+def _masked_round_half_away(values):
+    """The masked form: floor(|v| + 0.5), negated where v < 0."""
+    out = np.floor(np.abs(values) + 0.5)
+    return np.negative(out, out=out, where=values < 0)
+
+
+def test_round_half_away_matches_the_masked_formula_bit_for_bit():
+    # signed zeros included: -0.4 rounds to -0.0, and -0.0 to +0.0
+    edges = [k + 0.5 for k in range(-25, 25)] + [
+        0.0, -0.0, -0.4, 0.49999999999999994, -0.49999999999999994,
+        2.0 ** 52 + 1, -(2.0 ** 52 + 1), np.inf, -np.inf, np.nan]
+    for values in (np.random.default_rng(2).normal(scale=40.0, size=1 << 20), np.array(edges)):
+        want = _masked_round_half_away(values).view(np.uint64)
+        assert np.array_equal(transform.round_half_away(values).view(np.uint64), want)
+        in_place = values.copy()
+        transform.round_half_away(in_place, out=in_place)
+        assert np.array_equal(in_place.view(np.uint64), want)
+
+
 def test_quantize_midstep_hand_values():
     assert float(transform.quantize(3.7, 2.0, transform.MIDSTEP)) == 4.0
     assert float(transform.quantize(-3.7, 2.0, transform.MIDSTEP)) == -4.0
