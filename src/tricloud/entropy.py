@@ -10,20 +10,19 @@ When k = 0 every symbol is Golomb-Rice coded; when k >= 1 runs of zeros are
 coded with one bit per 2^k zeros.  All constants are frozen here and in
 docs/bitstream.md; changing any of them requires bumping RLGR_VERSION.
 
-The encoder iterates once per nonzero symbol, not once per codeword.  kP
-depends only on the gaps between nonzeros, and kRP only on the coded values
-and on how many Golomb-Rice-coded zeros precede each one, so two scans carry
-the state: one over the gaps (a table lookup [gap][kP] for short gaps) and
-one over the values (kRP falls by 2 per zero in front, then a lookup
-[value][kRP] for small values).  Everything else follows with array
-operations: before each nonzero a field of zero bits (its Golomb-Rice zeros
-and complete runs), then '1' and the k-bit gap of a broken run, the unary
-prefix, and kR low bits or a 32-bit escape.  A cumulative sum places the
-fields, and each kind of field is added into big-endian 32-bit words in one
-pass.  The decoder keeps one loop over codewords, since a codeword's
-position depends on every codeword before it.  The partitioned coder keeps
-no state, so both its sides are array operations: its decoder finds every
-unary prefix with one ``flatnonzero`` and reads every remainder at once.
+The encoder iterates once per nonzero symbol, not once per codeword.  One
+scan over the nonzeros carries kP and kRP by the decoder's rules and records
+the zero bits in front of each nonzero (Golomb-Rice zeros while k = 0, then
+complete runs of 2^k), its k, the zeros left for its broken run and its kR;
+the plane's end is one more gap, whose leftover zeros take one short run.
+Everything else follows with array operations: before each nonzero its field
+of zero bits, then '1' and the k-bit gap of a broken run, the unary prefix,
+and kR low bits or a 32-bit escape.  A cumulative sum places the fields, and
+each kind of field is added into big-endian 32-bit words in one pass.  The
+decoder keeps one loop over codewords, since a codeword's position depends
+on every codeword before it.  The partitioned coder keeps no state, so both
+its sides are array operations: its decoder finds every unary prefix with
+one ``flatnonzero`` and reads every remainder at once.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ import zlib
 
 import numpy as np
 
+from .core import _MAX_REFINED_POINTS
 from .errors import CorruptStreamError, MalformedIndexMapError, RangeError
 
 RLGR_VERSION = 1
@@ -53,85 +53,13 @@ _PARTITION = 128          # values per partition, each with its own family and k
 _CANDIDATES = ((0, -1), (0, 0), (1, -4), (1, -3), (1, -2), (1, -1), (1, 0))
 
 
-def _adapt_krp(krp: int, p: int) -> int:
-    if p == 0:
-        return max(0, krp - 2)
-    if p > 1:
-        return min(krp + p + 1, _KRP_MAX)
-    return krp
-
-
-def _kp_after_gap(gap: int, kp: int) -> int:
-    """kP after ``gap`` zeros and one nonzero symbol, coded from ``kp``."""
-    while gap and kp < 1 << _L:     # Golomb-Rice-coded zeros
-        kp = min(kp + _U0, _KP_MAX)
-        gap -= 1
-    k = kp >> _L
-    while k and gap >> k:           # complete runs of 2^k zeros
-        gap -= 1 << k
-        kp = min(kp + _U1, _KP_MAX)
-        k = kp >> _L
-    return max(0, kp - (_D1 if k else _D0))
-
-
-def _gap_rule(gap: np.ndarray, kp: np.ndarray):
-    """The kP rule of :func:`_kp_after_gap` over arrays, with what it codes.
-
-    Returns (kP after the nonzero, Golomb-Rice-coded zeros, complete runs,
-    the broken run's k (0: the nonzero is Golomb-Rice coded), zeros left
-    for the broken run).  Complete runs are taken a level of k at a time:
-    _LEVEL_RUNS[kP] runs of 2^k take kP to the next level, and at k = 24
-    kP stays at its cap.
-    """
-    zeros = np.minimum(gap, _GR_ZEROS[kp])
-    kp = kp + _U0 * zeros  # below 16 + U0, far under the cap
-    left = gap - zeros
-    runs = np.zeros_like(left)
-    todo = np.flatnonzero(kp >> _L)
-    while todo.size:
-        at = kp[todo]
-        room = _LEVEL_RUNS[at]
-        take = np.minimum(left[todo] >> (at >> _L), room)
-        left[todo] -= take << (at >> _L)
-        runs[todo] += take
-        kp[todo] = np.minimum(at + _U1 * take, _KP_MAX)
-        todo = todo[take == room]
-    k = kp >> _L
-    return np.where(k > 0, kp - _D1, np.maximum(kp - _D0, 0)), zeros, runs, k, left
-
-
-def _krp_rule(krp: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """:func:`_adapt_krp` over arrays."""
-    return np.where(p == 0, np.maximum(krp - 2, 0),
-                    np.where(p > 1, np.minimum(krp + p + 1, _KRP_MAX), krp))
-
-
-def _zero_bits(zeros: np.ndarray, krp: np.ndarray) -> np.ndarray:
-    """Bits of ``zeros`` Golomb-Rice-coded zeros from ``krp``: each is '0'
-    and kR zero bits, and lowers kRP by 2."""
-    bits = zeros.copy()
-    for i in range(int(zeros.max(initial=0))):
-        bits += np.where(i < zeros, np.maximum(krp - 2 * i, 0) >> _L, 0)
-    return bits
-
-
-# per kP: Golomb-Rice zeros until run mode, and complete runs until the
-# next level of k (unbounded at the cap)
-_KP_RANGE = np.arange(_KP_MAX + 1)
-_GR_ZEROS = np.maximum(0, -((_KP_RANGE - (1 << _L)) // _U0))
-_LEVEL_RUNS = np.where(_KP_RANGE < _KP_MAX,
-                       -((_KP_RANGE - (((_KP_RANGE >> _L) + 1) << _L)) // _U1),
-                       np.iinfo(np.int64).max)
-
-# scan tables: kP after a gap below _GAP_TABLE, indexed [gap][kP], and kRP
-# after a coded value below _VALUE_TABLE, indexed [value][kRP]
-_GAP_TABLE = 64
-_VALUE_TABLE = 64
-_KP_TABLE = _gap_rule(*np.divmod(np.arange(_GAP_TABLE * (_KP_MAX + 1)), _KP_MAX + 1)
-                      )[0].reshape(_GAP_TABLE, -1).tolist()
-_KRP_TABLE = _krp_rule(np.arange(_KRP_MAX + 1),
-                       np.arange(_VALUE_TABLE)[:, None] >> (np.arange(_KRP_MAX + 1) >> _L)
-                       ).tolist()
+def _check_count(n: int, count: int | None) -> None:
+    """Refuse a declared symbol count before anything is allocated: it must be
+    ``count``, or with none given at most a frame's refined points."""
+    if count is not None and n != count:
+        raise CorruptStreamError(f"symbol count mismatch: payload {n}, expected {count}")
+    if count is None and n > _MAX_REFINED_POINTS:
+        raise CorruptStreamError(f"payload declares {n} symbols, more than {_MAX_REFINED_POINTS}")
 
 
 def _place(words: np.ndarray, offsets: np.ndarray, widths: np.ndarray,
@@ -155,46 +83,55 @@ def rlgr_encode(symbols) -> bytes:
     signed = arr[positions]
     # interleave signs: 0,-1,1,-2,... -> 0,1,2,3,...
     unsigned = np.where(signed > 0, 2 * signed, -2 * signed - 1)
-    gaps = np.diff(positions, prepend=-1) - 1
 
-    # scan 1: kP before each nonzero, driven by the zeros in front of it
-    kp_at = []
-    kp = _INIT_KP
-    for gap in gaps.tolist():
-        kp_at.append(kp)
-        kp = _KP_TABLE[gap][kp] if gap < _GAP_TABLE else _kp_after_gap(gap, kp)
-    _, zeros, runs, k, left = _gap_rule(gaps, np.array(kp_at, dtype=np.int64))
-    values = unsigned - (k > 0)  # a broken run codes the nonzero minus 1
-
-    # scan 2: kRP after each value; each Golomb-Rice zero in front lowers it by 2
-    krp_after = []
-    krp = _INIT_KRP
-    for drop, value in zip((2 * zeros).tolist(), values.tolist()):
-        if drop:
-            krp = krp - drop if krp > drop else 0
-        krp = (_KRP_TABLE[value][krp] if value < _VALUE_TABLE
-               else _adapt_krp(krp, value >> (krp >> _L)))
-        krp_after.append(krp)
-    krp_before = np.array([_INIT_KRP] + krp_after[:-1], dtype=np.int64)[:positions.size]
+    # one scan carries kP and kRP and records, per nonzero: the zero bits in
+    # front of it, its k (0: Golomb-Rice mode), the zeros left for its broken
+    # run, and kR.  The plane's end is one more nonzero, at n, never coded.
+    records = []
+    kp, krp = _INIT_KP, _INIT_KRP
+    for gap, value in zip((np.diff(positions, prepend=-1, append=n) - 1).tolist(),
+                          unsigned.tolist() + [1]):
+        bits = 0
+        while gap and kp < 1 << _L:  # Golomb-Rice zeros: '0' and kR zero bits
+            bits += 1 + (krp >> _L)
+            krp = krp - 2 if krp > 2 else 0
+            kp += _U0
+            gap -= 1
+        k = kp >> _L
+        while k and gap >> k:  # complete runs of 2^k zeros: '0' each
+            gap -= 1 << k
+            bits += 1
+            kp += _U1
+            if kp > _KP_MAX:
+                kp = _KP_MAX
+            k = kp >> _L
+        k_r = krp >> _L
+        records += (bits, k, gap, k_r)
+        p = (value - 1 if k else value) >> k_r  # a broken run codes the nonzero minus 1
+        if p == 0:
+            krp = krp - 2 if krp > 2 else 0
+        elif p > 1:
+            krp += p + 1
+            if krp > _KRP_MAX:
+                krp = _KRP_MAX
+        kp = kp - _D1 if k else kp - _D0 if kp > _D0 else 0
+    zero_bits, k, left, k_r = np.array(records, dtype=np.int64).reshape(-1, 4).T
+    end_run = left[-1] > 0  # one short run, since the decoder clamps a run at n
+    k, left, k_r = k[:-1], left[:-1], k_r[:-1]
+    values = unsigned - (k > 0)
 
     # every nonzero: zero bits, then '1' and a k-bit gap in run mode, then
     # the Golomb-Rice codeword: p ones and '0', and kR low bits, or 24 ones
     # and the 32-bit value
-    k_r = np.maximum(krp_before - 2 * zeros, 0) >> _L
     ones = np.minimum(values >> k_r, _ESC)
     short = ones < _ESC  # a prefix of fewer than 24 ones ends in '0'
     gap_width = np.where(k > 0, k + 1, 0)
     prefix_width = ones + short
     low_width = np.where(short, k_r, 32)
     tail = gap_width + prefix_width + low_width
-    start = np.cumsum(_zero_bits(zeros, krp_before) + runs + tail) - tail
-
-    # the zeros after the last nonzero: complete runs, then one '0' for the
-    # rest, since the decoder clamps a run at the end of the plane
-    _, end_zeros, end_runs, _, end_left = _gap_rule(
-        np.array([n - 1 - positions[-1] if positions.size else n]), np.array([kp]))
-    n_bits = int(start[-1] + tail[-1] if start.size else 0) + int(
-        _zero_bits(end_zeros, np.array([krp]))[0] + end_runs[0] + (end_left[0] > 0))
+    ends = np.cumsum(zero_bits + np.append(tail, end_run))
+    n_bits = int(ends[-1])
+    start = ends[:-1] - tail
 
     words = np.zeros(((n_bits + 31) >> 5) + 2)  # a field of width 0 may sit at n_bits
     _place(words, start, gap_width, np.where(k > 0, (1 << k) | left, 0))
@@ -213,15 +150,15 @@ def rlgr_encode(symbols) -> bytes:
 def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
     """Decode an RLGR payload back to signed integers.
 
-    ``count``, when given, must match the payload's embedded symbol count.
+    ``count``, when given, must match the payload's embedded symbol count;
+    without it, a count above 2^24 is refused.
     """
     if len(data) < 5:
         raise CorruptStreamError("RLGR payload shorter than its header")
     if data[0] != RLGR_VERSION:
         raise CorruptStreamError(f"unsupported RLGR version {data[0]}")
     (n,) = struct.unpack_from("<I", data, 1)
-    if count is not None and n != count:
-        raise CorruptStreamError(f"symbol count mismatch: payload {n}, expected {count}")
+    _check_count(n, count)
     # a symbol costs at most 1 + 24 run bits, 24 escape ones and 32 raw bits
     if len(data) - 5 > (81 * n + 7) // 8:
         raise CorruptStreamError("RLGR body longer than its symbol count allows")
@@ -370,20 +307,20 @@ def partitioned_encode(symbols) -> bytes:
 
 def partitioned_decode(data: bytes, count: int | None = None) -> np.ndarray:
     """Decode a plane coder 2 payload back to signed integers with array
-    operations; ``count``, when given, must match its symbol count."""
+    operations; ``count``, when given, must match its symbol count, and
+    without it a count above 2^24 is refused."""
     if len(data) < 17:
         raise CorruptStreamError("partitioned payload shorter than its header")
     coder, n, m, r, n_unary = struct.unpack_from("<BIIII", data)
     if coder != PARTITIONED_CODER:
         raise CorruptStreamError(f"unknown plane coder {coder}")
-    if count is not None and n != count:
-        raise CorruptStreamError(f"symbol count mismatch: payload {n}, expected {count}")
     if not r <= m <= n:
         raise CorruptStreamError(f"{m} nonzeros and {r} sign changes declared for {n} symbols")
     n_parts = 2 * -(-m // _PARTITION) + -(-r // _PARTITION)
     head_end = 17 + ((6 * n_parts + 7) >> 3)
     if head_end + n_unary > len(data):
         raise CorruptStreamError("partitioned payload shorter than its parts")
+    _check_count(n, count)
     buf = np.frombuffer(data, dtype=np.uint8)
     _check_part(buf[17:head_end], 6 * n_parts, "header")
     # each value holds a bit of the unary part, so this bounds every array below

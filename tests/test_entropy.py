@@ -199,50 +199,14 @@ def test_rlgr_decode_undoes_the_sign_interleave_in_place():
     assert np.array_equal(entropy.rlgr_decode(entropy.rlgr_encode(values)), values)
 
 
-def _scalar_gap(gap, kp):
-    # the run-mode walk one codeword at a time: (kP after, Golomb-Rice
-    # zeros, complete runs, k, zeros left for the broken run)
-    zeros = runs = 0
-    while gap and kp < 16:
-        kp, gap, zeros = kp + 3, gap - 1, zeros + 1
-    while kp >= 16 and gap >= 1 << (kp >> 4):
-        kp, gap, runs = min(kp + 2, 24 << 4), gap - (1 << (kp >> 4)), runs + 1
-    return max(0, kp - 1), zeros, runs, kp >> 4, gap
-
-
-def test_rlgr_scan_tables_match_the_scalar_rules():
-    n_kp, n_krp = entropy._KP_MAX + 1, entropy._KRP_MAX + 1
-    assert len(entropy._KP_TABLE) == entropy._GAP_TABLE
-    assert len(entropy._KRP_TABLE) == entropy._VALUE_TABLE
-    for gap, row in enumerate(entropy._KP_TABLE):
-        assert row == [entropy._kp_after_gap(gap, kp) for kp in range(n_kp)]
-    for value, row in enumerate(entropy._KRP_TABLE):
-        assert row == [entropy._adapt_krp(krp, value >> (krp >> 4)) for krp in range(n_krp)]
-
-
-def test_rlgr_gap_rule_matches_the_scalar_walk():
-    # at and past the table size, and past 2^24 zeros where kP sits at its cap
-    g = entropy._GAP_TABLE
-    gaps = [*range(40), g - 1, g, g + 1, 2 * g, 1000, (1 << 16) + 3,
-            (1 << 24) - 1, 1 << 24, (1 << 24) + 1, 1 << 30, 3 << 31]
-    kps = list(range(entropy._KP_MAX + 1))
-    gap_grid, kp_grid = (np.array(a, dtype=np.int64).ravel() for a in np.meshgrid(gaps, kps))
-    got = np.stack(entropy._gap_rule(gap_grid, kp_grid), axis=1)
-    want = [_scalar_gap(gap, kp) for gap, kp in zip(gap_grid.tolist(), kp_grid.tolist())]
-    assert got.tolist() == [list(w) for w in want]
-    assert got[:, 0].tolist() == [entropy._kp_after_gap(*a)
-                                  for a in zip(gap_grid.tolist(), kp_grid.tolist())]
-
-
 def _edge_planes():
-    # every gap up to past the gap table and every value around the value
-    # table (unsigned V-2..V+2; run mode codes one less), 32-bit escapes at
-    # both extremes, gaps ending on and off run boundaries, and trailing
-    # zeros flushed from each state; the lead-ins start kP at 0, in run mode
-    # and near the top of its range
-    g, v = entropy._GAP_TABLE, entropy._VALUE_TABLE
+    # every gap up to 66 and every unsigned value 62..66 (run mode codes one
+    # less), 32-bit escapes at both extremes, gaps ending on and off run
+    # boundaries, and trailing zeros flushed from each state; the lead-ins
+    # start kP at 0, in run mode and near the top of its range
+    g, v = 64, 64
     values = [v // 2 - 1, -(v // 2), v // 2, -(v // 2) - 1, v // 2 + 1, -(1 << 31), (1 << 31) - 1]
-    gaps = [*range(g + 3), 2 * g, 2 * g + 1]
+    gaps = [*range(g + 3), 2 * g, 2 * g + 1, 1000, (1 << 16) + 3]
     for lead in ([], [0] * 7 + [3], [0] * 5000 + [1]):
         for i, gap in enumerate(gaps):
             for value in values:
@@ -472,6 +436,22 @@ def test_partitioned_hostile_counts_are_refused_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("declared", [(1 << 24) + 1, 1 << 31, (1 << 32) - 1])
+def test_plane_decoders_refuse_counts_past_a_frame_before_allocation(declared):
+    # a 5-byte RLGR payload and a 17-byte coder-2 payload, neither with a
+    # count to match: their declared zeros would take 128 MiB to 32 GiB
+    tracemalloc.start()
+    try:
+        for decode, payload in ((entropy.rlgr_decode, _payload(declared, "")),
+                                (entropy.partitioned_decode, _coded(declared, 0, 0, 0, ""))):
+            with pytest.raises(CorruptStreamError, match=f"declares {declared} symbols"):
+                decode(payload)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 # --- duplicate-index runs -------------------------------------------------
