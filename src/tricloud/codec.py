@@ -219,11 +219,14 @@ def _code_planes(symbols: np.ndarray, plan: RahtPlan, encode) -> tuple:
 
 
 def _decode_planes(payloads, plan: RahtPlan) -> np.ndarray:
-    """Each plane by the coder its first byte names: 1 is RLGR, 2 partitioned."""
-    symbols = np.empty((plan.n, len(payloads)), dtype=np.int64, order="F")
+    """Each plane by the coder its first byte names: 1 is RLGR, 2 partitioned.
+    Only a plane's nonzeros are scattered through ``plan.order``."""
+    symbols = np.zeros((plan.n, len(payloads)), dtype=np.int64, order="F")
     for k, payload in enumerate(payloads):
         decode = rlgr_decode if payload[:1] == bytes([RLGR_VERSION]) else partitioned_decode
-        symbols[plan.order, k] = decode(payload, plan.n)
+        plane = decode(payload, plan.n)
+        nonzero = np.flatnonzero(plane)
+        symbols[plan.order[nonzero], k] = plane[nonzero]
     return symbols
 
 

@@ -20,9 +20,11 @@ of zero bits, then '1' and the k-bit gap of a broken run, the unary prefix,
 and kR low bits or a 32-bit escape.  A cumulative sum places the fields, and
 each kind of field is added into big-endian 32-bit words in one pass.  The
 decoder keeps one loop over codewords, since a codeword's position depends
-on every codeword before it.  The partitioned coder keeps no state, so both
-its sides are array operations: its decoder finds every unary prefix with
-one ``flatnonzero`` and reads every remainder at once.
+on every codeword before it; it keeps only the nonzeros' positions and
+values, and undoes the sign interleave on those alone.  The partitioned
+coder keeps no state, so both its sides are array operations: its decoder
+finds every unary prefix with one ``flatnonzero`` and reads every remainder
+at once.
 """
 
 from __future__ import annotations
@@ -165,7 +167,7 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
 
     n_bits = 8 * (len(data) - 5)
     bits = format(int.from_bytes(data[5:], "big"), f"0{n_bits}b") if n_bits else ""
-    out = np.zeros(n, dtype=np.int64)
+    positions, values = [], []  # the nonzeros; every other symbol is zero
     kp, krp = _INIT_KP, _INIT_KRP
     pos = b = 0
     # the kP and kRP rules inline: kP >= 16 in run mode and < 16 in
@@ -178,7 +180,7 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
             if k:
                 if bits[b] == "0":
                     b += 1
-                    pos += 1 << k  # zeros are already in place; the loop ends at n
+                    pos += 1 << k  # zeros are not stored; the loop ends at n
                     kp += _U1
                     if kp > _KP_MAX:
                         kp = _KP_MAX
@@ -203,10 +205,12 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
                 if krp > _KRP_MAX:
                     krp = _KRP_MAX
             if k:
-                out[pos] = value + 1
+                positions.append(pos)
+                values.append(value + 1)
                 kp -= _D1
             elif value:
-                out[pos] = value
+                positions.append(pos)
+                values.append(value)
                 kp = kp - _D0 if kp > _D0 else 0
             else:
                 kp += _U0
@@ -215,10 +219,10 @@ def rlgr_decode(data: bytes, count: int | None = None) -> np.ndarray:
         raise CorruptStreamError("bitstream ended mid-codeword") from exc
     if not n_bits - 8 < b <= n_bits or "1" in bits[b:]:
         raise CorruptStreamError("RLGR body does not end in zero padding within its last byte")
-    # undo the sign interleave in place: 0,1,2,3,... -> 0,-1,1,-2,...
-    sign = out & 1
-    out >>= 1
-    out ^= np.negative(sign, out=sign)
+    # undo the sign interleave on the nonzeros alone: 1,2,3,... -> -1,1,-2,...
+    unsigned = np.array(values, dtype=np.int64)
+    out = np.zeros(n, dtype=np.int64)
+    out[positions] = (unsigned >> 1) ^ -(unsigned & 1)
     return out
 
 

@@ -21,6 +21,13 @@ every field of a plane with array operations
 (:func:`tricloud.entropy.partitioned_encode`,
 :func:`tricloud.entropy.partitioned_decode`).
 
+The dense plane scatter: every decoded symbol of a plane, zeros included,
+written into the coefficient block through the plan's coding order, each
+plane decoded by the bit-by-bit decoder its coder id names.  The library
+scatters only the nonzeros into a zeroed block
+(:func:`tricloud.codec._decode_planes`); this function keeps the dense
+scatter its blocks are checked against bit for bit.
+
 The expanded render cloud: every refined triangle upsampled again, with a
 point shared by neighboring triangles repeated once per triangle.  The
 library walks each distinct point once (:func:`tricloud.geom.interpolation_lattice`,
@@ -428,6 +435,15 @@ def partitioned_decode(data: bytes, count: int | None = None) -> np.ndarray:
             raise CorruptStreamError("a symbol does not fit in signed 32 bits")
         out[position] = -(magnitude + 1) if negative else magnitude + 1
     return out
+
+
+def decode_planes(payloads, plan) -> np.ndarray:
+    """Each plane by the coder its first byte names, every symbol scattered."""
+    symbols = np.empty((plan.n, len(payloads)), dtype=np.int64, order="F")
+    for k, payload in enumerate(payloads):
+        decode = rlgr_decode if payload[:1] == bytes([RLGR_VERSION]) else partitioned_decode
+        symbols[plan.order, k] = decode(payload, plan.n)
+    return symbols
 
 
 def _as_matrix(values, n: int, what: str) -> np.ndarray:

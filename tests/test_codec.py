@@ -14,6 +14,7 @@ from functools import cache
 import numpy as np
 import pytest
 
+import oracles
 from tricloud import codec, core, datagen, entropy, geom, transform
 from tricloud.core import CodecParams, GroupOfFrames, TriangleCloudFrame, validate_gof
 from tricloud.errors import (
@@ -599,6 +600,26 @@ def _decoded_sphere():
                                               encoded.n_vertices, encoded.n_faces)
     assert state.refined_plan.n > 90_000
     return encoded, state, buffer
+
+
+@pytest.mark.parametrize("encode", [entropy.rlgr_encode, entropy.partitioned_encode])
+@pytest.mark.parametrize("n", [1, 2, 700])
+def test_decode_planes_equals_the_dense_scatter(encode, n):
+    # the nonzeros alone, scattered into a zeroed block, bit for bit the
+    # block a scatter of every symbol builds; planes in coding order: all
+    # zero, one nonzero at the last position, dense, +-(2^31 - 1), sparse
+    rng = np.random.default_rng(n)
+    plan = transform.raht_plan(core.VoxelSet(5, np.sort(rng.choice(1 << 15, n, replace=False))))
+    last = np.zeros(n, dtype=np.int64)
+    last[-1] = -7
+    planes = [np.zeros(n, dtype=np.int64), last, rng.integers(1, 40, n) * rng.choice([-1, 1], n),
+              np.resize([(1 << 31) - 1, 0, -((1 << 31) - 1)], n)]
+    planes += [np.where(rng.random(n) < density, rng.integers(-300, 301, n), 0)
+               for density in (0.01, 0.1, 0.5)]
+    payloads = [encode(plane) for plane in planes]
+    got = codec._decode_planes(payloads, plan)
+    assert got.dtype == np.int64 and got.flags.f_contiguous
+    assert np.array_equal(got, oracles.decode_planes(payloads, plan))
 
 
 def test_buffer_update_holds_one_coefficient_block():
