@@ -259,9 +259,13 @@ def _read_struct(fp, layout: str) -> tuple:
 def _colors_to_u8(colors: np.ndarray) -> np.ndarray:
     # round half away from zero, then clip; file colors are u8.  On [0, 255]
     # rounding half up is rounding half away, so clipping first is the same.
-    # One float temporary: the clipped copy is rounded in place
+    # floor(x + 0.5) is not exact: 0.49999999999999994 + 0.5 rounds to 1.0.
+    # Adding that largest double below one half instead is: the sum stays
+    # below the next integer for x below the half and reaches it for x at or
+    # above it (x = 0.5 by a tie to the even 1.0).  One float temporary,
+    # rounded in place
     rounded = np.clip(colors, 0, 255)
-    rounded += 0.5
+    rounded += 0.49999999999999994
     np.floor(rounded, out=rounded)
     return rounded.astype(np.uint8)
 

@@ -105,8 +105,10 @@ def _still_texture(points: np.ndarray, consts: dict):
     colors[:, 0] = 127.5 + 70.0 * np.sin(grad[:, 0] + consts["phase"][0])
     colors[:, 1] = 127.5 + 50.0 * np.sin(grad[:, 1] + consts["phase"][1])
     colors[:, 2] = 127.5 + 50.0 * np.cos(grad[:, 2] + consts["phase"][2])
-    cells = np.floor(points * consts["checker"]).astype(np.int64).sum(axis=1)
-    colors[:, 0] += np.where(cells % 2 == 0, 24.0, -24.0)
+    cells = np.floor(points * consts["checker"]).astype(np.int64)
+    # the parity of the cell sum is the XOR of the cells' low bits
+    odd = (cells[:, 0] ^ cells[:, 1] ^ cells[:, 2]) & 1
+    colors[:, 0] += np.where(odd == 0, 24.0, -24.0)
     return colors, grad[:, 0] * 0.25
 
 

@@ -221,12 +221,13 @@ def _sorted_rows(keys: np.ndarray, key_bits: int):
 
 def _group_means(values: np.ndarray, index_map: np.ndarray, n_groups: int) -> np.ndarray:
     """Per-group arithmetic means of rows, row i in group index_map[i] of
-    n_groups; each group's rows are summed in row order."""
-    out = np.empty((n_groups, values.shape[1]))
+    n_groups; each group's rows are summed in row order.  The result is the
+    transpose of a C-ordered (channels, groups) block, so F-ordered."""
+    out = np.empty((values.shape[1], n_groups))
     for k in range(values.shape[1]):
-        out[:, k] = np.bincount(index_map, values[:, k], n_groups)
-    out /= np.bincount(index_map, minlength=n_groups)[:, None]
-    return out
+        out[k] = np.bincount(index_map, values[:, k], n_groups)
+    out /= np.bincount(index_map, minlength=n_groups)
+    return out.T
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,12 @@ contiguous column at a time (:func:`tricloud.transform.raht_forward`,
 :func:`tricloud.transform.raht_inverse`); these functions keep the row-wise
 form its output is checked against bit for bit.
 
+The group means, one row at a time: each group's sums and count built in
+Python floats and ints, row by row in input order.  The library sums one
+channel at a time with ``np.bincount`` into a (channels, groups) block
+(:func:`tricloud.geom._group_means`); this function keeps the per-row
+accumulation its means are checked against bit for bit.
+
 The octree levels, one node at a time: each level's bytes built in a dict
 keyed by node, straight from the rule in ``docs/bitstream.md``.  The library
 turns each level into bytes with one numpy pass
@@ -477,6 +483,20 @@ def raht_inverse(plan, coefficients) -> np.ndarray:
         ta[i0] = a * x0 - b * x1
         ta[i1] = b * x0 + a * x1
     return ta
+
+
+def group_means(values, index_map, n_groups: int) -> np.ndarray:
+    """(n_groups, channels) means of ``values`` rows, row i in group
+    index_map[i]; every group must hold a row."""
+    values = np.asarray(values, dtype=np.float64)
+    sums = [[0.0] * values.shape[1] for _ in range(n_groups)]
+    counts = [0] * n_groups
+    for row, group in zip(values.tolist(), np.asarray(index_map).tolist()):
+        counts[group] += 1
+        for k, value in enumerate(row):
+            sums[group][k] += value
+    means = [[total / counts[g] for total in sums[g]] for g in range(n_groups)]
+    return np.array(means, dtype=np.float64).reshape(n_groups, values.shape[1])
 
 
 def octree_levels(codes, depth: int) -> bytes:

@@ -425,6 +425,32 @@ def test_each_plane_decodes_by_the_coder_its_first_byte_names():
             codec.decode_gof(dataclasses.replace(enc, frames=(bad,)))
 
 
+@pytest.mark.parametrize("intra_only", [True, False], ids=["all-intra", "hybrid"])
+def test_any_deflate_level_decodes_to_the_same_frames(intra_only):
+    # the DEFLATE level is the encoder's choice: every deflated section,
+    # re-compressed at another level, decodes to the same frames
+    enc = codec.encode_gof(_gof(n_frames=3, seed=17), _params(), intra_only=intra_only)
+    want = codec.decode_gof(enc).frames
+
+    def at_level(payload, level):
+        if not payload.INTRA:
+            return payload
+        return dataclasses.replace(payload, **{
+            name: zlib.compress(zlib.decompress(getattr(payload, name)), level)
+            for name in ("octree_bytes", "index_run_bytes", "face_bytes")})
+
+    for level in (1, 9):
+        other = dataclasses.replace(enc, frames=tuple(at_level(p, level) for p in enc.frames))
+        record = codec.serialize_gof_record(other)
+        assert record != codec.serialize_gof_record(enc)
+        got = codec.decode_gof(codec.parse_gof_record(record)).frames
+        assert len(got) == len(want)
+        for w, g in zip(want, got):
+            assert np.array_equal(w.vertices, g.vertices)
+            assert np.array_equal(w.faces, g.faces)
+            assert np.array_equal(w.colors, g.colors)
+
+
 @pytest.mark.parametrize("name", ["step_motion", "step_color_intra", "step_color_inter"])
 def test_gof_header_step_above_the_bound_is_corrupt(name):
     # a 1e308 step overflows the dequantized coefficients, so without the
@@ -573,13 +599,13 @@ def _counting_inverse(monkeypatch):
 
 @pytest.mark.parametrize("intra_only, n_inverses, digest, n_frames", [
     # no frame reads an intra-only frame's reconstruction
-    (True, 0, "b969f676e938e257f3dd01b98f602bf5a80df2d01809ed1bcefc3cf1789b2115", 4),
+    (True, 0, "ea210e47414ef8d95d551d1da4e1ce7bcf349314e159d8ffcbb6e42d657ffeb3", 4),
     # the reference's colors, then motion and colors of each predicted frame
     # but the last
-    (False, 1 + 2 * 2, "17ba2b1362de4ea0819e38f6e2ab869994caa03d2a7b36cb3ec021d2ffabce53", 4),
+    (False, 1 + 2 * 2, "5a7ae7885cd012cb76a9ba3f2b21e1944d9b24c91e177b7a56bcca9d8cd5056c", 4),
     # no frame follows a lone reference frame
-    (False, 0, "2309f78827a827a45b235aca41cc8217eac95a720b40aa80933182c32496c398", 1),
-])
+    (False, 0, "9fa3b11f1b6a6a650209b9e1c8bf8cebc898665640d2ac8854965352e3a96747", 1),
+], ids=["intra-only", "hybrid", "lone-reference"])
 def test_encoder_inverts_only_what_a_later_frame_reads(monkeypatch, intra_only, n_inverses,
                                                         digest, n_frames):
     gof = _gof(n_frames=n_frames, seed=17)

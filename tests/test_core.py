@@ -226,7 +226,11 @@ def test_frame_colors_clip_to_bytes():
 
 
 def _round_half_away_then_clip(colors):
-    rounded = np.floor(np.abs(colors) + 0.5) * np.sign(colors)
+    # x - floor(x) is exact for every float64 x >= 0, where floor(x + 0.5) is not:
+    # x + 0.5 rounds 0.49999999999999994 up to 1.0
+    magnitude = np.abs(colors)
+    whole = np.floor(magnitude)
+    rounded = (whole + (magnitude - whole >= 0.5)) * np.sign(colors)
     return np.clip(rounded, 0, 255).astype(np.uint8)
 
 
@@ -472,6 +476,13 @@ def test_gof_writer_converts_colors_a_block_at_a_time(tmp_path):
 def test_colors_to_u8_edges_map_as_before():
     colors = np.array([[0.5, 1.5, 127.5], [254.5, -1.0, 255.5], [256.0, 0.49, 254.49]])
     assert core._colors_to_u8(colors).tolist() == [[1, 2, 128], [255, 0, 255], [255, 0, 254]]
+
+
+def test_colors_to_u8_rounds_the_largest_double_below_one_half_down():
+    # 0.49999999999999994 + 0.5 rounds up to 1.0 in float64
+    colors = np.array([np.nextafter(0.5, 0.0), np.nextafter(1.5, 0.0), 0.5])
+    assert core._colors_to_u8(colors).tolist() == [0, 1, 1]
+    assert _round_half_away_then_clip(colors).tolist() == [0, 1, 1]
 
 
 def test_gof_frames_stream_through_reader_and_writer(tmp_path):

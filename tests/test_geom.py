@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import barycentric_refine, refine_interpolate, voxel_grouping
-from tricloud import geom
+from oracles import barycentric_refine, group_means, refine_interpolate, voxel_grouping
+from tricloud import geom, transform
 from tricloud.core import VoxelSet
 from tricloud.errors import ConsistencyError, ParameterError, RangeError
 
@@ -356,6 +357,37 @@ def test_sorted_rows_packs_a_key_with_its_row_up_to_63_bits(monkeypatch, key_bit
     assert order.dtype == got.dtype == np.int64
     assert np.array_equal(order, want) and np.array_equal(got, keys[want])
     assert calls == ([] if packed else [{"kind": "stable"}])
+
+
+@st.composite
+def _grouped_rows(draw):
+    """Rows of 1-3 channels in C or F order, each row's group (every group
+    holds a row), and one sorted distinct depth-5 voxel code per group."""
+    labels = draw(st.lists(st.integers(0, draw(st.integers(0, 12))), min_size=1, max_size=120))
+    index_map = np.unique(labels, return_inverse=True)[1].ravel()
+    n_groups = int(index_map.max()) + 1
+    shape = (len(labels), draw(st.integers(1, 3)))
+    values = draw(hnp.arrays(np.float64, shape, elements=st.floats(-1e6, 1e6)))
+    values = np.asarray(values, order=draw(st.sampled_from("CF")))
+    codes = draw(st.lists(st.integers(0, (1 << 15) - 1), min_size=n_groups,
+                          max_size=n_groups, unique=True))
+    return values, index_map, np.sort(codes)
+
+
+@given(_grouped_rows())
+@settings(max_examples=60, deadline=None)
+def test_group_means_equal_row_order_sums_bit_for_bit(case):
+    values, index_map, codes = case
+    means = geom._group_means(values, index_map, codes.size)
+    want = group_means(values, index_map, codes.size)
+    assert means.shape == want.shape
+    assert np.ascontiguousarray(means).tobytes() == want.tobytes()
+    # the transform reads the F-ordered means as it reads a C-ordered copy
+    plan = transform.raht_plan(VoxelSet(5, codes))
+    for step in (None, 4.0):
+        got = transform.raht_forward(plan, means, step).coefficients
+        copy = transform.raht_forward(plan, np.ascontiguousarray(means), step).coefficients
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(copy).tobytes()
 
 
 def _shared_cell_points(depth, n, seed):

@@ -283,14 +283,14 @@ def test_baseline_hostile_geometry_rejected_while_inflating():
 
 
 @pytest.mark.parametrize("columns, step, geometry_sha, color_sha", [
-    (1, 1.0, "60e72a480bdfa68c005a023b277ee70010ffcb5f90da4aa179c2f419cc305dc9",
+    (1, 1.0, "188febca8987fc2a635bddd6065478d09bc652eb0f15fa7ebb62ecdad1398080",
      "771ab02fe59652e30dafdfa467606a597b710997ae09df77e3da6ae93dc89c8b"),
-    (3, 4.0, "e84fd5bcb1d0b5ccca33882469170f0414cd9521738296e683a6bdb6ada8ad38",
+    (3, 4.0, "02b0a855063fac0b49311ee29d7f506aca7422a90bbcdfd400a2cbd670b31dba",
      "d0b455872c89b46e6b4492658656dba6d0c05aa5d89789033b3f55e21d41e5e1"),
-])
+], ids=["1-column", "3-columns"])
 def test_baseline_bytes_are_pinned(columns, step, geometry_sha, color_sha):
     # colors recorded before the baseline moved onto the codec's plane helpers,
-    # geometry when the octree was first coded level by level
+    # geometry when deflate moved to level 5
     rng = np.random.default_rng(20 + columns)
     codes = np.sort(rng.choice(8 ** 6, size=900, replace=False).astype(np.int64))
     vs = VoxelSet(6, codes, rng.random((900, columns)) * 255)
