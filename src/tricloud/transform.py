@@ -24,10 +24,19 @@ written back into row-major (C-ordered) rows.  A 1-D ``take`` and scatter
 over a contiguous column cost a fraction of 2-D row indexing, and every
 element goes through the same float operations in the same order as in a
 row-wise pass.
+
+The inverse skips what it can prove is zero.  A pair whose two inputs are
+both +0.0 outputs +0.0 twice (its gains are finite and nonnegative), so on a
+column whose DC row is zero only the subtrees under a nonzero coefficient
+need butterflies: a predicted color plane with a dozen nonzeros costs a few
+hundred pairs instead of a full pass, and every float is the one the full
+pass computes.  Locating the subtrees is capped, so a column that is not
+sparse runs the full pass after at most one count of its nonzeros.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,15 +62,22 @@ def round_half_away(values, out=None) -> np.ndarray:
     return np.trunc(out, out=out)
 
 
+def _checked_step(step) -> float:
+    """The step as a float; a step that is not finite and positive is refused
+    (an infinite step makes every index 0 and every dequantized value NaN)."""
+    step = float(step)
+    if not (0.0 < step < math.inf):
+        raise ParameterError(f"step must be positive and finite, got {step}")
+    return step
+
+
 def quantize(values, step: float, mode: str) -> np.ndarray:
     """Uniform scalar quantization, reconstruction included.
 
     midstep reproduces integer multiples of the step (0 is a level); midrise
     reproduces half-integer multiples (levels straddle 0).
     """
-    step = float(step)
-    if not (step > 0.0):
-        raise ParameterError(f"step must be positive, got {step}")
+    step = _checked_step(step)
     values = np.asarray(values, dtype=np.float64)
     if mode == MIDSTEP:
         return round_half_away(values / step) * step
@@ -152,8 +168,8 @@ def raht_forward(plan: RahtPlan, attributes, step: float | None = None) -> Coeff
     rounded half away from zero and cast to int64 in place: the rows are then
     the midstep bin indices the entropy coder sees.
     """
-    if step is not None and not float(step) > 0.0:
-        raise ParameterError(f"step must be positive, got {step}")
+    if step is not None:
+        step = _checked_step(step)
     ta = np.array(_as_rows(attributes, plan.n, "attributes"), order="F")
     for column in ta.T:
         for level in plan.levels:
@@ -172,19 +188,96 @@ def raht_forward(plan: RahtPlan, attributes, step: float | None = None) -> Coeff
 
 def raht_inverse(plan: RahtPlan, coefficients, step: float = 1.0) -> np.ndarray:
     """Invert :func:`raht_forward` of coefficient rows times ``step`` (midstep
-    bin indices and their step dequantize here); returns attribute rows, C order."""
+    bin indices and their step dequantize here); returns attribute rows, C order.
+
+    Each column runs the butterflies :func:`_live_butterflies` selects: every
+    pair of every level, or on a sparse column whose DC row is zero only the
+    pairs inside the subtrees of its nonzero coefficients.  The pairs it skips
+    hold +0.0 twice and would output +0.0 twice, so the rows are bit for bit
+    those of the full pass.
+    """
+    step = _checked_step(step)
     coefficients = _as_rows(coefficients, plan.n, "coefficients", dtype=None)
     rows = np.empty(coefficients.shape)
     for k in range(rows.shape[1]):
         column = np.multiply(coefficients[:, k], step, dtype=np.float64)
-        for level in reversed(plan.levels):
-            i0, i1, a, b = level.left_rows, level.right_rows, level.a, level.b
+        for i0, i1, a, b in _live_butterflies(plan, column):
             x0 = column.take(i0)
             x1 = column.take(i1)
             column[i0] = a * x0 - b * x1
             column[i1] = b * x0 + a * x1
         rows[:, k] = column
     return rows
+
+
+def _live_butterflies(plan: RahtPlan, column: np.ndarray):
+    """Yield the inverse's butterflies on ``column``, top level first, as
+    (left rows, right rows, a, b): each level's whole arrays, or only the pairs
+    inside the subtrees :func:`_live_subtrees` finds."""
+    levels = plan.levels[::-1]
+    subtrees = _live_subtrees(levels, column)
+    if subtrees is None:
+        for level in levels:
+            yield level.left_rows, level.right_rows, level.a, level.b
+        return
+    starts, stops, opened = subtrees
+    for level, m in zip(levels, opened):
+        if m:
+            left = level.left_rows
+            pairs = _concatenated_ranges(left.searchsorted(starts[:m]),
+                                         left.searchsorted(stops[:m]))
+            yield (left.take(pairs), level.right_rows.take(pairs),
+                   level.a.take(pairs), level.b.take(pairs))
+
+
+def _live_subtrees(levels: tuple, column: np.ndarray):
+    """The subtrees under the nonzero coefficients of a column whose DC row is
+    zero, or None when the full pass is as cheap.
+
+    ``levels`` runs top level first.  A nonzero high-pass row r, the right row
+    of pair (i0, r) at its level, reaches exactly the rows [i0, end) of that
+    level's cell, end being the first row after r that survives into the
+    level: the first right row after r at that level or any level above it,
+    or n.  Each pair below the level that touches the cell lies inside it, so
+    the pairs whose left row falls in an open cell are all the pairs with a
+    nonzero input.  Returns the cells' first rows and ends in the order they
+    open, and per level the number open; a cell nested in another repeats its
+    pairs, which write the same values twice.  -0.0 and NaN count as nonzero.
+
+    None when the DC row is nonzero (it reaches every row), when more than
+    n/1024 rows are nonzero, or once the cells' sizes sum past n/8: these caps
+    keep the search and the walk below the cost of the full pass.
+    """
+    n = column.size
+    bits = column.view(np.uint64)
+    if bits[0] or np.count_nonzero(bits) > n >> 10:
+        return None
+    rows = np.flatnonzero(bits != 0)
+    ends = np.full(rows.size, n)  # per row, the first later survivor at the levels walked
+    starts, stops, opened = [rows[:0]], [rows[:0]], []
+    found = covered = 0
+    for level in levels:
+        if found < rows.size:
+            right = level.right_rows
+            after = right.searchsorted(rows, "right")
+            np.minimum(ends, right.take(after, mode="clip"), out=ends, where=after < right.size)
+            hit = np.flatnonzero(right.take(after - 1) == rows)
+            if hit.size:
+                starts.append(level.left_rows.take(after.take(hit) - 1))
+                stops.append(ends.take(hit))
+                covered += int(stops[-1].sum() - starts[-1].sum())
+                if covered > n >> 3:
+                    return None
+                found += hit.size
+        opened.append(found)
+    return np.concatenate(starts), np.concatenate(stops), opened
+
+
+def _concatenated_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers of [lo[0], hi[0]), [lo[1], hi[1]), ... in one array."""
+    sizes = hi - lo
+    ends = np.cumsum(sizes)
+    return np.arange(ends[-1]) + np.repeat(lo - ends + sizes, sizes)
 
 
 def serialize_order(weights) -> np.ndarray:

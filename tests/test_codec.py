@@ -679,6 +679,55 @@ def test_decoded_frame_gather_allocates_only_its_output():
     assert peak <= frame.vertices.nbytes + frame.colors.nbytes + (1 << 20)
 
 
+def _one_point_brighter_gof():
+    """Two frames of a sphere with about 18k refined voxels; the second
+    brightens one refined point's U, so its predicted U plane holds a few
+    nonzeros and a zero DC."""
+    ref = datagen.gen_sequence("sphere", 1, n_faces=1000, upsample=6, seed=2)[0].reference
+    colors = ref.colors.copy()
+    colors[colors.shape[0] // 2, 1] += 20.0
+    return GroupOfFrames([ref, TriangleCloudFrame(ref.vertices, ref.faces, colors, 6)])
+
+
+def test_skipping_zero_pairs_leaves_buffers_and_frames_bit_identical(monkeypatch):
+    # the inverse that skips zero pairs against the row-wise oracle, through
+    # the encoder's closed loop and the decoder
+    gof = _one_point_brighter_gof()
+    params = CodecParams(9, 6, step_color_intra=4.0, step_color_inter=4.0)
+    walks = []
+    live_subtrees = transform._live_subtrees
+
+    def spy(levels, column):
+        subtrees = live_subtrees(levels, column)
+        walks.append(subtrees is not None and subtrees[0].size > 0)
+        return subtrees
+
+    def run():
+        payload, state, buffer = codec.encode_reference(gof.reference, params)
+        buffers = [buffer]
+        for frame in gof.frames[1:]:
+            payload, buffer = codec.encode_predicted(frame, state, buffer)
+            buffers.append(buffer)
+        encoded = codec.encode_gof(gof, params)
+        arrays = [a for b in buffers for a in (b.vertex_positions, b.refined_colors)]
+        arrays += [a for f in codec.decode_gof(encoded).frames for a in (f.vertices, f.colors)]
+        return encoded, [a.tobytes() for a in arrays]
+
+    monkeypatch.setattr(transform, "_live_subtrees", spy)
+    encoded, fast = run()
+    assert any(walks), "no column took the walk over live subtrees"
+    _, state, _ = codec.decode_reference(encoded.frames[0], params, encoded.n_vertices,
+                                         encoded.n_faces)
+    symbols = codec._decode_planes(encoded.frames[1].color_payloads, state.refined_plan)
+    assert any(symbols[0, k] == 0 and np.count_nonzero(symbols[:, k]) for k in range(3))
+
+    def row_wise(plan, coefficients, step):
+        return oracles.raht_inverse(plan, coefficients * step)
+
+    monkeypatch.setattr(codec, "raht_inverse", row_wise)
+    assert run()[1] == fast
+
+
 def test_encode_frames_equals_encode_gof_and_checks_the_count():
     gof = _gof(n_frames=3, seed=5)
     params = _params(step_color_intra=2.0)

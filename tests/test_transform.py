@@ -72,6 +72,8 @@ def test_quantize_rejects_bad_arguments():
     with pytest.raises(ParameterError):
         transform.quantize(1.0, -1.0, transform.MIDRISE)
     with pytest.raises(ParameterError):
+        transform.quantize(1.0, math.inf, transform.MIDSTEP)
+    with pytest.raises(ParameterError):
         transform.quantize(1.0, 1.0, "nearest")
 
 
@@ -246,10 +248,14 @@ def test_plan_of_an_empty_set_is_refused():
         transform.raht_plan(VoxelSet(3, []))
 
 
-@pytest.mark.parametrize("step", [0.0, -1.0, math.nan])
-def test_forward_refuses_a_step_that_is_not_positive(step):
-    with pytest.raises(ParameterError, match="step must be positive"):
-        transform.raht_forward(_plan([0, 1], 1), np.ones((2, 3)), step)
+@pytest.mark.parametrize("step", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+@pytest.mark.parametrize("direction", ["forward", "inverse"])
+def test_both_directions_refuse_a_step_that_is_not_finite_and_positive(direction, step):
+    # an infinite step made every forward index 0 and every inverse row NaN
+    # (0 * inf); a zero or negative step zeroed or flipped the inverse's rows
+    transform_pass = transform.raht_forward if direction == "forward" else transform.raht_inverse
+    with pytest.raises(ParameterError, match="step must be positive and finite"):
+        transform_pass(_plan([0, 1], 1), np.ones((2, 3)), step)
 
 
 def test_quantizing_forward_keeps_no_float_block():
@@ -406,6 +412,90 @@ def test_column_passes_match_row_wise_oracle(depth, seed, width, order):
     assert np.array_equal(transform.raht_forward(plan, symbols, step).coefficients,
                           transform.raht_forward(plan, symbols.astype(float), step).coefficients)
     assert np.array_equal(symbols, kept) and symbols.dtype == np.int64
+
+
+def _large_codes(rng):
+    """Sorted distinct codes of about 1k to 9k voxels at depth 5 to 10:
+    scattered voxels plus clusters of near neighbors, so that some rows head
+    large subtrees and n / 1024 allows a few nonzeros."""
+    depth = int(rng.integers(5, 11))
+    scattered = rng.integers(0, 8 ** depth, size=int(rng.integers(1000, 6000)))
+    bases = rng.integers(0, 8 ** depth, size=int(rng.integers(1, 12)))
+    offsets = rng.integers(0, 8 ** min(depth, 4), size=(bases.size, 300))
+    clustered = (bases[:, None] + offsets).ravel()
+    return np.unique(np.concatenate([scattered, clustered]) % 8 ** depth), depth
+
+
+def _symbol_column(rng, plan, kind):
+    """One column of bin indices (floats with signed zeros for "signed-zero")."""
+    n = plan.n
+    column = np.zeros(n, dtype=np.int64)
+    if kind == "dc":
+        column[0] = rng.integers(1, 1000) * rng.choice([-1, 1])
+    elif kind == "top-right":
+        column[plan.levels[-1].right_rows[0]] = rng.integers(1, 1000) * rng.choice([-1, 1])
+    elif kind in ("sparse", "signed-zero"):
+        # k of the n - 1 rows below the DC, from 1 to all of them
+        k = min(n - 1, max(1, n >> int(rng.integers(0, 14))))
+        rows = rng.choice(np.arange(1, n), size=k, replace=False)
+        column[rows] = rng.integers(1, 1000, size=k) * rng.choice([-1, 1], size=k)
+    elif kind == "dense":
+        column[1:] = rng.integers(1, 1000, size=n - 1) * rng.choice([-1, 1], size=n - 1)
+    if kind == "signed-zero":
+        column = column.astype(np.float64)
+        zeros = np.flatnonzero(column == 0)
+        column[rng.choice(zeros, size=min(3, zeros.size), replace=False)] = -0.0
+    return column
+
+
+def _pairs_run(plan, column):
+    """The butterflies the inverse runs on one column of floats."""
+    return sum(b[0].size for b in transform._live_butterflies(plan, np.asarray(column, float)))
+
+
+@given(st.integers(0, 2 ** 31),
+       st.lists(st.sampled_from(["zero", "dc", "top-right", "sparse", "signed-zero", "dense"]),
+                min_size=1, max_size=3),
+       st.sampled_from(["C", "F"]))
+@settings(max_examples=60, deadline=None)
+def test_inverse_skipping_zero_pairs_equals_the_row_wise_oracle(seed, kinds, order):
+    # the inverse skips the pairs whose inputs are both +0.0: every row, -0.0
+    # included, is the row-wise oracle's, whichever columns share the block
+    rng = np.random.default_rng(seed)
+    plan = _plan(*_large_codes(rng))
+    symbols = np.asarray(np.stack([_symbol_column(rng, plan, kind) for kind in kinds], axis=1),
+                         order=order)
+    kept = symbols.copy()
+    step = float(rng.choice([0.25, 1.0, 4.0, rng.uniform(0.01, 64.0)]))
+    rows = transform.raht_inverse(plan, symbols, step)
+    assert np.array_equal(rows.view(np.uint64),
+                          oracles.raht_inverse(plan, symbols * step).view(np.uint64))
+    assert rows.flags.c_contiguous
+    assert np.array_equal(symbols.view(np.uint64), kept.view(np.uint64))
+    for k in range(symbols.shape[1]):  # never more pairs than the full pass
+        assert _pairs_run(plan, symbols[:, k] * step) <= plan.n - 1
+
+
+def test_inverse_runs_only_the_pairs_under_nonzero_coefficients():
+    plan = _plan(*_large_codes(np.random.default_rng(4)))
+    n = plan.n
+    assert n > 4096
+    column = np.zeros(n)
+    assert _pairs_run(plan, column) == 0
+    # the pairs of the lowest paired level join two voxels: each is its own cell
+    bottom = plan.levels[0].right_rows
+    column[bottom[:3]] = [3.0, -1.0, -0.0]
+    assert _pairs_run(plan, column) == 3
+    # a nonzero DC reaches every row, and so does the top pair's high-pass row
+    column[0] = 1.0
+    assert _pairs_run(plan, column) == n - 1
+    column[0] = 0.0
+    column[plan.levels[-1].right_rows[0]] = 1.0
+    assert _pairs_run(plan, column) == n - 1
+    # a column that is not sparse takes the full pass
+    column = np.zeros(n)
+    column[bottom[: n // 100]] = 1.0
+    assert _pairs_run(plan, column) == n - 1
 
 
 def test_quantize_indices_in_place_matches_round_half_away():
